@@ -8,6 +8,7 @@
 //! to `results/BENCH_runner.json` — the repo's performance trajectory file
 //! (schema in DESIGN.md §10).
 
+use carrefour_bench::json::{json_f64, json_str};
 use carrefour_bench::runner::{self, CellOutcome, Progress, TimedCell};
 use carrefour_bench::{attrib, experiments, journal, logx};
 use std::collections::HashMap;
@@ -264,27 +265,6 @@ fn compare_from_args() -> Option<String> {
     None
 }
 
-/// Pulls `"key": <float>` out of a JSON object line (our own stable
-/// format — see `write_bench_runner_json` — so a full parser is not
-/// needed and the build stays dependency-free).
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"key": "<string>"` out of a JSON object line.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// Compares this run's per-experiment wall-clock against a committed
 /// baseline (`results/BENCH_baseline.json`, any `bench-runner-v*`
 /// schema) and prints a speedup/regression table to stderr.
@@ -429,7 +409,7 @@ fn owned_secs(owner: &[usize], timed: &[TimedCell], i: usize) -> f64 {
 }
 
 /// Writes `results/BENCH_runner.json` (best effort, like `save_json`).
-/// The schema is documented in DESIGN.md §10 (v1–v4) and §16 (v5: the
+/// The schema is documented in DESIGN.md §10 (v1–v4, v6) and §16 (v5: the
 /// per-cell span fields and the suite-level `spans` rollup).
 fn write_bench_runner_json(
     exps: &[experiments::Experiment],
@@ -441,11 +421,7 @@ fn write_bench_runner_json(
 ) {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-runner-v5\",\n");
-    out.push_str(&format!(
-        "  \"shards\": \"{}\",\n",
-        esc(&std::env::var("CARREFOUR_SHARDS").unwrap_or_else(|_| "auto".into()))
-    ));
+    out.push_str("  \"schema\": \"bench-runner-v6\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     out.push_str(&format!("  \"total_wall_secs\": {total_wall_secs:.3},\n"));
@@ -470,10 +446,15 @@ fn write_bench_runner_json(
     // Span rollup (new in v5). Sums cover only cells run by *this*
     // process: journal-restored rows carry zero spans (from_journal),
     // so a resumed suite's rollup stays honest about where its own
-    // wall-clock went. Worker count and lane occupancy come from the
-    // same per-cell samples the report's timeline view draws.
+    // wall-clock went. Worker count and tail come from the same per-cell
+    // samples the report's timeline view draws.
     let live: Vec<&TimedCell> = timed.iter().filter(|t| !t.spans.from_journal).collect();
-    let queue_wait: f64 = live.iter().map(|t| t.spans.queue_wait_secs).sum();
+    let tail = runner::tail_secs(live.iter().map(|t| {
+        (
+            t.spans.queue_wait_secs,
+            t.spans.simulate_secs + t.spans.merge_secs,
+        )
+    }));
     let simulate: f64 = live.iter().map(|t| t.spans.simulate_secs).sum();
     let merge: f64 = live.iter().map(|t| t.spans.merge_secs).sum();
     let workers_used = live
@@ -481,27 +462,15 @@ fn write_bench_runner_json(
         .map(|t| t.spans.worker)
         .collect::<std::collections::HashSet<_>>()
         .len();
-    let lanes_free_min = live
-        .iter()
-        .map(|t| t.spans.lanes_free_start.min(t.spans.lanes_free_done))
-        .min()
-        .unwrap_or(0);
-    let lanes_free_max = live
-        .iter()
-        .map(|t| t.spans.lanes_free_start.max(t.spans.lanes_free_done))
-        .max()
-        .unwrap_or(0);
     out.push_str(&format!(
-        "  \"spans\": {{\"live_cells\": {}, \"queue_wait_total_secs\": {:.3}, \
+        "  \"spans\": {{\"live_cells\": {}, \"tail_secs\": {:.3}, \
          \"simulate_total_secs\": {:.3}, \"merge_total_secs\": {:.3}, \
-         \"workers_used\": {}, \"lanes_free_min\": {}, \"lanes_free_max\": {}}},\n",
+         \"workers_used\": {}}},\n",
         live.len(),
-        queue_wait,
+        tail,
         simulate,
         merge,
         workers_used,
-        lanes_free_min,
-        lanes_free_max,
     ));
     // Attribute each unique cell's cost to the first experiment that
     // submitted it, so per-experiment seconds sum to the cell total.
@@ -526,7 +495,7 @@ fn write_bench_runner_json(
     out.push_str("  \"cells\": [\n");
     for (i, t) in timed.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"machine\": \"{}\", \"benchmark\": \"{}\", \"policy\": \"{}\", \"wall_secs\": {:.3}, \"estimated_ops\": {}, \"actual_ops\": {}, \"queue_wait_secs\": {:.3}, \"merge_secs\": {:.3}, \"worker\": {}, \"lanes_free_start\": {}, \"from_journal\": {}}}{}\n",
+            "    {{\"machine\": \"{}\", \"benchmark\": \"{}\", \"policy\": \"{}\", \"wall_secs\": {:.3}, \"estimated_ops\": {}, \"actual_ops\": {}, \"queue_wait_secs\": {:.3}, \"merge_secs\": {:.3}, \"worker\": {}, \"from_journal\": {}}}{}\n",
             esc(&t.cell.machine),
             esc(&t.cell.benchmark),
             esc(&t.cell.policy),
@@ -536,7 +505,6 @@ fn write_bench_runner_json(
             t.spans.queue_wait_secs,
             t.spans.merge_secs,
             t.spans.worker,
-            t.spans.lanes_free_start,
             t.spans.from_journal,
             if i + 1 < timed.len() { "," } else { "" }
         ));

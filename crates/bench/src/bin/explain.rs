@@ -26,9 +26,7 @@
 //! delta between the two tails. Determinism makes the comparison exact:
 //! the two tails share every bit of history up to the fork, so the
 //! printed delta is *caused by that one decision*, not correlated with
-//! it. Both tails run on the sharded engine (the spare-lane pool is
-//! offered every host core), which is what makes forking tails cheap
-//! enough to ask several counterfactuals per sitting.
+//! it.
 //!
 //! With no arguments, `explain` reproduces the paper's headline diagnoses
 //! on machine A: the CG.D THP regression (Table 1: imbalance explodes —
@@ -175,9 +173,6 @@ impl NumaPolicy for WhatIfPolicy {
 /// factual and with the first post-fork decision vetoed — and attribute
 /// the delta.
 fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch: Option<u32>) {
-    // The tails run on the sharded engine: every spare host core becomes
-    // a shard lane (`SimConfig::shards` stays 0 = auto).
-    engine::lanes::configure(resolve_jobs(None).saturating_sub(1));
     let mut config = SimConfig::for_machine(machine, kind.initial_thp());
     config.attribution = true;
     let spec = bench.spec(machine);

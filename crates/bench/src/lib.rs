@@ -250,7 +250,8 @@ pub fn fmt_pct(v: f64) -> String {
 }
 
 pub mod json {
-    //! Hand-rolled JSON serialization of experiment rows.
+    //! Hand-rolled JSON serialization of experiment rows, plus the two
+    //! line scanners that read the `BENCH_*.json` files back.
     //!
     //! The build environment is offline, so instead of `serde_json` the
     //! result files are written by this small, explicit serializer. Field
@@ -260,6 +261,29 @@ pub mod json {
     use engine::{EpochRecord, LifetimeStats, PageMetrics, RobustnessStats, SimResult};
     use profiling::EpochCounters;
     use vmem::VmemStats;
+
+    /// Pulls `"key": <float>` out of one line of our own stable JSON format
+    /// (the `BENCH_*.json` writers emit one object per line, so a full parser
+    /// is not needed and the build stays dependency-free).
+    pub fn json_f64(line: &str, key: &str) -> Option<f64> {
+        let pat = format!("\"{key}\": ");
+        let start = line.find(&pat)? + pat.len();
+        let rest = &line[start..];
+        let end = rest
+            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+            .unwrap_or(rest.len());
+        rest[..end].parse().ok()
+    }
+
+    /// Pulls `"key": "<string>"` out of one line (no escape handling: the
+    /// runner file only escapes `\` and `"`, which never appear in the
+    /// machine/benchmark/policy labels the report displays).
+    pub fn json_str(line: &str, key: &str) -> Option<String> {
+        let pat = format!("\"{key}\": \"");
+        let start = line.find(&pat)? + pat.len();
+        let rest = &line[start..];
+        Some(rest[..rest.find('"')?].to_string())
+    }
 
     /// Escapes a string for a JSON string literal (without quotes).
     pub fn esc(s: &str) -> String {

@@ -2,7 +2,7 @@
 //!
 //! Assembles everything the flight recorder and the runner leave behind —
 //! per-epoch metric time-series from [`engine::recorder`], span profiling
-//! from `results/BENCH_runner.json` (bench-runner-v5), the attribution
+//! from `results/BENCH_runner.json` (bench-runner-v6), the attribution
 //! file, the crash journal, and the committed baseline — into **one**
 //! HTML file with no external assets: styles are inline, charts are
 //! hand-rolled inline SVG (the build is dependency-free, DESIGN.md §16).
@@ -12,7 +12,7 @@
 //! deterministic, so re-running them here costs seconds and guarantees
 //! the charts describe exactly the commit being reported on, not a stale
 //! results file. Each cell's full series is also written out as
-//! `results/metrics_<stem>.jsonl` (schema `metrics-v1`) for ad-hoc
+//! `results/metrics_<stem>.jsonl` (schema `metrics-v2`) for ad-hoc
 //! grep/jq analysis next to the golden trace digests.
 //!
 //! The span section carries a self-check: per worker, busy (simulate +
@@ -21,6 +21,7 @@
 //! check renders loudly in the report and warns on stderr.
 
 use crate::golden::GOLDEN_CELLS;
+use crate::json::{json_f64, json_str};
 use engine::{
     JsonlMetricsRecorder, MetricsRow, SimConfig, Simulation, TeeMetricsRecorder, VecMetricsRecorder,
 };
@@ -106,7 +107,7 @@ pub struct RunnerCellRow {
 /// The slice of a `BENCH_runner.json` file the report reads.
 #[derive(Clone, Debug, Default)]
 pub struct RunnerReport {
-    /// Schema tag (`bench-runner-v5`).
+    /// Schema tag (`bench-runner-v6`; older tags parse too).
     pub schema: String,
     /// Suite wall-clock seconds.
     pub total_wall_secs: f64,
@@ -116,27 +117,6 @@ pub struct RunnerReport {
     pub experiments: Vec<(String, f64)>,
     /// Per-cell rows.
     pub cells: Vec<RunnerCellRow>,
-}
-
-/// Pulls `"key": <float>` out of one line of our own stable JSON format.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"key": "<string>"` out of one line (no escape handling: the
-/// runner file only escapes `\` and `"`, which never appear in the
-/// machine/benchmark/policy labels the report displays).
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
 }
 
 /// Parses a `BENCH_runner.json` (any `bench-runner-v*` schema; span
@@ -225,20 +205,19 @@ pub struct SpanBreakdown {
     pub total_wall_secs: f64,
     /// One lane per worker that picked up at least one cell.
     pub lanes: Vec<WorkerLane>,
-    /// Sum of queue-wait across live cells (scheduling pressure).
-    pub queue_wait_total_secs: f64,
+    /// Last live-cell pickup to last live-cell completion
+    /// ([`crate::runner::tail_secs`]).
+    pub tail_secs: f64,
 }
 
 impl SpanBreakdown {
     /// Builds the decomposition from a parsed runner file.
     pub fn from_runner(r: &RunnerReport) -> SpanBreakdown {
         let mut lanes: Vec<WorkerLane> = Vec::new();
-        let mut queue_wait_total_secs = 0.0;
         for (i, c) in r.cells.iter().enumerate() {
             if c.from_journal {
                 continue;
             }
-            queue_wait_total_secs += c.queue_wait_secs;
             let lane = match lanes.iter_mut().find(|l| l.worker == c.worker) {
                 Some(l) => l,
                 None => {
@@ -258,10 +237,13 @@ impl SpanBreakdown {
         for l in &mut lanes {
             l.idle_secs = (r.total_wall_secs - l.busy_secs).max(0.0);
         }
+        let live = r.cells.iter().filter(|c| !c.from_journal);
         SpanBreakdown {
             total_wall_secs: r.total_wall_secs,
             lanes,
-            queue_wait_total_secs,
+            tail_secs: crate::runner::tail_secs(
+                live.map(|c| (c.queue_wait_secs, c.wall_secs + c.merge_secs)),
+            ),
         }
     }
 
@@ -443,7 +425,7 @@ pub fn html_report(
          </style></head><body>\n<h1>Carrefour-LP flight recorder report</h1>\n",
     );
     out.push_str(&format!(
-        "<p class=\"note\">Recorded {} golden cells (schema metrics-v1); runner file: {}; \
+        "<p class=\"note\">Recorded {} golden cells (schema metrics-v2); runner file: {}; \
          baseline: {}; attribution file: {}.</p>\n",
         series.len(),
         runner.map_or("absent".into(), |r| hesc(&r.schema)),
@@ -571,10 +553,10 @@ pub fn html_report(
             let busy: f64 = bd.lanes.iter().map(|l| l.busy_secs).sum();
             out.push_str(&format!(
                 "<p>Suite wall-clock <b>{:.3}s</b> across {} worker lane(s); busy \
-                 {busy:.3}s, queue-wait total {:.3}s, epochs reused {:.0}.</p>\n",
+                 {busy:.3}s, tail {:.3}s, epochs reused {:.0}.</p>\n",
                 bd.total_wall_secs,
                 bd.lanes.len(),
-                bd.queue_wait_total_secs,
+                bd.tail_secs,
                 r.epochs_reused,
             ));
             out.push_str(&worker_timeline(&bd, &r.cells, 900));
@@ -713,12 +695,25 @@ mod tests {
         assert_eq!(bd.lanes.len(), 2);
         assert!((bd.lanes[0].busy_secs - 6.01).abs() < 1e-9);
         assert!((bd.lanes[1].busy_secs - 3.02).abs() < 1e-9);
+        // Last pickup at 0.2 s; the worker-0 cell ends last, at 6.11 s.
+        assert!((bd.tail_secs - 5.91).abs() < 1e-9, "tail {}", bd.tail_secs);
         assert!(bd.within_bound(), "err {}", bd.worst_error_fraction());
         // A lane busier than the suite wall must fail the bound.
         let mut broken = r.clone();
         broken.total_wall_secs = 5.0;
         let bd = SpanBreakdown::from_runner(&broken);
         assert!(!bd.within_bound());
+    }
+
+    #[test]
+    fn checked_in_v5_baseline_still_parses() {
+        let text = include_str!("../../../results/BENCH_baseline.json");
+        let r = parse_runner_json(text).expect("parses");
+        assert_eq!(r.schema, "bench-runner-v5");
+        assert!(r.total_wall_secs > 0.0);
+        assert!(!r.experiments.is_empty() && !r.cells.is_empty());
+        let bd = SpanBreakdown::from_runner(&r);
+        assert!(bd.tail_secs > 0.0 && bd.tail_secs <= r.total_wall_secs);
     }
 
     #[test]

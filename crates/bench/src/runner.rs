@@ -369,13 +369,6 @@ where
 /// computes, so any schedule returns bit-identical results (the
 /// longest-first proptest in `tests/runner_equivalence.rs` enforces
 /// this).
-///
-/// This is also where the engine's shard-lane pool is wired up
-/// (`engine::lanes`, DESIGN.md §14): host cores the pool is not using as
-/// workers (`jobs > n`) are offered as shard lanes up front, and each
-/// worker donates its own slot when the queue runs dry — so cells that
-/// *start* near the end of a suite widen across the cores that just went
-/// idle.
 pub fn par_map_outcomes_scheduled<T, F, D>(
     jobs: usize,
     n: usize,
@@ -423,9 +416,6 @@ where
     };
 
     let workers = jobs.max(1).min(n);
-    // Worker slots the caller granted but this queue cannot use become
-    // shard lanes: a 1-cell suite at `--jobs 8` runs that cell 8-wide.
-    engine::lanes::configure(jobs.max(1) - workers);
     if workers <= 1 {
         let mut out = Vec::with_capacity(n);
         for k in 0..n {
@@ -477,9 +467,6 @@ where
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
                         if k >= n {
-                            // Queue drained: this worker's slot becomes a
-                            // shard lane for cells still starting up.
-                            engine::lanes::donate(1);
                             return out;
                         }
                         let i = schedule.as_ref().map_or(k, |o| o[k]);
@@ -574,8 +561,8 @@ pub struct Progress {
 /// progress it would have made at the observed aggregate rate split
 /// evenly across the in-flight cells, capped below its own estimate (a
 /// cell is never credited as finished before it reports done) — so a
-/// suite whose tail is one long cell fanning out over shard lanes stops
-/// reading as "N whole cells to go".
+/// suite whose tail is a few long cells stops reading as "N whole cells
+/// to go".
 fn eta_from_ops(est_total: u64, est_done: u64, secs: f64, inflight: &[(f64, u64)]) -> Option<f64> {
     if est_total == 0 || est_done == 0 || secs <= 0.0 {
         return None;
@@ -645,7 +632,7 @@ impl Progress {
     /// The progress line carries cumulative throughput (simulated ops per
     /// host second, when op counts are reported) and an ETA — from
     /// work-remaining accounting when estimates were registered
-    /// ([`eta_from_ops`]: in-flight shard work earns partial credit), from
+    /// ([`eta_from_ops`]: in-flight cells earn partial credit), from
     /// mean whole-cell cost otherwise. Output is explicitly flushed so
     /// piped logs (CI, `tee`) stay live.
     pub fn cell_done_ops(&self, what: &str, ops: u64) {
@@ -723,10 +710,6 @@ pub struct CellSpans {
     /// Which worker thread ran the cell (0-based, in order of first
     /// pickup — stable within a run, not across runs).
     pub worker: usize,
-    /// Free lanes in the shard-lane pool when the cell started.
-    pub lanes_free_start: usize,
-    /// Free lanes when the cell finished.
-    pub lanes_free_done: usize,
     /// True when the row was restored from the crash journal (spans are
     /// zeros: the work happened in an earlier process).
     pub from_journal: bool,
@@ -740,6 +723,19 @@ impl CellSpans {
             ..CellSpans::default()
         }
     }
+}
+
+/// Seconds from the last cell pickup to the last cell completion: the
+/// suite's tail, when no queued cell is left for an idle worker. Takes
+/// each live cell's `(pickup offset from suite start, busy seconds)`;
+/// `0.0` for an empty suite.
+pub fn tail_secs(cells: impl IntoIterator<Item = (f64, f64)>) -> f64 {
+    let (last_pickup, end) = cells
+        .into_iter()
+        .fold((0.0_f64, 0.0_f64), |(p, e), (pickup, busy)| {
+            (p.max(pickup), e.max(pickup + busy))
+        });
+    (end - last_pickup).max(0.0)
 }
 
 /// One executed cell plus its host wall-clock cost (the wall clock is
@@ -828,7 +824,6 @@ where
                 let n = m.len();
                 *m.entry(id).or_insert(n)
             };
-            let lanes_free_start = engine::lanes::available();
             let ticket = progress.cell_started(est[i]);
             let t = Instant::now();
             let result = run_spec(spec);
@@ -849,8 +844,6 @@ where
                     simulate_secs: wall_secs,
                     merge_secs: merge_t.elapsed().as_secs_f64(),
                     worker,
-                    lanes_free_start,
-                    lanes_free_done: engine::lanes::available(),
                     from_journal: false,
                 },
             };

@@ -9,8 +9,7 @@
 //! produces. The property test drives random workload shapes, seeds,
 //! **nonzero fault plans** (the induction's hard case: fed-back failures
 //! and fault RNG state must survive the fork), random threshold
-//! perturbations as the family axis, and shard counts {1, 4} (checkpoints
-//! taken under sharded probes must fork under any lane count).
+//! perturbations as the family axis.
 
 use carrefour::{LpParams, LpThresholds};
 use carrefour_bench::forktree;
@@ -75,15 +74,11 @@ proptest! {
         split_gain_pp in 0.5f64..10.0,
         hot_page_fraction in 0.01f64..0.12,
         imbalance_enable_above in 10.0f64..45.0,
-        shards in [1u32, 4].as_slice(),
     ) {
         std::env::set_var("CARREFOUR_QUIET", "1");
         // The ledger rides inside `SimResult`'s `PartialEq`, so turning it
-        // on widens the bit-identity claim to all 19 buckets. Shards are
-        // process-global but never affect results (DESIGN.md §14), so the
-        // env write cannot perturb sibling tests.
+        // on widens the bit-identity claim to all 19 buckets.
         std::env::set_var("CARREFOUR_ATTRIB", "1");
-        std::env::set_var("CARREFOUR_SHARDS", shards.to_string());
         let machine = MachineSpec::test_machine();
         let wspec = small_spec(&machine, mib, pattern);
         let mk = |params: Option<LpParams>| {

@@ -9,9 +9,7 @@
 //!   [`engine::SimResult`]s (attribution ledger and robustness counters
 //!   ride along in `PartialEq`) and a byte-identical trace digest;
 //! * random shapes, seeds, policies, and **nonzero fault plans**, with
-//!   the attribution ledger ON, are bit-identical at shard counts 1 and
-//!   4 (CI re-runs this whole binary under `CARREFOUR_SHARDS=4` as
-//!   well);
+//!   the attribution ledger ON, are bit-identical;
 //! * the recorded series itself is structurally sound: one row per
 //!   simulated epoch, in order, with the run header announced.
 
@@ -26,8 +24,8 @@ use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
-/// A small multi-threaded workload, the same shape the shard- and
-/// checkpoint-equivalence suites use.
+/// A small multi-threaded workload, the same shape the
+/// checkpoint-equivalence suite uses.
 fn small_spec(name: &str, mib: u64, pattern: AccessPattern) -> WorkloadSpec {
     let machine = MachineSpec::test_machine();
     WorkloadSpec {
@@ -147,7 +145,7 @@ fn golden_cells_are_bit_identical_with_recorder_on() {
 
 proptest! {
     /// Random workload shapes, seeds, policies, and **nonzero fault
-    /// plans**, with the attribution ledger ON, at shard counts 1 and 4:
+    /// plans**, with the attribution ledger ON:
     /// recorder-on is bit-identical to recorder-off — `SimResult`
     /// (ledger, robustness counters, per-epoch records) and trace digest.
     /// Faults are the adversarial case: retries, vetoes, and breaker
@@ -170,20 +168,16 @@ proptest! {
     ) {
         let machine = MachineSpec::test_machine();
         let spec = small_spec("metrics-prop", mib, pattern);
-        for shards in [1u32, 4] {
-            let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
-            config.seed = seed;
-            config.attribution = true;
-            config.faults = FaultConfig::uniform(fault_seed, rate);
-            config.shards = shards;
-            let (result, rec) =
-                assert_recorder_invisible(&machine, &spec, &config, || kind.make());
-            assert_series_sound(&result, &rec);
-            prop_assert!(result.attribution.is_some(), "ledger must be on");
-            prop_assert!(
-                rec.rows.iter().all(|r| r.attrib.is_some()),
-                "every row carries its epoch's attribution delta when the ledger is on"
-            );
-        }
+        let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
+        config.seed = seed;
+        config.attribution = true;
+        config.faults = FaultConfig::uniform(fault_seed, rate);
+        let (result, rec) = assert_recorder_invisible(&machine, &spec, &config, || kind.make());
+        assert_series_sound(&result, &rec);
+        prop_assert!(result.attribution.is_some(), "ledger must be on");
+        prop_assert!(
+            rec.rows.iter().all(|r| r.attrib.is_some()),
+            "every row carries its epoch's attribution delta when the ledger is on"
+        );
     }
 }

@@ -62,16 +62,11 @@ pub fn schema_hash() -> u64 {
 /// machine, the workload spec, and the full simulation config (seed,
 /// fault plan, attribution switch, ...). Computed over the `Debug`
 /// renderings, which cover every field.
-///
-/// `shards` is normalized out: the lane count never affects results, so a
-/// checkpoint taken at one shard count must resume at any other.
 pub fn config_fingerprint(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
     config: &crate::SimConfig,
 ) -> u64 {
-    let mut config = config.clone();
-    config.shards = 0;
     let repr = format!("{} {:?} {:?}", machine.name(), spec, config);
     fnv1a(repr.as_bytes())
 }

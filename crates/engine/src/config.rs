@@ -45,18 +45,6 @@ pub struct SimConfig {
     /// attribution is purely observational — every other output is
     /// bit-identical either way (tier-1 tested).
     pub attribution: bool,
-    /// Intra-run shard lanes: fault-free epochs are partitioned by NUMA
-    /// node group and simulated on that many OS threads, merged
-    /// deterministically at each epoch boundary. `0` (the default) sizes
-    /// the lane count from the process-wide [`crate::lanes`] pool at every
-    /// epoch boundary; an explicit value is capped at the workload's
-    /// node-group count. The
-    /// `CARREFOUR_SHARDS` environment variable overrides this field.
-    /// Purely an execution knob: every output — results, digests,
-    /// checkpoints — is bit-identical for ANY value (tier-1 tested), and
-    /// checkpoints resume across different shard counts.
-    #[serde(default)]
-    pub shards: u32,
 }
 
 impl SimConfig {
@@ -82,7 +70,6 @@ impl SimConfig {
             faults: FaultConfig::none(),
             validate_each_epoch: false,
             attribution: false,
-            shards: 0,
         }
     }
 

@@ -36,7 +36,6 @@
 pub mod checkpoint;
 mod config;
 mod faults;
-pub mod lanes;
 mod policy;
 pub mod recorder;
 mod result;

@@ -23,7 +23,7 @@
 //! page stats are off, [`MetricsSample::pages`] is `None` and the JSONL
 //! field is `null` — forcing them on would change `SimResult::pages`.
 //!
-//! # `metrics-v1` JSONL
+//! # `metrics-v2` JSONL
 //!
 //! [`JsonlMetricsRecorder`] serializes the stream next to the trace
 //! output's format: one `{"metrics": "run_start", ...}` header line, one
@@ -34,7 +34,7 @@ use profiling::CycleBreakdown;
 use std::io::Write;
 
 /// Identity of the run a recorder is attached to — the `run_start`
-/// header of a `metrics-v1` stream.
+/// header of a `metrics-v2` stream.
 #[derive(Clone, Copy, Debug)]
 pub struct RunInfo<'a> {
     /// Workload name (`WorkloadSpec::name`).
@@ -107,9 +107,6 @@ pub struct MetricsSample<'a> {
     /// The attribution ledger's delta for this epoch (wall buckets) —
     /// `None` when `SimConfig::attribution` is off.
     pub attrib: Option<&'a CycleBreakdown>,
-    /// Free lanes in the process-wide shard-lane pool at this boundary
-    /// (host-side observability; never affects simulated results).
-    pub lanes_free: usize,
 }
 
 impl MetricsSample<'_> {
@@ -134,7 +131,7 @@ impl MetricsSample<'_> {
         }
     }
 
-    /// Serializes the sample as one `metrics-v1` JSONL line (no trailing
+    /// Serializes the sample as one `metrics-v2` JSONL line (no trailing
     /// newline).
     pub fn to_json(&self) -> String {
         let mut s = format!(
@@ -143,8 +140,7 @@ impl MetricsSample<'_> {
              \"controller_requests\":{},\"tlb_l1_hits\":{},\"tlb_l2_hits\":{},\
              \"tlb_misses\":{},\"tlb_hit_rate\":{},\"walk_cache_hits\":{},\
              \"walk_cache_misses\":{},\"walk_cache_hit_rate\":{},\
-             \"migrations\":{},\"splits\":{},\"collapses\":{},\"failed_actions\":{},\
-             \"lanes_free\":{}",
+             \"migrations\":{},\"splits\":{},\"collapses\":{},\"failed_actions\":{}",
             self.epoch,
             self.epoch_cycles,
             self.mem_ops,
@@ -163,7 +159,6 @@ impl MetricsSample<'_> {
             self.splits,
             self.collapses,
             self.failed_actions,
-            self.lanes_free,
         );
         match &self.pages {
             Some(p) => s.push_str(&format!(
@@ -297,8 +292,6 @@ pub struct MetricsRow {
     pub policy: Option<PolicyIntrospection>,
     /// This epoch's attribution delta, when the ledger was on.
     pub attrib: Option<CycleBreakdown>,
-    /// Free shard lanes at this boundary.
-    pub lanes_free: usize,
 }
 
 impl MetricsRow {
@@ -320,7 +313,6 @@ impl MetricsRow {
             pages: s.pages,
             policy: s.policy,
             attrib: s.attrib.copied(),
-            lanes_free: s.lanes_free,
         }
     }
 }
@@ -355,7 +347,7 @@ impl MetricsRecorder for VecMetricsRecorder {
     }
 }
 
-/// Streams `metrics-v1` JSONL to any writer. Mirrors `JsonlSink`'s error
+/// Streams `metrics-v2` JSONL to any writer. Mirrors `JsonlSink`'s error
 /// handling: the first `io::Error` is stored (inspect via
 /// [`JsonlMetricsRecorder::error`]) and later writes are skipped — a
 /// recorder must never panic mid-simulation over a full disk.
@@ -393,7 +385,7 @@ impl<W: Write> JsonlMetricsRecorder<W> {
 impl<W: Write> MetricsRecorder for JsonlMetricsRecorder<W> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.write_line(&format!(
-            "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v1\",\
+            "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v2\",\
              \"workload\":\"{}\",\"policy\":\"{}\",\"machine\":\"{}\",\
              \"threads\":{},\"nodes\":{}}}",
             esc(info.workload),
@@ -483,7 +475,6 @@ mod tests {
                 move_breaker_trips: 2,
             }),
             attrib,
-            lanes_free: 3,
         }
     }
 
@@ -523,7 +514,7 @@ mod tests {
         let text = String::from_utf8(rec.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"schema\":\"metrics-v1\""));
+        assert!(lines[0].contains("\"schema\":\"metrics-v2\""));
         assert!(lines[0].contains("\"workload\":\"UA.B\""));
         assert!(lines[1].contains("\"controller_requests\":[10,20,30,40]"));
         assert!(lines[1].contains("\"tlb_hit_rate\":0.95"));

@@ -166,53 +166,16 @@ impl ActionCosts {
     }
 }
 
-/// The address space as the simulation state sees it: owned by the serial
-/// driver, or a read-only view shared across shard lanes.
-///
-/// Shard lanes only run epochs the gate in `run_internal` proved fault-free
-/// and replica-free, so every space operation they reach is `&self`;
-/// [`SpaceRef::owned_mut`] on a shared view is a gate bug and panics.
-///
-/// One `SpaceRef` exists per live `SimState` — never collections of them —
-/// so the variant size gap costs nothing, while boxing would put a pointer
-/// chase on the per-access walk path.
-#[allow(clippy::large_enum_variant)]
-enum SpaceRef<'s> {
-    Owned(AddressSpace),
-    Shared(&'s AddressSpace),
-}
-
-impl SpaceRef<'_> {
-    #[inline]
-    fn get(&self) -> &AddressSpace {
-        match self {
-            SpaceRef::Owned(s) => s,
-            SpaceRef::Shared(s) => s,
-        }
-    }
-
-    #[inline]
-    fn owned_mut(&mut self) -> &mut AddressSpace {
-        match self {
-            SpaceRef::Owned(s) => s,
-            SpaceRef::Shared(_) => {
-                unreachable!("shard lanes never reach an address-space mutation")
-            }
-        }
-    }
-}
-
-struct SimState<'m, 's, 't> {
+struct SimState<'m, 't> {
     machine: &'m MachineSpec,
     /// DRAM latency divisor from the workload's memory-level parallelism.
     mlp: u64,
     mem: MemorySystem,
-    space: SpaceRef<'s>,
+    space: AddressSpace,
     /// Host-side memos of the radix walk, keyed per 2 MiB region — one per
-    /// thread, so a lane's walk-cache evolution is independent of how
-    /// threads are grouped into lanes (shard-count invariance). Purely a
-    /// simulation-speed optimisation: the cached result replays the exact
-    /// walk steps, so the per-step simulated-cache charges are unchanged.
+    /// thread. Purely a simulation-speed optimisation: the cached result
+    /// replays the exact walk steps, so the per-step simulated-cache
+    /// charges are unchanged.
     walk_caches: Vec<WalkCache>,
     tlbs: Vec<Tlb>,
     sampler: IbsSampler,
@@ -263,7 +226,7 @@ fn action_error(e: &SpaceError) -> ActionError {
     }
 }
 
-impl<'m, 's, 't> SimState<'m, 's, 't> {
+impl<'m, 't> SimState<'m, 't> {
     /// Emits one trace event. The closure only runs when a sink is
     /// attached, so untraced runs pay a single branch per call site.
     #[inline]
@@ -323,9 +286,9 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
 
         // 1b. Replication: readers use their local replica; a store to a
         // replicated page collapses the replica set first.
-        let mapping = if self.space.get().has_replicas() && mapping.size == PageSize::Size4K {
-            if op.is_write && self.space.get().is_replicated(mapping.vbase) {
-                let collapse = self.space.owned_mut().collapse_replicas(mapping.vbase);
+        let mapping = if self.space.has_replicas() && mapping.size == PageSize::Size4K {
+            if op.is_write && self.space.is_replicated(mapping.vbase) {
+                let collapse = self.space.collapse_replicas(mapping.vbase);
                 cycles += collapse;
                 if let Some(b) = bd.as_deref_mut() {
                     b.replica_collapse += collapse;
@@ -338,7 +301,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                 });
                 mapping
             } else {
-                self.space.get().resolve_replica(mapping, node)
+                self.space.resolve_replica(mapping, node)
             }
         } else {
             mapping
@@ -408,19 +371,14 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
     ) -> (Mapping, u8) {
         let core = CoreId::from(thread);
         let hits_before = self.walk_caches[thread].hits();
-        let walk = {
-            let Self {
-                space, walk_caches, ..
-            } = self;
-            space.get().walk_cached(vaddr, &mut walk_caches[thread])
-        };
+        let walk = self.space.walk_cached(vaddr, &mut self.walk_caches[thread]);
         let pwc_hit = self.walk_caches[thread].hits() > hits_before;
         // Replicated page tables serve the walk from the walking node's
         // copy: substitute each step before it is charged. The walk cache
         // stays node-agnostic (it memoizes the primary steps), so the
         // substitution happens at charge time on both the cached and
         // uncached paths identically.
-        let treps = self.space.get().has_table_replicas();
+        let treps = self.space.has_table_replicas();
         // Every step address is known before any is charged: prefetch all
         // their cache sets (host-side only, no simulated effect) so the
         // random, usually host-cold set loads overlap instead of
@@ -430,7 +388,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         // with the whole step replay as the overlap window.
         for &step in walk.steps() {
             let s = if treps {
-                self.space.get().resolve_table_step(step, node)
+                self.space.resolve_table_step(step, node)
             } else {
                 step
             };
@@ -442,7 +400,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         let mut remote_steps: u8 = 0;
         for &step in walk.steps() {
             let s = if treps {
-                self.space.get().resolve_table_step(step, node)
+                self.space.resolve_table_step(step, node)
             } else {
                 step
             };
@@ -475,7 +433,6 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         // still a configuration error at our scaled footprints.
         let fault = {
             let Self { space, faults, .. } = &mut *self;
-            let space = space.owned_mut();
             loop {
                 match space.fault_gated(vaddr, node, faults) {
                     Ok(f) => break f,
@@ -609,9 +566,9 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
             };
 
             // 1b. Replication (identical to run_op).
-            let mapping = if self.space.get().has_replicas() && mapping.size == PageSize::Size4K {
-                if op.is_write && self.space.get().is_replicated(mapping.vbase) {
-                    let collapse = self.space.owned_mut().collapse_replicas(mapping.vbase);
+            let mapping = if self.space.has_replicas() && mapping.size == PageSize::Size4K {
+                if op.is_write && self.space.is_replicated(mapping.vbase) {
+                    let collapse = self.space.collapse_replicas(mapping.vbase);
                     cycles += collapse;
                     if let Some(b) = bd.as_deref_mut() {
                         b.replica_collapse += collapse;
@@ -625,7 +582,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                     });
                     mapping
                 } else {
-                    self.space.get().resolve_replica(mapping, node)
+                    self.space.resolve_replica(mapping, node)
                 }
             } else {
                 mapping
@@ -740,7 +697,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         for a in actions {
             match a {
                 PolicyAction::SetThpAlloc(b) => {
-                    self.space.owned_mut().thp_mut().alloc_2m = b;
+                    self.space.thp_mut().alloc_2m = b;
                     self.emit(|| TraceEvent::ThpToggle {
                         epoch,
                         knob: "alloc",
@@ -748,11 +705,11 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                     });
                 }
                 PolicyAction::SetThpPromote(b) => {
-                    self.space.owned_mut().thp_mut().promote_2m = b;
+                    self.space.thp_mut().promote_2m = b;
                     if b {
                         // Re-enabling promotion lifts the no-collapse marks
                         // left by earlier policy splits.
-                        self.space.owned_mut().clear_promote_inhibitions();
+                        self.space.clear_promote_inhibitions();
                     }
                     self.emit(|| TraceEvent::ThpToggle {
                         epoch,
@@ -769,7 +726,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                         });
                         continue;
                     }
-                    match self.space.owned_mut().split(VirtAddr(v)) {
+                    match self.space.split(VirtAddr(v)) {
                         Ok((old, c)) => {
                             self.shootdown(old.vbase, old.size);
                             splits += 1;
@@ -800,15 +757,15 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                         });
                         continue;
                     }
-                    match self.space.owned_mut().split(VirtAddr(v)) {
+                    match self.space.split(VirtAddr(v)) {
                         Ok((old, c)) => {
                             self.shootdown(old.vbase, old.size);
                             splits += 1;
                             // One batched demote-and-spread: the split cost
                             // plus one huge-page-worth of copying, not 512
                             // separate migration calls.
-                            costs.split += c + self.space.get().costs().copy_per_kib
-                                * (old.size.bytes() >> 10);
+                            costs.split +=
+                                c + self.space.costs().copy_per_kib * (old.size.bytes() >> 10);
                             let nodes = self.machine.num_nodes() as u64;
                             let children = old.size.fanout();
                             // invariant: split() only succeeds on huge
@@ -820,7 +777,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                                 // Deterministic hash spread: independent of
                                 // any stride the data layout might have.
                                 let node = NodeId::from((mix64(sub.0) % nodes) as usize);
-                                match self.space.owned_mut().migrate(sub, node) {
+                                match self.space.migrate(sub, node) {
                                     Ok((sold, _)) => {
                                         self.shootdown(sold.vbase, sold.size);
                                         migrations += 1;
@@ -852,14 +809,10 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                     }
                 }
                 PolicyAction::Replicate(v) => {
-                    match self
-                        .space
-                        .owned_mut()
-                        .replicate(VirtAddr(v), self.machine.num_nodes())
-                    {
+                    match self.space.replicate(VirtAddr(v), self.machine.num_nodes()) {
                         Ok(c) => {
                             if c > 0 {
-                                if let Some(m) = self.space.get().translate(VirtAddr(v)) {
+                                if let Some(m) = self.space.translate(VirtAddr(v)) {
                                     self.shootdown(m.vbase, m.size);
                                 }
                                 migrations += 1; // replica copies count as moves
@@ -882,10 +835,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                     // re-issuing it every epoch is cheap. Alloc failures
                     // skip nodes silently — the walk keeps reading the
                     // primary there, which is correct, just slower.
-                    let (created, c) = self
-                        .space
-                        .owned_mut()
-                        .replicate_tables(self.machine.num_nodes());
+                    let (created, c) = self.space.replicate_tables(self.machine.num_nodes());
                     if created > 0 {
                         migrations += created; // replica copies count as moves
                         costs.replicate += c;
@@ -904,7 +854,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                         });
                         continue;
                     }
-                    match self.space.owned_mut().migrate_table(VirtAddr(v), node) {
+                    match self.space.migrate_table(VirtAddr(v), node) {
                         Ok((Some(from), c)) => {
                             // The rehome bumped the walk-cache generation;
                             // leaf translations are untouched, so data TLBs
@@ -937,7 +887,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                         });
                         continue;
                     }
-                    match self.space.owned_mut().migrate(VirtAddr(v), node) {
+                    match self.space.migrate(VirtAddr(v), node) {
                         Ok((old, c)) => {
                             if c > 0 {
                                 self.shootdown(old.vbase, old.size);
@@ -1271,7 +1221,7 @@ impl Simulation {
             machine,
             mlp: u64::from(spec.mlp.max(1)),
             mem: MemorySystem::new(machine, config.memsys.clone()),
-            space: SpaceRef::Owned(space),
+            space,
             walk_caches: (0..spec.threads).map(|_| WalkCache::new()).collect(),
             tlbs: (0..spec.threads)
                 .map(|_| Tlb::new(&config.vmem.tlb))
@@ -1305,18 +1255,6 @@ impl Simulation {
         }
         let total_rounds = gen.total_rounds();
         let think = u64::from(spec.think_cycles_per_op);
-
-        // Shard-lane plan. The natural shard grain is the NUMA node group:
-        // thread t runs on core t, cores are numbered node-major, and both
-        // the L3 and the IBS sample store are per-node, so grouping threads
-        // by node keeps every piece of cache/sampler state owned by exactly
-        // one lane. An explicit count (env var beats config) is capped at
-        // the node-group count; auto (0) asks the process-wide lane pool at
-        // every epoch boundary, so lanes donated mid-suite are picked up at
-        // the next chunk. The lane count NEVER affects results — only how
-        // many OS threads compute them (DESIGN.md §14).
-        let shard_request = env_override_u32("CARREFOUR_SHARDS").unwrap_or(config.shards);
-        let node_groups = lane_node_groups(machine, spec.threads);
 
         // Loop-carried run state, declared before the mode branch so a
         // resume can overwrite all of it from the snapshot.
@@ -1398,12 +1336,9 @@ impl Simulation {
                 machine: machine.name().to_string(),
                 seed: config.seed,
             });
-            {
-                // Pins expire and pressure events apply at epoch boundaries;
-                // epoch 0 covers a pressure event scheduled before the run.
-                let SimState { faults, space, .. } = &mut st;
-                faults.begin_epoch(0, space.owned_mut());
-            }
+            // Pins expire and pressure events apply at epoch boundaries;
+            // epoch 0 covers a pressure event scheduled before the run.
+            st.faults.begin_epoch(0, &mut st.space);
 
             // Serial prelude: the loader thread's header touches run alone
             // before the parallel phase (a program's sequential setup).
@@ -1472,64 +1407,7 @@ impl Simulation {
         while round < total_rounds {
             let chunk_end =
                 ((round / config.rounds_per_epoch + 1) * config.rounds_per_epoch).min(total_rounds);
-            // An epoch is shardable when no thread can fault (the
-            // allocation phase — the only source of unmapped pages — is
-            // over) and no data replicas exist (a store would collapse
-            // them mid-round, a space mutation). Both conditions are
-            // boundary-stable: alloc lists only shrink, and replicas are
-            // only created by boundary policy actions. Under them, rounds
-            // have no mid-round trace events, no faults, and no space
-            // writes — the per-node-group sub-simulations interact only
-            // through commutative counters, merged at `chunk_end`.
-            let gate = node_groups.len() > 1
-                && round >= gen.alloc_rounds()
-                && !st.space.get().has_replicas();
-            let _lease;
-            let lanes_n = if !gate {
-                1
-            } else if shard_request > 0 {
-                (shard_request as usize).min(node_groups.len())
-            } else {
-                _lease = crate::lanes::Lease::acquire(node_groups.len() - 1);
-                1 + _lease.count()
-            };
-            let sharded = lanes_n > 1;
-            if sharded {
-                let lane_groups = chunk_lane_groups(&node_groups, lanes_n);
-                let (cyc, bds) = run_epoch_sharded(
-                    &mut st,
-                    &mut gen,
-                    spec,
-                    &lane_groups,
-                    round..chunk_end,
-                    batch,
-                    think,
-                    attrib_on,
-                );
-                // Deterministic merge: replay the serial per-round wall
-                // and attribution rules over the assembled thread cycles.
-                for (ri, t_cycles) in cyc.iter().enumerate() {
-                    let slowest = t_cycles.iter().copied().max().unwrap_or(0);
-                    if attrib_on {
-                        if let Some(wi) = t_cycles.iter().position(|&c| c == slowest) {
-                            epoch_wall_bd.add(&bds[ri][wi]);
-                        }
-                        for (cb, rb) in core_bds.iter_mut().zip(bds[ri].iter()) {
-                            cb.add(rb);
-                        }
-                    }
-                    epoch_ops += spec.ops_per_round * spec.threads as u64;
-                    total_ops += spec.ops_per_round * spec.threads as u64;
-                    wall += slowest;
-                    epoch_wall += slowest;
-                }
-            }
-            let serial_rounds = if sharded {
-                chunk_end..chunk_end
-            } else {
-                round..chunk_end
-            };
-            for r in serial_rounds {
+            for r in round..chunk_end {
                 let faulting = (0..spec.threads).filter(|&t| gen.in_alloc_phase(t)).count();
                 let mut t_cycles = vec![0u64; spec.threads];
                 let mut issued: u64 = 0;
@@ -1576,10 +1454,7 @@ impl Simulation {
             round = chunk_end;
 
             // --- Epoch boundary: kernel daemons, counters, policy. ---
-            let (collapsed, khuge_cost) = st
-                .space
-                .owned_mut()
-                .promotion_scan(config.khugepaged_scan_limit);
+            let (collapsed, khuge_cost) = st.space.promotion_scan(config.khugepaged_scan_limit);
             if !collapsed.is_empty() {
                 // Collapsed ranges got new frames: stale entries must go.
                 for t in &mut st.tlbs {
@@ -1618,7 +1493,7 @@ impl Simulation {
                 mem_ops: epoch_ops,
             };
 
-            let boundary_thp = st.space.get().thp();
+            let boundary_thp = st.space.thp();
             let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch_index);
             let failures_fed = st.faults.is_active();
             if failures_fed {
@@ -1718,8 +1593,8 @@ impl Simulation {
                     splits,
                     collapses: collapsed.len() as u64,
                     failed_actions: failures.len() as u64,
-                    thp_alloc: st.space.get().thp().alloc_2m,
-                    thp_promote: st.space.get().thp().promote_2m,
+                    thp_alloc: st.space.thp().alloc_2m,
+                    thp_promote: st.space.thp().promote_2m,
                 };
                 st.emit(|| TraceEvent::EpochEnd {
                     epoch: epoch_index,
@@ -1736,8 +1611,8 @@ impl Simulation {
                 splits,
                 collapses: collapsed.len() as u64,
                 overhead_cycles: overhead,
-                thp_alloc_enabled: st.space.get().thp().alloc_2m,
-                thp_promote_enabled: st.space.get().thp().promote_2m,
+                thp_alloc_enabled: st.space.thp().alloc_2m,
+                thp_promote_enabled: st.space.thp().promote_2m,
                 failed_actions: failures.len() as u64,
             });
             last_failures = failures;
@@ -1767,7 +1642,7 @@ impl Simulation {
                     (acc.0 + w.hits(), acc.1 + w.misses())
                 });
                 let pages = st.page_stats.as_ref().map(|ps| {
-                    let space = st.space.get();
+                    let space = &st.space;
                     let rows = ps.aggregate(|base4k| {
                         space
                             .translate(VirtAddr(base4k))
@@ -1801,7 +1676,6 @@ impl Simulation {
                     pages,
                     policy: policy.introspect(epoch_index),
                     attrib: attrib_epochs.last().map(|e| &e.wall),
-                    lanes_free: crate::lanes::available(),
                 });
                 rec_prev_tlb = (l1h, l2h, tmiss);
                 rec_prev_walk = (wh, wm);
@@ -1811,12 +1685,9 @@ impl Simulation {
             epoch_ops = 0;
             epoch_index += 1;
             st.epoch = epoch_index;
-            {
-                let SimState { faults, space, .. } = &mut st;
-                faults.begin_epoch(epoch_index, space.owned_mut());
-            }
+            st.faults.begin_epoch(epoch_index, &mut st.space);
             if config.validate_each_epoch {
-                st.space.get().validate().unwrap_or_else(|e| {
+                st.space.validate().unwrap_or_else(|e| {
                     panic!(
                         "vmem invariant violated after epoch {}: {e}",
                         epoch_index - 1
@@ -1907,7 +1778,7 @@ impl Simulation {
                 max_fault as f64 / wall as f64
             },
             total_fault_cycles: st.fault_life.iter().sum(),
-            vmem: st.space.get().stats().clone(),
+            vmem: st.space.stats().clone(),
             overhead_cycles: overhead_total,
             ibs_samples: st.sampler.total_taken(),
             total_ops,
@@ -1915,7 +1786,7 @@ impl Simulation {
 
         let pages = match &st.page_stats {
             Some(ps) => {
-                let space = st.space.get();
+                let space = &st.space;
                 let rows_mapped = ps.aggregate(|base4k| {
                     space
                         .translate(VirtAddr(base4k))
@@ -1989,8 +1860,8 @@ impl Simulation {
 /// Reads `$name` as a `u32` override. Unset → `None` (auto). Set but
 /// unparseable → a loud stderr warning and `None`: a typo'd override
 /// silently pinning behaviour to the default is far worse than noise.
-/// Shared by `CARREFOUR_SHARDS` here and the bench runner's
-/// `CARREFOUR_JOBS` / `CARREFOUR_FORK_CACHE_MB`.
+/// Used by the bench runner's `CARREFOUR_JOBS` and
+/// `CARREFOUR_FORK_CACHE_MB`.
 pub fn env_override_u32(name: &str) -> Option<u32> {
     parse_env_override(name, std::env::var(name).ok().as_deref())
 }
@@ -2016,17 +1887,14 @@ mod env_override_tests {
 
     #[test]
     fn unset_is_auto() {
-        assert_eq!(parse_env_override("CARREFOUR_SHARDS", None), None);
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", None), None);
     }
 
     #[test]
     fn valid_values_parse_with_whitespace_tolerance() {
-        assert_eq!(parse_env_override("CARREFOUR_SHARDS", Some("4")), Some(4));
-        assert_eq!(
-            parse_env_override("CARREFOUR_SHARDS", Some(" 12 ")),
-            Some(12)
-        );
-        assert_eq!(parse_env_override("CARREFOUR_SHARDS", Some("0")), Some(0));
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some("4")), Some(4));
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some(" 12 ")), Some(12));
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some("0")), Some(0));
     }
 
     #[test]
@@ -2047,7 +1915,7 @@ fn capture_checkpoint(
     config: &SimConfig,
     policy: &dyn NumaPolicy,
     gen: &WorkloadGen,
-    st: &SimState<'_, '_, '_>,
+    st: &SimState<'_, '_>,
     epoch_index: u32,
     wall: u64,
     total_ops: u64,
@@ -2061,7 +1929,7 @@ fn capture_checkpoint(
 ) -> Checkpoint {
     let mut e = codec::Enc::new();
     gen.save_into(&mut e);
-    st.space.get().save_into(&mut e);
+    st.space.save_into(&mut e);
     e.seq(st.walk_caches.iter(), |e, w| w.save_into(e));
     e.seq(st.tlbs.iter(), |e, t| t.save_into(e));
     st.mem.save_into(&mut e);
@@ -2103,7 +1971,7 @@ fn restore_checkpoint(
     policy: &mut dyn NumaPolicy,
     restore_policy: bool,
     gen: &mut WorkloadGen,
-    st: &mut SimState<'_, '_, '_>,
+    st: &mut SimState<'_, '_>,
     wall: &mut u64,
     total_ops: &mut u64,
     overhead_total: &mut u64,
@@ -2116,7 +1984,7 @@ fn restore_checkpoint(
 ) {
     let mut d = codec::Dec::new(ckpt.payload());
     gen.load_from(&mut d);
-    st.space.owned_mut().load_from(&mut d);
+    st.space.load_from(&mut d);
     let n_wc = d.usize();
     assert_eq!(n_wc, st.walk_caches.len(), "checkpoint walk-cache count");
     for w in &mut st.walk_caches {
@@ -2179,339 +2047,6 @@ fn restore_checkpoint(
     if restore_policy {
         policy.restore_state(&policy_bytes);
     }
-}
-
-/// One shard lane's slice of the machine: the threads it simulates and
-/// the cores/nodes whose cache and IBS-store state it exclusively owns
-/// during a sharded epoch (DESIGN.md §14).
-#[derive(Clone)]
-struct LaneGroup {
-    /// Threads this lane runs. Thread `t` runs on core `t`, so these
-    /// double as the lane's core indices.
-    threads: Vec<usize>,
-    /// Core indices owned by this lane (== `threads`; kept separate so
-    /// the absorb call reads naturally).
-    cores: Vec<usize>,
-    /// NUMA node indices owned by this lane.
-    nodes: Vec<usize>,
-}
-
-/// Groups the workload's threads by home NUMA node, in first-seen node
-/// order. One group per populated node is the finest shard grain at which
-/// every L3 and per-node IBS store stays owned by exactly one lane.
-fn lane_node_groups(machine: &MachineSpec, threads: usize) -> Vec<LaneGroup> {
-    let mut groups: Vec<LaneGroup> = Vec::new();
-    for t in 0..threads {
-        let node = machine.node_of_core(CoreId::from(t)).index();
-        match groups.iter_mut().find(|g| g.nodes[0] == node) {
-            Some(g) => {
-                g.threads.push(t);
-                g.cores.push(t);
-            }
-            None => groups.push(LaneGroup {
-                threads: vec![t],
-                cores: vec![t],
-                nodes: vec![node],
-            }),
-        }
-    }
-    groups
-}
-
-/// Merges per-node groups into at most `lanes` lane groups by contiguous
-/// partition. Contiguity makes the lane → (threads, cores, nodes) mapping
-/// a pure function of the group list and the lane count, and the absorb
-/// loop runs in group order regardless of how groups were merged — which
-/// is why every lane count produces bit-identical results.
-fn chunk_lane_groups(node_groups: &[LaneGroup], lanes: usize) -> Vec<LaneGroup> {
-    let n = node_groups.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let lanes = lanes.clamp(1, n);
-    let mut out: Vec<LaneGroup> = Vec::with_capacity(lanes);
-    for (i, g) in node_groups.iter().cloned().enumerate() {
-        if out.len() == i * lanes / n {
-            out.push(g);
-        } else {
-            let last = out.last_mut().expect("contiguous partition starts at 0");
-            last.threads.extend(g.threads);
-            last.cores.extend(g.cores);
-            last.nodes.extend(g.nodes);
-        }
-    }
-    out
-}
-
-/// The owned, `Send` pieces of simulation state a shard lane carries to
-/// its worker thread and back. Everything else a lane touches is either a
-/// `Sync` shared reference (machine, address space, workload generator) or
-/// a scalar copied via [`LaneScalars`]. Notably absent: the trace sink
-/// (shardable epochs emit no mid-round events) and the fault plan
-/// (shardable epochs are proven fault-free by the gate).
-struct LaneParts {
-    mem: MemorySystem,
-    walk_caches: Vec<WalkCache>,
-    tlbs: Vec<Tlb>,
-    sampler: IbsSampler,
-    page_stats: Option<PageAccessStats>,
-    fast_uncached: Vec<Option<AccessOutcome>>,
-    /// The lane's own threads' generator streams, detached so the lane can
-    /// draw blocks through a shared `&WorkloadGen`.
-    streams: Vec<(usize, workloads::ThreadStream)>,
-}
-
-/// What one lane hands back: its mutated parts plus per-round cycle
-/// totals and attribution breakdowns for its own threads, indexed
-/// `[round - rounds.start][position in group.threads]`.
-type LaneOut = (LaneParts, Vec<Vec<u64>>, Vec<Vec<CycleBreakdown>>);
-
-/// Scalar knobs a lane's `SimState` copies from the main state.
-#[derive(Clone, Copy)]
-struct LaneScalars {
-    mlp: u64,
-    l2_tlb_hit_cycles: u32,
-    fault_contention: u64,
-    threads: usize,
-    epoch: u32,
-    fast_on: bool,
-    fast_nodes: usize,
-    l1_line_shift: u32,
-    l1_latency: u32,
-}
-
-/// Runs one lane's sub-simulation of `rounds`: the lane's own threads
-/// execute their blocks for real; every other thread's block advances the
-/// IBS countdown by its op count ([`IbsSampler::advance_foreign`]), so
-/// this lane's samples fire at the exact global op indices of the serial
-/// schedule.
-///
-/// Returns the mutated parts plus per-round cycle totals and attribution
-/// breakdowns for the lane's own threads, indexed
-/// `[round - rounds.start][position in group.threads]`.
-#[allow(clippy::too_many_arguments)]
-fn run_lane(
-    parts: LaneParts,
-    machine: &MachineSpec,
-    space: &AddressSpace,
-    gen: &WorkloadGen,
-    spec: &WorkloadSpec,
-    group: &LaneGroup,
-    rounds: std::ops::Range<u32>,
-    batch: u64,
-    think: u64,
-    attrib_on: bool,
-    scalars: LaneScalars,
-) -> LaneOut {
-    let LaneParts {
-        mem,
-        walk_caches,
-        tlbs,
-        sampler,
-        page_stats,
-        fast_uncached,
-        mut streams,
-    } = parts;
-    let mut lane = SimState {
-        machine,
-        mlp: scalars.mlp,
-        mem,
-        space: SpaceRef::Shared(space),
-        walk_caches,
-        tlbs,
-        sampler,
-        page_stats,
-        fault_epoch: vec![0; scalars.threads],
-        fault_life: vec![0; scalars.threads],
-        l2_tlb_hit_cycles: scalars.l2_tlb_hit_cycles,
-        fault_contention: scalars.fault_contention,
-        threads: scalars.threads,
-        faults: FaultPlan::new(&crate::faults::FaultConfig::none()),
-        robust: RobustnessStats::default(),
-        trace: None,
-        epoch: scalars.epoch,
-        fast_on: scalars.fast_on,
-        fast_uncached,
-        fast_pending: vec![0; scalars.fast_nodes],
-        fast_nodes: scalars.fast_nodes,
-        l1_line_shift: scalars.l1_line_shift,
-        l1_latency: scalars.l1_latency,
-    };
-    // Thread index → position among this lane's own threads
-    // (`usize::MAX` marks a foreign thread).
-    let mut own = vec![usize::MAX; spec.threads];
-    for (j, &t) in group.threads.iter().enumerate() {
-        own[t] = j;
-    }
-    let n_rounds = (rounds.end - rounds.start) as usize;
-    let mut cycles = vec![vec![0u64; group.threads.len()]; n_rounds];
-    let mut bds = vec![vec![CycleBreakdown::default(); group.threads.len()]; n_rounds];
-    let mut block: Vec<workloads::Op> = Vec::new();
-    for r in rounds.clone() {
-        let ri = (r - rounds.start) as usize;
-        let mut issued: u64 = 0;
-        let mut cycle_idx: usize = r as usize;
-        while issued < spec.ops_per_round {
-            let n = batch.min(spec.ops_per_round - issued);
-            for k in 0..spec.threads {
-                let t = (k + cycle_idx) % spec.threads;
-                let j = own[t];
-                if j == usize::MAX {
-                    // A foreign thread's block: its cycles and cache
-                    // effects happen in its own lane, but the shared IBS
-                    // countdown must tick past its ops so this lane's
-                    // samples keep their serial positions.
-                    lane.sampler.advance_foreign(n);
-                    continue;
-                }
-                gen.stream_block(t, &mut streams[j].1, n as usize, &mut block);
-                let bd = if attrib_on {
-                    Some(&mut bds[ri][j])
-                } else {
-                    None
-                };
-                cycles[ri][j] += lane.run_block(t, &block, 0, bd) + think * n;
-                if attrib_on {
-                    bds[ri][j].compute += think * n;
-                }
-            }
-            issued += n;
-            cycle_idx += 1;
-        }
-    }
-    let SimState {
-        mem,
-        walk_caches,
-        tlbs,
-        sampler,
-        page_stats,
-        fast_uncached,
-        ..
-    } = lane;
-    (
-        LaneParts {
-            mem,
-            walk_caches,
-            tlbs,
-            sampler,
-            page_stats,
-            fast_uncached,
-            streams,
-        },
-        cycles,
-        bds,
-    )
-}
-
-/// Runs one epoch chunk sharded across `groups` — the first group on the
-/// caller's thread, each further group on a scoped OS thread — then
-/// absorbs every lane back into `st` in fixed group order.
-///
-/// Returns the full `[round][thread]` cycle totals and attribution
-/// breakdowns, reassembled exactly as the serial loop would have produced
-/// them; the caller replays the serial wall/attribution merge over them.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_sharded(
-    st: &mut SimState<'_, '_, '_>,
-    gen: &mut WorkloadGen,
-    spec: &WorkloadSpec,
-    groups: &[LaneGroup],
-    rounds: std::ops::Range<u32>,
-    batch: u64,
-    think: u64,
-    attrib_on: bool,
-) -> (Vec<Vec<u64>>, Vec<Vec<CycleBreakdown>>) {
-    let scalars = LaneScalars {
-        mlp: st.mlp,
-        l2_tlb_hit_cycles: st.l2_tlb_hit_cycles,
-        fault_contention: st.fault_contention,
-        threads: st.threads,
-        epoch: st.epoch,
-        fast_on: st.fast_on,
-        fast_nodes: st.fast_nodes,
-        l1_line_shift: st.l1_line_shift,
-        l1_latency: st.l1_latency,
-    };
-    // Fork one set of owned parts per lane — cheap next to an epoch's
-    // work: caches clone, counters zero, sample stores start empty.
-    let mut forks: Vec<LaneParts> = groups
-        .iter()
-        .map(|g| LaneParts {
-            mem: st.mem.fork_lane(),
-            walk_caches: st.walk_caches.clone(),
-            tlbs: st.tlbs.clone(),
-            sampler: st.sampler.fork_lane(),
-            page_stats: st.page_stats.as_ref().map(|_| PageAccessStats::new()),
-            fast_uncached: st.fast_uncached.clone(),
-            streams: g
-                .threads
-                .iter()
-                .map(|&t| (t, gen.detach_thread(t)))
-                .collect(),
-        })
-        .collect();
-    let machine = st.machine;
-    let space = st.space.get();
-    let gen_ref: &WorkloadGen = gen;
-    let mut outs: Vec<Option<LaneOut>> = (0..groups.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut it = forks.drain(..);
-        let first = it.next().expect("at least one lane group");
-        for (g, parts) in groups[1..].iter().zip(it) {
-            let r = rounds.clone();
-            handles.push(s.spawn(move || {
-                run_lane(
-                    parts, machine, space, gen_ref, spec, g, r, batch, think, attrib_on, scalars,
-                )
-            }));
-        }
-        outs[0] = Some(run_lane(
-            first,
-            machine,
-            space,
-            gen_ref,
-            spec,
-            &groups[0],
-            rounds.clone(),
-            batch,
-            think,
-            attrib_on,
-            scalars,
-        ));
-        for (i, h) in handles.into_iter().enumerate() {
-            outs[i + 1] = Some(h.join().expect("shard lane panicked"));
-        }
-    });
-    // Deterministic absorb: always in group order, whatever order the
-    // lanes actually finished in.
-    let n_rounds = (rounds.end - rounds.start) as usize;
-    let mut cyc = vec![vec![0u64; spec.threads]; n_rounds];
-    let mut bds = vec![vec![CycleBreakdown::default(); spec.threads]; n_rounds];
-    for (g, out) in groups.iter().zip(outs) {
-        let (mut parts, lane_cyc, lane_bds) = out.expect("every lane produced a result");
-        st.mem.absorb_lane(&mut parts.mem, &g.cores, &g.nodes);
-        st.sampler.absorb_lane(&mut parts.sampler);
-        if let (Some(ps), Some(lp)) = (st.page_stats.as_mut(), parts.page_stats.as_ref()) {
-            ps.absorb(lp);
-        }
-        for &t in &g.threads {
-            std::mem::swap(&mut st.tlbs[t], &mut parts.tlbs[t]);
-            std::mem::swap(&mut st.walk_caches[t], &mut parts.walk_caches[t]);
-        }
-        for (t, stream) in parts.streams {
-            gen.attach_thread(t, stream);
-        }
-        for (ri, (lc, lb)) in lane_cyc.into_iter().zip(lane_bds).enumerate() {
-            for (j, &t) in g.threads.iter().enumerate() {
-                cyc[ri][t] = lc[j];
-            }
-            for (j, b) in lb.into_iter().enumerate() {
-                bds[ri][g.threads[j]] = b;
-            }
-        }
-    }
-    (cyc, bds)
 }
 
 #[cfg(test)]

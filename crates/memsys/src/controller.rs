@@ -79,28 +79,6 @@ impl MemoryController {
         self.epoch_requests = 0;
     }
 
-    /// A shard lane's view of this controller: same constant-within-epoch
-    /// delay, request counters zeroed so the lane accumulates pure deltas.
-    /// The delay a lane charges is byte-identical to what the parent would
-    /// have charged — it only changes at [`MemoryController::end_epoch`],
-    /// which lanes never call.
-    pub fn fork_delta(&self) -> Self {
-        MemoryController {
-            epoch_requests: 0,
-            total_requests: 0,
-            ..self.clone()
-        }
-    }
-
-    /// Folds a lane's request-count deltas back in. Request counts are
-    /// commutative sums, so absorbing lanes in any fixed order reproduces
-    /// the serial counters exactly; delay state is untouched (lanes cannot
-    /// change it).
-    pub fn absorb_delta(&mut self, lane: &MemoryController) {
-        self.epoch_requests += lane.epoch_requests;
-        self.total_requests += lane.total_requests;
-    }
-
     /// Serializes the mutable controller state (request counters, smoothed
     /// delay, last utilization); the service/queue parameters are
     /// constructor-fixed.

@@ -120,21 +120,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Takes back the cache state a shard lane owned: the lane cloned the
-    /// whole hierarchy but only probed the caches of its own `cores` and
-    /// `nodes`, so moving exactly those back (tags, LRU stacks, and hit
-    /// counters, which kept counting from their cloned absolute values)
-    /// reproduces the serial hierarchy state.
-    pub fn adopt_from(&mut self, lane: &mut CacheHierarchy, cores: &[usize], nodes: &[usize]) {
-        for &c in cores {
-            std::mem::swap(&mut self.l1[c], &mut lane.l1[c]);
-            std::mem::swap(&mut self.l2[c], &mut lane.l2[c]);
-        }
-        for &n in nodes {
-            std::mem::swap(&mut self.l3[n], &mut lane.l3[n]);
-        }
-    }
-
     /// Lifetime L2 miss count summed over all cores.
     pub fn l2_misses(&self) -> u64 {
         self.l2.iter().map(SetAssocCache::misses).sum()

@@ -99,28 +99,6 @@ impl LinkTraffic {
         }
     }
 
-    /// A shard lane's view of the interconnect: same constant-within-epoch
-    /// per-link delays, traffic counters zeroed so the lane accumulates
-    /// pure deltas (see [`crate::MemoryController::fork_delta`]).
-    pub fn fork_delta(&self) -> Self {
-        LinkTraffic {
-            epoch_requests: vec![0; self.epoch_requests.len()],
-            total_requests: vec![0; self.total_requests.len()],
-            ..self.clone()
-        }
-    }
-
-    /// Folds a lane's per-link traffic deltas back in; counters are
-    /// commutative sums, delays untouched.
-    pub fn absorb_delta(&mut self, lane: &LinkTraffic) {
-        for (a, b) in self.epoch_requests.iter_mut().zip(&lane.epoch_requests) {
-            *a += b;
-        }
-        for (a, b) in self.total_requests.iter_mut().zip(&lane.total_requests) {
-            *a += b;
-        }
-    }
-
     /// Serializes the per-link counters and congestion delays (the queue
     /// parameters are constructor-fixed).
     pub fn save_into(&self, e: &mut codec::Enc) {

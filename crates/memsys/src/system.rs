@@ -436,44 +436,6 @@ impl MemorySystem {
             .collect()
     }
 
-    /// Builds a shard lane's memory system: cache state cloned wholesale
-    /// (the lane will only probe the caches of the cores/nodes it owns),
-    /// controller/link delays carried over (constant within an epoch),
-    /// and every additive counter zeroed so the lane accumulates pure
-    /// deltas for [`MemorySystem::absorb_lane`].
-    pub fn fork_lane(&self) -> Self {
-        MemorySystem {
-            config: self.config.clone(),
-            hierarchy: self.hierarchy.clone(),
-            controllers: self.controllers.iter().map(|c| c.fork_delta()).collect(),
-            links: self.links.fork_delta(),
-            topology: self.topology.clone(),
-            core_node: self.core_node.clone(),
-            epoch: MemEpochStats::default(),
-            lifetime: MemEpochStats::default(),
-        }
-    }
-
-    /// Merges a lane built by [`MemorySystem::fork_lane`] back in after it
-    /// simulated the accesses of the threads on `cores` (all on `nodes`):
-    /// cache state for the owned cores/nodes is moved back, and the
-    /// controller/link/epoch counters — commutative sums — are added.
-    /// Absorbing every lane of an epoch (in any fixed order) leaves the
-    /// parent byte-identical to having simulated all accesses serially.
-    pub fn absorb_lane(&mut self, lane: &mut MemorySystem, cores: &[usize], nodes: &[usize]) {
-        self.hierarchy.adopt_from(&mut lane.hierarchy, cores, nodes);
-        for (c, l) in self.controllers.iter_mut().zip(&lane.controllers) {
-            c.absorb_delta(l);
-        }
-        self.links.absorb_delta(&lane.links);
-        self.epoch.add_n(&lane.epoch, 1);
-        debug_assert_eq!(
-            (lane.lifetime.l2_accesses, lane.lifetime.dram_local),
-            (0, 0),
-            "lanes never close epochs"
-        );
-    }
-
     /// Serializes the full memory-system state for the `ckpt-v1` snapshot:
     /// cache tags, controller counters/delays, link traffic, and the
     /// epoch/lifetime counter pairs. The config, topology, and core→node
@@ -626,74 +588,6 @@ mod tests {
         let charged = m.access_uncached(CoreId(0), NodeId(1));
         assert_eq!(peek.inter, charged.inter);
         assert!(u64::from(charged.queue) + u64::from(charged.inter) <= u64::from(charged.cycles));
-    }
-
-    #[test]
-    fn forked_lanes_absorb_to_serial_state() {
-        // Serial: cores on both nodes interleave accesses on one system.
-        // Sharded: each node's accesses run on a forked lane; absorbing the
-        // lanes must leave the system byte-identical (ckpt encoding) to the
-        // serial one. The test machine has 2 nodes, cores {0,1} and {2,3}.
-        let ops: Vec<(usize, u64, usize)> = (0..400)
-            .map(|i| {
-                let core = (i * 7 + 3) % 4;
-                let home = (i * 5 + core) % 2;
-                (core, 0x10_0000 + (i as u64 * 1321) % 65_536 * 64, home)
-            })
-            .collect();
-        let mut serial = system();
-        // A warm, congested starting state so delays are nonzero.
-        for i in 0..50_000u64 {
-            serial.access(
-                CoreId(0),
-                0x900_0000 + i * 4096,
-                NodeId(1),
-                AccessKind::Data,
-            );
-        }
-        serial.end_epoch(1_000_000);
-        let mut sharded = serial.clone();
-
-        let mut serial_out = Vec::new();
-        for &(core, paddr, home) in &ops {
-            serial_out.push(
-                serial
-                    .access(
-                        CoreId::from(core),
-                        paddr,
-                        NodeId::from(home),
-                        AccessKind::Data,
-                    )
-                    .cycles,
-            );
-        }
-
-        let mut lanes = [sharded.fork_lane(), sharded.fork_lane()];
-        let mut sharded_out = vec![0; ops.len()];
-        for (lane_idx, lane) in lanes.iter_mut().enumerate() {
-            for (i, &(core, paddr, home)) in ops.iter().enumerate() {
-                if core / 2 == lane_idx {
-                    sharded_out[i] = lane
-                        .access(
-                            CoreId::from(core),
-                            paddr,
-                            NodeId::from(home),
-                            AccessKind::Data,
-                        )
-                        .cycles;
-                }
-            }
-        }
-        sharded.absorb_lane(&mut lanes[0], &[0, 1], &[0]);
-        sharded.absorb_lane(&mut lanes[1], &[2, 3], &[1]);
-
-        assert_eq!(serial_out, sharded_out, "per-access latencies");
-        let enc = |m: &MemorySystem| {
-            let mut e = codec::Enc::new();
-            m.save_into(&mut e);
-            e.into_bytes()
-        };
-        assert_eq!(enc(&serial), enc(&sharded), "post-merge system state");
     }
 
     #[test]

@@ -199,68 +199,6 @@ impl IbsSampler {
         (all, overhead)
     }
 
-    /// A shard lane's view of the sampler. The machine keeps ONE global
-    /// countdown over the serial op order, so a lane replays the *entire*
-    /// global sequence against its fork: its own threads' ops through the
-    /// normal observe/skip-ahead path, and every other lane's ops through
-    /// [`IbsSampler::advance_foreign`]. Samples then land at exactly the
-    /// serial global op indices, each built by the one lane that owns the
-    /// issuing thread; counts and overhead accumulate as pure deltas for
-    /// [`IbsSampler::absorb_lane`].
-    pub fn fork_lane(&self) -> Self {
-        IbsSampler {
-            config: self.config,
-            countdown: self.countdown,
-            stores: vec![Vec::new(); self.stores.len()],
-            taken: 0,
-            overhead_cycles: 0,
-            store: self.store,
-        }
-    }
-
-    /// Advances the countdown past `n` *foreign* ops — ops issued by
-    /// threads another lane owns. Sample points among them still roll the
-    /// countdown over (the owning lane materialises those samples), but no
-    /// count, overhead, or storage is charged here. Exactly equivalent to
-    /// `n` [`IbsSampler::observe`] calls with counting/storage suppressed.
-    #[inline]
-    pub fn advance_foreign(&mut self, n: u64) {
-        if n < self.countdown {
-            self.countdown -= n;
-        } else {
-            // The countdown hits zero on foreign op `countdown` and resets;
-            // the remainder then walks whole periods. `m == 0` means the
-            // last foreign op was itself a sample point, leaving a full
-            // period on the clock.
-            let m = (n - self.countdown) % self.config.period;
-            self.countdown = self.config.period - m;
-        }
-    }
-
-    /// Folds a lane's sampling deltas back in: take/overhead counts are
-    /// added and the lane's per-node samples are appended. Each node's
-    /// store is filled by exactly one lane (samples file under the
-    /// *accessing* node, and lanes own whole node-groups of threads), so
-    /// appending reproduces the serial per-node order; the countdown is
-    /// identical in every lane (all replayed the same global sequence) and
-    /// is taken from the lane.
-    pub fn absorb_lane(&mut self, lane: &mut IbsSampler) {
-        debug_assert_eq!(
-            self.config.period, lane.config.period,
-            "lane sampler config mismatch"
-        );
-        self.countdown = lane.countdown;
-        self.taken += lane.taken;
-        self.overhead_cycles += lane.overhead_cycles;
-        for (store, ls) in self.stores.iter_mut().zip(&mut lane.stores) {
-            debug_assert!(
-                store.is_empty() || ls.is_empty(),
-                "two lanes filed samples under one node"
-            );
-            store.append(ls);
-        }
-    }
-
     /// Serializes the sampler's mutable state — countdown, per-node stores,
     /// lifetime/overhead counters, and the storage flag — for the `ckpt-v1`
     /// snapshot (the config is constructor-fixed).
@@ -434,79 +372,6 @@ mod tests {
         assert_eq!(o_on, o_off, "overhead identical either way");
         assert_eq!(s_on.len(), 5);
         assert!(s_off.is_empty());
-    }
-
-    #[test]
-    fn advance_foreign_matches_observe_rollover() {
-        // advance_foreign(n) must leave the countdown exactly where n
-        // suppressed observes would, for every phase and n (including the
-        // m == 0 edge where the last foreign op is itself a sample point).
-        let config = IbsConfig {
-            period: 5,
-            sample_overhead_cycles: 10,
-        };
-        for pre in 0..5u64 {
-            for n in 0..17u64 {
-                let mut a = IbsSampler::new(1, config);
-                let mut b = IbsSampler::new(1, config);
-                for i in 0..pre {
-                    a.observe(|| sample_at(i, 0));
-                    b.observe(|| sample_at(i, 0));
-                }
-                for _ in 0..n {
-                    a.observe(|| sample_at(0, 0));
-                }
-                b.advance_foreign(n);
-                assert_eq!(
-                    a.until_next(),
-                    b.until_next(),
-                    "countdown after pre={pre} n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_replay_merges_to_serial_sampler() {
-        // Two lanes each replay the full global sequence — own ops via
-        // observe, foreign ops via advance_foreign — and the absorbed
-        // result must match the serial sampler exactly: sample addresses,
-        // per-node order, counts, overhead, and final countdown.
-        let config = IbsConfig {
-            period: 3,
-            sample_overhead_cycles: 7,
-        };
-        // Global sequence: (owner_lane, vaddr), owner is also the node.
-        let seq: Vec<(usize, u64)> = (0..50).map(|i| ((i * 3 + 1) % 2, i as u64 * 64)).collect();
-        let mut serial = IbsSampler::new(2, config);
-        // Desync from a period boundary.
-        serial.observe(|| sample_at(999, 0));
-        let mut main = serial.clone();
-        for &(lane, vaddr) in &seq {
-            serial.observe(|| sample_at(vaddr, lane));
-        }
-        let mut lanes = [main.fork_lane(), main.fork_lane()];
-        for (li, l) in lanes.iter_mut().enumerate() {
-            for &(owner, vaddr) in &seq {
-                if owner == li {
-                    l.observe(|| sample_at(vaddr, owner));
-                } else {
-                    l.advance_foreign(1);
-                }
-            }
-        }
-        for l in &mut lanes {
-            main.absorb_lane(l);
-        }
-        assert_eq!(serial.until_next(), main.until_next());
-        assert_eq!(serial.total_taken(), main.total_taken());
-        let (ss, so) = serial.drain();
-        let (ms, mo) = main.drain();
-        assert_eq!(so, mo);
-        assert_eq!(ss.len(), ms.len());
-        for (a, b) in ss.iter().zip(&ms) {
-            assert_eq!((a.vaddr, a.accessing_node), (b.vaddr, b.accessing_node));
-        }
     }
 
     #[test]

@@ -81,20 +81,6 @@ impl PageAccessStats {
         rows
     }
 
-    /// Folds another tracker's cells in: counts add, thread masks union.
-    /// Shard lanes start from an empty tracker ([`PageAccessStats::new`]),
-    /// so absorbing every lane reproduces the serial cells exactly —
-    /// per-page stats are commutative sums/unions, and no observable order
-    /// exists to preserve (`aggregate` and `save_into` both sort).
-    pub fn absorb(&mut self, other: &PageAccessStats) {
-        for (&base, cell) in &other.cells {
-            let c = self.cells.entry(base).or_default();
-            c.count += cell.count;
-            c.threads |= cell.threads;
-        }
-        self.total += other.total;
-    }
-
     /// Clears all cells (start of a new measurement window).
     pub fn reset(&mut self) {
         self.cells.clear();

@@ -33,30 +33,6 @@ struct ThreadState {
     ops_issued: u64,
 }
 
-impl ThreadState {
-    /// Inert stand-in left behind by [`WorkloadGen::detach_thread`]. Any
-    /// generation through it would diverge, so it must never be used — the
-    /// real state is attached back before the generator is touched again.
-    fn detached_placeholder() -> Self {
-        ThreadState {
-            rng: SmallRng::seed_from_u64(0),
-            alloc_list: Vec::new(),
-            alloc_pos: 0,
-            stream_cursors: Vec::new(),
-            ops_issued: 0,
-        }
-    }
-}
-
-/// One thread's detached stream state: everything that mutates while the
-/// thread generates ops. A shard lane takes this out of the generator
-/// ([`WorkloadGen::detach_thread`]), drives it through a shared
-/// `&WorkloadGen` with [`WorkloadGen::stream_block`], and hands it back
-/// with [`WorkloadGen::attach_thread`] at the merge — the op sequence is
-/// bit-identical to undetached generation because this *is* the same
-/// state, moved rather than copied.
-pub struct ThreadStream(ThreadState);
-
 /// Generates the access streams of every thread of one workload.
 ///
 /// Generation is deterministic: the same `(spec, seed)` pair produces the
@@ -242,7 +218,11 @@ impl WorkloadGen {
     /// The phase index a thread is in after issuing `ops` compute ops.
     #[inline]
     fn phase_of(&self, ops: u64) -> usize {
-        phase_of_ops(&self.phase_ends, self.spec.ops_per_round, ops)
+        let round = ops / self.spec.ops_per_round;
+        self.phase_ends
+            .iter()
+            .position(|&end| round < end)
+            .unwrap_or(self.phase_ends.len() - 1)
     }
 
     /// The spec this generator was built from.
@@ -261,13 +241,7 @@ impl WorkloadGen {
     /// Emits the next operation of `thread`.
     pub fn next_op(&mut self, thread: usize) -> Op {
         let phase = self.phase_of(self.threads[thread].ops_issued);
-        let Self {
-            spec,
-            cumshares,
-            threads,
-            ..
-        } = self;
-        let st = &mut threads[thread];
+        let st = &mut self.threads[thread];
         if st.alloc_pos < st.alloc_list.len() {
             let vaddr = st.alloc_list[st.alloc_pos];
             st.alloc_pos += 1;
@@ -278,46 +252,7 @@ impl WorkloadGen {
                 prefetched: false,
             };
         }
-        compute_op_in(spec, &cumshares[phase], thread, st)
-    }
-
-    /// Moves `thread`'s mutable stream state out of the generator so a
-    /// shard lane can drive it through a shared `&WorkloadGen`
-    /// ([`WorkloadGen::stream_block`]). The generator must not emit ops for
-    /// this thread until [`WorkloadGen::attach_thread`] returns the state.
-    pub fn detach_thread(&mut self, thread: usize) -> ThreadStream {
-        ThreadStream(std::mem::replace(
-            &mut self.threads[thread],
-            ThreadState::detached_placeholder(),
-        ))
-    }
-
-    /// Returns a stream detached by [`WorkloadGen::detach_thread`]; the
-    /// generator resumes exactly where the lane left off.
-    pub fn attach_thread(&mut self, thread: usize, stream: ThreadStream) {
-        self.threads[thread] = stream.0;
-    }
-
-    /// Shared-reference twin of [`WorkloadGen::next_block`]: fills `out`
-    /// with `thread`'s next `n` ops, mutating only the detached `stream`.
-    /// Bit-identical to `next_block` on the attached generator because the
-    /// state is the same object, moved rather than copied.
-    pub fn stream_block(
-        &self,
-        thread: usize,
-        stream: &mut ThreadStream,
-        n: usize,
-        out: &mut Vec<Op>,
-    ) {
-        block_into(
-            &self.spec,
-            &self.cumshares,
-            &self.phase_ends,
-            thread,
-            &mut stream.0,
-            n,
-            out,
-        );
+        self.compute_op(thread, phase)
     }
 
     /// Fills `out` (cleared first) with the next `n` operations of
@@ -328,22 +263,41 @@ impl WorkloadGen {
     /// are generated in phase-constant chunks (the phase index can only
     /// change every `ops_per_round` ops).
     pub fn next_block(&mut self, thread: usize, n: usize, out: &mut Vec<Op>) {
-        let Self {
-            spec,
-            cumshares,
-            phase_ends,
-            threads,
-            ..
-        } = self;
-        block_into(
-            spec,
-            cumshares,
-            phase_ends,
-            thread,
-            &mut threads[thread],
-            n,
-            out,
-        );
+        out.clear();
+        out.reserve(n);
+        let mut remaining = n;
+        {
+            let st = &mut self.threads[thread];
+            let left = st.alloc_list.len() - st.alloc_pos;
+            let take = remaining.min(left);
+            for &vaddr in &st.alloc_list[st.alloc_pos..st.alloc_pos + take] {
+                out.push(Op {
+                    vaddr,
+                    is_write: true, // first touch is a store (demand-zero)
+                    coherent_store: false,
+                    prefetched: false,
+                });
+            }
+            st.alloc_pos += take;
+            remaining -= take;
+        }
+        while remaining > 0 {
+            let ops_issued = self.threads[thread].ops_issued;
+            let phase = self.phase_of(ops_issued);
+            // Ops left before this phase can end; the final (or only) phase
+            // never ends, so the whole rest of the block is one chunk.
+            let chunk = if phase + 1 >= self.phase_ends.len() {
+                remaining
+            } else {
+                let phase_end_ops = self.phase_ends[phase] * self.spec.ops_per_round;
+                remaining.min((phase_end_ops - ops_issued) as usize)
+            };
+            for _ in 0..chunk {
+                let op = self.compute_op(thread, phase);
+                out.push(op);
+            }
+            remaining -= chunk;
+        }
     }
 
     /// Serializes the per-thread mutable state — RNG streams, allocation
@@ -381,163 +335,99 @@ impl WorkloadGen {
             st.ops_issued = d.u64();
         }
     }
-}
 
-/// The phase index a thread is in after issuing `ops` compute ops
-/// (free-function form shared by the attached and detached paths).
-#[inline]
-fn phase_of_ops(phase_ends: &[u64], ops_per_round: u64, ops: u64) -> usize {
-    let round = ops / ops_per_round;
-    phase_ends
-        .iter()
-        .position(|&end| round < end)
-        .unwrap_or(phase_ends.len() - 1)
-}
-
-/// Fills `out` (cleared first) with the next `n` operations of `thread` —
-/// exactly the ops `n` successive [`WorkloadGen::next_op`] calls would
-/// emit, with an identical RNG draw sequence. The batched form lifts phase
-/// derivation out of the per-op path: allocation-phase ops stream straight
-/// off the precomputed list, and compute-phase ops are generated in
-/// phase-constant chunks (the phase index can only change every
-/// `ops_per_round` ops). Free function so both `&mut WorkloadGen`
-/// (attached) and `&WorkloadGen` + [`ThreadStream`] (detached, sharded)
-/// paths run literally the same code.
-#[allow(clippy::too_many_arguments)]
-fn block_into(
-    spec: &WorkloadSpec,
-    cumshares: &[Vec<f64>],
-    phase_ends: &[u64],
-    thread: usize,
-    st: &mut ThreadState,
-    n: usize,
-    out: &mut Vec<Op>,
-) {
-    out.clear();
-    out.reserve(n);
-    let mut remaining = n;
-    {
-        let left = st.alloc_list.len() - st.alloc_pos;
-        let take = remaining.min(left);
-        for &vaddr in &st.alloc_list[st.alloc_pos..st.alloc_pos + take] {
-            out.push(Op {
-                vaddr,
-                is_write: true, // first touch is a store (demand-zero)
-                coherent_store: false,
-                prefetched: false,
-            });
+    /// One compute-phase op of `thread` under the region shares of `phase`
+    /// (the shared tail of [`WorkloadGen::next_op`] and
+    /// [`WorkloadGen::next_block`]).
+    fn compute_op(&mut self, thread: usize, phase: usize) -> Op {
+        let st = &mut self.threads[thread];
+        // Pick a region by the current phase's shares, then an address by
+        // the region's pattern.
+        let cumshare = &self.cumshares[phase];
+        let p: f64 = st.rng.random();
+        let mut ridx = cumshare.len() - 1;
+        for (i, &c) in cumshare.iter().enumerate() {
+            if p < c {
+                ridx = i;
+                break;
+            }
         }
-        st.alloc_pos += take;
-        remaining -= take;
-    }
-    while remaining > 0 {
-        let ops_issued = st.ops_issued;
-        let phase = phase_of_ops(phase_ends, spec.ops_per_round, ops_issued);
-        // Ops left before this phase can end; the final (or only) phase
-        // never ends, so the whole rest of the block is one chunk.
-        let chunk = if phase + 1 >= phase_ends.len() {
-            remaining
-        } else {
-            let phase_end_ops = phase_ends[phase] * spec.ops_per_round;
-            remaining.min((phase_end_ops - ops_issued) as usize)
+        let region = &self.spec.regions[ridx];
+        let t = self.spec.threads;
+        let vaddr = match region.pattern {
+            AccessPattern::SharedUniform => region.base + st.rng.random_range(0..region.bytes),
+            AccessPattern::PrivateSlices => {
+                let slice = region.bytes.div_ceil(t as u64);
+                let lo = slice * thread as u64;
+                let hi = (lo + slice).min(region.bytes);
+                region.base + lo + st.rng.random_range(0..hi - lo)
+            }
+            AccessPattern::PrivateBlocked {
+                block_bytes,
+                dwell_ops,
+            } => {
+                let slice = region.bytes.div_ceil(t as u64);
+                let lo = slice * thread as u64;
+                let hi = (lo + slice).min(region.bytes);
+                let span = hi - lo;
+                let nblocks = (span / block_bytes).max(1);
+                let block = (st.ops_issued / dwell_ops) % nblocks;
+                let bstart = lo + block * block_bytes;
+                let blen = block_bytes.min(span - (bstart - lo));
+                region.base + bstart + st.rng.random_range(0..blen)
+            }
+            AccessPattern::InterleavedChunks {
+                chunk_bytes,
+                dwell_ops,
+            } => {
+                // Inverse of the twisted dealing in `owner_of`: in super-row
+                // r, this thread owns chunk `r*t + ((thread - r) mod t)`.
+                // The thread dwells in one of its chunks for `dwell_ops`
+                // operations before moving to the next (mesh elements are
+                // processed one at a time).
+                let nchunks = (region.bytes / chunk_bytes).max(1);
+                let rows = nchunks.div_ceil(t as u64);
+                let r = (st.ops_issued / dwell_ops.max(1)) % rows;
+                let j = (thread as u64 + t as u64 - r % t as u64) % t as u64;
+                let chunk = (r * t as u64 + j).min(nchunks - 1);
+                region.base + chunk * chunk_bytes + st.rng.random_range(0..chunk_bytes)
+            }
+            AccessPattern::Hotspots {
+                count,
+                hot_bytes,
+                spacing_bytes,
+                hot_share,
+            } => {
+                if st.rng.random::<f64>() < hot_share {
+                    let h = st.rng.random_range(0..count as u64);
+                    region.base + h * spacing_bytes + st.rng.random_range(0..hot_bytes)
+                } else {
+                    region.base + st.rng.random_range(0..region.bytes)
+                }
+            }
+            AccessPattern::Stream { stride } => {
+                let slice = region.bytes.div_ceil(t as u64);
+                let lo = region.base + slice * thread as u64;
+                let hi = (lo + slice).min(region.base + region.bytes);
+                let cur = &mut st.stream_cursors[ridx];
+                if *cur < lo || *cur + stride > hi {
+                    *cur = lo;
+                }
+                let v = *cur;
+                *cur += stride;
+                v
+            }
         };
-        for _ in 0..chunk {
-            let op = compute_op_in(spec, &cumshares[phase], thread, st);
-            out.push(op);
+        st.ops_issued += 1;
+        let is_write = !region.read_only && st.rng.random::<f64>() < self.spec.write_fraction;
+        Op {
+            vaddr,
+            is_write,
+            // Migratory read-write sharing: lines bounce between caches, so
+            // reads and writes alike are serviced by the home node.
+            coherent_store: region.rw_shared,
+            prefetched: matches!(region.pattern, AccessPattern::Stream { .. }),
         }
-        remaining -= chunk;
-    }
-}
-
-/// One compute-phase op of `thread` under the cumulative region shares of
-/// its current phase. Mutates only `st`, so detached streams can generate
-/// through a shared `&WorkloadSpec`.
-fn compute_op_in(spec: &WorkloadSpec, cumshare: &[f64], thread: usize, st: &mut ThreadState) -> Op {
-    // Pick a region by the current phase's shares, then an address by
-    // the region's pattern.
-    let p: f64 = st.rng.random();
-    let mut ridx = cumshare.len() - 1;
-    for (i, &c) in cumshare.iter().enumerate() {
-        if p < c {
-            ridx = i;
-            break;
-        }
-    }
-    let region = &spec.regions[ridx];
-    let t = spec.threads;
-    let vaddr = match region.pattern {
-        AccessPattern::SharedUniform => region.base + st.rng.random_range(0..region.bytes),
-        AccessPattern::PrivateSlices => {
-            let slice = region.bytes.div_ceil(t as u64);
-            let lo = slice * thread as u64;
-            let hi = (lo + slice).min(region.bytes);
-            region.base + lo + st.rng.random_range(0..hi - lo)
-        }
-        AccessPattern::PrivateBlocked {
-            block_bytes,
-            dwell_ops,
-        } => {
-            let slice = region.bytes.div_ceil(t as u64);
-            let lo = slice * thread as u64;
-            let hi = (lo + slice).min(region.bytes);
-            let span = hi - lo;
-            let nblocks = (span / block_bytes).max(1);
-            let block = (st.ops_issued / dwell_ops) % nblocks;
-            let bstart = lo + block * block_bytes;
-            let blen = block_bytes.min(span - (bstart - lo));
-            region.base + bstart + st.rng.random_range(0..blen)
-        }
-        AccessPattern::InterleavedChunks {
-            chunk_bytes,
-            dwell_ops,
-        } => {
-            // Inverse of the twisted dealing in `owner_of`: in super-row
-            // r, this thread owns chunk `r*t + ((thread - r) mod t)`.
-            // The thread dwells in one of its chunks for `dwell_ops`
-            // operations before moving to the next (mesh elements are
-            // processed one at a time).
-            let nchunks = (region.bytes / chunk_bytes).max(1);
-            let rows = nchunks.div_ceil(t as u64);
-            let r = (st.ops_issued / dwell_ops.max(1)) % rows;
-            let j = (thread as u64 + t as u64 - r % t as u64) % t as u64;
-            let chunk = (r * t as u64 + j).min(nchunks - 1);
-            region.base + chunk * chunk_bytes + st.rng.random_range(0..chunk_bytes)
-        }
-        AccessPattern::Hotspots {
-            count,
-            hot_bytes,
-            spacing_bytes,
-            hot_share,
-        } => {
-            if st.rng.random::<f64>() < hot_share {
-                let h = st.rng.random_range(0..count as u64);
-                region.base + h * spacing_bytes + st.rng.random_range(0..hot_bytes)
-            } else {
-                region.base + st.rng.random_range(0..region.bytes)
-            }
-        }
-        AccessPattern::Stream { stride } => {
-            let slice = region.bytes.div_ceil(t as u64);
-            let lo = region.base + slice * thread as u64;
-            let hi = (lo + slice).min(region.base + region.bytes);
-            let cur = &mut st.stream_cursors[ridx];
-            if *cur < lo || *cur + stride > hi {
-                *cur = lo;
-            }
-            let v = *cur;
-            *cur += stride;
-            v
-        }
-    };
-    st.ops_issued += 1;
-    let is_write = !region.read_only && st.rng.random::<f64>() < spec.write_fraction;
-    Op {
-        vaddr,
-        is_write,
-        // Migratory read-write sharing: lines bounce between caches, so
-        // reads and writes alike are serviced by the home node.
-        coherent_store: region.rw_shared,
-        prefetched: matches!(region.pattern, AccessPattern::Stream { .. }),
     }
 }
 
@@ -760,55 +650,6 @@ mod tests {
                 for got in &block {
                     assert_eq!(*got, a.next_op(t));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn detached_stream_matches_attached_generation() {
-        // Detach both threads, generate through the shared reference, attach
-        // back, keep generating: the full sequence must equal a generator
-        // that never detached — including across the alloc→compute
-        // transition and phase changes.
-        let mut spec = spec_with(AccessPattern::SharedUniform, 2, 1 << 20);
-        spec.regions.push(RegionSpec {
-            base: 2 << 30,
-            bytes: 1 << 20,
-            share: 0.0,
-            pattern: AccessPattern::Stream { stride: 64 },
-            alloc_skew: 0.0,
-            loader_headers: 0.0,
-            rw_shared: false,
-            read_only: false,
-        });
-        spec.phases = vec![
-            crate::spec::PhaseSpec {
-                rounds: 2,
-                shares: vec![1.0, 0.0],
-            },
-            crate::spec::PhaseSpec {
-                rounds: 2,
-                shares: vec![0.3, 0.7],
-            },
-        ];
-        let mut serial = WorkloadGen::new(&spec, 42);
-        let mut sharded = WorkloadGen::new(&spec, 42);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        for cycle in 0..6 {
-            // Alternate detached and attached generation in 50-op blocks.
-            let mut streams: Vec<ThreadStream> = (0..2).map(|t| sharded.detach_thread(t)).collect();
-            for (t, stream) in streams.iter_mut().enumerate() {
-                sharded.stream_block(t, stream, 50, &mut got);
-                serial.next_block(t, 50, &mut want);
-                assert_eq!(got, want, "detached cycle {cycle} thread {t}");
-            }
-            for (t, stream) in streams.into_iter().enumerate() {
-                sharded.attach_thread(t, stream);
-            }
-            for t in 0..2 {
-                sharded.next_block(t, 31, &mut got);
-                serial.next_block(t, 31, &mut want);
-                assert_eq!(got, want, "attached cycle {cycle} thread {t}");
             }
         }
     }

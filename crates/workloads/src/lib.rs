@@ -38,6 +38,6 @@ mod gen;
 mod spec;
 mod suite;
 
-pub use gen::{Op, ThreadStream, WorkloadGen};
+pub use gen::{Op, WorkloadGen};
 pub use spec::{AccessPattern, PhaseSpec, RegionSpec, WorkloadSpec};
 pub use suite::Benchmark;
