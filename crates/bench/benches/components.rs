@@ -6,7 +6,10 @@ use numa_topology::{CoreId, MachineSpec, NodeId};
 use profiling::{metrics, IbsConfig, IbsSample, IbsSampler};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vmem::{AddressSpace, FrameAllocator, PageSize, Tlb, TlbConfig, VirtAddr, VmemConfig};
+use vmem::{
+    AddressSpace, FrameAllocator, PageSize, ThpControls, Tlb, TlbConfig, TlbLookup, VirtAddr,
+    VmemConfig, WalkCache,
+};
 
 fn bench_tlb(c: &mut Criterion) {
     let mut tlb = Tlb::new(&TlbConfig::scaled_default(8));
@@ -24,6 +27,62 @@ fn bench_tlb(c: &mut Criterion) {
         b.iter(|| {
             let v = VirtAddr(rng.random_range(0..512u64) * 4096);
             std::hint::black_box(tlb.lookup(v));
+        })
+    });
+}
+
+/// The Linux-4K miss path: 24 per-core scale-8 TLBs taking turns over a
+/// 4 KiB page stream far beyond their reach (128 L2 entries each), so
+/// nearly every lookup misses every array and fills both levels.
+fn bench_tlb_miss_fill_4k(c: &mut Criterion) {
+    let mut tlbs: Vec<Tlb> = (0..24)
+        .map(|_| Tlb::new(&TlbConfig::scaled_default(8)))
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(13);
+    let mut core = 0;
+    c.bench_function("tlb_miss_fill_4k", |b| {
+        b.iter(|| {
+            core = (core + 1) % tlbs.len();
+            let tlb = &mut tlbs[core];
+            let page = rng.random_range(0..(1u64 << 20));
+            let v = VirtAddr(page * 4096);
+            if let TlbLookup::Miss = tlb.lookup(v) {
+                tlb.insert(vmem::Mapping {
+                    vbase: v,
+                    frame: vmem::PhysAddr(page * 4096),
+                    node: NodeId(0),
+                    size: PageSize::Size4K,
+                });
+            }
+        })
+    });
+}
+
+/// Cached walks of 4 KiB leaves: 64 pages in each of 256 PT nodes, so
+/// every walk-cache hit resolves its leaf inside a populated PT node.
+fn bench_walk_cached_4k(c: &mut Criterion) {
+    let machine = MachineSpec::machine_a();
+    let config = VmemConfig {
+        thp: ThpControls::small_only(),
+        ..VmemConfig::default()
+    };
+    let mut space = AddressSpace::new(&machine, config);
+    let base = 64u64 << 30;
+    space.map_region(base, 512 << 20).unwrap();
+    let mut pages = Vec::new();
+    for region in 0..256u64 {
+        for i in 0..64u64 {
+            let v = VirtAddr(base + region * (2 << 20) + i * 8 * 4096);
+            space.fault(v, NodeId((region % 4) as u16)).unwrap();
+            pages.push(v);
+        }
+    }
+    let mut cache = WalkCache::new();
+    let mut rng = SmallRng::seed_from_u64(5);
+    c.bench_function("walk_cached_4k", |b| {
+        b.iter(|| {
+            let v = pages[rng.random_range(0..pages.len())];
+            std::hint::black_box(space.walk_cached(v, &mut cache))
         })
     });
 }
@@ -159,6 +218,8 @@ fn bench_carrefour_decision(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_tlb,
+    bench_tlb_miss_fill_4k,
+    bench_walk_cached_4k,
     bench_cache_path,
     bench_page_walk,
     bench_buddy,

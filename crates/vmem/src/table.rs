@@ -12,7 +12,6 @@ use crate::addr::{PhysAddr, VirtAddr, PAGE_1G, PAGE_2M, PAGE_4K};
 use crate::frame::{FrameAllocator, FrameError};
 use numa_topology::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Hardware page sizes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -193,17 +192,173 @@ pub struct CollapseOutcome {
     pub table_frame: PhysAddr,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 enum Entry {
     Table(u32),
     Leaf(Mapping),
 }
 
+/// The present entries of one table node, in slot order.
+///
+/// A 512-bit occupancy bitmap says which slots are present; the entries
+/// themselves sit densely in slot order, so slot `i`'s entry is at the
+/// rank of bit `i` (the number of present slots below it). `before[w]`
+/// caches the present count of the words below word `w`, so a rank costs
+/// one popcount. This keeps the memory of a sparse map — no 512-slot
+/// array per node — while a lookup is two indexed loads instead of a
+/// B-tree descent. Iteration is in ascending slot order, the order the
+/// checkpoint payload has always used.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+struct NodeEntries {
+    present: [u64; 8],
+    before: [u16; 8],
+    entries: Vec<Entry>,
+}
+
+impl NodeEntries {
+    /// An empty node with room for `capacity` entries.
+    fn with_capacity(capacity: usize) -> Self {
+        NodeEntries {
+            entries: Vec::with_capacity(capacity),
+            ..NodeEntries::default()
+        }
+    }
+
+    /// Word, bit mask and rank of slot `idx` (< 512).
+    #[inline]
+    fn locate(&self, idx: u16) -> (usize, u64, usize) {
+        let word = usize::from(idx >> 6) & 7;
+        let bit = 1u64 << (idx & 63);
+        let below = (self.present[word] & (bit - 1)).count_ones() as usize;
+        (word, bit, usize::from(self.before[word]) + below)
+    }
+
+    #[inline]
+    fn get(&self, idx: u16) -> Option<&Entry> {
+        let (word, bit, rank) = self.locate(idx);
+        if self.present[word] & bit == 0 {
+            return None;
+        }
+        Some(&self.entries[rank])
+    }
+
+    #[inline]
+    fn get_mut(&mut self, idx: u16) -> Option<&mut Entry> {
+        let (word, bit, rank) = self.locate(idx);
+        if self.present[word] & bit == 0 {
+            return None;
+        }
+        Some(&mut self.entries[rank])
+    }
+
+    /// Stores `entry` at slot `idx`, replacing any entry already there.
+    fn insert(&mut self, idx: u16, entry: Entry) {
+        debug_assert!(idx < 512, "table slot {idx} out of range");
+        let (word, bit, rank) = self.locate(idx);
+        if self.present[word] & bit != 0 {
+            self.entries[rank] = entry;
+            return;
+        }
+        self.present[word] |= bit;
+        for b in &mut self.before[word + 1..] {
+            *b += 1;
+        }
+        self.entries.insert(rank, entry);
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Present entries in ascending slot order.
+    fn values(&self) -> std::slice::Iter<'_, Entry> {
+        self.entries.iter()
+    }
+
+    /// `(slot, entry)` pairs in ascending slot order, without allocating.
+    fn iter(&self) -> NodeIter<'_> {
+        NodeIter {
+            present: &self.present,
+            word: 0,
+            bits: self.present[0],
+            entries: self.entries.iter(),
+        }
+    }
+
+    /// Writes the `(slot, entry)` pairs in ascending slot order (the
+    /// `ckpt-v1` page-table node encoding).
+    fn save_into(&self, e: &mut codec::Enc) {
+        e.seq(self.iter(), |e, (idx, entry)| {
+            e.u16(idx);
+            match entry {
+                Entry::Table(next) => {
+                    e.u8(0);
+                    e.u32(*next);
+                }
+                Entry::Leaf(m) => {
+                    e.u8(1);
+                    enc_mapping(e, m);
+                }
+            }
+        });
+    }
+
+    /// Reads a node written by [`NodeEntries::save_into`]. Slots arrive
+    /// in ascending order, so every insert appends.
+    fn load_from(d: &mut codec::Dec<'_>) -> Self {
+        let n = d.usize();
+        assert!(n <= 512, "ckpt: page-table node with {n} entries");
+        let mut entries = NodeEntries::with_capacity(n);
+        for _ in 0..n {
+            let idx = d.u16();
+            let entry = match d.u8() {
+                0 => Entry::Table(d.u32()),
+                1 => Entry::Leaf(dec_mapping(d)),
+                t => panic!("ckpt: invalid page-table entry tag {t}"),
+            };
+            assert!(idx < 512, "ckpt: page-table slot {idx} out of range");
+            entries.insert(idx, entry);
+        }
+        entries
+    }
+}
+
+/// Iterator of [`NodeEntries::iter`]: walks the set bits word by word
+/// alongside the dense entries.
+struct NodeIter<'a> {
+    present: &'a [u64; 8],
+    word: usize,
+    bits: u64,
+    entries: std::slice::Iter<'a, Entry>,
+}
+
+impl<'a> Iterator for NodeIter<'a> {
+    type Item = (u16, &'a Entry);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let entry = self.entries.next()?;
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = self.present[self.word];
+        }
+        let slot = ((self.word as u16) << 6) | self.bits.trailing_zeros() as u16;
+        self.bits &= self.bits - 1;
+        Some((slot, entry))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for NodeIter<'_> {}
+
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct TableNode {
     base: PhysAddr,
     node: NodeId,
-    entries: BTreeMap<u16, Entry>,
+    entries: NodeEntries,
 }
 
 /// A 4-level page table.
@@ -447,7 +602,7 @@ impl PageTable {
             arena: vec![TableNode {
                 base,
                 node: root_node,
-                entries: BTreeMap::new(),
+                entries: NodeEntries::default(),
             }],
             table_bytes: PAGE_4K,
             generation: 0,
@@ -471,7 +626,7 @@ impl PageTable {
         let mut node = ROOT;
         for level in 0..4 {
             let idx = level_index(vaddr, level);
-            match self.arena[node as usize].entries.get(&idx) {
+            match self.arena[node as usize].entries.get(idx) {
                 Some(Entry::Table(next)) => node = *next,
                 Some(Entry::Leaf(m)) => return Some(*m),
                 None => return None,
@@ -497,7 +652,7 @@ impl PageTable {
                 node: table.node,
             };
             len += 1;
-            match table.entries.get(&idx) {
+            match table.entries.get(idx) {
                 Some(Entry::Table(next)) => node = *next,
                 Some(Entry::Leaf(m)) => {
                     return WalkResult {
@@ -555,7 +710,7 @@ impl PageTable {
                         pte_addr: PhysAddr(t.base.0 + u64::from(idx) * 8),
                         node: t.node,
                     };
-                    let mapping = match t.entries.get(&idx) {
+                    let mapping = match t.entries.get(idx) {
                         Some(Entry::Leaf(m)) => Some(*m),
                         _ => None,
                     };
@@ -584,7 +739,7 @@ impl PageTable {
                 node: table.node,
             };
             len += 1;
-            match table.entries.get(&idx) {
+            match table.entries.get(idx) {
                 Some(Entry::Table(next)) => {
                     if level == 2 {
                         // Reached the PT covering this 2 MiB region. Cache
@@ -649,7 +804,7 @@ impl PageTable {
         let mut node = ROOT;
         for level in 0..target_level {
             let idx = level_index(vaddr, level);
-            let next = match self.arena[node as usize].entries.get(&idx) {
+            let next = match self.arena[node as usize].entries.get(idx) {
                 Some(Entry::Table(next)) => *next,
                 Some(Entry::Leaf(_)) => return Err(TableError::AlreadyMapped),
                 None => {
@@ -660,7 +815,7 @@ impl PageTable {
                     self.arena.push(TableNode {
                         base,
                         node: got_node,
-                        entries: BTreeMap::new(),
+                        entries: NodeEntries::default(),
                     });
                     self.table_bytes += PAGE_4K;
                     self.arena[node as usize]
@@ -688,7 +843,7 @@ impl PageTable {
         debug_assert!(mapping.frame.is_aligned(mapping.size.bytes()));
         let table = self.ensure_path(mapping.vbase, mapping.size, frames, pref_node)?;
         let idx = level_index(mapping.vbase, leaf_level(mapping.size));
-        match self.arena[table as usize].entries.get(&idx) {
+        match self.arena[table as usize].entries.get(idx) {
             Some(_) => Err(TableError::AlreadyMapped),
             None => {
                 self.arena[table as usize]
@@ -711,7 +866,7 @@ impl PageTable {
         let mut node = ROOT;
         for level in 0..4 {
             let idx = level_index(vaddr, level);
-            match self.arena[node as usize].entries.get_mut(&idx) {
+            match self.arena[node as usize].entries.get_mut(idx) {
                 Some(Entry::Table(next)) => node = *next,
                 Some(Entry::Leaf(m)) => {
                     let old = *m;
@@ -738,7 +893,7 @@ impl PageTable {
         let mut node = ROOT;
         for level in 0..4 {
             let idx = level_index(vaddr, level);
-            let entry = self.arena[node as usize].entries.get(&idx);
+            let entry = self.arena[node as usize].entries.get(idx);
             match entry {
                 Some(Entry::Table(next)) => node = *next,
                 Some(Entry::Leaf(m)) => {
@@ -750,7 +905,7 @@ impl PageTable {
                         .alloc_fallback(m.node, PageSize::Size4K)
                         .map_err(TableError::Frame)?;
                     let new_idx = self.arena.len() as u32;
-                    let mut entries = BTreeMap::new();
+                    let mut entries = NodeEntries::with_capacity(512);
                     for i in 0..512u64 {
                         let child = Mapping {
                             vbase: VirtAddr(m.vbase.0 + i * small.bytes()),
@@ -798,13 +953,13 @@ impl PageTable {
         let mut node = ROOT;
         for level in 0..target_level {
             let idx = level_index(vbase, level);
-            match self.arena[node as usize].entries.get(&idx) {
+            match self.arena[node as usize].entries.get(idx) {
                 Some(Entry::Table(next)) => node = *next,
                 _ => return Err(TableError::NotMappedAsExpected),
             }
         }
         let idx = level_index(vbase, target_level);
-        let child_table = match self.arena[node as usize].entries.get(&idx) {
+        let child_table = match self.arena[node as usize].entries.get(idx) {
             Some(Entry::Table(t)) => *t,
             _ => return Err(TableError::NotMappedAsExpected),
         };
@@ -842,7 +997,7 @@ impl PageTable {
 
     /// Visits every leaf mapping in virtual-address order.
     pub fn for_each_leaf(&self, mut f: impl FnMut(&Mapping)) {
-        // Iterative DFS, order preserved by BTreeMap iteration.
+        // Depth-first, each node's entries in ascending slot order.
         fn rec(arena: &[TableNode], node: u32, f: &mut impl FnMut(&Mapping)) {
             for e in arena[node as usize].entries.values() {
                 match e {
@@ -868,19 +1023,7 @@ impl PageTable {
         e.seq(self.arena.iter(), |e, t| {
             e.u64(t.base.0);
             e.u16(t.node.0);
-            e.seq(t.entries.iter(), |e, (&idx, entry)| {
-                e.u16(idx);
-                match entry {
-                    Entry::Table(next) => {
-                        e.u8(0);
-                        e.u32(*next);
-                    }
-                    Entry::Leaf(m) => {
-                        e.u8(1);
-                        enc_mapping(e, m);
-                    }
-                }
-            });
+            t.entries.save_into(e);
         });
         e.u64(self.table_bytes);
         e.u64(self.generation);
@@ -893,22 +1036,10 @@ impl PageTable {
         self.arena = d.seq(|d| {
             let base = PhysAddr(d.u64());
             let node = NodeId(d.u16());
-            let entries = d
-                .seq(|d| {
-                    let idx = d.u16();
-                    let entry = match d.u8() {
-                        0 => Entry::Table(d.u32()),
-                        1 => Entry::Leaf(dec_mapping(d)),
-                        t => panic!("ckpt: invalid page-table entry tag {t}"),
-                    };
-                    (idx, entry)
-                })
-                .into_iter()
-                .collect();
             TableNode {
                 base,
                 node,
-                entries,
+                entries: NodeEntries::load_from(d),
             }
         });
         self.table_bytes = d.u64();
@@ -941,7 +1072,7 @@ impl PageTable {
         let mut node = ROOT;
         for level in 0..4 {
             let idx = level_index(vaddr, level);
-            match self.arena[node as usize].entries.get(&idx) {
+            match self.arena[node as usize].entries.get(idx) {
                 Some(Entry::Table(next)) => node = *next,
                 _ => break,
             }
@@ -969,7 +1100,7 @@ impl PageTable {
         let mut node = ROOT;
         for level in 0..4 {
             let idx = level_index(vaddr, level);
-            match self.arena[node as usize].entries.get(&idx) {
+            match self.arena[node as usize].entries.get(idx) {
                 Some(Entry::Table(next)) => node = *next,
                 _ => break,
             }
@@ -1011,6 +1142,10 @@ impl PageTable {
 mod tests {
     use super::*;
     use numa_topology::MachineSpec;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn setup() -> (FrameAllocator, PageTable) {
         // 4 GiB per node so 1 GiB blocks survive the small allocations that
@@ -1448,5 +1583,134 @@ mod tests {
         assert_eq!(PageSize::Size1G.fanout(), 512);
         assert_eq!(PageSize::Size4K.fanout(), 1);
         assert_eq!(PageSize::Size2M.to_string(), "2M");
+    }
+
+    fn saved(f: impl FnOnce(&mut codec::Enc)) -> Vec<u8> {
+        let mut e = codec::Enc::new();
+        f(&mut e);
+        e.into_bytes()
+    }
+
+    fn random_entry(rng: &mut SmallRng) -> Entry {
+        if rng.random_bool(0.2) {
+            Entry::Table(rng.random_range(0..10_000u32))
+        } else {
+            let size =
+                [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G][rng.random_range(0..3usize)];
+            Entry::Leaf(Mapping {
+                vbase: VirtAddr(rng.random_range(0..1u64 << 30) * PAGE_4K),
+                frame: PhysAddr(rng.random_range(0..1u64 << 30) * PAGE_4K),
+                node: NodeId(rng.random_range(0..8u16)),
+                size,
+            })
+        }
+    }
+
+    proptest! {
+        /// The bitmap-ranked node agrees with the `BTreeMap<u16, Entry>`
+        /// it replaced on lookups, in-place edits, length and slot-order
+        /// iteration, encodes to the same bytes, and decodes back to the
+        /// same contents.
+        #[test]
+        fn node_entries_match_btreemap_oracle(seed in 0u64..u64::MAX, ops in 1usize..1500, span in 1u16..=512) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut node = NodeEntries::default();
+            let mut oracle: BTreeMap<u16, Entry> = BTreeMap::new();
+            for _ in 0..ops {
+                let idx = rng.random_range(0..span);
+                let entry = random_entry(&mut rng);
+                node.insert(idx, entry);
+                oracle.insert(idx, entry);
+                let q = rng.random_range(0..512u16);
+                prop_assert_eq!(node.get(q), oracle.get(&q));
+                let edit = random_entry(&mut rng);
+                match (node.get_mut(q), oracle.get_mut(&q)) {
+                    (Some(a), Some(b)) => {
+                        *a = edit;
+                        *b = edit;
+                    }
+                    (None, None) => {}
+                    (a, b) => panic!("get_mut({q}) disagrees: {a:?} vs {b:?}"),
+                }
+                prop_assert_eq!(node.len(), oracle.len());
+            }
+            let pairs: Vec<(u16, Entry)> = node.iter().map(|(i, e)| (i, *e)).collect();
+            let want: Vec<(u16, Entry)> = oracle.iter().map(|(&i, &e)| (i, e)).collect();
+            prop_assert_eq!(node.iter().len(), want.len());
+            prop_assert_eq!(&pairs, &want);
+            prop_assert!(node.values().eq(oracle.values()));
+
+            let bytes = saved(|e| node.save_into(e));
+            let oracle_bytes = saved(|e| {
+                e.seq(oracle.iter(), |e, (&idx, entry)| {
+                    e.u16(idx);
+                    match entry {
+                        Entry::Table(next) => {
+                            e.u8(0);
+                            e.u32(*next);
+                        }
+                        Entry::Leaf(m) => {
+                            e.u8(1);
+                            enc_mapping(e, m);
+                        }
+                    }
+                })
+            });
+            prop_assert_eq!(&bytes, &oracle_bytes);
+            let mut d = codec::Dec::new(&bytes);
+            let back = NodeEntries::load_from(&mut d);
+            prop_assert!(d.is_done());
+            prop_assert_eq!(back.present, node.present);
+            prop_assert_eq!(back.before, node.before);
+            prop_assert_eq!(&back.entries, &node.entries);
+        }
+    }
+
+    #[test]
+    fn save_bytes_after_faults_split_and_collapse_are_pinned() {
+        let (mut f, mut t) = setup();
+        // Demand faults out of slot order, on both nodes.
+        for i in [5u64, 1, 300, 2, 511, 0, 64, 63] {
+            map4k(
+                &mut t,
+                &mut f,
+                0x4000_0000 + i * PAGE_4K,
+                NodeId((i % 2) as u16),
+            );
+        }
+        // A fully populated PT, filled top-down, then collapsed.
+        for i in (0..512u64).rev() {
+            map4k(&mut t, &mut f, 0x8000_0000 + i * PAGE_4K, NodeId(0));
+        }
+        let huge = f.alloc(NodeId(1), PageSize::Size2M).unwrap();
+        t.collapse(VirtAddr(0x8000_0000), PageSize::Size2M, huge, NodeId(1))
+            .unwrap();
+        // A huge page split into 512 small ones.
+        let frame = f.alloc(NodeId(1), PageSize::Size2M).unwrap();
+        t.map(
+            Mapping {
+                vbase: VirtAddr(0xc000_0000),
+                frame,
+                node: NodeId(1),
+                size: PageSize::Size2M,
+            },
+            &mut f,
+            NodeId(1),
+        )
+        .unwrap();
+        t.split(VirtAddr(0xc000_0000), &mut f).unwrap();
+
+        let bytes = saved(|e| t.save_into(e));
+        assert_eq!(
+            (codec::fnv1a(&bytes), bytes.len()),
+            (0xbfdb_8de9_5879_cd4d, 22_936),
+            "got {:016x} ({} bytes)",
+            codec::fnv1a(&bytes),
+            bytes.len()
+        );
+        let (_, mut back) = setup();
+        back.load_from(&mut codec::Dec::new(&bytes));
+        assert_eq!(saved(|e| back.save_into(e)), bytes);
+        assert_eq!(back.leaves(), t.leaves());
     }
 }

@@ -5,8 +5,9 @@
 //! footprint — the entire mechanism by which large pages help — so the TLB
 //! stores one entry per *page*, whatever its size.
 
-use crate::addr::VirtAddr;
+use crate::addr::{PhysAddr, VirtAddr};
 use crate::table::{Mapping, PageSize};
+use numa_topology::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// Geometry of the two TLB levels.
@@ -67,31 +68,64 @@ pub enum TlbLookup {
     Miss,
 }
 
-/// One set of a `SubTlb`: keys and mappings in parallel arrays, MRU first.
-///
-/// Keys are scanned on every lookup, so they live in their own dense vector
-/// (8 bytes/entry) instead of interleaved with the ~40-byte mappings — a
-/// fully-associative 48-entry probe then touches 384 bytes, not ~2 KiB.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct TlbSet {
-    keys: Vec<u64>,
-    vals: Vec<Mapping>,
-}
-
 /// A set-associative translation array with LRU replacement.
+///
+/// Storage follows `memsys::SetAssocCache`: one flat key array and one
+/// flat mapping array (`ways` slots per set, MRU-first) plus a per-set
+/// occupancy count, so a probe is an indexed load rather than a pointer
+/// chase through a per-set heap allocation. Keys are scanned on every
+/// lookup, so they sit apart from the ~24-byte mappings: a
+/// fully-associative 48-entry probe touches 384 bytes.
+///
+/// `class_len` counts the valid entries of each size class (key bits 56+;
+/// L1 keys are all class 0). A probe of a class with no entries misses
+/// without touching the set. That cannot change any outcome: a missed
+/// probe moves no entry and counts nothing, and an empty class can only
+/// miss. Under 4 KiB-only mappings it skips four of a full miss's six
+/// probes (both huge L1 arrays and both huge classes of the L2).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct SubTlb {
-    sets: Vec<TlbSet>,
+    /// Keys, MRU-first; set `s` owns `keys[s*ways .. s*ways+lens[s]]`.
+    keys: Vec<u64>,
+    /// Mappings, parallel to `keys`.
+    vals: Vec<Mapping>,
+    /// Valid slots per set (≤ `ways`).
+    lens: Vec<u8>,
+    /// Valid entries per size class, indexed by [`class_of`].
+    class_len: [u32; 4],
     ways: usize,
     set_mask: u64,
 }
 
+/// Fill value of unused mapping slots; never read back.
+const EMPTY_MAPPING: Mapping = Mapping {
+    vbase: VirtAddr(0),
+    frame: PhysAddr(0),
+    node: NodeId(0),
+    size: PageSize::Size4K,
+};
+
+/// Size class of a sub-TLB key (see [`l2_key`]); masked so the index is
+/// in bounds without a check.
+#[inline]
+fn class_of(key: u64) -> usize {
+    (key >> 56) as usize & 3
+}
+
 impl SubTlb {
+    /// # Panics
+    ///
+    /// Panics if the associativity exceeds 255 (the per-set occupancy is
+    /// a `u8`).
     fn new(entries: usize, ways: usize) -> Self {
         let ways = ways.max(1).min(entries.max(1));
+        assert!(ways <= u8::MAX as usize, "per-set TLB occupancy is a u8");
         let sets = (entries / ways).max(1).next_power_of_two();
         SubTlb {
-            sets: vec![TlbSet::default(); sets],
+            keys: vec![0; sets * ways],
+            vals: vec![EMPTY_MAPPING; sets * ways],
+            lens: vec![0; sets],
+            class_len: [0; 4],
             ways,
             set_mask: (sets - 1) as u64,
         }
@@ -104,66 +138,92 @@ impl SubTlb {
         ((key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) & self.set_mask) as usize
     }
 
+    /// `key`'s set index, the set's first slot, and the key's position
+    /// in the set if present.
+    #[inline]
+    fn find(&self, key: u64) -> (usize, usize, Option<usize>) {
+        let idx = self.set_of(key);
+        let base = idx * self.ways;
+        let len = self.lens[idx] as usize;
+        let pos = self.keys[base..base + len].iter().position(|&k| k == key);
+        (idx, base, pos)
+    }
+
+    /// Moves slot `base+pos` to the front of its set: identical ordering
+    /// to remove+insert(0), without the double memmove.
+    #[inline]
+    fn promote(&mut self, base: usize, pos: usize) {
+        if pos != 0 {
+            self.keys[base..=base + pos].rotate_right(1);
+            self.vals[base..=base + pos].rotate_right(1);
+        }
+    }
+
     #[inline]
     fn lookup(&mut self, key: u64) -> Option<Mapping> {
-        let idx = self.set_of(key);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.keys.iter().position(|&k| k == key) {
-            if pos != 0 {
-                // Move to MRU by rotating the prefix: identical ordering to
-                // remove+insert(0), without the double memmove.
-                set.keys[..=pos].rotate_right(1);
-                set.vals[..=pos].rotate_right(1);
-            }
-            Some(set.vals[0])
-        } else {
-            None
+        if self.class_len[class_of(key)] == 0 {
+            return None;
         }
+        let (_, base, pos) = self.find(key);
+        let pos = pos?;
+        self.promote(base, pos);
+        Some(self.vals[base])
     }
 
     #[inline]
     fn insert(&mut self, key: u64, mapping: Mapping) {
-        let idx = self.set_of(key);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.keys.iter().position(|&k| k == key) {
-            if pos != 0 {
-                set.keys[..=pos].rotate_right(1);
-                set.vals[..=pos].rotate_right(1);
-            }
-            set.keys[0] = key;
-            set.vals[0] = mapping;
+        let (idx, base, pos) = self.find(key);
+        if let Some(pos) = pos {
+            self.promote(base, pos);
+            self.vals[base] = mapping;
             return;
         }
-        if set.keys.len() >= self.ways {
-            set.keys.pop();
-            set.vals.pop();
+        // Insert at MRU; a full set drops its LRU (last) entry.
+        let len = self.lens[idx] as usize;
+        if len < self.ways {
+            self.lens[idx] = len as u8 + 1;
+        } else {
+            self.class_len[class_of(self.keys[base + len - 1])] -= 1;
         }
-        set.keys.insert(0, key);
-        set.vals.insert(0, mapping);
+        let keep = self.lens[idx] as usize - 1;
+        self.keys.copy_within(base..base + keep, base + 1);
+        self.vals.copy_within(base..base + keep, base + 1);
+        self.keys[base] = key;
+        self.vals[base] = mapping;
+        self.class_len[class_of(key)] += 1;
     }
 
     fn invalidate(&mut self, key: u64) {
-        let idx = self.set_of(key);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.keys.iter().position(|&k| k == key) {
-            set.keys.remove(pos);
-            set.vals.remove(pos);
+        let (idx, base, pos) = self.find(key);
+        if let Some(pos) = pos {
+            let len = self.lens[idx] as usize;
+            self.keys
+                .copy_within(base + pos + 1..base + len, base + pos);
+            self.vals
+                .copy_within(base + pos + 1..base + len, base + pos);
+            self.lens[idx] = len as u8 - 1;
+            self.class_len[class_of(key)] -= 1;
         }
     }
 
     fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.keys.clear();
-            s.vals.clear();
-        }
+        self.lens.fill(0);
+        self.class_len = [0; 4];
+    }
+
+    /// The valid slots of set `idx`, MRU-first.
+    fn set_slots(&self, idx: usize) -> std::ops::Range<usize> {
+        let base = idx * self.ways;
+        base..base + self.lens[idx] as usize
     }
 
     /// Serializes the set contents (MRU-first order preserved); geometry
     /// (`ways`, `set_mask`) is rebuilt from the config by the caller.
     fn save_into(&self, e: &mut codec::Enc) {
-        e.seq(self.sets.iter(), |e, s| {
-            e.seq(s.keys.iter(), |e, &k| e.u64(k));
-            e.seq(s.vals.iter(), crate::table::enc_mapping);
+        e.seq(0..self.lens.len(), |e, idx| {
+            let slots = self.set_slots(idx);
+            e.seq(self.keys[slots.clone()].iter(), |e, &k| e.u64(k));
+            e.seq(self.vals[slots].iter(), crate::table::enc_mapping);
         });
     }
 
@@ -171,11 +231,22 @@ impl SubTlb {
     /// built with the same geometry.
     fn load_from(&mut self, d: &mut codec::Dec<'_>) {
         let n = d.usize();
-        assert_eq!(n, self.sets.len(), "checkpoint TLB set count mismatch");
-        for s in &mut self.sets {
-            s.keys = d.seq(|d| d.u64());
-            s.vals = d.seq(crate::table::dec_mapping);
-            assert_eq!(s.keys.len(), s.vals.len(), "checkpoint TLB set torn");
+        assert_eq!(n, self.lens.len(), "checkpoint TLB set count mismatch");
+        self.class_len = [0; 4];
+        for idx in 0..n {
+            let base = idx * self.ways;
+            let len = d.usize();
+            assert!(len <= self.ways, "checkpoint TLB set overfull");
+            for slot in base..base + len {
+                let key = d.u64();
+                self.keys[slot] = key;
+                self.class_len[class_of(key)] += 1;
+            }
+            assert_eq!(d.usize(), len, "checkpoint TLB set torn");
+            for slot in base..base + len {
+                self.vals[slot] = crate::table::dec_mapping(d);
+            }
+            self.lens[idx] = len as u8;
         }
     }
 }
@@ -344,8 +415,10 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{PhysAddr, PAGE_2M, PAGE_4K};
-    use numa_topology::NodeId;
+    use crate::addr::{PAGE_1G, PAGE_2M, PAGE_4K};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn map(vbase: u64, size: PageSize) -> Mapping {
         Mapping {
@@ -552,5 +625,284 @@ mod tests {
         let full = TlbConfig::scaled_default(1);
         assert_eq!(full.l1_4k_entries, 48);
         assert_eq!(full.l2_entries, 1024);
+    }
+
+    /// The Vec-per-set sub-TLB the flat layout replaced: the model the
+    /// equivalence proptest checks [`SubTlb`] against.
+    #[derive(Clone, Debug, Default)]
+    struct OracleSet {
+        keys: Vec<u64>,
+        vals: Vec<Mapping>,
+    }
+
+    struct OracleSub {
+        sets: Vec<OracleSet>,
+        ways: usize,
+        set_mask: u64,
+    }
+
+    impl OracleSub {
+        fn new(entries: usize, ways: usize) -> Self {
+            let ways = ways.max(1).min(entries.max(1));
+            let sets = (entries / ways).max(1).next_power_of_two();
+            OracleSub {
+                sets: vec![OracleSet::default(); sets],
+                ways,
+                set_mask: (sets - 1) as u64,
+            }
+        }
+
+        fn set(&mut self, key: u64) -> &mut OracleSet {
+            let idx = ((key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) & self.set_mask) as usize;
+            &mut self.sets[idx]
+        }
+
+        fn lookup(&mut self, key: u64) -> Option<Mapping> {
+            let set = self.set(key);
+            let pos = set.keys.iter().position(|&k| k == key)?;
+            let m = set.vals.remove(pos);
+            set.keys.remove(pos);
+            set.keys.insert(0, key);
+            set.vals.insert(0, m);
+            Some(m)
+        }
+
+        fn insert(&mut self, key: u64, mapping: Mapping) {
+            let ways = self.ways;
+            let set = self.set(key);
+            if let Some(pos) = set.keys.iter().position(|&k| k == key) {
+                set.keys.remove(pos);
+                set.vals.remove(pos);
+            } else if set.keys.len() >= ways {
+                set.keys.pop();
+                set.vals.pop();
+            }
+            set.keys.insert(0, key);
+            set.vals.insert(0, mapping);
+        }
+
+        fn invalidate(&mut self, key: u64) {
+            let set = self.set(key);
+            if let Some(pos) = set.keys.iter().position(|&k| k == key) {
+                set.keys.remove(pos);
+                set.vals.remove(pos);
+            }
+        }
+
+        fn flush(&mut self) {
+            for s in &mut self.sets {
+                s.keys.clear();
+                s.vals.clear();
+            }
+        }
+
+        fn save_into(&self, e: &mut codec::Enc) {
+            e.seq(self.sets.iter(), |e, s| {
+                e.seq(s.keys.iter(), |e, &k| e.u64(k));
+                e.seq(s.vals.iter(), crate::table::enc_mapping);
+            });
+        }
+
+        fn load_from(&mut self, d: &mut codec::Dec<'_>) {
+            assert_eq!(d.usize(), self.sets.len());
+            for s in &mut self.sets {
+                s.keys = d.seq(|d| d.u64());
+                s.vals = d.seq(crate::table::dec_mapping);
+            }
+        }
+    }
+
+    /// [`Tlb`] over [`OracleSub`] arrays, probing every class.
+    struct OracleTlb {
+        l1: [OracleSub; 3],
+        l2: OracleSub,
+        stats: TlbStats,
+    }
+
+    const SIZES: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+
+    impl OracleTlb {
+        fn new(c: &TlbConfig) -> Self {
+            OracleTlb {
+                l1: [
+                    OracleSub::new(c.l1_4k_entries, c.l1_4k_entries),
+                    OracleSub::new(c.l1_2m_entries, c.l1_2m_entries),
+                    OracleSub::new(c.l1_1g_entries, c.l1_1g_entries),
+                ],
+                l2: OracleSub::new(c.l2_entries, c.l2_ways),
+                stats: TlbStats::default(),
+            }
+        }
+
+        fn lookup(&mut self, vaddr: VirtAddr) -> TlbLookup {
+            for (sub, size) in self.l1.iter_mut().zip(SIZES) {
+                if let Some(m) = sub.lookup(vpn(vaddr, size)) {
+                    self.stats.l1_hits += 1;
+                    return TlbLookup::HitL1(m);
+                }
+            }
+            for (class, size) in SIZES.into_iter().enumerate() {
+                if let Some(m) = self.l2.lookup(l2_key(vaddr, size)) {
+                    self.stats.l2_hits += 1;
+                    self.l1[class].insert(vpn(vaddr, size), m);
+                    return TlbLookup::HitL2(m);
+                }
+            }
+            self.stats.misses += 1;
+            TlbLookup::Miss
+        }
+
+        fn class(size: PageSize) -> usize {
+            SIZES.iter().position(|&s| s == size).unwrap()
+        }
+
+        fn insert(&mut self, m: Mapping) {
+            self.l1[Self::class(m.size)].insert(vpn(m.vbase, m.size), m);
+            self.l2.insert(l2_key(m.vbase, m.size), m);
+        }
+
+        fn invalidate(&mut self, vbase: VirtAddr, size: PageSize) {
+            self.l1[Self::class(size)].invalidate(vpn(vbase, size));
+            self.l2.invalidate(l2_key(vbase, size));
+        }
+
+        fn flush(&mut self) {
+            self.l1.iter_mut().for_each(OracleSub::flush);
+            self.l2.flush();
+        }
+
+        fn save_into(&self, e: &mut codec::Enc) {
+            self.l1.iter().for_each(|s| s.save_into(e));
+            self.l2.save_into(e);
+            e.u64(self.stats.l1_hits);
+            e.u64(self.stats.l2_hits);
+            e.u64(self.stats.misses);
+        }
+
+        fn load_from(&mut self, d: &mut codec::Dec<'_>) {
+            self.l1.iter_mut().for_each(|s| s.load_from(d));
+            self.l2.load_from(d);
+            self.stats = TlbStats {
+                l1_hits: d.u64(),
+                l2_hits: d.u64(),
+                misses: d.u64(),
+            };
+        }
+    }
+
+    fn outcome(l: TlbLookup) -> (u8, Option<Mapping>) {
+        match l {
+            TlbLookup::HitL1(m) => (1, Some(m)),
+            TlbLookup::HitL2(m) => (2, Some(m)),
+            TlbLookup::Miss => (0, None),
+        }
+    }
+
+    fn counts(s: &TlbStats) -> (u64, u64, u64) {
+        (s.l1_hits, s.l2_hits, s.misses)
+    }
+
+    fn saved(f: impl FnOnce(&mut codec::Enc)) -> Vec<u8> {
+        let mut e = codec::Enc::new();
+        f(&mut e);
+        e.into_bytes()
+    }
+
+    /// A random page over a small universe where the sizes overlap: 4 KiB
+    /// pages spread over `regions` 2 MiB regions in the first 1 GiB. A
+    /// 4 KiB page is drawn with probability `small` per cent, otherwise
+    /// mostly 2 MiB pages.
+    fn random_page(rng: &mut SmallRng, small: u32, regions: u64) -> (VirtAddr, PageSize) {
+        let region = rng.random_range(0..regions) * PAGE_2M;
+        match rng.random_range(0..100u32) {
+            p if p < small => (
+                VirtAddr(region + rng.random_range(0..8u64) * PAGE_4K),
+                PageSize::Size4K,
+            ),
+            p if p < 95 => (VirtAddr(region), PageSize::Size2M),
+            _ => (
+                VirtAddr(rng.random_range(0..2u64) * PAGE_1G),
+                PageSize::Size1G,
+            ),
+        }
+    }
+
+    /// Recounts a sub-TLB's valid entries per size class.
+    fn recount(sub: &SubTlb) -> [u32; 4] {
+        let mut n = [0; 4];
+        for idx in 0..sub.lens.len() {
+            for &k in &sub.keys[sub.set_slots(idx)] {
+                n[class_of(k)] += 1;
+            }
+        }
+        n
+    }
+
+    proptest! {
+        /// The flat sub-TLBs with per-class skipping behave exactly like
+        /// the Vec-per-set arrays that probe every class: same lookups,
+        /// same stats, same checkpoint bytes, also across a mid-run
+        /// save/load into a fresh TLB (which rebuilds the class counts).
+        #[test]
+        fn flat_tlb_matches_vec_oracle(seed in 0u64..u64::MAX, geometry in 0usize..2, ops in 200usize..3000) {
+            let cfg = if geometry == 0 { tiny_config() } else { TlbConfig::scaled_default(8) };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Vary the size mix and the universe per case, so that some
+            // cases drain a size class while others keep every class busy.
+            let small = [10, 50, 90][rng.random_range(0..3usize)];
+            let regions = [4, 16, 64][rng.random_range(0..3usize)];
+            let mut flat = Tlb::new(&cfg);
+            let mut oracle = OracleTlb::new(&cfg);
+            for i in 0..ops {
+                if i == ops / 2 {
+                    let bytes = saved(|e| flat.save_into(e));
+                    prop_assert_eq!(&bytes, &saved(|e| oracle.save_into(e)));
+                    flat = Tlb::new(&cfg);
+                    flat.load_from(&mut codec::Dec::new(&bytes));
+                    oracle = OracleTlb::new(&cfg);
+                    oracle.load_from(&mut codec::Dec::new(&bytes));
+                }
+                let (vbase, size) = random_page(&mut rng, small, regions);
+                match rng.random_range(0..100u32) {
+                    0..=54 => {
+                        let vaddr = VirtAddr(vbase.0 + rng.random_range(0..size.bytes()));
+                        prop_assert_eq!(outcome(flat.lookup(vaddr)), outcome(oracle.lookup(vaddr)));
+                    }
+                    55..=89 => {
+                        let m = Mapping {
+                            vbase,
+                            frame: PhysAddr(rng.random_range(0..1024u64) * size.bytes()),
+                            node: NodeId(rng.random_range(0..4u16)),
+                            size,
+                        };
+                        flat.insert(m);
+                        oracle.insert(m);
+                    }
+                    90..=97 => {
+                        flat.invalidate(vbase, size);
+                        oracle.invalidate(vbase, size);
+                    }
+                    _ => {
+                        flat.flush();
+                        oracle.flush();
+                    }
+                }
+                prop_assert_eq!(counts(flat.stats()), counts(&oracle.stats));
+                for sub in [&flat.l1_4k, &flat.l1_2m, &flat.l1_1g, &flat.l2] {
+                    prop_assert_eq!(sub.class_len, recount(sub));
+                }
+            }
+            prop_assert_eq!(saved(|e| flat.save_into(e)), saved(|e| oracle.save_into(e)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "per-set TLB occupancy is a u8")]
+    fn associativity_above_255_is_refused() {
+        let _ = Tlb::new(&TlbConfig {
+            l2_entries: 4096,
+            l2_ways: 256,
+            ..TlbConfig::default()
+        });
     }
 }
