@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use memsys::{AccessKind, MemSysConfig, MemorySystem};
 use numa_topology::{CoreId, MachineSpec, NodeId};
-use profiling::{metrics, IbsConfig, IbsSample, IbsSampler};
+use profiling::{metrics, IbsConfig, IbsSample, IbsSampler, PageAccessStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vmem::{
@@ -98,6 +98,41 @@ fn bench_cache_path(c: &mut Criterion) {
             std::hint::black_box(mem.access(CoreId(0), paddr, home, AccessKind::Data));
         })
     });
+}
+
+/// Machine B's DRAM-bound path: random lines over all 512 GiB from random
+/// cores, so nearly every access misses all three levels (the eight 2,048-set
+/// L3s dwarf the host's caches) and each probe is a host-cold set load.
+fn bench_cache_path_dram_b(c: &mut Criterion) {
+    let machine = MachineSpec::machine_b();
+    let mut mem = MemorySystem::new(&machine, MemSysConfig::scaled_default(8));
+    let cores = machine.total_cores();
+    let dram = machine.total_dram_bytes();
+    let node_bytes = dram / machine.num_nodes() as u64;
+    let mut rng = SmallRng::seed_from_u64(17);
+    c.bench_function("memsys_access_dram_b", |b| {
+        b.iter(|| {
+            let paddr = rng.random_range(0..dram) & !63;
+            let core = CoreId::from(rng.random_range(0..cores));
+            let home = NodeId((paddr / node_bytes) as u16);
+            std::hint::black_box(mem.access(core, paddr, home, AccessKind::Data));
+        })
+    });
+}
+
+/// Exact page statistics as a 4 KiB-page run feeds them: 64 threads over
+/// 49,152 pages (96 chunks of 2 MiB).
+fn bench_pagestats_record_4k(c: &mut Criterion) {
+    let mut stats = PageAccessStats::new();
+    let mut rng = SmallRng::seed_from_u64(19);
+    c.bench_function("pagestats_record_4k", |b| {
+        b.iter(|| {
+            let page = rng.random_range(0..49_152u64);
+            let thread = rng.random_range(0..64u16);
+            stats.record(VirtAddr((64 << 30) + page * 4096), thread);
+        })
+    });
+    std::hint::black_box(stats.total());
 }
 
 fn bench_page_walk(c: &mut Criterion) {
@@ -221,6 +256,8 @@ criterion_group!(
     bench_tlb_miss_fill_4k,
     bench_walk_cached_4k,
     bench_cache_path,
+    bench_cache_path_dram_b,
+    bench_pagestats_record_4k,
     bench_page_walk,
     bench_buddy,
     bench_ibs,

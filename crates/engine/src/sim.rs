@@ -16,7 +16,8 @@ use profiling::{
     metrics, CoreFaultTime, CycleBreakdown, EpochCounters, IbsSample, IbsSampler, PageAccessStats,
 };
 use vmem::{
-    AddressSpace, Mapping, PageSize, SpaceError, ThpControls, Tlb, TlbLookup, VirtAddr, WalkCache,
+    AddressSpace, Mapping, PageSize, PhysAddr, SpaceError, ThpControls, Tlb, TlbLookup, VirtAddr,
+    WalkCache, WalkStep,
 };
 use workloads::{WorkloadGen, WorkloadSpec};
 
@@ -379,6 +380,18 @@ impl<'m, 't> SimState<'m, 't> {
         // substitution happens at charge time on both the cached and
         // uncached paths identically.
         let treps = self.space.has_table_replicas();
+        let mut resolved = [WalkStep {
+            pte_addr: PhysAddr(0),
+            node,
+        }; 4];
+        let steps = &mut resolved[..walk.steps().len()];
+        for (s, &step) in steps.iter_mut().zip(walk.steps()) {
+            *s = if treps {
+                self.space.resolve_table_step(step, node)
+            } else {
+                step
+            };
+        }
         // Every step address is known before any is charged: prefetch all
         // their cache sets (host-side only, no simulated effect) so the
         // random, usually host-cold set loads overlap instead of
@@ -386,24 +399,14 @@ impl<'m, 't> SimState<'m, 't> {
         // access follows right after the walk, and its physical address is
         // already determined by the walked mapping — warm its sets too,
         // with the whole step replay as the overlap window.
-        for &step in walk.steps() {
-            let s = if treps {
-                self.space.resolve_table_step(step, node)
-            } else {
-                step
-            };
+        for s in steps.iter() {
             self.mem.prefetch_access(core, s.pte_addr.0);
         }
         if let Some(m) = walk.mapping {
             self.mem.prefetch_access(core, m.translate(vaddr).0);
         }
         let mut remote_steps: u8 = 0;
-        for &step in walk.steps() {
-            let s = if treps {
-                self.space.resolve_table_step(step, node)
-            } else {
-                step
-            };
+        for s in steps.iter() {
             let local = s.node == node;
             if !local {
                 remote_steps += 1;

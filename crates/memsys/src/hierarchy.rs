@@ -95,8 +95,8 @@ impl CacheHierarchy {
 
     /// Host-side prefetch of the three sets an access by `core` (on
     /// `node`) to `paddr` would probe. Touches no simulated state: the
-    /// engine calls this ahead of time — one op ahead for data accesses,
-    /// before the replay loop for page-walk steps — so the three
+    /// engine calls this before a page walk's replay loop, for every walk
+    /// step and for the data access the walk translates, so the
     /// independent (and usually host-cold) set loads overlap instead of
     /// serializing through the L1→L2→L3 probe chain.
     #[inline]

@@ -17,17 +17,32 @@ pub struct PageCell {
     pub threads: u64,
 }
 
+/// 4 KiB pages per chunk of cells: one 2 MiB-aligned virtual range.
+const CHUNK_PAGES: usize = 512;
+/// `vaddr >> CHUNK_SHIFT` names a chunk.
+const CHUNK_SHIFT: u32 = 21;
+
 /// Exact access counts and thread masks at 4 KiB granularity.
 ///
 /// 4 KiB is the finest granularity any policy can act on, so coarser page
 /// sizes are derived by aggregation ([`PageAccessStats::aggregate`]).
+///
+/// Cells are dense: one array of 512 cells per touched 2 MiB range,
+/// allocated on its first access and found through a small directory.
+/// `record` runs once per simulated access; a per-page hash map cost a host
+/// cache miss on its control bytes and another on its bucket, while the
+/// directory stays host-cache resident and the cell sits at a fixed offset.
+/// A cell with `count == 0` is untouched.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PageAccessStats {
-    /// Keyed by 4 KiB page base. Uses the simulator's fast deterministic
-    /// hasher: `record` runs once per simulated access, and the default
-    /// SipHash dominated its cost. Bucket order never leaks — `aggregate`
-    /// sorts its rows.
-    cells: FastMap<u64, PageCell>,
+    /// `CHUNK_PAGES` cells per chunk, chunks in first-touch order.
+    cells: Vec<PageCell>,
+    /// Chunk key (`vaddr >> CHUNK_SHIFT`) → the chunk's index in `cells`.
+    /// Uses the simulator's fast deterministic hasher; bucket order never
+    /// leaks (`aggregate` and `save_into` sort).
+    chunks: FastMap<u64, u32>,
+    /// Cells with a non-zero count.
+    pages: usize,
     total: u64,
 }
 
@@ -37,13 +52,37 @@ impl PageAccessStats {
         Self::default()
     }
 
+    /// The cell of the 4 KiB page at `vaddr`, allocating its chunk on
+    /// first touch.
+    #[inline]
+    fn cell_mut(&mut self, vaddr: u64) -> &mut PageCell {
+        let key = vaddr >> CHUNK_SHIFT;
+        let chunk = match self.chunks.get(&key) {
+            Some(&c) => c as usize,
+            None => self.add_chunk(key),
+        };
+        let page = (vaddr / PAGE_4K) as usize % CHUNK_PAGES;
+        &mut self.cells[chunk * CHUNK_PAGES + page]
+    }
+
+    #[cold]
+    fn add_chunk(&mut self, key: u64) -> usize {
+        let chunk = self.chunks.len();
+        let index = u32::try_from(chunk).expect("page-stat chunk count exceeds u32");
+        self.chunks.insert(key, index);
+        self.cells
+            .resize((chunk + 1) * CHUNK_PAGES, PageCell::default());
+        chunk
+    }
+
     /// Records one access by `thread` (ids ≥ 64 share the last mask bit).
     #[inline]
     pub fn record(&mut self, vaddr: VirtAddr, thread: u16) {
-        let base = vaddr.align_down(PAGE_4K).0;
-        let cell = self.cells.entry(base).or_default();
+        let cell = self.cell_mut(vaddr.0);
+        let first = cell.count == 0;
         cell.count += 1;
         cell.threads |= 1u64 << (thread.min(63));
+        self.pages += usize::from(first);
         self.total += 1;
     }
 
@@ -56,7 +95,20 @@ impl PageAccessStats {
     /// Number of distinct 4 KiB pages touched.
     #[inline]
     pub fn pages_touched(&self) -> usize {
-        self.cells.len()
+        self.pages
+    }
+
+    /// Touched cells as `(page base, cell)`, in ascending page order.
+    fn touched(&self) -> impl Iterator<Item = (u64, &PageCell)> {
+        let mut chunks: Vec<(u64, usize)> =
+            self.chunks.iter().map(|(&k, &c)| (k, c as usize)).collect();
+        chunks.sort_unstable();
+        chunks.into_iter().flat_map(move |(key, chunk)| {
+            let cells = &self.cells[chunk * CHUNK_PAGES..(chunk + 1) * CHUNK_PAGES];
+            (0u64..).zip(cells).filter_map(move |(page, cell)| {
+                (cell.count != 0).then_some(((key << CHUNK_SHIFT) + page * PAGE_4K, cell))
+            })
+        })
     }
 
     /// Aggregates the 4 KiB cells to a coarser granularity.
@@ -67,8 +119,8 @@ impl PageAccessStats {
     /// rows sorted by container base.
     pub fn aggregate(&self, container_of: impl Fn(u64) -> u64) -> Vec<(u64, u64, u64)> {
         let mut merged: FastMap<u64, PageCell> =
-            FastMap::with_capacity_and_hasher(self.cells.len(), Default::default());
-        for (&base, cell) in &self.cells {
+            FastMap::with_capacity_and_hasher(self.pages, Default::default());
+        for (base, cell) in self.touched() {
             let c = merged.entry(container_of(base)).or_default();
             c.count += cell.count;
             c.threads |= cell.threads;
@@ -84,36 +136,50 @@ impl PageAccessStats {
     /// Clears all cells (start of a new measurement window).
     pub fn reset(&mut self) {
         self.cells.clear();
+        self.chunks.clear();
+        self.pages = 0;
         self.total = 0;
     }
 
-    /// Serializes the cells (in sorted key order — the hash map's bucket
-    /// order is not canonical) and the total, for the `ckpt-v1` snapshot.
+    /// Serializes the touched cells in ascending page order, then the
+    /// total, for the `ckpt-v1` snapshot.
     pub fn save_into(&self, e: &mut codec::Enc) {
-        let mut keys: Vec<u64> = self.cells.keys().copied().collect();
-        keys.sort_unstable();
-        e.seq(keys.into_iter(), |e, k| {
-            let cell = &self.cells[&k];
-            e.u64(k);
+        e.usize(self.pages);
+        for (base, cell) in self.touched() {
+            e.u64(base);
             e.u64(cell.count);
             e.u64(cell.threads);
-        });
+        }
         e.u64(self.total);
     }
 
     /// Restores state captured by [`PageAccessStats::save_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a cell with a zero count or a page base that is not
+    /// 4 KiB-aligned: neither can come from `save_into`, and the dense
+    /// cells cannot represent them.
     pub fn load_from(&mut self, d: &mut codec::Dec<'_>) {
-        self.cells.clear();
+        self.reset();
         let n = d.usize();
         for _ in 0..n {
-            let k = d.u64();
-            self.cells.insert(
-                k,
-                PageCell {
-                    count: d.u64(),
-                    threads: d.u64(),
-                },
+            let base = d.u64();
+            let count = d.u64();
+            let threads = d.u64();
+            assert_eq!(
+                base % PAGE_4K,
+                0,
+                "checkpoint page-stat base {base:#x} is not 4 KiB-aligned"
             );
+            assert_ne!(
+                count, 0,
+                "checkpoint page-stat cell {base:#x} has a zero count"
+            );
+            let cell = self.cell_mut(base);
+            let first = cell.count == 0;
+            *cell = PageCell { count, threads };
+            self.pages += usize::from(first);
         }
         self.total = d.u64();
     }
@@ -122,6 +188,9 @@ impl PageAccessStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn record_accumulates_counts_and_threads() {
@@ -222,5 +291,138 @@ mod tests {
         s.reset();
         assert_eq!(s.total(), 0);
         assert_eq!(s.pages_touched(), 0);
+    }
+
+    /// The per-page hash map that the dense chunks replaced, kept as their
+    /// oracle: same aggregation, and the ckpt-v1 encoding the dense layout
+    /// must reproduce byte for byte.
+    #[derive(Default)]
+    struct OracleStats {
+        cells: FastMap<u64, PageCell>,
+        total: u64,
+    }
+
+    impl OracleStats {
+        fn record(&mut self, vaddr: VirtAddr, thread: u16) {
+            let cell = self.cells.entry(vaddr.align_down(PAGE_4K).0).or_default();
+            cell.count += 1;
+            cell.threads |= 1u64 << (thread.min(63));
+            self.total += 1;
+        }
+
+        fn aggregate(&self, container_of: impl Fn(u64) -> u64) -> Vec<(u64, u64, u64)> {
+            let mut merged: FastMap<u64, PageCell> = FastMap::default();
+            for (&base, cell) in &self.cells {
+                let c = merged.entry(container_of(base)).or_default();
+                c.count += cell.count;
+                c.threads |= cell.threads;
+            }
+            let mut rows: Vec<_> = merged
+                .into_iter()
+                .map(|(base, cell)| (base, cell.count, cell.threads))
+                .collect();
+            rows.sort_unstable_by_key(|&(base, _, _)| base);
+            rows
+        }
+
+        fn save_into(&self, e: &mut codec::Enc) {
+            let mut keys: Vec<u64> = self.cells.keys().copied().collect();
+            keys.sort_unstable();
+            e.seq(keys.into_iter(), |e, k| {
+                let cell = &self.cells[&k];
+                e.u64(k);
+                e.u64(cell.count);
+                e.u64(cell.threads);
+            });
+            e.u64(self.total);
+        }
+
+        fn load_from(&mut self, d: &mut codec::Dec<'_>) {
+            self.cells.clear();
+            for _ in 0..d.usize() {
+                let k = d.u64();
+                self.cells.insert(
+                    k,
+                    PageCell {
+                        count: d.u64(),
+                        threads: d.u64(),
+                    },
+                );
+            }
+            self.total = d.u64();
+        }
+    }
+
+    fn saved(f: impl FnOnce(&mut codec::Enc)) -> Vec<u8> {
+        let mut e = codec::Enc::new();
+        f(&mut e);
+        e.into_bytes()
+    }
+
+    fn assert_same(dense: &PageAccessStats, oracle: &OracleStats) {
+        assert_eq!(dense.total(), oracle.total);
+        assert_eq!(dense.pages_touched(), oracle.cells.len());
+        let maps: [fn(u64) -> u64; 4] = [
+            |b| b,
+            |b| b & !((2 << 20) - 1),
+            |b| b & !((1 << 30) - 1),
+            |_| 0x4000_0000,
+        ];
+        for container in maps {
+            assert_eq!(dense.aggregate(container), oracle.aggregate(container));
+        }
+        assert_eq!(
+            saved(|e| dense.save_into(e)),
+            saved(|e| oracle.save_into(e))
+        );
+    }
+
+    proptest! {
+        /// Dense chunks behave exactly like the per-page hash map: totals,
+        /// touched pages, aggregation under 4 KiB, 2 MiB, 1 GiB and constant
+        /// container maps, and checkpoint bytes, also across a mid-stream
+        /// save/load into a fresh tracker.
+        #[test]
+        fn dense_cells_match_fastmap_oracle(seed in 0u64..u64::MAX, regions in 1usize..6, records in 1usize..4000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Regions of 1 to 8 chunks, spread over a 47-bit space so that
+            // some share a 1 GiB range and most do not.
+            let spans: Vec<(u64, u64)> = (0..regions)
+                .map(|_| {
+                    let base = rng.random_range(0..1u64 << 47) & !((2 << 20) - 1);
+                    (base, rng.random_range(1..=8u64) << 21)
+                })
+                .collect();
+            let mut dense = PageAccessStats::new();
+            let mut oracle = OracleStats::default();
+            for i in 0..records {
+                if i == records / 2 {
+                    assert_same(&dense, &oracle);
+                    let bytes = saved(|e| dense.save_into(e));
+                    dense = PageAccessStats::new();
+                    dense.load_from(&mut codec::Dec::new(&bytes));
+                    oracle = OracleStats::default();
+                    oracle.load_from(&mut codec::Dec::new(&bytes));
+                }
+                let (base, len) = spans[rng.random_range(0..spans.len())];
+                let vaddr = VirtAddr(base + rng.random_range(0..len));
+                let thread = rng.random_range(0..80u16);
+                dense.record(vaddr, thread);
+                oracle.record(vaddr, thread);
+            }
+            assert_same(&dense, &oracle);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero count")]
+    fn zero_count_cell_is_refused_on_load() {
+        let mut e = codec::Enc::new();
+        e.usize(1);
+        e.u64(0x1000);
+        e.u64(0);
+        e.u64(1);
+        e.u64(0);
+        PageAccessStats::new().load_from(&mut codec::Dec::new(&e.into_bytes()));
     }
 }

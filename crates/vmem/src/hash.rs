@@ -2,9 +2,9 @@
 //!
 //! The std `HashMap` default (SipHash) is keyed and DoS-resistant, which the
 //! simulator does not need: every map here is keyed by addresses the
-//! simulation itself generates. The hot path pays for a page-stats insert on
-//! every access and a walk-cache probe on every TLB miss, so those maps use
-//! this multiply-xor hasher (FxHash-style) instead.
+//! simulation itself generates. The hot path pays for a page-stats chunk
+//! lookup on every access and a walk-cache probe on every TLB miss, so those
+//! maps use this multiply-xor hasher (FxHash-style) instead.
 //!
 //! Determinism note: swapping the hasher changes only bucket order. Every
 //! consumer either probes by key or sorts before exposing contents, so
