@@ -389,12 +389,13 @@ mod tests {
     }
 
     fn breakdown(walk: u64, queue: u64, dram: u64) -> CycleBreakdown {
-        let mut b = CycleBreakdown::default();
-        b.walk_pwc_miss_local = walk;
-        b.ctrl_queue = queue;
-        b.dram_service = dram;
-        b.compute = 1000;
-        b
+        CycleBreakdown {
+            walk_pwc_miss_local: walk,
+            ctrl_queue: queue,
+            dram_service: dram,
+            compute: 1000,
+            ..CycleBreakdown::default()
+        }
     }
 
     #[test]

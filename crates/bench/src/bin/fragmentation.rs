@@ -6,7 +6,7 @@
 //! fault path falls back to 4 KiB pages, and the THP benefit evaporates —
 //! quantifying why real systems pair THP with compaction.
 
-use engine::{NullPolicy, SimConfig, Simulation};
+use engine::{NullPolicy, RunOptions, SimConfig, Simulation};
 use numa_topology::{Interconnect, MachineSpec, NodeId};
 use vmem::{AddressSpace, PageSize, ThpControls};
 use workloads::Benchmark;
@@ -75,9 +75,11 @@ fn main() {
 
     for (label, fraction) in [("THP, pristine", 0.0), ("THP, 98% fragmented", 0.98)] {
         let config = SimConfig::for_machine(&machine, ThpControls::thp());
-        let r = Simulation::run_with_setup(&machine, &spec, &config, &mut NullPolicy, |space| {
-            fragment(space, &machine, fraction)
-        });
+        let opts = RunOptions {
+            setup: Some(&|space| fragment(space, &machine, fraction)),
+            ..RunOptions::default()
+        };
+        let r = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, opts).result();
         println!(
             "{:<22} {:>12.2} {:>+8.1}% {:>12} {:>12}",
             label,

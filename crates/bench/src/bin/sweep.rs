@@ -454,8 +454,8 @@ fn keep(r: &SimResult) -> Scored {
 }
 
 /// Scores every candidate that has a full score vector.
-fn score_all<'a>(
-    candidates: &'a [Candidate],
+fn score_all(
+    candidates: &[Candidate],
     base: &[Scored],
     scored: &HashMap<usize, Vec<Scored>>,
 ) -> Vec<(Candidate, Score)> {

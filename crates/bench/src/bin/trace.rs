@@ -18,7 +18,7 @@
 use carrefour_bench::golden::{self, GoldenCell, GOLDEN_CELLS};
 use carrefour_bench::runner::Progress;
 use engine::trace::{EpochSnap, PolicyDecision, TraceEvent};
-use engine::{JsonlSink, SimConfig, Simulation, TeeSink, VecSink};
+use engine::{JsonlSink, RunOptions, SimConfig, Simulation, TeeSink, TraceSink, VecSink};
 use numa_topology::MachineSpec;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -99,14 +99,20 @@ fn run_traced_cell(machine: &MachineSpec, cell: GoldenCell) -> (Vec<TraceEvent>,
     let mut policy = cell.kind.make();
     let mut collect = VecSink::new();
     let jsonl_path = format!("results/trace_{}.jsonl", cell.stem());
+    let mut run = |sink: &mut dyn TraceSink| {
+        let opts = RunOptions {
+            sink: Some(sink),
+            ..RunOptions::default()
+        };
+        Simulation::run_with(machine, &spec, &config, policy.as_mut(), opts).result()
+    };
     let result = match File::create(Path::new(&jsonl_path)) {
         Ok(f) => {
             let mut jsonl = JsonlSink::new(BufWriter::new(f));
-            let mut tee = TeeSink::new(vec![&mut collect, &mut jsonl]);
-            Simulation::run_traced(machine, &spec, &config, policy.as_mut(), &mut tee)
+            run(&mut TeeSink::new(vec![&mut collect, &mut jsonl]))
         }
         // Read-only checkout: still render the timeline from memory.
-        Err(_) => Simulation::run_traced(machine, &spec, &config, policy.as_mut(), &mut collect),
+        Err(_) => run(&mut collect),
     };
     (collect.events, result.runtime_ms)
 }

@@ -9,21 +9,20 @@
 //! * **render** — a function from the resulting [`Cell`] rows to the
 //!   paper-layout stdout table plus the `results/*.json` file.
 //!
-//! The binaries shrink to one [`run_standalone`] call, and
-//! `all_experiments` can fetch every experiment via [`all`], dedup
-//! identical cells across experiments (sound because the simulator is
-//! deterministic: equal [`CellSpec::key`]s imply equal results), and run
-//! the union through one shared pool.
+//! `all_experiments` fetches every experiment via [`all`] (`--only <name>`
+//! selects a subset), dedups identical cells across experiments (sound
+//! because the simulator is deterministic: equal [`CellSpec::key`]s imply
+//! equal results), and runs the union through one shared pool.
 
-use crate::runner::{self, CellSpec, Progress};
+use crate::runner::CellSpec;
 use crate::{find, improvement, machines, save_json, Cell, PolicyKind};
 use numa_topology::MachineSpec;
 use workloads::Benchmark;
 
-/// One experiment: its name (binary name and `results/` stem), the cells
+/// One experiment: its name (`--only` name and `results/` stem), the cells
 /// it needs, and how it renders them.
 pub struct Experiment {
-    /// Binary/experiment name (`fig1`, `table2`, ...).
+    /// Experiment name (`fig1`, `table2`, ...).
     pub name: &'static str,
     /// Cells in submission order. Renderers may rely on this order.
     pub specs: Vec<CellSpec>,
@@ -95,19 +94,6 @@ pub fn all() -> Vec<Experiment> {
             render: tuned_render,
         },
     ]
-}
-
-/// Runs one experiment by name on the shared runner — the entire body of
-/// each standalone binary.
-pub fn run_standalone(name: &str) {
-    let exp = all()
-        .into_iter()
-        .find(|e| e.name == name)
-        .unwrap_or_else(|| panic!("unknown experiment {name}"));
-    let progress = Progress::new(exp.name, exp.specs.len());
-    let cells = runner::run_cells(&exp.specs, runner::default_jobs(), &progress);
-    progress.finish();
-    (exp.render)(&cells);
 }
 
 /// The full benchmark set minus streamcluster (which only appears in the

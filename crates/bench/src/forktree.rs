@@ -3,7 +3,7 @@
 //! independent runs (DESIGN.md §15).
 //!
 //! The first cell of a family is the **probe**: it runs in full under a
-//! [`engine::RunObserver`] that records, at every epoch boundary, the
+//! [`engine::RunHook`] that records, at every epoch boundary, the
 //! policy's inputs (counters, filtered samples, THP switches, fed-back
 //! failures) and a fingerprint of its *outputs* (action queue, decision
 //! log, retry count — [`engine::epoch_output_fingerprint`]), and snapshots
@@ -18,7 +18,7 @@
 //! recorded inputs *are* the inputs the sibling would have seen. At the
 //! first mismatch (epoch `e`), only epochs `e..` can differ; the sibling
 //! resumes from the deepest cached checkpoint `j ≤ e` via
-//! [`Simulation::resume_forked`], which restores the simulation state but
+//! a [`Start::Fork`] run, which restores the simulation state but
 //! leaves the policy alone (the checkpoint holds the *probe's* policy
 //! bytes). The sibling's policy state at `j` is rebuilt by replaying a
 //! fresh instance over boundaries `0..j` — already verified equal, so the
@@ -27,8 +27,8 @@
 
 use crate::runner::CellSpec;
 use engine::{
-    Checkpoint, DigestSink, EpochBoundary, EpochCtx, FailedAction, NumaPolicy, RunObserver,
-    SimResult, Simulation, TraceDigest,
+    Checkpoint, DigestSink, EpochBoundary, EpochCtx, FailedAction, NumaPolicy, RunHook, RunOptions,
+    SimResult, Simulation, Start, TraceDigest, TraceSink,
 };
 use numa_topology::MachineSpec;
 use profiling::{EpochCounters, IbsSample};
@@ -36,7 +36,7 @@ use std::time::Instant;
 use vmem::ThpControls;
 
 /// Default checkpoint-cache budget when `CARREFOUR_FORK_CACHE_MB` is
-/// unset (or unparseable — [`engine::env_override_u32`] warns and falls
+/// unset (or unparseable — [`crate::env_override_u32`] warns and falls
 /// back here). The budget is per family; families running concurrently
 /// each get their own cache.
 pub const DEFAULT_CACHE_MB: u32 = 256;
@@ -96,14 +96,14 @@ impl CkptCache {
     }
 }
 
-/// The probe-side observer: records every boundary and snapshots every
+/// The probe-side hook: records every boundary and snapshots every
 /// epoch ≥ 1 into the LRU cache (one pass instead of O(epochs) re-runs).
 struct Recorder {
     records: Vec<BoundaryRecord>,
     cache: CkptCache,
 }
 
-impl RunObserver for Recorder {
+impl RunHook for Recorder {
     fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
         self.records.push(BoundaryRecord {
             epoch: b.epoch,
@@ -126,7 +126,7 @@ impl RunObserver for Recorder {
 
 /// Feeds one recorded boundary to `policy` and returns its output
 /// fingerprint. The decision log is enabled to mirror the probe run
-/// (which always has an observer attached).
+/// (which always has a hook attached).
 fn replay_boundary(
     machine: &MachineSpec,
     rec: &BoundaryRecord,
@@ -233,9 +233,8 @@ fn splice_digest(
 pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyStats) {
     assert!(!specs.is_empty(), "a family needs at least one cell");
     if specs.len() == 1 {
-        // A lone cell has nobody to share with: plain run, no observation
-        // overhead (the observer would force sample storage and
-        // per-boundary snapshots for nothing).
+        // A lone cell has nobody to share with: plain run, no hook (which
+        // would record boundaries and snapshot each one for nothing).
         let spec = &specs[0];
         let config = spec.sim_config();
         let wspec = spec.workload.spec(&spec.machine);
@@ -262,7 +261,7 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     let machine = &probe_spec.machine;
     let config = probe_spec.sim_config();
     let wspec = probe_spec.workload.spec(machine);
-    let budget_mb = engine::env_override_u32("CARREFOUR_FORK_CACHE_MB").unwrap_or(DEFAULT_CACHE_MB);
+    let budget_mb = crate::env_override_u32("CARREFOUR_FORK_CACHE_MB").unwrap_or(DEFAULT_CACHE_MB);
     let mut recorder = Recorder {
         records: Vec::new(),
         cache: CkptCache::new(budget_mb as usize * 1024 * 1024),
@@ -278,30 +277,19 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     let probe_t = Instant::now();
     let mut probe_policy = probe_spec.make_policy();
     let probe_name = probe_policy.name().to_string();
-    let (mut probe_result, probe_digest) = if traced {
-        let mut sink = DigestSink::new();
-        let r = Simulation::run_observed(
-            machine,
-            &wspec,
-            &config,
-            probe_policy.as_mut(),
-            Some(&mut sink),
-            &mut recorder,
-        );
-        let mut d = sink.into_digest();
-        d.runtime_cycles = r.runtime_cycles;
-        (r, Some(d))
-    } else {
-        let r = Simulation::run_observed(
-            machine,
-            &wspec,
-            &config,
-            probe_policy.as_mut(),
-            None,
-            &mut recorder,
-        );
-        (r, None)
+    let probe_consumes = probe_policy.consumes_samples();
+    let mut sink = traced.then(DigestSink::new);
+    let opts = RunOptions {
+        hook: Some(&mut recorder),
+        ..sink_opts(&mut sink)
     };
+    let mut probe_result =
+        Simulation::run_with(machine, &wspec, &config, probe_policy.as_mut(), opts).result();
+    let probe_digest = sink.map(|s| {
+        let mut d = s.into_digest();
+        d.runtime_cycles = probe_result.runtime_cycles;
+        d
+    });
     stats.epochs_simulated += probe_result.epochs.len() as u64;
     stats.probe_secs += probe_t.elapsed().as_secs_f64();
     probe_result.policy = probe_spec.policy_label();
@@ -319,9 +307,10 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     // --- Siblings: replay, then fork / clone / scratch. ---
     for spec in &specs[1..] {
         let mut fresh = spec.make_policy();
-        if fresh.name() != probe_name {
+        if fresh.name() != probe_name || fresh.consumes_samples() != probe_consumes {
             // Digest splicing hashes the policy name into epoch 0:
-            // different names never share.
+            // different names never share. Nor does a sibling that reads
+            // samples the probe's run did not store.
             out.push(run_scratch(
                 spec, machine, &wspec, &config, traced, &mut stats,
             ));
@@ -370,23 +359,17 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
         }
         stats.replay_secs += rebuild_t.elapsed().as_secs_f64();
         let resume_t = Instant::now();
-        let (mut result, digest) = if traced {
-            let mut sink = DigestSink::new();
-            let r = Simulation::resume_forked_traced(
-                machine,
-                &wspec,
-                &config,
-                forked.as_mut(),
-                Some(&mut sink),
-                ckpt,
-            );
-            let probe_d = probe_digest.as_ref().expect("traced probe has a digest");
-            let d = splice_digest(probe_d, sink.into_digest(), fork_epoch, r.runtime_cycles);
-            (r, Some(d))
-        } else {
-            let r = Simulation::resume_forked(machine, &wspec, &config, forked.as_mut(), ckpt);
-            (r, None)
+        let mut sink = traced.then(DigestSink::new);
+        let opts = RunOptions {
+            start: Start::Fork(ckpt),
+            ..sink_opts(&mut sink)
         };
+        let mut result =
+            Simulation::run_with(machine, &wspec, &config, forked.as_mut(), opts).result();
+        let digest = sink.map(|s| {
+            let probe_d = probe_digest.as_ref().expect("traced probe has a digest");
+            splice_digest(probe_d, s.into_digest(), fork_epoch, result.runtime_cycles)
+        });
         stats.epochs_reused += u64::from(fork_epoch);
         stats.epochs_simulated += result.epochs.len() as u64 - u64::from(fork_epoch);
         stats.resume_secs += resume_t.elapsed().as_secs_f64();
@@ -396,6 +379,14 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     }
 
     (out, stats)
+}
+
+/// Default run options, traced into `sink` when there is one.
+fn sink_opts(sink: &mut Option<DigestSink>) -> RunOptions<'_> {
+    RunOptions {
+        sink: sink.as_mut().map(|s| s as &mut dyn TraceSink),
+        ..RunOptions::default()
+    }
 }
 
 /// The no-sharing fallback: one full run, counted as such.
@@ -409,16 +400,20 @@ fn run_scratch(
 ) -> FamilyCell {
     let t = Instant::now();
     let mut policy = spec.make_policy();
-    let (mut result, digest) = if traced {
-        let mut sink = DigestSink::new();
-        let r = Simulation::run_traced(machine, wspec, config, policy.as_mut(), &mut sink);
-        let mut d = sink.into_digest();
-        d.runtime_cycles = r.runtime_cycles;
-        (r, Some(d))
-    } else {
-        let r = Simulation::run(machine, wspec, config, policy.as_mut());
-        (r, None)
-    };
+    let mut sink = traced.then(DigestSink::new);
+    let mut result = Simulation::run_with(
+        machine,
+        wspec,
+        config,
+        policy.as_mut(),
+        sink_opts(&mut sink),
+    )
+    .result();
+    let digest = sink.map(|s| {
+        let mut d = s.into_digest();
+        d.runtime_cycles = result.runtime_cycles;
+        d
+    });
     stats.epochs_simulated += result.epochs.len() as u64;
     stats.scratch += 1;
     stats.scratch_secs += t.elapsed().as_secs_f64();

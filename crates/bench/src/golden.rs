@@ -24,7 +24,7 @@
 //!   when-to-bless policy).
 
 use crate::PolicyKind;
-use engine::{DigestSink, SimConfig, Simulation, TraceDigest};
+use engine::{DigestSink, RunOptions, SimConfig, Simulation, TraceDigest};
 use numa_topology::MachineSpec;
 use std::path::{Path, PathBuf};
 use workloads::Benchmark;
@@ -127,7 +127,11 @@ pub fn digest_cell(machine: &MachineSpec, cell: GoldenCell) -> TraceDigest {
     let spec = cell.bench.spec(machine);
     let mut policy = cell.kind.make();
     let mut sink = DigestSink::new();
-    let result = Simulation::run_traced(machine, &spec, &config, policy.as_mut(), &mut sink);
+    let opts = RunOptions {
+        sink: Some(&mut sink),
+        ..RunOptions::default()
+    };
+    let result = Simulation::run_with(machine, &spec, &config, policy.as_mut(), opts).result();
     let mut digest = sink.into_digest();
     digest.policy = cell.kind.label().to_string();
     digest.runtime_cycles = result.runtime_cycles;

@@ -30,6 +30,30 @@ pub fn attrib_enabled() -> bool {
     std::env::var_os("CARREFOUR_ATTRIB").is_some_and(|v| v == "1")
 }
 
+/// Reads `$name` as a `u32` override. Unset → `None` (auto). Set but
+/// unparseable → a loud stderr warning and `None`: a typo'd override
+/// silently pinning behaviour to the default is far worse than noise.
+/// Used by the bench runner's `CARREFOUR_JOBS` and
+/// `CARREFOUR_FORK_CACHE_MB`.
+pub fn env_override_u32(name: &str) -> Option<u32> {
+    parse_env_override(name, std::env::var(name).ok().as_deref())
+}
+
+/// The pure half of [`env_override_u32`], split out so tests don't race on
+/// process-global environment state.
+fn parse_env_override(name: &str, raw: Option<&str>) -> Option<u32> {
+    let raw = raw?;
+    match raw.trim().parse::<u32>() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!(
+                "warning: ignoring {name}={raw:?}: not a non-negative integer, falling back to auto"
+            );
+            None
+        }
+    }
+}
+
 /// Every system configuration the paper evaluates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum PolicyKind {
@@ -512,5 +536,24 @@ mod tests {
     fn fmt_pct_signs() {
         assert_eq!(fmt_pct(12.34), "+12.3%");
         assert_eq!(fmt_pct(-5.0), "-5.0%");
+    }
+
+    #[test]
+    fn unset_is_auto() {
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", None), None);
+    }
+
+    #[test]
+    fn valid_values_parse_with_whitespace_tolerance() {
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some("4")), Some(4));
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some(" 12 ")), Some(12));
+        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some("0")), Some(0));
+    }
+
+    #[test]
+    fn garbage_warns_and_falls_back_to_auto() {
+        for bad in ["four", "-1", "3.5", "", "0x10", "9999999999999999999"] {
+            assert_eq!(parse_env_override("CARREFOUR_JOBS", Some(bad)), None);
+        }
     }
 }

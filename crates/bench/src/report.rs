@@ -22,9 +22,7 @@
 
 use crate::golden::GOLDEN_CELLS;
 use crate::json::{json_f64, json_str};
-use engine::{
-    JsonlMetricsRecorder, MetricsRow, SimConfig, Simulation, TeeMetricsRecorder, VecMetricsRecorder,
-};
+use engine::{JsonlRecorder, MetricsRow, RunOptions, SimConfig, Simulation, TeeHook, VecRecorder};
 use numa_topology::MachineSpec;
 use std::path::Path;
 
@@ -59,11 +57,15 @@ pub fn record_golden_cells(dir: &Path) -> Vec<CellSeries> {
         config.attribution = true;
         let spec = cell.bench.spec(&machine);
         let mut policy = cell.kind.make();
-        let mut vec_rec = VecMetricsRecorder::new();
-        let mut jsonl = JsonlMetricsRecorder::new(Vec::new());
+        let mut vec_rec = VecRecorder::new();
+        let mut jsonl = JsonlRecorder::new(Vec::new());
         let result = {
-            let mut tee = TeeMetricsRecorder::new(&mut vec_rec, &mut jsonl);
-            Simulation::run_recorded(&machine, &spec, &config, policy.as_mut(), None, &mut tee)
+            let mut tee = TeeHook::new(&mut vec_rec, &mut jsonl);
+            let opts = RunOptions {
+                hook: Some(&mut tee),
+                ..RunOptions::default()
+            };
+            Simulation::run_with(&machine, &spec, &config, policy.as_mut(), opts).result()
         };
         let stem = cell.stem();
         if let Some(e) = jsonl.error() {

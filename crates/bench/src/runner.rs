@@ -253,9 +253,9 @@ pub fn jobs_from_args() -> Option<usize> {
 /// Resolves the worker count: explicit CLI value, then `CARREFOUR_JOBS`,
 /// then the host's available parallelism. Always at least 1. An
 /// unparseable `CARREFOUR_JOBS` warns on stderr and falls back to auto
-/// (via [`engine::env_override_u32`]) rather than silently serializing.
+/// (via [`crate::env_override_u32`]) rather than silently serializing.
 pub fn resolve_jobs(cli: Option<usize>) -> usize {
-    cli.or_else(|| engine::env_override_u32("CARREFOUR_JOBS").map(|v| v as usize))
+    cli.or_else(|| crate::env_override_u32("CARREFOUR_JOBS").map(|v| v as usize))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)

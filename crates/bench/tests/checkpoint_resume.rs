@@ -14,29 +14,38 @@
 //!   entries in flight), and where a **circuit breaker has tripped** —
 //!   checked exhaustively at *every* epoch boundary of the run, so the
 //!   adversarial epochs cannot be missed;
-//! * random shapes/seeds/rates/epochs under **both the fast path and the
-//!   forced per-op path**, including resuming a fast-path snapshot under
-//!   `CARREFOUR_NO_FASTPATH=1` — the snapshot boundary state must be
-//!   identical whichever path produced or consumes it.
+//! * random shapes/seeds/rates/epochs with the access loop's **memo
+//!   tricks on and off** (`RunOptions::memo`), including resuming a
+//!   memo-on snapshot with them off — the snapshot boundary state must be
+//!   identical whichever loop produced or consumes it.
 
 use carrefour::CarrefourLp;
 use carrefour_bench::{golden, PolicyKind};
-use engine::{FaultConfig, NumaPolicy, SimConfig, SimResult, Simulation};
+use engine::{
+    Checkpoint, FaultConfig, NumaPolicy, RunHook, RunOptions, SimConfig, SimResult, Simulation,
+    Start,
+};
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
-use std::sync::Mutex;
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
-/// Serializes tests that flip `CARREFOUR_NO_FASTPATH` (the engine reads
-/// it per run; cargo runs tests in this binary on threads).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes the env lock, shrugging off poisoning: a failure in one test
-/// must not cascade into `PoisonError` panics in its siblings.
-fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs with the access loop's memo tricks off (`RunOptions::memo`),
+/// fresh or resumed from `ckpt`.
+fn run_without_memo(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    ckpt: Option<&Checkpoint>,
+) -> SimResult {
+    let opts = RunOptions {
+        start: ckpt.map_or(Start::Fresh, Start::Resume),
+        memo: false,
+        ..RunOptions::default()
+    };
+    Simulation::run_with(machine, spec, config, policy, opts).result()
 }
 
 /// A small multi-threaded workload, the same shape as the fast-path and
@@ -93,8 +102,6 @@ fn assert_resume_identical(
 /// cells whose digests gate CI must survive a mid-stream save/restore.
 #[test]
 fn golden_configs_resume_bit_identical_with_attribution_and_faults() {
-    let _guard = env_lock();
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
     std::env::set_var("CARREFOUR_QUIET", "1");
     let machine = MachineSpec::machine_a();
     let jobs = carrefour_bench::runner::resolve_jobs(None);
@@ -124,8 +131,6 @@ fn golden_configs_resume_bit_identical_with_attribution_and_faults() {
 /// fails instead of hollowing out.
 #[test]
 fn every_epoch_resumes_under_pins_vetoes_and_retry_backoff() {
-    let _guard = env_lock();
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
     let machine = MachineSpec::test_machine();
     let spec = small_spec("adversarial-lp", 4, AccessPattern::SharedUniform);
     let mut config = SimConfig::for_machine(&machine, PolicyKind::CarrefourLp.initial_thp());
@@ -160,8 +165,6 @@ fn every_epoch_resumes_under_pins_vetoes_and_retry_backoff() {
 /// resume bit-identical.
 #[test]
 fn every_epoch_resumes_with_a_tripped_circuit_breaker() {
-    let _guard = env_lock();
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
     let machine = MachineSpec::test_machine();
     // Action-dense shape (the fast-path suite's shootdown scenario): the
     // region is skewed onto node 0, so interleaving migrations flow every
@@ -203,8 +206,6 @@ fn every_epoch_resumes_with_a_tripped_circuit_breaker() {
 /// provoking table actions, the test fails rather than hollowing out.
 #[test]
 fn every_epoch_resumes_mid_table_replication_and_migration() {
-    let _guard = env_lock();
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
     let machine = MachineSpec::test_machine();
     // Skewed onto node 0 so every other node's walks cross the
     // interconnect: numaPTE sees remote walk steps, Mitosis's replicas
@@ -229,24 +230,75 @@ fn every_epoch_resumes_mid_table_replication_and_migration() {
         for epoch in 0..=n {
             assert_resume_identical(&machine, &spec, &config, || kind.make(), epoch, &full);
         }
-        // A mid-stream snapshot must also resume identically on the
-        // forced per-op path (which must itself agree with the fast path).
+        // A mid-stream snapshot must also resume identically with the memo
+        // tricks off (which must itself agree with the memo-on loop).
         let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), n / 2)
             .expect("mid-run snapshot");
-        std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
         let resumed_slow =
-            Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
-        std::env::remove_var("CARREFOUR_NO_FASTPATH");
+            run_without_memo(&machine, &spec, &config, kind.make().as_mut(), Some(&ckpt));
         assert_eq!(&resumed_slow, &full, "per-op resume diverged ({:?})", kind);
+    }
+}
+
+/// Keeps every checkpoint the engine offers a hook.
+#[derive(Default)]
+struct CaptureAll(Vec<Checkpoint>);
+
+impl RunHook for CaptureAll {
+    fn want_checkpoint(&mut self, _epoch: u32) -> bool {
+        true
+    }
+
+    fn on_checkpoint(&mut self, ckpt: Checkpoint) {
+        self.0.push(ckpt);
+    }
+}
+
+/// One capture point: a checkpoint a hook takes mid-run is byte-identical
+/// to the one `checkpoint_at` stops at, for the first, middle, second-last
+/// and last boundary, on a table-placement policy and on Carrefour-LP. The
+/// hook is offered exactly the boundaries the run closes (1..=n), and
+/// attaching it leaves the result unchanged.
+#[test]
+fn hook_checkpoints_match_checkpoint_at_bytes() {
+    let machine = MachineSpec::test_machine();
+    let spec = small_spec("capture", 4, AccessPattern::SharedUniform);
+    for kind in [PolicyKind::Mitosis, PolicyKind::CarrefourLp] {
+        let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
+        config.attribution = true;
+        let mut hook = CaptureAll::default();
+        let opts = RunOptions {
+            hook: Some(&mut hook),
+            ..RunOptions::default()
+        };
+        let hooked =
+            Simulation::run_with(&machine, &spec, &config, kind.make().as_mut(), opts).result();
+        let full = Simulation::run(&machine, &spec, &config, kind.make().as_mut());
+        assert_eq!(
+            hooked, full,
+            "a checkpointing hook changed the run ({kind:?})"
+        );
+        let n = full.epochs.len() as u32;
+        let offered: Vec<u32> = hook.0.iter().map(Checkpoint::epoch).collect();
+        assert_eq!(offered, (1..=n).collect::<Vec<_>>(), "{kind:?}");
+        for epoch in [1, n / 2, n - 1, n] {
+            let stopped =
+                Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), epoch)
+                    .expect("the run reaches every boundary it closes");
+            assert!(
+                hook.0[epoch as usize - 1].to_bytes() == stopped.to_bytes(),
+                "hook and checkpoint_at bytes differ at epoch {epoch} ({kind:?})"
+            );
+        }
     }
 }
 
 proptest! {
     /// Random workload shapes, seeds, policies, nonzero fault plans, and a
     /// random snapshot epoch: the resumed run equals the uninterrupted one
-    /// on the fast path, AND the *same fast-path snapshot* resumed under
-    /// the forced per-op path equals the per-op uninterrupted run — the
-    /// boundary state is path-independent in both directions.
+    /// with the memo tricks on, AND the *same memo-on snapshot* resumed
+    /// with them off equals the memo-off uninterrupted run — the boundary
+    /// state is loop-independent in both directions.
     #[test]
     fn resume_is_bit_identical_under_faults_and_both_paths(
         mib in 2u64..5,
@@ -263,8 +315,6 @@ proptest! {
             PolicyKind::NumaPte,
         ].as_slice(),
     ) {
-        let _guard = env_lock();
-        std::env::remove_var("CARREFOUR_NO_FASTPATH");
         let machine = MachineSpec::test_machine();
         let spec = small_spec("ckpt-prop", mib, pattern);
         let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
@@ -280,12 +330,11 @@ proptest! {
         let resumed = Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         prop_assert_eq!(&resumed, &full, "fast-path resume diverged at epoch {}", epoch);
 
-        // The per-op path must agree with the fast path (the existing
-        // equivalence claim) and accept the fast-path snapshot verbatim.
-        std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
-        let full_slow = Simulation::run(&machine, &spec, &config, kind.make().as_mut());
-        let resumed_slow = Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
-        std::env::remove_var("CARREFOUR_NO_FASTPATH");
+        // The memo-off loop must agree with the memo-on loop (the existing
+        // equivalence claim) and accept the memo-on snapshot verbatim.
+        let full_slow = run_without_memo(&machine, &spec, &config, kind.make().as_mut(), None);
+        let resumed_slow =
+            run_without_memo(&machine, &spec, &config, kind.make().as_mut(), Some(&ckpt));
         prop_assert_eq!(&full_slow, &full, "fast/per-op paths diverged");
         prop_assert_eq!(
             &resumed_slow,

@@ -1,10 +1,10 @@
-//! Fast-path-vs-per-op equivalence of the engine's batched access stream.
+//! Memo-on vs memo-off equivalence of the engine's access loop.
 //!
-//! The engine's `run_block` fast path (DESIGN.md §10, "Fast path
-//! soundness") memoizes epoch-stable uncached outcomes, bulk-charges
-//! stable L1-MRU hits, and skips the IBS sampler ahead — all claimed
-//! bit-identical to the per-op path. `CARREFOUR_NO_FASTPATH=1` forces the
-//! per-op path; these tests run both and assert full `SimResult` equality
+//! The engine's access loop (DESIGN.md §10, "Fast path soundness")
+//! memoizes epoch-stable uncached outcomes, bulk-charges stable L1-MRU
+//! hits, and skips the IBS sampler ahead — all claimed bit-identical to
+//! the plain per-op loop. `RunOptions::memo = false` turns the three
+//! tricks off; these tests run both and assert full `SimResult` equality
 //! (`PartialEq` covers every per-epoch record and lifetime counter).
 //!
 //! The targeted scenarios pin the invalidation edge cases where a stale
@@ -15,43 +15,24 @@
 //! silences the trigger fails loudly instead of hollowing out the test.
 
 use carrefour::Carrefour;
-use carrefour_bench::runner::{self, CellSpec, Progress, Workload};
+use carrefour_bench::runner::{CellSpec, Workload};
 use carrefour_bench::PolicyKind;
-use engine::{FaultConfig, NumaPolicy, SimConfig, SimResult, Simulation};
+use engine::{FaultConfig, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation};
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
-use std::sync::Mutex;
 use vmem::ThpControls;
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
-/// Serializes tests that flip `CARREFOUR_NO_FASTPATH`: the engine reads
-/// the variable per run, and cargo runs tests in this binary on threads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `specs` sequentially twice — fast path on, then forced off — and
-/// asserts the result rows are bit-identical. Returns the fast-path rows
-/// so callers can assert their scenario actually triggered.
-fn assert_fastpath_equivalent(specs: &[CellSpec]) -> Vec<SimResult> {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::set_var("CARREFOUR_QUIET", "1");
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
-    let pf = Progress::new("fp-on", specs.len());
-    let fast = runner::run_cells(specs, 1, &pf);
-    std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
-    let ps = Progress::new("fp-off", specs.len());
-    let slow = runner::run_cells(specs, 1, &ps);
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
-    assert_eq!(fast.len(), slow.len());
-    for (cf, cs) in fast.iter().zip(&slow) {
-        assert_eq!(
-            cf.result, cs.result,
-            "fast path diverged from per-op path for {}/{}",
-            cf.benchmark, cf.policy
-        );
-    }
-    fast.into_iter().map(|c| c.result).collect()
+/// Runs `cell` through the engine twice — memo tricks on, then off — and
+/// asserts the results are bit-identical. Returns the memo-on result so
+/// callers can assert their scenario actually triggered.
+fn assert_fastpath_equivalent(cell: &CellSpec) -> SimResult {
+    let wspec = cell.workload.spec(&cell.machine);
+    assert_sim_equivalent(&cell.machine, &wspec, &cell.sim_config(), || {
+        cell.make_policy()
+    })
 }
 
 /// A small multi-threaded workload over one region.
@@ -92,24 +73,29 @@ fn cell(workload: WorkloadSpec, kind: PolicyKind, faults: Option<FaultConfig>) -
     }
 }
 
-/// Runs one `Simulation` twice — fast path on, then forced off — with a
-/// fresh policy instance each time, and asserts bit-identical results.
-/// Direct `Simulation::run` variant of [`assert_fastpath_equivalent`] for
-/// scenarios that need a hand-configured policy (e.g. replication, which
-/// no `PolicyKind` enables).
+/// Runs one `Simulation` twice — memo tricks on, then off — with a fresh
+/// policy instance each time, and asserts bit-identical results. Direct
+/// form of [`assert_fastpath_equivalent`] for scenarios that need a
+/// hand-configured policy (e.g. replication, which no `PolicyKind`
+/// enables).
 fn assert_sim_equivalent(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
     config: &SimConfig,
     mut make_policy: impl FnMut() -> Box<dyn NumaPolicy>,
 ) -> SimResult {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
-    let fast = Simulation::run(machine, spec, config, make_policy().as_mut());
-    std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
-    let slow = Simulation::run(machine, spec, config, make_policy().as_mut());
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
-    assert_eq!(fast, slow, "fast path diverged from per-op path");
+    let [fast, slow] = [true, false].map(|memo| {
+        let opts = RunOptions {
+            memo,
+            ..RunOptions::default()
+        };
+        Simulation::run_with(machine, spec, config, make_policy().as_mut(), opts).result()
+    });
+    assert_eq!(
+        fast, slow,
+        "memo tricks diverged from the plain loop for {}/{}",
+        fast.workload, fast.policy
+    );
     fast
 }
 
@@ -155,8 +141,8 @@ fn shootdown_during_multithread_epoch_is_bit_identical() {
     w.ops_per_round = 1000;
     w.compute_rounds = 150;
     assert!(w.threads > 1, "scenario needs multiple threads");
-    let results = assert_fastpath_equivalent(&[cell(w, PolicyKind::Carrefour4k, None)]);
-    let vm = &results[0].lifetime.vmem;
+    let r = assert_fastpath_equivalent(&cell(w, PolicyKind::Carrefour4k, None));
+    let vm = &r.lifetime.vmem;
     assert!(
         vm.migrations_4k + vm.migrations_2m > 0,
         "scenario did not migrate (no shootdowns exercised): {vm:?}"
@@ -169,8 +155,8 @@ fn shootdown_during_multithread_epoch_is_bit_identical() {
 #[test]
 fn demote_then_repromote_is_bit_identical() {
     let w = spec("demote-repromote", 8, AccessPattern::SharedUniform, 0.5);
-    let results = assert_fastpath_equivalent(&[cell(w, PolicyKind::CarrefourLp, None)]);
-    let vm = &results[0].lifetime.vmem;
+    let r = assert_fastpath_equivalent(&cell(w, PolicyKind::CarrefourLp, None));
+    let vm = &r.lifetime.vmem;
     assert!(vm.splits > 0, "scenario did not split a huge page: {vm:?}");
     assert!(
         vm.collapses > 0,
@@ -180,7 +166,7 @@ fn demote_then_repromote_is_bit_identical() {
 
 proptest! {
     /// Random workload shapes, seeds, policies, and **nonzero fault
-    /// plans** produce bit-identical `SimResult`s with the fast path on
+    /// plans** produce bit-identical `SimResult`s with the memo tricks on
     /// and off. Fault injection is the nastiest case: injected failures
     /// (busy pins, allocation vetoes, dropped samples) perturb policy
     /// actions mid-epoch, exactly where a stale memo would surface.
@@ -203,6 +189,6 @@ proptest! {
         let w = spec("fp-prop", mib, pattern, write_fraction);
         let mut c = cell(w, kind, Some(FaultConfig::uniform(fault_seed, rate)));
         c.seed = Some(seed);
-        assert_fastpath_equivalent(&[c]);
+        assert_fastpath_equivalent(&c);
     }
 }

@@ -15,7 +15,7 @@ use carrefour::{LpParams, LpThresholds};
 use carrefour_bench::forktree;
 use carrefour_bench::runner::{CellSpec, Workload};
 use carrefour_bench::PolicyKind;
-use engine::{DigestSink, FaultConfig, SimResult, Simulation, TraceDigest};
+use engine::{DigestSink, FaultConfig, RunOptions, SimResult, Simulation, TraceDigest};
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
@@ -53,7 +53,12 @@ fn scratch(spec: &CellSpec) -> (SimResult, TraceDigest) {
     let wspec = spec.workload.spec(&spec.machine);
     let mut policy = spec.make_policy();
     let mut sink = DigestSink::new();
-    let mut r = Simulation::run_traced(&spec.machine, &wspec, &config, policy.as_mut(), &mut sink);
+    let opts = RunOptions {
+        sink: Some(&mut sink),
+        ..RunOptions::default()
+    };
+    let mut r =
+        Simulation::run_with(&spec.machine, &wspec, &config, policy.as_mut(), opts).result();
     let mut d = sink.into_digest();
     d.runtime_cycles = r.runtime_cycles;
     r.policy = spec.policy_label();

@@ -1,9 +1,9 @@
 //! Recorder-on vs recorder-off bit-equivalence of the flight recorder.
 //!
 //! The metrics recorder's contract (DESIGN.md §16) mirrors the trace
-//! layer's: attaching a [`engine::MetricsRecorder`] is pure observation —
-//! it must never change a single bit of the simulation's outputs. These
-//! tests pin that at its strongest reading:
+//! layer's: attaching a metrics recorder as the run's [`engine::RunHook`]
+//! is pure observation — it must never change a single bit of the
+//! simulation's outputs. These tests pin that at its strongest reading:
 //!
 //! * every **golden cell** runs recorder-on and recorder-off with equal
 //!   [`engine::SimResult`]s (attribution ledger and robustness counters
@@ -15,8 +15,8 @@
 
 use carrefour_bench::{golden, PolicyKind};
 use engine::{
-    DigestSink, FaultConfig, NumaPolicy, SimConfig, SimResult, Simulation, TraceDigest,
-    VecMetricsRecorder,
+    DigestSink, FaultConfig, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation, TraceDigest,
+    VecRecorder,
 };
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
@@ -58,21 +58,30 @@ fn run_plain(
     policy: &mut dyn NumaPolicy,
 ) -> (SimResult, TraceDigest) {
     let mut sink = DigestSink::new();
-    let result = Simulation::run_traced(machine, spec, config, policy, &mut sink);
+    let opts = RunOptions {
+        sink: Some(&mut sink),
+        ..RunOptions::default()
+    };
+    let result = Simulation::run_with(machine, spec, config, policy, opts).result();
     (result, sink.into_digest())
 }
 
-/// Runs one cell traced with a [`VecMetricsRecorder`] attached:
+/// Runs one cell traced with a [`VecRecorder`] attached:
 /// `(result, digest, recorder)`.
 fn run_recorded(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
     config: &SimConfig,
     policy: &mut dyn NumaPolicy,
-) -> (SimResult, TraceDigest, VecMetricsRecorder) {
+) -> (SimResult, TraceDigest, VecRecorder) {
     let mut sink = DigestSink::new();
-    let mut rec = VecMetricsRecorder::new();
-    let result = Simulation::run_recorded(machine, spec, config, policy, Some(&mut sink), &mut rec);
+    let mut rec = VecRecorder::new();
+    let opts = RunOptions {
+        sink: Some(&mut sink),
+        hook: Some(&mut rec),
+        ..RunOptions::default()
+    };
+    let result = Simulation::run_with(machine, spec, config, policy, opts).result();
     (result, sink.into_digest(), rec)
 }
 
@@ -83,7 +92,7 @@ fn assert_recorder_invisible(
     spec: &WorkloadSpec,
     config: &SimConfig,
     mut make_policy: impl FnMut() -> Box<dyn NumaPolicy>,
-) -> (SimResult, VecMetricsRecorder) {
+) -> (SimResult, VecRecorder) {
     let (want, want_digest) = run_plain(machine, spec, config, make_policy().as_mut());
     let (got, got_digest, rec) = run_recorded(machine, spec, config, make_policy().as_mut());
     assert_eq!(
@@ -100,7 +109,7 @@ fn assert_recorder_invisible(
 }
 
 /// Checks the recorded series' structure against the run it observed.
-fn assert_series_sound(result: &SimResult, rec: &VecMetricsRecorder) {
+fn assert_series_sound(result: &SimResult, rec: &VecRecorder) {
     assert_eq!(
         rec.rows.len(),
         result.epochs.len(),

@@ -173,7 +173,7 @@ fn panicking_cell_does_not_abort_the_suite() {
     // A second region at the same base: the overlap panics inside the
     // cell (shares are rebalanced so that check fires, not the share sum).
     bad_spec.regions[0].share = 0.5;
-    bad_spec.regions.push(bad_spec.regions[0].clone());
+    bad_spec.regions.push(bad_spec.regions[0]);
     let mut bad = good("bad-cell");
     bad.workload = Workload::Custom(bad_spec);
     let specs = vec![good("good-0"), bad, good("good-2")];

@@ -49,14 +49,13 @@ pub use policy::{
     ActionError, EpochCtx, FailedAction, NullPolicy, NumaPolicy, PolicyAction, PolicyIntrospection,
 };
 pub use recorder::{
-    JsonlMetricsRecorder, MetricsRecorder, MetricsRow, MetricsSample, PageSnapshot, RunInfo,
-    TeeMetricsRecorder, VecMetricsRecorder,
+    JsonlRecorder, MetricsRow, MetricsSample, PageSnapshot, RunInfo, TeeHook, VecRecorder,
 };
 pub use result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
 };
-pub use sim::{env_override_u32, EpochBoundary, RunObserver, Simulation};
+pub use sim::{EpochBoundary, RunHook, RunOptions, RunOutcome, Simulation, Start};
 pub use trace::{
     epoch_output_fingerprint, CountingSink, DigestSink, EpochDigest, EpochSnap, EventKind,
     JsonlSink, PolicyDecision, RingSink, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,

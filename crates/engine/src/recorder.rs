@@ -1,23 +1,23 @@
 //! The flight recorder's engine layer: per-epoch metric time-series.
 //!
-//! A [`MetricsRecorder`] is a `TraceSink`-style hook that the simulation
-//! driver calls once per epoch boundary with a [`MetricsSample`] — the
-//! paper's derived metrics (imbalance, PAMUP, NHP, PSP), per-controller
-//! load, TLB and walk-cache hit rates for the epoch, the policy's
-//! retry/breaker state ([`crate::PolicyIntrospection`]), and the
-//! attribution ledger's per-epoch delta. Where `engine::trace` answers
-//! "what happened", the recorder answers "how did the paper's metrics
-//! *evolve*" — the temporal curves Sections 2.2 and 3 of the paper argue
-//! from.
+//! A metrics recorder is a [`RunHook`] whose [`RunHook::wants_metrics`] is
+//! true: the simulation driver hands it one [`MetricsSample`] per epoch
+//! boundary (in [`crate::EpochBoundary::metrics`]) — the paper's derived
+//! metrics (imbalance, PAMUP, NHP, PSP), per-controller load, TLB and
+//! walk-cache hit rates for the epoch, the policy's retry/breaker state
+//! ([`crate::PolicyIntrospection`]), and the attribution ledger's
+//! per-epoch delta. Where `engine::trace` answers "what happened", the
+//! recorder answers "how did the paper's metrics *evolve*" — the temporal
+//! curves Sections 2.2 and 3 of the paper argue from.
 //!
 //! # Zero-cost-when-off, bit-identity-preserving
 //!
 //! The contract mirrors the trace layer's (DESIGN.md §9, §16): when no
-//! recorder is attached the driver pays one `Option` test per epoch and
-//! nothing else; when one *is* attached, every read it performs is
-//! `&self` — counters already computed, page-stat aggregation, policy
-//! introspection — so a recorded run's `SimResult`, ledger, and trace
-//! digest are bit-identical to an unrecorded run's (proptested in
+//! hook asks for samples the driver builds none; when one does, every
+//! read behind the sample is `&self` — counters already computed,
+//! page-stat aggregation, policy introspection — so a recorded run's
+//! `SimResult`, ledger, and trace digest are bit-identical to an
+//! unrecorded run's (proptested in
 //! `carrefour-bench/tests/metrics_equivalence.rs`). In particular the
 //! recorder never turns `SimConfig::track_page_stats` on by itself: when
 //! page stats are off, [`MetricsSample::pages`] is `None` and the JSONL
@@ -25,11 +25,12 @@
 //!
 //! # `metrics-v2` JSONL
 //!
-//! [`JsonlMetricsRecorder`] serializes the stream next to the trace
-//! output's format: one `{"metrics": "run_start", ...}` header line, one
+//! [`JsonlRecorder`] serializes the stream next to the trace output's
+//! format: one `{"metrics": "run_start", ...}` header line, one
 //! `{"metrics": "epoch", ...}` line per boundary. Schema in DESIGN.md §16.
 
 use crate::policy::PolicyIntrospection;
+use crate::sim::{EpochBoundary, RunHook};
 use profiling::CycleBreakdown;
 use std::io::Write;
 
@@ -63,7 +64,7 @@ pub struct PageSnapshot {
 }
 
 /// One epoch boundary's metric sample. TLB and walk-cache counts are
-/// per-epoch deltas (the recorder differences the lifetime counters);
+/// per-epoch deltas (the engine differences the lifetime counters);
 /// everything else is this epoch's value as the policy saw it.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricsSample<'a> {
@@ -238,25 +239,7 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// The per-epoch metrics hook. Like `TraceSink`, implementations must be
-/// pure consumers: a recorder that mutated simulation state would break
-/// the bit-identity contract.
-pub trait MetricsRecorder {
-    /// Called once, before the first round executes (only on full runs —
-    /// checkpoint/resume segments do not re-announce themselves).
-    fn on_run_start(&mut self, _info: &RunInfo<'_>) {}
-
-    /// Called at every epoch boundary, after the policy ran and its
-    /// actions were applied (so `epoch_cycles` includes the boundary
-    /// overhead), before the next epoch begins.
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>);
-
-    /// Called when the run completes (flush point for buffering
-    /// recorders). Not called when a `checkpoint_at` run stops early.
-    fn finish(&mut self) {}
-}
-
-/// An owned copy of one sample — what [`VecMetricsRecorder`] stores and
+/// An owned copy of one sample — what [`VecRecorder`] stores and
 /// report tooling charts from.
 #[derive(Clone, Debug)]
 pub struct MetricsRow {
@@ -319,21 +302,26 @@ impl MetricsRow {
 
 /// Buffers every sample in memory — the report binary's recorder.
 #[derive(Default)]
-pub struct VecMetricsRecorder {
+pub struct VecRecorder {
     /// The run header, when one was announced.
     pub header: Option<(String, String, String)>,
     /// One row per epoch boundary, in order.
     pub rows: Vec<MetricsRow>,
 }
 
-impl VecMetricsRecorder {
+impl VecRecorder {
     /// An empty recorder.
     pub fn new() -> Self {
-        VecMetricsRecorder::default()
+        VecRecorder::default()
+    }
+
+    /// Stores one sample as a row.
+    pub fn record(&mut self, sample: &MetricsSample<'_>) {
+        self.rows.push(MetricsRow::from_sample(sample));
     }
 }
 
-impl MetricsRecorder for VecMetricsRecorder {
+impl RunHook for VecRecorder {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.header = Some((
             info.workload.to_string(),
@@ -342,24 +330,30 @@ impl MetricsRecorder for VecMetricsRecorder {
         ));
     }
 
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>) {
-        self.rows.push(MetricsRow::from_sample(sample));
+    fn wants_metrics(&self) -> bool {
+        true
+    }
+
+    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+        if let Some(sample) = &b.metrics {
+            self.record(sample);
+        }
     }
 }
 
 /// Streams `metrics-v2` JSONL to any writer. Mirrors `JsonlSink`'s error
 /// handling: the first `io::Error` is stored (inspect via
-/// [`JsonlMetricsRecorder::error`]) and later writes are skipped — a
+/// [`JsonlRecorder::error`]) and later writes are skipped — a
 /// recorder must never panic mid-simulation over a full disk.
-pub struct JsonlMetricsRecorder<W: Write> {
+pub struct JsonlRecorder<W: Write> {
     out: W,
     error: Option<std::io::Error>,
 }
 
-impl<W: Write> JsonlMetricsRecorder<W> {
+impl<W: Write> JsonlRecorder<W> {
     /// Wraps a writer.
     pub fn new(out: W) -> Self {
-        JsonlMetricsRecorder { out, error: None }
+        JsonlRecorder { out, error: None }
     }
 
     /// The first write error, if any occurred.
@@ -380,9 +374,14 @@ impl<W: Write> JsonlMetricsRecorder<W> {
             self.error = Some(e);
         }
     }
+
+    /// Writes one sample as a `metrics-v2` epoch line.
+    pub fn record(&mut self, sample: &MetricsSample<'_>) {
+        self.write_line(&sample.to_json());
+    }
 }
 
-impl<W: Write> MetricsRecorder for JsonlMetricsRecorder<W> {
+impl<W: Write> RunHook for JsonlRecorder<W> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.write_line(&format!(
             "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v2\",\
@@ -396,8 +395,14 @@ impl<W: Write> MetricsRecorder for JsonlMetricsRecorder<W> {
         ));
     }
 
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>) {
-        self.write_line(&sample.to_json());
+    fn wants_metrics(&self) -> bool {
+        true
+    }
+
+    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+        if let Some(sample) = &b.metrics {
+            self.record(sample);
+        }
     }
 
     fn finish(&mut self) {
@@ -409,28 +414,33 @@ impl<W: Write> MetricsRecorder for JsonlMetricsRecorder<W> {
     }
 }
 
-/// Forwards every call to two recorders (tee).
-pub struct TeeMetricsRecorder<'a> {
-    a: &'a mut dyn MetricsRecorder,
-    b: &'a mut dyn MetricsRecorder,
+/// Forwards run start, boundaries and finish to two hooks (tee).
+/// Checkpoint requests are not forwarded.
+pub struct TeeHook<'a> {
+    a: &'a mut dyn RunHook,
+    b: &'a mut dyn RunHook,
 }
 
-impl<'a> TeeMetricsRecorder<'a> {
-    /// Combines two recorders.
-    pub fn new(a: &'a mut dyn MetricsRecorder, b: &'a mut dyn MetricsRecorder) -> Self {
-        TeeMetricsRecorder { a, b }
+impl<'a> TeeHook<'a> {
+    /// Combines two hooks.
+    pub fn new(a: &'a mut dyn RunHook, b: &'a mut dyn RunHook) -> Self {
+        TeeHook { a, b }
     }
 }
 
-impl MetricsRecorder for TeeMetricsRecorder<'_> {
+impl RunHook for TeeHook<'_> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.a.on_run_start(info);
         self.b.on_run_start(info);
     }
 
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>) {
-        self.a.on_epoch(sample);
-        self.b.on_epoch(sample);
+    fn wants_metrics(&self) -> bool {
+        self.a.wants_metrics() || self.b.wants_metrics()
+    }
+
+    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+        self.a.on_boundary(b);
+        self.b.on_boundary(b);
     }
 
     fn finish(&mut self) {
@@ -500,7 +510,7 @@ mod tests {
             ..CycleBreakdown::default()
         };
         let s = sample(&reqs, Some(&bd));
-        let mut rec = JsonlMetricsRecorder::new(Vec::new());
+        let mut rec = JsonlRecorder::new(Vec::new());
         rec.on_run_start(&RunInfo {
             workload: "UA.B",
             policy: "Carrefour-LP",
@@ -508,7 +518,7 @@ mod tests {
             threads: 16,
             nodes: 4,
         });
-        rec.on_epoch(&s);
+        rec.record(&s);
         rec.finish();
         assert!(rec.error().is_none());
         let text = String::from_utf8(rec.into_inner()).unwrap();
@@ -547,13 +557,13 @@ mod tests {
     #[test]
     fn vec_recorder_keeps_rows_in_order() {
         let reqs = [1u64, 2];
-        let mut rec = VecMetricsRecorder::new();
+        let mut rec = VecRecorder::new();
         for e in 0..4u32 {
             let s = MetricsSample {
                 epoch: e,
                 ..sample(&reqs, None)
             };
-            rec.on_epoch(&s);
+            rec.record(&s);
         }
         assert_eq!(rec.rows.len(), 4);
         assert!(rec.rows.windows(2).all(|w| w[0].epoch + 1 == w[1].epoch));
@@ -571,8 +581,8 @@ mod tests {
             }
         }
         let reqs = [1u64];
-        let mut rec = JsonlMetricsRecorder::new(Failing);
-        rec.on_epoch(&sample(&reqs, None));
+        let mut rec = JsonlRecorder::new(Failing);
+        rec.record(&sample(&reqs, None));
         rec.finish();
         assert!(rec.error().is_some());
     }

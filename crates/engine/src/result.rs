@@ -214,11 +214,15 @@ mod tests {
 
     #[test]
     fn ledger_conservation_check_is_exact() {
-        let mut prelude = CycleBreakdown::default();
-        prelude.compute = 100;
-        let mut wall = CycleBreakdown::default();
-        wall.dram_service = 40;
-        wall.ctrl_queue = 2;
+        let prelude = CycleBreakdown {
+            compute: 100,
+            ..CycleBreakdown::default()
+        };
+        let wall = CycleBreakdown {
+            dram_service: 40,
+            ctrl_queue: 2,
+            ..CycleBreakdown::default()
+        };
         let mut total = prelude;
         total.add(&wall);
         let ledger = AttributionLedger {

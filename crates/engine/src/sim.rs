@@ -4,7 +4,7 @@ use crate::checkpoint::{self, Checkpoint};
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
 use crate::policy::{ActionError, EpochCtx, FailedAction, NumaPolicy, PolicyAction};
-use crate::recorder::{MetricsRecorder, MetricsSample, PageSnapshot, RunInfo};
+use crate::recorder::{MetricsSample, PageSnapshot, RunInfo};
 use crate::result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
@@ -24,34 +24,95 @@ use workloads::{WorkloadGen, WorkloadSpec};
 /// Runs complete workloads under a policy and produces [`SimResult`]s.
 pub struct Simulation;
 
-/// Where in its lifecycle a run starts and stops (internal driver mode;
-/// the public entry points each select one).
-enum RunMode<'c> {
-    /// Start to finish — the normal run.
-    Full,
-    /// Run until the boundary that closes epoch `epoch`, snapshot into
-    /// `out`, and stop. No [`SimResult`] is produced and the trace sink is
-    /// **not** finished — the caller threads the same sink through the
-    /// subsequent [`RunMode::Resume`] phase, whose events continue exactly
-    /// where this phase stopped.
-    CheckpointAt {
-        epoch: u32,
-        out: &'c mut Option<Checkpoint>,
-    },
-    /// Restore state from `ckpt` and run from its epoch to completion.
-    /// `restore_policy` selects whether the policy's mutable state is
-    /// overwritten from the snapshot (a plain resume) or left as the caller
-    /// prepared it (a fork: the caller replayed a *different* policy up to
-    /// the checkpoint's boundary and wants the tail simulated under it).
-    Resume {
-        ckpt: &'c Checkpoint,
-        restore_policy: bool,
-    },
+/// Where a run starts.
+#[derive(Clone, Copy, Debug)]
+pub enum Start<'c> {
+    /// From scratch: build the address space, run the prelude, epoch 0.
+    Fresh,
+    /// From a snapshot, policy state included: the run continues exactly
+    /// as the one the snapshot was taken from.
+    Resume(&'c Checkpoint),
+    /// From a snapshot, but the policy's state is left as the caller
+    /// prepared it — the fork half of the runner's prefix-sharing tree.
+    /// `policy` must already be in the state a policy has after exactly
+    /// `ckpt.epoch()` `on_epoch` calls; the snapshot's policy bytes belong
+    /// to the run it was taken from.
+    Fork(&'c Checkpoint),
+}
+
+/// How [`Simulation::run_with`] runs: every value is independent, and
+/// [`RunOptions::default`] is a plain run.
+pub struct RunOptions<'a> {
+    /// Called on the freshly built address space before the workload
+    /// starts — for pre-conditions such as fragmented physical memory.
+    pub setup: Option<&'a dyn Fn(&mut AddressSpace)>,
+    /// Receives every simulation event. Tracing is purely observational.
+    /// A stopped run does **not** finish the sink: thread the same sink
+    /// through the resumed run and the combined stream (and digest) equals
+    /// an uninterrupted traced run's.
+    pub sink: Option<&'a mut dyn TraceSink>,
+    /// Observes every epoch boundary (see [`RunHook`]).
+    pub hook: Option<&'a mut dyn RunHook>,
+    /// Fresh, or from a checkpoint.
+    pub start: Start<'a>,
+    /// Stop at the boundary that begins this epoch and return its
+    /// snapshot ([`RunOutcome::Stopped`]). A run that ends first returns
+    /// its result as usual.
+    pub stop_at: Option<u32>,
+    /// The three memo tricks of the access loop (uncached-store memo,
+    /// stable-L1 run, IBS skip-ahead). On by default; results are
+    /// bit-identical either way, so `false` exists only for differential
+    /// tests of the memos themselves (DESIGN.md §10).
+    pub memo: bool,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            setup: None,
+            sink: None,
+            hook: None,
+            start: Start::Fresh,
+            stop_at: None,
+            memo: true,
+        }
+    }
+}
+
+/// How a run ended.
+#[derive(Debug)]
+pub enum RunOutcome {
+    /// The workload ran to completion.
+    Finished(Box<SimResult>),
+    /// The run reached [`RunOptions::stop_at`] and snapshotted there.
+    Stopped(Checkpoint),
+}
+
+impl RunOutcome {
+    /// The result of a run that finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run stopped at a checkpoint instead.
+    pub fn result(self) -> SimResult {
+        match self {
+            RunOutcome::Finished(r) => *r,
+            RunOutcome::Stopped(c) => panic!("run stopped at epoch {}", c.epoch()),
+        }
+    }
+
+    /// The snapshot of a stopped run; `None` when the run finished first.
+    pub fn checkpoint(self) -> Option<Checkpoint> {
+        match self {
+            RunOutcome::Finished(_) => None,
+            RunOutcome::Stopped(c) => Some(c),
+        }
+    }
 }
 
 /// Everything the policy saw and did at one epoch boundary, handed to a
-/// [`RunObserver`] before the actions are applied. The inputs are exactly
-/// the values [`EpochCtx::new`] was built from (samples *after* fault
+/// [`RunHook`] once the actions are applied. The inputs are exactly the
+/// values [`EpochCtx::new`] was built from (samples *after* fault
 /// filtering); the outputs are everything the engine consumes from the
 /// policy, plus their canonical FNV-1a fingerprint
 /// ([`crate::trace::epoch_output_fingerprint`]).
@@ -60,7 +121,9 @@ pub struct EpochBoundary<'a> {
     pub epoch: u32,
     /// Counters the policy read.
     pub counters: &'a EpochCounters,
-    /// IBS samples the policy read (post fault-filter).
+    /// IBS samples the policy read (post fault-filter). Empty when the
+    /// policy consumes no samples and no fault plan is active: the engine
+    /// then elides sample storage.
     pub samples: &'a [IbsSample],
     /// THP switches as the boundary opened.
     pub thp: ThpControls,
@@ -75,25 +138,48 @@ pub struct EpochBoundary<'a> {
     pub retries: u64,
     /// `epoch_output_fingerprint(epoch, actions, decisions, retries)`.
     pub fingerprint: u64,
+    /// The flight recorder's sample for this epoch (DESIGN.md §16) —
+    /// `Some` exactly when the hook's [`RunHook::wants_metrics`] is true.
+    pub metrics: Option<MetricsSample<'a>>,
 }
 
-/// Observes a run at epoch boundaries — the hook behind the bench runner's
-/// prefix-sharing fork tree. The observer receives every boundary's
-/// input/output record and may request a ckpt-v1 snapshot at any boundary
-/// with epoch ≥ 1 (the capture point that closes epoch `e-1` and begins
-/// epoch `e`). Attaching an observer never changes simulation results: the
-/// only side effect is that IBS sample storage stays on even for policies
-/// that don't consume samples, which the engine already guarantees is
-/// observationally neutral (the NMI count and its overhead are unchanged).
-pub trait RunObserver {
-    /// Called at every epoch boundary, after the policy ran and before its
-    /// actions are applied.
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>);
+/// Observes a run at its epoch boundaries: the flight recorder's metrics
+/// (DESIGN.md §16) and the prefix-sharing fork tree (DESIGN.md §15) are
+/// both implementations. Every method defaults to a no-op.
+///
+/// Attaching a hook never changes simulation results or checkpoint bytes:
+/// every read behind it is `&self`.
+pub trait RunHook {
+    /// Called once before the prelude of a [`Start::Fresh`] run (resumed
+    /// and forked runs do not re-announce themselves).
+    fn on_run_start(&mut self, _info: &RunInfo<'_>) {}
+
+    /// Whether [`EpochBoundary::metrics`] should be built. Asked once,
+    /// when the run starts: the sample costs a page-stat aggregation and
+    /// TLB folds per boundary, so hooks that don't read it skip them.
+    fn wants_metrics(&self) -> bool {
+        false
+    }
+
+    /// Called at every epoch boundary, after the policy ran and its
+    /// actions were applied (so the sample's `epoch_cycles` includes the
+    /// boundary overhead), before the next epoch begins.
+    fn on_boundary(&mut self, _b: &EpochBoundary<'_>) {}
+
     /// Whether to capture a checkpoint at the boundary beginning `epoch`.
-    fn want_checkpoint(&mut self, epoch: u32) -> bool;
-    /// Receives the checkpoint requested by
-    /// [`RunObserver::want_checkpoint`].
-    fn on_checkpoint(&mut self, ckpt: Checkpoint);
+    /// Asked at every boundary the run closes, so `epoch ≥ 1` — except the
+    /// one a run stops at ([`RunOptions::stop_at`]), whose snapshot goes
+    /// to the caller.
+    fn want_checkpoint(&mut self, _epoch: u32) -> bool {
+        false
+    }
+
+    /// Receives the checkpoint requested by [`RunHook::want_checkpoint`].
+    fn on_checkpoint(&mut self, _ckpt: Checkpoint) {}
+
+    /// Called when the run completes (flush point for buffering hooks).
+    /// Not called when the run stops at [`RunOptions::stop_at`].
+    fn finish(&mut self) {}
 }
 
 /// splitmix64 finalizer: a stride-proof mixing function for deterministic
@@ -169,6 +255,9 @@ impl ActionCosts {
 
 struct SimState<'m, 't> {
     machine: &'m MachineSpec,
+    spec: &'m WorkloadSpec,
+    config: &'m SimConfig,
+    gen: WorkloadGen,
     /// DRAM latency divisor from the workload's memory-level parallelism.
     mlp: u64,
     mem: MemorySystem,
@@ -194,14 +283,13 @@ struct SimState<'m, 't> {
     faults: FaultPlan,
     /// Failure-and-recovery accounting for the run.
     robust: RobustnessStats,
-    /// Trace sink, if the caller attached one ([`Simulation::run_traced`]).
+    /// Trace sink, if the caller attached one ([`RunOptions::sink`]).
     /// `None` on plain runs: no event is constructed, let alone emitted.
     trace: Option<&'t mut dyn TraceSink>,
     /// Index of the epoch currently accumulating (for event attribution).
     epoch: u32,
-    /// Batched fast path enabled (default; `CARREFOUR_NO_FASTPATH=1`
-    /// falls back to the per-op path, which is bit-identical).
-    fast_on: bool,
+    /// The access loop's memo tricks are on ([`RunOptions::memo`]).
+    memo: bool,
     /// Epoch-scoped memo of uncached-access outcomes per
     /// `(from_node, home_node)` pair. Within an epoch the outcome is a pure
     /// function of the pair (controller and link delays only change at
@@ -217,6 +305,37 @@ struct SimState<'m, 't> {
     l1_line_shift: u32,
     /// L1 hit latency in cycles (the outcome of a stable hit).
     l1_latency: u32,
+
+    // Loop-carried run totals; a resume overwrites all of them from the
+    // snapshot.
+    wall: u64,
+    epoch_wall: u64,
+    epoch_ops: u64,
+    total_ops: u64,
+    overhead_total: u64,
+    epochs: Vec<EpochRecord>,
+    /// Failed actions of the previous epoch, fed back to the policy on
+    /// fault-injected runs (never on fault-free runs, so a policy's retry
+    /// machinery stays dormant and zero-fault behaviour is bit-identical
+    /// to the pre-fault-layer engine).
+    last_failures: Vec<FailedAction>,
+
+    // Attribution ledger state. All of it stays empty (and costs one
+    // branch per charge site) when attribution is off, which keeps the
+    // hot path allocation-free and the default run untouched.
+    attrib_on: bool,
+    prelude_bd: CycleBreakdown,
+    epoch_wall_bd: CycleBreakdown,
+    core_bds: Vec<CycleBreakdown>,
+    core_totals: Vec<CycleBreakdown>,
+    attrib_epochs: Vec<EpochAttribution>,
+
+    /// Build a [`MetricsSample`] at every boundary ([`RunHook::wants_metrics`]).
+    metrics_on: bool,
+    /// TLB and walk-cache counters are lifetime-cumulative, so per-epoch
+    /// sample rates need the previous boundary's totals.
+    rec_prev_tlb: (u64, u64, u64),
+    rec_prev_walk: (u64, u64),
 }
 
 /// Maps a vmem error to the action-level error a policy sees.
@@ -235,119 +354,6 @@ impl<'m, 't> SimState<'m, 't> {
         if let Some(t) = self.trace.as_mut() {
             t.emit(&make());
         }
-    }
-
-    /// Executes one memory operation for `thread`; returns its cycle cost.
-    ///
-    /// When `bd` is supplied, every cycle of the return value is also
-    /// booked into exactly one of its buckets (the conservation
-    /// invariant); `None` — the default — skips all attribution work.
-    #[inline]
-    fn run_op(
-        &mut self,
-        thread: usize,
-        op: workloads::Op,
-        faulting_threads: usize,
-        mut bd: Option<&mut CycleBreakdown>,
-    ) -> u64 {
-        let vaddr = VirtAddr(op.vaddr);
-        let core = CoreId::from(thread);
-        let node = self.machine.node_of_core(core);
-        let mut cycles: u64 = 0;
-        let mut walk_remote: u8 = 0;
-
-        // 1. Address translation.
-        let mapping = match self.tlbs[thread].lookup(vaddr) {
-            TlbLookup::HitL1(m) => m,
-            TlbLookup::HitL2(m) => {
-                cycles += u64::from(self.l2_tlb_hit_cycles);
-                if let Some(b) = bd.as_deref_mut() {
-                    b.tlb_lookup += u64::from(self.l2_tlb_hit_cycles);
-                }
-                m
-            }
-            TlbLookup::Miss => {
-                cycles += u64::from(self.l2_tlb_hit_cycles);
-                if let Some(b) = bd.as_deref_mut() {
-                    b.tlb_lookup += u64::from(self.l2_tlb_hit_cycles);
-                }
-                let (m, remote) = self.walk_and_maybe_fault(
-                    thread,
-                    vaddr,
-                    node,
-                    faulting_threads,
-                    &mut cycles,
-                    bd.as_deref_mut(),
-                );
-                walk_remote = remote;
-                self.tlbs[thread].insert(m);
-                m
-            }
-        };
-
-        // 1b. Replication: readers use their local replica; a store to a
-        // replicated page collapses the replica set first.
-        let mapping = if self.space.has_replicas() && mapping.size == PageSize::Size4K {
-            if op.is_write && self.space.is_replicated(mapping.vbase) {
-                let collapse = self.space.collapse_replicas(mapping.vbase);
-                cycles += collapse;
-                if let Some(b) = bd.as_deref_mut() {
-                    b.replica_collapse += collapse;
-                }
-                self.shootdown(mapping.vbase, mapping.size);
-                let epoch = self.epoch;
-                self.emit(|| TraceEvent::ReplicaCollapse {
-                    epoch,
-                    vbase: mapping.vbase.0,
-                });
-                mapping
-            } else {
-                self.space.resolve_replica(mapping, node)
-            }
-        } else {
-            mapping
-        };
-
-        // 2. Data access through the memory hierarchy. Stores to line-shared
-        // data bypass the caches: coherence pushes them to the home node.
-        let out = if op.coherent_store {
-            self.mem.access_uncached(core, mapping.node)
-        } else {
-            let paddr = mapping.translate(vaddr);
-            self.mem
-                .access(core, paddr.0, mapping.node, AccessKind::Data)
-        };
-        if out.dram() {
-            // Prefetchers hide sequential latency; independent misses
-            // overlap by the workload's MLP. Requests still occupy the
-            // controller either way (counted above).
-            let overlap = if op.prefetched { 4 } else { self.mlp };
-            cycles += u64::from(out.cycles) / overlap;
-            if let Some(b) = bd.as_deref_mut() {
-                charge_access(b, &out, overlap);
-            }
-        } else {
-            cycles += u64::from(out.cycles);
-            if let Some(b) = bd {
-                charge_access(b, &out, 1);
-            }
-        }
-
-        // 3. Observation channels.
-        self.sampler.observe(|| IbsSample {
-            vaddr,
-            accessing_node: node,
-            thread: thread as u16,
-            home_node: mapping.node,
-            from_dram: out.dram(),
-            is_store: op.is_write,
-            page_size: mapping.size,
-            walk_remote_steps: walk_remote,
-        });
-        if let Some(stats) = self.page_stats.as_mut() {
-            stats.record(vaddr, thread as u16);
-        }
-        cycles
     }
 
     /// Hardware page-table walk, servicing a demand fault if needed.
@@ -481,8 +487,27 @@ impl<'m, 't> SimState<'m, 't> {
     }
 
     /// Executes a batch of operations for `thread`; returns their total
-    /// cycle cost. The batched equivalent of per-op [`SimState::run_op`]
-    /// calls — bit-identical by construction (see DESIGN.md §10):
+    /// cycle cost. When `bd` is supplied, every cycle of the return value
+    /// is also booked into exactly one of its buckets (the conservation
+    /// invariant); `None` — the default — skips all attribution work.
+    /// The memo switch is read once per block, never per op.
+    fn run_block(
+        &mut self,
+        thread: usize,
+        ops: &[workloads::Op],
+        faulting_threads: usize,
+        bd: Option<&mut CycleBreakdown>,
+    ) -> u64 {
+        if self.memo {
+            self.run_ops::<true>(thread, ops, faulting_threads, bd)
+        } else {
+            self.run_ops::<false>(thread, ops, faulting_threads, bd)
+        }
+    }
+
+    /// The one per-access loop. With `MEMO`, three memo tricks batch the
+    /// work that is idempotent to replay — bit-identical by construction
+    /// (see DESIGN.md §10); without it, every op takes the plain path:
     ///
     /// * **Uncached stores** — within an epoch, controller queueing and
     ///   link congestion delays are constant, so the outcome of an
@@ -504,20 +529,13 @@ impl<'m, 't> SimState<'m, 't> {
     ///   [`IbsSampler::advance_unsampled`] and the sample fires via
     ///   [`IbsSampler::take_sample`] at exactly the op index where
     ///   [`IbsSampler::observe`] would have fired it.
-    fn run_block(
+    fn run_ops<const MEMO: bool>(
         &mut self,
         thread: usize,
         ops: &[workloads::Op],
         faulting_threads: usize,
         mut bd: Option<&mut CycleBreakdown>,
     ) -> u64 {
-        if !self.fast_on {
-            let mut c: u64 = 0;
-            for &op in ops {
-                c += self.run_op(thread, op, faulting_threads, bd.as_deref_mut());
-            }
-            return c;
-        }
         let core = CoreId::from(thread);
         let node = self.machine.node_of_core(core);
         let nodes = self.fast_nodes;
@@ -536,7 +554,7 @@ impl<'m, 't> SimState<'m, 't> {
             let mut cycles: u64 = 0;
             let mut walk_remote: u8 = 0;
 
-            // 1. Address translation (identical to run_op).
+            // 1. Address translation.
             let mapping = match self.tlbs[thread].lookup(vaddr) {
                 TlbLookup::HitL1(m) => m,
                 TlbLookup::HitL2(m) => {
@@ -568,7 +586,8 @@ impl<'m, 't> SimState<'m, 't> {
                 }
             };
 
-            // 1b. Replication (identical to run_op).
+            // 1b. Replication: readers use their local replica; a store to
+            // a replicated page collapses the replica set first.
             let mapping = if self.space.has_replicas() && mapping.size == PageSize::Size4K {
                 if op.is_write && self.space.is_replicated(mapping.vbase) {
                     let collapse = self.space.collapse_replicas(mapping.vbase);
@@ -591,23 +610,29 @@ impl<'m, 't> SimState<'m, 't> {
                 mapping
             };
 
-            // 2. Data access, memoized where the replay is idempotent.
+            // 2. Data access through the memory hierarchy. Stores to
+            // line-shared data bypass the caches: coherence pushes them to
+            // the home node.
             let out = if op.coherent_store {
-                let key = node.index() * nodes + mapping.node.index();
-                let out = match self.fast_uncached[key] {
-                    Some(o) => o,
-                    None => {
-                        let o = self.mem.peek_uncached(core, mapping.node);
-                        self.fast_uncached[key] = Some(o);
-                        o
-                    }
-                };
-                self.fast_pending[mapping.node.index()] += 1;
-                out
+                if MEMO {
+                    let key = node.index() * nodes + mapping.node.index();
+                    let out = match self.fast_uncached[key] {
+                        Some(o) => o,
+                        None => {
+                            let o = self.mem.peek_uncached(core, mapping.node);
+                            self.fast_uncached[key] = Some(o);
+                            o
+                        }
+                    };
+                    self.fast_pending[mapping.node.index()] += 1;
+                    out
+                } else {
+                    self.mem.access_uncached(core, mapping.node)
+                }
             } else {
                 let paddr = mapping.translate(vaddr);
                 let line = paddr.0 >> line_shift;
-                if stable_line == Some(line) {
+                if MEMO && stable_line == Some(line) {
                     pending_l1 += 1;
                     AccessOutcome {
                         cycles: self.l1_latency,
@@ -626,6 +651,9 @@ impl<'m, 't> SimState<'m, 't> {
                 }
             };
             if out.dram() {
+                // Prefetchers hide sequential latency; independent misses
+                // overlap by the workload's MLP. Requests still occupy the
+                // controller either way (counted above).
                 let overlap = if op.prefetched { 4 } else { self.mlp };
                 cycles += u64::from(out.cycles) / overlap;
                 if let Some(b) = bd.as_deref_mut() {
@@ -639,19 +667,22 @@ impl<'m, 't> SimState<'m, 't> {
             }
 
             // 3. Observation channels.
-            if until == 1 {
+            let sample = || IbsSample {
+                vaddr,
+                accessing_node: node,
+                thread: thread as u16,
+                home_node: mapping.node,
+                from_dram: out.dram(),
+                is_store: op.is_write,
+                page_size: mapping.size,
+                walk_remote_steps: walk_remote,
+            };
+            if !MEMO {
+                self.sampler.observe(sample);
+            } else if until == 1 {
                 self.sampler.advance_unsampled(unsampled);
                 unsampled = 0;
-                self.sampler.take_sample(|| IbsSample {
-                    vaddr,
-                    accessing_node: node,
-                    thread: thread as u16,
-                    home_node: mapping.node,
-                    from_dram: out.dram(),
-                    is_store: op.is_write,
-                    page_size: mapping.size,
-                    walk_remote_steps: walk_remote,
-                });
+                self.sampler.take_sample(sample);
                 until = period;
             } else {
                 until -= 1;
@@ -664,15 +695,17 @@ impl<'m, 't> SimState<'m, 't> {
         }
 
         // Flush the block's bulk charges.
-        self.sampler.advance_unsampled(unsampled);
-        if pending_l1 > 0 {
-            self.mem.charge_l1_hits_n(core, pending_l1);
-        }
-        for home in 0..nodes {
-            let n = self.fast_pending[home];
-            if n > 0 {
-                self.fast_pending[home] = 0;
-                self.mem.charge_uncached_n(core, NodeId::from(home), n);
+        if MEMO {
+            self.sampler.advance_unsampled(unsampled);
+            if pending_l1 > 0 {
+                self.mem.charge_l1_hits_n(core, pending_l1);
+            }
+            for home in 0..nodes {
+                let n = self.fast_pending[home];
+                if n > 0 {
+                    self.fast_pending[home] = 0;
+                    self.mem.charge_uncached_n(core, NodeId::from(home), n);
+                }
             }
         }
         cycles_total
@@ -690,14 +723,14 @@ impl<'m, 't> SimState<'m, 't> {
     /// accounting but not simulation state.
     fn apply_actions(
         &mut self,
-        actions: Vec<PolicyAction>,
+        actions: &[PolicyAction],
         failures: &mut Vec<FailedAction>,
     ) -> (u64, u64, ActionCosts) {
         let mut migrations = 0;
         let mut splits = 0;
         let mut costs = ActionCosts::default();
         let epoch = self.epoch;
-        for a in actions {
+        for &a in actions {
             match a {
                 PolicyAction::SetThpAlloc(b) => {
                     self.space.thp_mut().alloc_2m = b;
@@ -918,293 +951,24 @@ impl<'m, 't> SimState<'m, 't> {
         }
         (migrations, splits, costs)
     }
-}
 
-impl Simulation {
-    /// Runs `spec` on `machine` under `policy` and returns the results.
-    ///
-    /// The run is fully deterministic in `(spec, config.seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec has more threads than the machine has cores, or if
-    /// the machine runs out of physical memory (a configuration error at our
-    /// scaled footprints).
-    pub fn run(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-    ) -> SimResult {
-        Simulation::run_with_setup_traced(machine, spec, config, policy, |_| {}, None)
-    }
-
-    /// Like [`Simulation::run`], but streams every simulation event into
-    /// `sink`. Tracing is purely observational: the returned [`SimResult`]
-    /// is bit-identical to an untraced run of the same inputs.
-    pub fn run_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        sink: &mut dyn TraceSink,
-    ) -> SimResult {
-        Simulation::run_with_setup_traced(machine, spec, config, policy, |_| {}, Some(sink))
-    }
-
-    /// Like [`Simulation::run`], but calls `setup` on the freshly built
-    /// address space before the workload starts — for experiments that need
-    /// pre-conditions such as deliberately fragmented physical memory.
-    pub fn run_with_setup(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-    ) -> SimResult {
-        Simulation::run_with_setup_traced(machine, spec, config, policy, setup, None)
-    }
-
-    /// The full-featured entry point: optional address-space `setup` and an
-    /// optional trace `sink` ([`Simulation::run`], [`Simulation::run_traced`]
-    /// and [`Simulation::run_with_setup`] all delegate here).
-    pub fn run_with_setup_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            setup,
-            sink,
-            None,
-            None,
-            RunMode::Full,
-        )
-        .expect("a full run always produces a result")
-    }
-
-    /// Like [`Simulation::run_traced`] (the `sink` is optional), with a
-    /// [`RunObserver`] attached: the observer sees every epoch boundary's
-    /// policy inputs/outputs and may capture checkpoints at boundaries.
-    /// Results are bit-identical to an unobserved run.
-    pub fn run_observed(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        sink: Option<&mut dyn TraceSink>,
-        observer: &mut dyn RunObserver,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            |_| {},
-            sink,
-            Some(observer),
-            None,
-            RunMode::Full,
-        )
-        .expect("a full run always produces a result")
-    }
-
-    /// Like [`Simulation::run_traced`] (the `sink` is optional), with a
-    /// [`crate::MetricsRecorder`] attached: the recorder receives one
-    /// [`crate::MetricsSample`] per epoch boundary — the flight recorder's
-    /// per-epoch time-series (DESIGN.md §16). Recording is purely
-    /// observational: the returned [`SimResult`] (ledger and trace digest
-    /// included) is bit-identical to an unrecorded run of the same inputs,
-    /// which `carrefour-bench/tests/metrics_equivalence.rs` proptests.
-    pub fn run_recorded(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        sink: Option<&mut dyn TraceSink>,
-        recorder: &mut dyn MetricsRecorder,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            |_| {},
-            sink,
-            None,
-            Some(recorder),
-            RunMode::Full,
-        )
-        .expect("a full run always produces a result")
-    }
-
-    /// Runs like [`Simulation::run`] until the epoch boundary that begins
-    /// epoch `epoch`, then snapshots into a [`Checkpoint`] and stops —
-    /// [`Simulation::resume`] continues from it bit-identically. Returns
-    /// `None` when the run completes before reaching `epoch` (the run then
-    /// executed in full; no snapshot exists).
-    pub fn checkpoint_at(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        epoch: u32,
-    ) -> Option<Checkpoint> {
-        Simulation::checkpoint_at_traced(machine, spec, config, policy, |_| {}, None, epoch)
-    }
-
-    /// [`Simulation::checkpoint_at`] with address-space `setup` and a trace
-    /// `sink`. When a checkpoint is taken the sink is **not** finished:
-    /// thread the same sink through [`Simulation::resume_traced`] and the
-    /// combined event stream (and digest) equals an uninterrupted traced
-    /// run's.
-    pub fn checkpoint_at_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-        epoch: u32,
-    ) -> Option<Checkpoint> {
-        let mut out = None;
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            setup,
-            sink,
-            None,
-            None,
-            RunMode::CheckpointAt {
-                epoch,
-                out: &mut out,
-            },
-        );
-        out
-    }
-
-    /// Continues a run from `ckpt` to completion. The checkpoint must come
-    /// from the same machine/spec/config (asserted via its fingerprint), and
-    /// `policy` must be a freshly constructed instance of the same policy —
-    /// its mutable state is restored via [`NumaPolicy::restore_state`]. The
-    /// result is bit-identical to an uninterrupted run's.
-    pub fn resume(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::resume_traced(machine, spec, config, policy, |_| {}, None, ckpt)
-    }
-
-    /// [`Simulation::resume`] with `setup` and a trace `sink`; the events
-    /// emitted continue exactly where the checkpointing phase stopped.
-    pub fn resume_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            setup,
-            sink,
-            None,
-            None,
-            RunMode::Resume {
-                ckpt,
-                restore_policy: true,
-            },
-        )
-        .expect("a resumed run always produces a result")
-    }
-
-    /// Continues a run from `ckpt` under a policy whose state the *caller*
-    /// prepared — the fork half of the runner's prefix-sharing tree. Unlike
-    /// [`Simulation::resume`], the policy's mutable state is **not**
-    /// restored from the snapshot: `policy` must already be in the state a
-    /// policy has after exactly `ckpt.epoch()` `on_epoch` calls (epochs
-    /// `0..ckpt.epoch()`), which the fork tree establishes by replaying the
-    /// recorded boundary inputs against a freshly constructed instance.
-    /// Everything else (address space, caches, sampler, fault state, RNGs)
-    /// is restored from the snapshot as usual.
-    pub fn resume_forked(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::resume_forked_traced(machine, spec, config, policy, None, ckpt)
-    }
-
-    /// [`Simulation::resume_forked`] with a trace `sink`; events continue
-    /// from the checkpoint's boundary exactly as [`Simulation::resume_traced`]'s do.
-    pub fn resume_forked_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        sink: Option<&mut dyn TraceSink>,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            |_| {},
-            sink,
-            None,
-            None,
-            RunMode::Resume {
-                ckpt,
-                restore_policy: false,
-            },
-        )
-        .expect("a resumed run always produces a result")
-    }
-
-    /// The single driver behind every public entry point; `mode` selects
-    /// where the run starts (fresh or from a snapshot) and whether it stops
-    /// early at a checkpoint boundary. Returns `None` exactly when a
-    /// requested checkpoint was taken.
-    #[allow(clippy::too_many_arguments)]
-    fn run_internal(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-        mut observer: Option<&mut dyn RunObserver>,
-        mut recorder: Option<&mut dyn MetricsRecorder>,
-        mut mode: RunMode<'_>,
-    ) -> Option<SimResult> {
+    /// Builds the run state of a fresh run: address space mapped (and
+    /// `setup` applied), every subsystem at its initial state.
+    fn new(
+        machine: &'m MachineSpec,
+        spec: &'m WorkloadSpec,
+        config: &'m SimConfig,
+        setup: Option<&dyn Fn(&mut AddressSpace)>,
+        sink: Option<&'t mut dyn TraceSink>,
+        memo: bool,
+    ) -> Self {
         assert!(
             spec.threads <= machine.total_cores(),
             "workload wants {} threads, machine has {} cores",
             spec.threads,
             machine.total_cores()
         );
-
-        let mut gen = WorkloadGen::new(spec, config.seed);
+        let gen = WorkloadGen::new(spec, config.seed);
         let mut space = AddressSpace::new(machine, config.vmem);
         for r in &spec.regions {
             // Overlapping or unaligned regions are a workload-spec bug, not
@@ -1213,15 +977,16 @@ impl Simulation {
                 .map_region(r.base, r.bytes)
                 .unwrap_or_else(|e| panic!("region setup failed: {e}"));
         }
-        setup(&mut space);
-
-        // Kill-switch for the batched fast path: results are bit-identical
-        // either way (proptest-enforced), so the per-op path exists only
-        // for debugging and differential testing.
-        let fast_on = std::env::var("CARREFOUR_NO_FASTPATH").map_or(true, |v| v != "1");
+        if let Some(setup) = setup {
+            setup(&mut space);
+        }
         let nodes = machine.num_nodes();
-        let mut st = SimState {
+        let attrib_threads = if config.attribution { spec.threads } else { 0 };
+        SimState {
             machine,
+            spec,
+            config,
+            gen,
             mlp: u64::from(spec.mlp.max(1)),
             mem: MemorySystem::new(machine, config.memsys.clone()),
             space,
@@ -1229,7 +994,7 @@ impl Simulation {
             tlbs: (0..spec.threads)
                 .map(|_| Tlb::new(&config.vmem.tlb))
                 .collect(),
-            sampler: IbsSampler::new(machine.num_nodes(), config.ibs),
+            sampler: IbsSampler::new(nodes, config.ibs),
             page_stats: config.track_page_stats.then(PageAccessStats::new),
             fault_epoch: vec![0; spec.threads],
             fault_life: vec![0; spec.threads],
@@ -1240,525 +1005,382 @@ impl Simulation {
             robust: RobustnessStats::default(),
             trace: sink,
             epoch: 0,
-            fast_on,
+            memo,
             fast_uncached: vec![None; nodes * nodes],
             fast_pending: vec![0; nodes],
             fast_nodes: nodes,
             l1_line_shift: config.memsys.l1.line_bytes.trailing_zeros(),
             l1_latency: config.memsys.l1_latency,
-        };
-        // A policy that never reads samples (and no fault filter to feed)
-        // makes sample storage dead work: elide it. The NMI count and its
-        // overhead are unchanged, so results are bit-identical. An attached
-        // observer needs the stored samples (its boundary records feed
-        // sibling policies that may consume them), so it keeps storage on —
-        // which, per the same argument, never changes results.
-        if !policy.consumes_samples() && !st.faults.is_active() && observer.is_none() {
-            st.sampler.set_store(false);
+            wall: 0,
+            epoch_wall: 0,
+            epoch_ops: 0,
+            total_ops: 0,
+            overhead_total: 0,
+            epochs: Vec::new(),
+            last_failures: Vec::new(),
+            attrib_on: config.attribution,
+            prelude_bd: CycleBreakdown::default(),
+            epoch_wall_bd: CycleBreakdown::default(),
+            core_bds: vec![CycleBreakdown::default(); attrib_threads],
+            core_totals: vec![CycleBreakdown::default(); attrib_threads],
+            attrib_epochs: Vec::new(),
+            metrics_on: false,
+            rec_prev_tlb: (0, 0, 0),
+            rec_prev_walk: (0, 0),
         }
-        let total_rounds = gen.total_rounds();
+    }
+
+    /// Opens a fresh run: the `RunStart` event, epoch 0's fault plan, and
+    /// the serial prelude — the loader thread's header touches run alone
+    /// before the parallel phase (a program's sequential setup), as one
+    /// block.
+    fn prelude(&mut self, policy: &dyn NumaPolicy) {
+        let (machine, spec, seed) = (self.machine, self.spec, self.config.seed);
+        self.emit(|| TraceEvent::RunStart {
+            workload: spec.name.clone(),
+            policy: policy.name().to_string(),
+            machine: machine.name().to_string(),
+            seed,
+        });
+        // Pins expire and pressure events apply at epoch boundaries;
+        // epoch 0 covers a pressure event scheduled before the run.
+        self.faults.begin_epoch(0, &mut self.space);
+        let ops: Vec<workloads::Op> = self
+            .gen
+            .prelude()
+            .iter()
+            .map(|&vaddr| workloads::Op {
+                vaddr,
+                is_write: true,
+                coherent_store: false,
+                prefetched: false,
+            })
+            .collect();
+        let think = u64::from(spec.think_cycles_per_op) * ops.len() as u64;
+        let mut bd = CycleBreakdown::default();
+        let cycles = self.run_block(0, &ops, 1, self.attrib_on.then_some(&mut bd));
+        if self.attrib_on {
+            bd.compute += think;
+            self.prelude_bd = bd;
+        }
+        self.wall += cycles + think;
+    }
+
+    /// Runs `rounds`: one epoch's worth, or the final (possibly short)
+    /// chunk.
+    fn run_rounds(&mut self, rounds: std::ops::Range<u32>) {
+        let spec = self.spec;
         let think = u64::from(spec.think_cycles_per_op);
-
-        // Loop-carried run state, declared before the mode branch so a
-        // resume can overwrite all of it from the snapshot.
-        let mut wall: u64 = 0;
-        let mut epoch_wall: u64 = 0;
-        let mut epoch_ops: u64 = 0;
-        let mut total_ops: u64 = 0;
-        let mut overhead_total: u64 = 0;
-        let mut epochs: Vec<EpochRecord> = Vec::new();
-        let mut epoch_index: u32 = 0;
-        // Failed actions of the previous epoch, fed back to the policy on
-        // fault-injected runs (never on fault-free runs, so a policy's
-        // retry machinery stays dormant and zero-fault behaviour is
-        // bit-identical to the pre-fault-layer engine).
-        let mut last_failures: Vec<FailedAction> = Vec::new();
-
-        // Attribution ledger state. All of it stays empty (and costs one
-        // branch per charge site) when attribution is off, which keeps the
-        // hot path allocation-free and the default run untouched.
-        let attrib_on = config.attribution;
-        let attrib_threads = if attrib_on { spec.threads } else { 0 };
-        let mut prelude_bd = CycleBreakdown::default();
-        let mut epoch_wall_bd = CycleBreakdown::default();
-        let mut round_bds = vec![CycleBreakdown::default(); attrib_threads];
-        let mut core_bds = vec![CycleBreakdown::default(); attrib_threads];
-        let mut core_totals = vec![CycleBreakdown::default(); attrib_threads];
-        let mut attrib_epochs: Vec<EpochAttribution> = Vec::new();
-
-        // Flight-recorder state (DESIGN.md §16). TLB and walk-cache
-        // counters are lifetime-cumulative, so per-epoch rates need the
-        // previous boundary's totals — tracked only inside the recorder
-        // guard; an unrecorded run pays one `Option` test per boundary
-        // and nothing else. Every recorder read is `&self` (counters
-        // already computed, page-stat aggregation, policy introspection),
-        // so recorded runs stay bit-identical to unrecorded ones.
-        let mut rec_prev_tlb = (0u64, 0u64, 0u64);
-        let mut rec_prev_walk = (0u64, 0u64);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.on_run_start(&RunInfo {
-                workload: &spec.name,
-                policy: policy.name(),
-                machine: machine.name(),
-                threads: spec.threads,
-                nodes: machine.num_nodes(),
-            });
-        }
-
-        if let RunMode::Resume {
-            ckpt,
-            restore_policy,
-        } = &mode
-        {
-            assert!(
-                ckpt.matches(machine, spec, config),
-                "checkpoint was taken under a different machine/spec/config"
-            );
-            restore_checkpoint(
-                ckpt,
-                policy,
-                *restore_policy,
-                &mut gen,
-                &mut st,
-                &mut wall,
-                &mut total_ops,
-                &mut overhead_total,
-                &mut epochs,
-                &mut last_failures,
-                attrib_on,
-                &mut prelude_bd,
-                &mut core_totals,
-                &mut attrib_epochs,
-            );
-            epoch_index = ckpt.epoch();
-            st.epoch = epoch_index;
-        } else {
-            st.emit(|| TraceEvent::RunStart {
-                workload: spec.name.clone(),
-                policy: policy.name().to_string(),
-                machine: machine.name().to_string(),
-                seed: config.seed,
-            });
-            // Pins expire and pressure events apply at epoch boundaries;
-            // epoch 0 covers a pressure event scheduled before the run.
-            st.faults.begin_epoch(0, &mut st.space);
-
-            // Serial prelude: the loader thread's header touches run alone
-            // before the parallel phase (a program's sequential setup).
-            let mut prelude_cycles: u64 = 0;
-            for &vaddr in gen.prelude().to_vec().iter() {
-                let op = workloads::Op {
-                    vaddr,
-                    is_write: true,
-                    coherent_store: false,
-                    prefetched: false,
-                };
-                let bd = attrib_on.then_some(&mut prelude_bd);
-                prelude_cycles += st.run_op(0, op, 1, bd) + think;
-                if attrib_on {
-                    prelude_bd.compute += think;
-                }
-            }
-            wall += prelude_cycles;
-        }
-
-        // An epoch-0 checkpoint captures the state right here: prelude run,
-        // epoch 0 begun, no rounds executed.
-        if let RunMode::CheckpointAt { epoch, out } = &mut mode {
-            if epoch_index == *epoch {
-                **out = Some(capture_checkpoint(
-                    machine,
-                    spec,
-                    config,
-                    &*policy,
-                    &gen,
-                    &st,
-                    epoch_index,
-                    wall,
-                    total_ops,
-                    overhead_total,
-                    &epochs,
-                    &last_failures,
-                    attrib_on,
-                    &prelude_bd,
-                    &core_totals,
-                    &attrib_epochs,
-                ));
-                return None;
-            }
-        }
-
-        // Reusable op buffer: one block of the access stream at a time.
-        let mut block: Vec<workloads::Op> = Vec::new();
-
-        // On a resume, epochs 0..epoch_index already ran before the
-        // snapshot: restart the loop at the restored epoch's first round.
-        // The `min` covers a checkpoint taken at the boundary after the
-        // final (possibly short) epoch — the loop body is then empty and
-        // only the finale runs, from restored state.
-        let start_round = (u64::from(epoch_index) * u64::from(config.rounds_per_epoch))
-            .min(u64::from(total_rounds)) as u32;
-
         // Threads interleave in small batches so first-touch races are
         // fair: within each batch cycle every thread advances equally.
-        let batch = config.ops_per_batch.max(1).min(spec.ops_per_round);
-        // The run advances one epoch chunk at a time: [round, chunk_end)
-        // is one epoch's worth of rounds (the final chunk may be short).
-        // `start_round` is always an epoch boundary, so chunks stay
-        // aligned across checkpoint/resume splits.
-        let mut round = start_round;
-        while round < total_rounds {
-            let chunk_end =
-                ((round / config.rounds_per_epoch + 1) * config.rounds_per_epoch).min(total_rounds);
-            for r in round..chunk_end {
-                let faulting = (0..spec.threads).filter(|&t| gen.in_alloc_phase(t)).count();
-                let mut t_cycles = vec![0u64; spec.threads];
-                let mut issued: u64 = 0;
-                let mut cycle_idx: usize = r as usize;
-                while issued < spec.ops_per_round {
-                    let n = batch.min(spec.ops_per_round - issued);
-                    // Rotate the intra-batch thread order every cycle so no
-                    // thread systematically wins first-touch races.
-                    for k in 0..spec.threads {
-                        let t = (k + cycle_idx) % spec.threads;
-                        gen.next_block(t, n as usize, &mut block);
-                        let bd = if attrib_on {
-                            Some(&mut round_bds[t])
-                        } else {
-                            None
-                        };
-                        t_cycles[t] += st.run_block(t, &block, faulting, bd) + think * n;
-                        if attrib_on {
-                            round_bds[t].compute += think * n;
-                        }
-                    }
-                    issued += n;
-                    cycle_idx += 1;
-                }
-                let slowest = t_cycles.iter().copied().max().unwrap_or(0);
-                if attrib_on {
-                    // The round's wall time is the slowest thread's time: its
-                    // breakdown *is* the round's wall breakdown. Ties are safe —
-                    // any thread achieving the max has a breakdown summing to
-                    // exactly `slowest` — but take the first for determinism.
-                    if let Some(wi) = t_cycles.iter().position(|&c| c == slowest) {
-                        epoch_wall_bd.add(&round_bds[wi]);
-                    }
-                    for (cb, rb) in core_bds.iter_mut().zip(round_bds.iter_mut()) {
-                        cb.add(rb);
-                        *rb = CycleBreakdown::default();
+        let batch = self.config.ops_per_batch.max(1).min(spec.ops_per_round);
+        let mut round_bds = vec![CycleBreakdown::default(); self.core_bds.len()];
+        // Reusable op buffer: one block of the access stream at a time.
+        let mut block: Vec<workloads::Op> = Vec::new();
+        for r in rounds {
+            let faulting = (0..spec.threads)
+                .filter(|&t| self.gen.in_alloc_phase(t))
+                .count();
+            let mut t_cycles = vec![0u64; spec.threads];
+            let mut issued: u64 = 0;
+            let mut cycle_idx: usize = r as usize;
+            while issued < spec.ops_per_round {
+                let n = batch.min(spec.ops_per_round - issued);
+                // Rotate the intra-batch thread order every cycle so no
+                // thread systematically wins first-touch races.
+                for k in 0..spec.threads {
+                    let t = (k + cycle_idx) % spec.threads;
+                    self.gen.next_block(t, n as usize, &mut block);
+                    let bd = round_bds.get_mut(t);
+                    t_cycles[t] += self.run_block(t, &block, faulting, bd) + think * n;
+                    if self.attrib_on {
+                        round_bds[t].compute += think * n;
                     }
                 }
-                epoch_ops += spec.ops_per_round * spec.threads as u64;
-                total_ops += spec.ops_per_round * spec.threads as u64;
-                wall += slowest;
-                epoch_wall += slowest;
+                issued += n;
+                cycle_idx += 1;
             }
-            round = chunk_end;
+            let slowest = t_cycles.iter().copied().max().unwrap_or(0);
+            if self.attrib_on {
+                // The round's wall time is the slowest thread's time: its
+                // breakdown *is* the round's wall breakdown. Ties are safe —
+                // any thread achieving the max has a breakdown summing to
+                // exactly `slowest` — but take the first for determinism.
+                if let Some(wi) = t_cycles.iter().position(|&c| c == slowest) {
+                    self.epoch_wall_bd.add(&round_bds[wi]);
+                }
+                for (cb, rb) in self.core_bds.iter_mut().zip(round_bds.iter_mut()) {
+                    cb.add(rb);
+                    *rb = CycleBreakdown::default();
+                }
+            }
+            let ops = spec.ops_per_round * spec.threads as u64;
+            self.epoch_ops += ops;
+            self.total_ops += ops;
+            self.wall += slowest;
+            self.epoch_wall += slowest;
+        }
+    }
 
-            // --- Epoch boundary: kernel daemons, counters, policy. ---
-            let (collapsed, khuge_cost) = st.space.promotion_scan(config.khugepaged_scan_limit);
-            if !collapsed.is_empty() {
-                // Collapsed ranges got new frames: stale entries must go.
-                for t in &mut st.tlbs {
-                    t.flush();
-                }
-                if st.trace.is_some() {
-                    for &vbase in &collapsed {
-                        st.emit(|| TraceEvent::Promotion {
-                            epoch: epoch_index,
-                            vbase: vbase.0,
-                        });
-                    }
-                }
+    /// Closes the current epoch: kernel daemons, counters, the policy and
+    /// its actions, the hook, then opens the next epoch.
+    fn epoch_boundary(
+        &mut self,
+        policy: &mut dyn NumaPolicy,
+        hook: Option<&mut (dyn RunHook + '_)>,
+    ) {
+        let machine = self.machine;
+        let epoch = self.epoch;
+        let (collapsed, khuge_cost) = self.space.promotion_scan(self.config.khugepaged_scan_limit);
+        if !collapsed.is_empty() {
+            // Collapsed ranges got new frames: stale entries must go.
+            for t in &mut self.tlbs {
+                t.flush();
             }
-
-            let controller_requests = st.mem.controller_epoch_requests();
-            let (mut samples, ibs_overhead) = st.sampler.drain();
-            // Injected sample loss/misattribution happens between the
-            // hardware and the daemon: counters are unaffected, the
-            // policy's view is. No-op when the plan is inactive.
-            st.faults.filter_samples(&mut samples, machine.num_nodes());
-            let mem_stats = *st.mem.epoch_stats();
-            let counters = EpochCounters {
-                epoch_cycles: epoch_wall,
-                l2_accesses: mem_stats.l2_accesses,
-                l2_misses: mem_stats.l2_misses,
-                l2_walk_misses: mem_stats.l2_walk_misses,
-                dram_local: mem_stats.dram_local,
-                dram_remote: mem_stats.dram_remote,
-                controller_requests,
-                fault_time: st
-                    .fault_epoch
-                    .iter()
-                    .map(|&c| CoreFaultTime { fault_cycles: c })
-                    .collect(),
-                mem_ops: epoch_ops,
-            };
-
-            let boundary_thp = st.space.thp();
-            let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch_index);
-            let failures_fed = st.faults.is_active();
-            if failures_fed {
-                ctx.set_failures(&last_failures);
-            }
-            if st.trace.is_some() || observer.is_some() {
-                ctx.enable_decision_log();
-            }
-            policy.on_epoch(&mut ctx);
-            let actions = ctx.take_actions();
-            let decisions = ctx.take_decisions();
-            let retries = ctx.retries_recorded();
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_boundary(&EpochBoundary {
-                    epoch: epoch_index,
-                    counters: &counters,
-                    samples: &samples,
-                    thp: boundary_thp,
-                    failures: failures_fed.then_some(last_failures.as_slice()),
-                    actions: &actions,
-                    decisions: &decisions,
-                    retries,
-                    fingerprint: crate::trace::epoch_output_fingerprint(
-                        epoch_index,
-                        &actions,
-                        &decisions,
-                        retries,
-                    ),
-                });
-            }
-            for decision in decisions {
-                st.emit(|| TraceEvent::Decision {
-                    epoch: epoch_index,
-                    decision,
-                });
-            }
-            st.robust.retries += retries;
-            let mut failures: Vec<FailedAction> = Vec::new();
-            let (migrations, splits, action_costs) = st.apply_actions(actions, &mut failures);
-            let action_cost = action_costs.total();
-            if st.trace.is_some() {
-                for f in &failures {
-                    st.emit(|| TraceEvent::ActionFailed {
-                        epoch: epoch_index,
-                        action: f.action,
-                        error: f.error,
+            if self.trace.is_some() {
+                for &vbase in &collapsed {
+                    self.emit(|| TraceEvent::Promotion {
+                        epoch,
+                        vbase: vbase.0,
                     });
                 }
             }
+        }
 
-            // Kernel-side work (daemon scans, sampling NMIs, migrations)
-            // executes on the same cores as the application; spread across
-            // the machine it lengthens the epoch by its per-core share.
-            let overhead = khuge_cost + ibs_overhead + action_cost;
-            let overhead_share = overhead / st.threads as u64;
-            wall += overhead_share;
-            epoch_wall += overhead_share;
-            overhead_total += overhead;
-            if attrib_on {
-                // The flooring of `overhead / threads` is distributed over
-                // the kind buckets by prefix-sum differencing, so the five
-                // shares sum to `overhead_share` exactly — no cycle is lost
-                // to five independent floors.
-                let [kh, ib, mi, sp, re] = split_div(
-                    [
-                        khuge_cost,
-                        ibs_overhead,
-                        action_costs.migrate,
-                        action_costs.split,
-                        action_costs.replicate,
-                    ],
-                    st.threads as u64,
-                );
-                epoch_wall_bd.khugepaged += kh;
-                epoch_wall_bd.ibs_sampling += ib;
-                epoch_wall_bd.policy_migration += mi;
-                epoch_wall_bd.policy_split += sp;
-                epoch_wall_bd.policy_replication += re;
-            }
+        let controller_requests = self.mem.controller_epoch_requests();
+        let (mut samples, ibs_overhead) = self.sampler.drain();
+        // Injected sample loss/misattribution happens between the
+        // hardware and the daemon: counters are unaffected, the
+        // policy's view is. No-op when the plan is inactive.
+        self.faults
+            .filter_samples(&mut samples, machine.num_nodes());
+        let mem_stats = *self.mem.epoch_stats();
+        let counters = EpochCounters {
+            epoch_cycles: self.epoch_wall,
+            l2_accesses: mem_stats.l2_accesses,
+            l2_misses: mem_stats.l2_misses,
+            l2_walk_misses: mem_stats.l2_walk_misses,
+            dram_local: mem_stats.dram_local,
+            dram_remote: mem_stats.dram_remote,
+            controller_requests,
+            fault_time: self
+                .fault_epoch
+                .iter()
+                .map(|&c| CoreFaultTime { fault_cycles: c })
+                .collect(),
+            mem_ops: self.epoch_ops,
+        };
 
-            if st.trace.is_some() {
-                // Snapshot before end_epoch resets the per-epoch
-                // controller counters: the delays shown are the ones that
-                // were actually charged during this epoch.
-                let snaps = st.mem.controller_snapshots();
-                let snap = EpochSnap {
-                    epoch_cycles: epoch_wall,
-                    imbalance: metrics::imbalance(&counters.controller_requests),
-                    lar: mem_stats.lar(),
-                    walk_miss_fraction: counters.walk_miss_fraction(),
-                    l2_misses: counters.l2_misses,
-                    l2_walk_misses: counters.l2_walk_misses,
-                    max_fault_cycles: st.fault_epoch.iter().copied().max().unwrap_or(0),
-                    controller_requests: snaps.iter().map(|s| s.requests).collect(),
-                    controller_delays: snaps.iter().map(|s| s.queue_delay).collect(),
-                    migrations,
-                    splits,
-                    collapses: collapsed.len() as u64,
-                    failed_actions: failures.len() as u64,
-                    thp_alloc: st.space.thp().alloc_2m,
-                    thp_promote: st.space.thp().promote_2m,
-                };
-                st.emit(|| TraceEvent::EpochEnd {
-                    epoch: epoch_index,
-                    snap,
+        let boundary_thp = self.space.thp();
+        let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch);
+        let failures_fed = self.faults.is_active();
+        if failures_fed {
+            ctx.set_failures(&self.last_failures);
+        }
+        if self.trace.is_some() || hook.is_some() {
+            ctx.enable_decision_log();
+        }
+        policy.on_epoch(&mut ctx);
+        let actions = ctx.take_actions();
+        let decisions = ctx.take_decisions();
+        let retries = ctx.retries_recorded();
+        for decision in &decisions {
+            self.emit(|| TraceEvent::Decision {
+                epoch,
+                decision: decision.clone(),
+            });
+        }
+        self.robust.retries += retries;
+        let mut failures: Vec<FailedAction> = Vec::new();
+        let (migrations, splits, action_costs) = self.apply_actions(&actions, &mut failures);
+        let action_cost = action_costs.total();
+        if self.trace.is_some() {
+            for f in &failures {
+                self.emit(|| TraceEvent::ActionFailed {
+                    epoch,
+                    action: f.action,
+                    error: f.error,
                 });
             }
-            st.mem.end_epoch(epoch_wall);
-            // Controller and link delays just changed: the uncached memo
-            // (a function of those delays) is stale.
-            st.fast_uncached.fill(None);
-            epochs.push(EpochRecord {
-                counters,
+        }
+
+        // Kernel-side work (daemon scans, sampling NMIs, migrations)
+        // executes on the same cores as the application; spread across
+        // the machine it lengthens the epoch by its per-core share.
+        let overhead = khuge_cost + ibs_overhead + action_cost;
+        let overhead_share = overhead / self.threads as u64;
+        self.wall += overhead_share;
+        self.epoch_wall += overhead_share;
+        self.overhead_total += overhead;
+        if self.attrib_on {
+            // The flooring of `overhead / threads` is distributed over
+            // the kind buckets by prefix-sum differencing, so the five
+            // shares sum to `overhead_share` exactly — no cycle is lost
+            // to five independent floors.
+            let [kh, ib, mi, sp, re] = split_div(
+                [
+                    khuge_cost,
+                    ibs_overhead,
+                    action_costs.migrate,
+                    action_costs.split,
+                    action_costs.replicate,
+                ],
+                self.threads as u64,
+            );
+            self.epoch_wall_bd.khugepaged += kh;
+            self.epoch_wall_bd.ibs_sampling += ib;
+            self.epoch_wall_bd.policy_migration += mi;
+            self.epoch_wall_bd.policy_split += sp;
+            self.epoch_wall_bd.policy_replication += re;
+        }
+
+        if self.trace.is_some() {
+            // Snapshot before end_epoch resets the per-epoch
+            // controller counters: the delays shown are the ones that
+            // were actually charged during this epoch.
+            let snaps = self.mem.controller_snapshots();
+            let snap = EpochSnap {
+                epoch_cycles: self.epoch_wall,
+                imbalance: metrics::imbalance(&counters.controller_requests),
+                lar: mem_stats.lar(),
+                walk_miss_fraction: counters.walk_miss_fraction(),
+                l2_misses: counters.l2_misses,
+                l2_walk_misses: counters.l2_walk_misses,
+                max_fault_cycles: self.fault_epoch.iter().copied().max().unwrap_or(0),
+                controller_requests: snaps.iter().map(|s| s.requests).collect(),
+                controller_delays: snaps.iter().map(|s| s.queue_delay).collect(),
                 migrations,
                 splits,
                 collapses: collapsed.len() as u64,
-                overhead_cycles: overhead,
-                thp_alloc_enabled: st.space.thp().alloc_2m,
-                thp_promote_enabled: st.space.thp().promote_2m,
                 failed_actions: failures.len() as u64,
+                thp_alloc: self.space.thp().alloc_2m,
+                thp_promote: self.space.thp().promote_2m,
+            };
+            self.emit(|| TraceEvent::EpochEnd { epoch, snap });
+        }
+        self.mem.end_epoch(self.epoch_wall);
+        // Controller and link delays just changed: the uncached memo
+        // (a function of those delays) is stale.
+        self.fast_uncached.fill(None);
+        self.epochs.push(EpochRecord {
+            counters,
+            migrations,
+            splits,
+            collapses: collapsed.len() as u64,
+            overhead_cycles: overhead,
+            thp_alloc_enabled: self.space.thp().alloc_2m,
+            thp_promote_enabled: self.space.thp().promote_2m,
+            failed_actions: failures.len() as u64,
+        });
+        if self.attrib_on {
+            self.attrib_epochs.push(EpochAttribution {
+                wall: self.epoch_wall_bd,
+                cores: self.core_bds.clone(),
             });
-            last_failures = failures;
-            if attrib_on {
-                attrib_epochs.push(EpochAttribution {
-                    wall: epoch_wall_bd,
-                    cores: core_bds.clone(),
-                });
-                for (tot, cb) in core_totals.iter_mut().zip(core_bds.iter_mut()) {
-                    tot.add(cb);
-                    *cb = CycleBreakdown::default();
-                }
-                epoch_wall_bd = CycleBreakdown::default();
+            for (tot, cb) in self.core_totals.iter_mut().zip(self.core_bds.iter_mut()) {
+                tot.add(cb);
+                *cb = CycleBreakdown::default();
             }
-            if let Some(rec) = recorder.as_deref_mut() {
-                // The flight-recorder sample for the epoch this boundary
-                // closed. `epoch_wall` still holds the epoch's full wall
-                // cycles (boundary overhead included) and the per-epoch
-                // accumulators are not yet reset; the counters moved into
-                // `epochs` are read back off its tail. Everything here is
-                // a pure observation — see the bit-identity contract above.
-                let (l1h, l2h, tmiss) = st.tlbs.iter().fold((0u64, 0u64, 0u64), |acc, t| {
-                    let s = t.stats();
-                    (acc.0 + s.l1_hits, acc.1 + s.l2_hits, acc.2 + s.misses)
-                });
-                let (wh, wm) = st.walk_caches.iter().fold((0u64, 0u64), |acc, w| {
-                    (acc.0 + w.hits(), acc.1 + w.misses())
-                });
-                let pages = st.page_stats.as_ref().map(|ps| {
-                    let space = &st.space;
-                    let rows = ps.aggregate(|base4k| {
-                        space
-                            .translate(VirtAddr(base4k))
-                            .map(|m| m.vbase.0)
-                            .unwrap_or(base4k)
-                    });
+            self.epoch_wall_bd = CycleBreakdown::default();
+        }
+        if let Some(hook) = hook {
+            let counters = &self.epochs.last().expect("boundary just pushed").counters;
+            let totals = self
+                .metrics_on
+                .then(|| (self.tlb_totals(), self.walk_cache_totals()));
+            let metrics = totals.map(|(tlb, walk)| MetricsSample {
+                epoch,
+                epoch_cycles: self.epoch_wall,
+                mem_ops: counters.mem_ops,
+                imbalance: metrics::imbalance(&counters.controller_requests),
+                lar: mem_stats.lar(),
+                walk_miss_fraction: counters.walk_miss_fraction(),
+                controller_requests: &counters.controller_requests,
+                tlb_l1_hits: tlb.0 - self.rec_prev_tlb.0,
+                tlb_l2_hits: tlb.1 - self.rec_prev_tlb.1,
+                tlb_misses: tlb.2 - self.rec_prev_tlb.2,
+                walk_cache_hits: walk.0 - self.rec_prev_walk.0,
+                walk_cache_misses: walk.1 - self.rec_prev_walk.1,
+                migrations,
+                splits,
+                collapses: collapsed.len() as u64,
+                failed_actions: failures.len() as u64,
+                pages: self.page_stats.as_ref().map(|ps| {
+                    let rows = self.mapped_page_rows(ps);
                     PageSnapshot {
                         pamup: metrics::pamup(&rows),
                         nhp: metrics::nhp(&rows),
                         psp: metrics::psp(&rows),
                     }
-                });
-                let rec_counters = &epochs.last().expect("boundary just pushed").counters;
-                rec.on_epoch(&MetricsSample {
-                    epoch: epoch_index,
-                    epoch_cycles: epoch_wall,
-                    mem_ops: rec_counters.mem_ops,
-                    imbalance: metrics::imbalance(&rec_counters.controller_requests),
-                    lar: mem_stats.lar(),
-                    walk_miss_fraction: rec_counters.walk_miss_fraction(),
-                    controller_requests: &rec_counters.controller_requests,
-                    tlb_l1_hits: l1h - rec_prev_tlb.0,
-                    tlb_l2_hits: l2h - rec_prev_tlb.1,
-                    tlb_misses: tmiss - rec_prev_tlb.2,
-                    walk_cache_hits: wh - rec_prev_walk.0,
-                    walk_cache_misses: wm - rec_prev_walk.1,
-                    migrations,
-                    splits,
-                    collapses: collapsed.len() as u64,
-                    failed_actions: last_failures.len() as u64,
-                    pages,
-                    policy: policy.introspect(epoch_index),
-                    attrib: attrib_epochs.last().map(|e| &e.wall),
-                });
-                rec_prev_tlb = (l1h, l2h, tmiss);
-                rec_prev_walk = (wh, wm);
-            }
-            st.fault_epoch.iter_mut().for_each(|c| *c = 0);
-            epoch_wall = 0;
-            epoch_ops = 0;
-            epoch_index += 1;
-            st.epoch = epoch_index;
-            st.faults.begin_epoch(epoch_index, &mut st.space);
-            if config.validate_each_epoch {
-                st.space.validate().unwrap_or_else(|e| {
-                    panic!(
-                        "vmem invariant violated after epoch {}: {e}",
-                        epoch_index - 1
-                    )
-                });
-            }
-
-            // The snapshot point: the boundary that closed `epoch_index - 1`
-            // and began `epoch_index`. Per-epoch accumulators are freshly
-            // reset here, which keeps the payload minimal. An observer may
-            // capture here too (every boundary, not just one target epoch),
-            // which is what lets the fork tree snapshot a whole probe run
-            // in a single pass instead of O(epochs) re-runs.
-            if let Some(obs) = observer.as_deref_mut() {
-                if obs.want_checkpoint(epoch_index) {
-                    obs.on_checkpoint(capture_checkpoint(
-                        machine,
-                        spec,
-                        config,
-                        &*policy,
-                        &gen,
-                        &st,
-                        epoch_index,
-                        wall,
-                        total_ops,
-                        overhead_total,
-                        &epochs,
-                        &last_failures,
-                        attrib_on,
-                        &prelude_bd,
-                        &core_totals,
-                        &attrib_epochs,
-                    ));
-                }
-            }
-            if let RunMode::CheckpointAt { epoch, out } = &mut mode {
-                if epoch_index == *epoch {
-                    **out = Some(capture_checkpoint(
-                        machine,
-                        spec,
-                        config,
-                        &*policy,
-                        &gen,
-                        &st,
-                        epoch_index,
-                        wall,
-                        total_ops,
-                        overhead_total,
-                        &epochs,
-                        &last_failures,
-                        attrib_on,
-                        &prelude_bd,
-                        &core_totals,
-                        &attrib_epochs,
-                    ));
-                    return None;
-                }
+                }),
+                policy: policy.introspect(epoch),
+                attrib: self.attrib_epochs.last().map(|e| &e.wall),
+            });
+            hook.on_boundary(&EpochBoundary {
+                epoch,
+                counters,
+                samples: &samples,
+                thp: boundary_thp,
+                failures: failures_fed.then_some(self.last_failures.as_slice()),
+                actions: &actions,
+                decisions: &decisions,
+                retries,
+                fingerprint: crate::trace::epoch_output_fingerprint(
+                    epoch, &actions, &decisions, retries,
+                ),
+                metrics,
+            });
+            if let Some((tlb, walk)) = totals {
+                self.rec_prev_tlb = tlb;
+                self.rec_prev_walk = walk;
             }
         }
+        self.last_failures = failures;
+        self.fault_epoch.iter_mut().for_each(|c| *c = 0);
+        self.epoch_wall = 0;
+        self.epoch_ops = 0;
+        self.epoch = epoch + 1;
+        self.faults.begin_epoch(self.epoch, &mut self.space);
+        if self.config.validate_each_epoch {
+            self.space
+                .validate()
+                .unwrap_or_else(|e| panic!("vmem invariant violated after epoch {epoch}: {e}"));
+        }
+    }
 
-        // --- Whole-run aggregates. ---
-        let life = st.mem.lifetime_stats();
-        let controller_totals = st.mem.controller_total_requests();
-        let max_fault = st.fault_life.iter().copied().max().unwrap_or(0);
-        let (l1h, l2h, miss) = st.tlbs.iter().fold((0u64, 0u64, 0u64), |acc, t| {
+    /// Lifetime TLB `(L1 hits, L2 hits, misses)`, summed over threads.
+    fn tlb_totals(&self) -> (u64, u64, u64) {
+        self.tlbs.iter().fold((0, 0, 0), |acc, t| {
             let s = t.stats();
             (acc.0 + s.l1_hits, acc.1 + s.l2_hits, acc.2 + s.misses)
-        });
+        })
+    }
+
+    /// Lifetime walk-cache `(hits, misses)`, summed over threads.
+    fn walk_cache_totals(&self) -> (u64, u64) {
+        self.walk_caches
+            .iter()
+            .fold((0, 0), |acc, w| (acc.0 + w.hits(), acc.1 + w.misses()))
+    }
+
+    /// Page-stat rows at mapped granularity: every 4 KiB page folds into
+    /// the page that maps it now.
+    fn mapped_page_rows(&self, ps: &PageAccessStats) -> Vec<(u64, u64, u64)> {
+        ps.aggregate(|base4k| {
+            self.space
+                .translate(VirtAddr(base4k))
+                .map(|m| m.vbase.0)
+                .unwrap_or(base4k)
+        })
+    }
+
+    /// Whole-run aggregates: the finished run's [`SimResult`].
+    fn finish(mut self, policy: &dyn NumaPolicy) -> SimResult {
+        let (machine, spec, wall) = (self.machine, self.spec, self.wall);
+        let life = self.mem.lifetime_stats();
+        let controller_totals = self.mem.controller_total_requests();
+        let max_fault = self.fault_life.iter().copied().max().unwrap_or(0);
+        let (l1h, l2h, miss) = self.tlb_totals();
         let tlb_total = l1h + l2h + miss;
 
         let lifetime = LifetimeStats {
@@ -1780,22 +1402,16 @@ impl Simulation {
             } else {
                 max_fault as f64 / wall as f64
             },
-            total_fault_cycles: st.fault_life.iter().sum(),
-            vmem: st.space.stats().clone(),
-            overhead_cycles: overhead_total,
-            ibs_samples: st.sampler.total_taken(),
-            total_ops,
+            total_fault_cycles: self.fault_life.iter().sum(),
+            vmem: self.space.stats().clone(),
+            overhead_cycles: self.overhead_total,
+            ibs_samples: self.sampler.total_taken(),
+            total_ops: self.total_ops,
         };
 
-        let pages = match &st.page_stats {
+        let pages = match &self.page_stats {
             Some(ps) => {
-                let space = &st.space;
-                let rows_mapped = ps.aggregate(|base4k| {
-                    space
-                        .translate(VirtAddr(base4k))
-                        .map(|m| m.vbase.0)
-                        .unwrap_or(base4k)
-                });
+                let rows_mapped = self.mapped_page_rows(ps);
                 let rows_4k = ps.aggregate(|b| b);
                 PageMetrics {
                     pamup: metrics::pamup(&rows_mapped),
@@ -1810,30 +1426,27 @@ impl Simulation {
         };
 
         // Merge the plan's own counters into the run's robustness block.
-        let fc = st.faults.counters;
-        st.robust.fallback_allocs = fc.fallback_allocs;
-        st.robust.busy_rejections = fc.busy_rejections;
-        st.robust.dropped_samples = fc.dropped_samples;
-        st.robust.misattributed_samples = fc.misattributed_samples;
-        st.robust.oom_reclaims = fc.oom_reclaims;
+        let fc = self.faults.counters;
+        self.robust.fallback_allocs = fc.fallback_allocs;
+        self.robust.busy_rejections = fc.busy_rejections;
+        self.robust.dropped_samples = fc.dropped_samples;
+        self.robust.misattributed_samples = fc.misattributed_samples;
+        self.robust.oom_reclaims = fc.oom_reclaims;
 
-        if let Some(t) = st.trace.as_mut() {
+        if let Some(t) = self.trace.as_mut() {
             t.finish();
         }
-        if let Some(rec) = recorder {
-            rec.finish();
-        }
 
-        let attribution = if attrib_on {
-            let mut total = prelude_bd;
-            for e in &attrib_epochs {
+        let attribution = if self.attrib_on {
+            let mut total = self.prelude_bd;
+            for e in &self.attrib_epochs {
                 total.add(&e.wall);
             }
             let ledger = AttributionLedger {
-                prelude: prelude_bd,
-                epochs: attrib_epochs,
+                prelude: self.prelude_bd,
+                epochs: self.attrib_epochs,
                 total,
-                core_totals,
+                core_totals: self.core_totals,
             };
             debug_assert!(
                 ledger.conserves(wall),
@@ -1845,210 +1458,301 @@ impl Simulation {
             None
         };
 
-        Some(SimResult {
+        SimResult {
             workload: spec.name.clone(),
             policy: policy.name().to_string(),
             machine: machine.name().to_string(),
             runtime_cycles: wall,
             runtime_ms: machine.cycles_to_ms(wall),
-            epochs,
+            epochs: self.epochs,
             lifetime,
             pages,
-            robustness: st.robust,
+            robustness: self.robust,
             attribution,
-        })
+        }
     }
-}
 
-/// Reads `$name` as a `u32` override. Unset → `None` (auto). Set but
-/// unparseable → a loud stderr warning and `None`: a typo'd override
-/// silently pinning behaviour to the default is far worse than noise.
-/// Used by the bench runner's `CARREFOUR_JOBS` and
-/// `CARREFOUR_FORK_CACHE_MB`.
-pub fn env_override_u32(name: &str) -> Option<u32> {
-    parse_env_override(name, std::env::var(name).ok().as_deref())
-}
+    /// Serializes everything a mid-stream resume needs, in `ckpt-v1`
+    /// payload order: the snapshot of the boundary that begins
+    /// `self.epoch`. [`SimState::restore_checkpoint`] mirrors this
+    /// exactly; any change to either must extend the schema descriptor in
+    /// [`crate::checkpoint`].
+    fn capture_checkpoint(&self, policy: &dyn NumaPolicy) -> Checkpoint {
+        let mut e = codec::Enc::new();
+        self.gen.save_into(&mut e);
+        self.space.save_into(&mut e);
+        e.seq(self.walk_caches.iter(), |e, w| w.save_into(e));
+        e.seq(self.tlbs.iter(), |e, t| t.save_into(e));
+        self.mem.save_into(&mut e);
+        self.sampler.save_into(&mut e);
+        e.bool(self.page_stats.is_some());
+        if let Some(ps) = &self.page_stats {
+            ps.save_into(&mut e);
+        }
+        self.faults.save_into(&mut e);
+        e.seq(self.fault_epoch.iter(), |e, &c| e.u64(c));
+        e.seq(self.fault_life.iter(), |e, &c| e.u64(c));
+        checkpoint::enc_robust(&mut e, &self.robust);
+        e.u64(self.wall);
+        e.u64(self.total_ops);
+        e.u64(self.overhead_total);
+        e.seq(self.epochs.iter(), checkpoint::enc_epoch_record);
+        e.seq(self.last_failures.iter(), checkpoint::enc_failed_action);
+        e.bool(self.attrib_on);
+        if self.attrib_on {
+            checkpoint::enc_breakdown(&mut e, &self.prelude_bd);
+            e.seq(self.core_totals.iter(), checkpoint::enc_breakdown);
+            e.seq(self.attrib_epochs.iter(), checkpoint::enc_epoch_attribution);
+        }
+        e.bytes(&policy.save_state());
+        Checkpoint::new(
+            self.epoch,
+            checkpoint::config_fingerprint(self.machine, self.spec, self.config),
+            e.into_bytes(),
+        )
+    }
 
-/// The pure half of [`env_override_u32`], split out so tests don't race on
-/// process-global environment state.
-fn parse_env_override(name: &str, raw: Option<&str>) -> Option<u32> {
-    let raw = raw?;
-    match raw.trim().parse::<u32>() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring {name}={raw:?}: not a non-negative integer, falling back to auto"
+    /// Overwrites freshly-constructed run state from a `ckpt-v1` payload,
+    /// in the exact order [`SimState::capture_checkpoint`] wrote it.
+    /// Constructor-fixed dimensions (thread counts, TLB count, attribution
+    /// switch) are asserted, not restored — a fingerprint-matched
+    /// checkpoint always agrees on them. A fork (`restore_policy ==
+    /// false`) keeps the caller-prepared policy state: the snapshot's
+    /// policy bytes belong to the run it was taken from.
+    fn restore_checkpoint(
+        &mut self,
+        ckpt: &Checkpoint,
+        policy: &mut dyn NumaPolicy,
+        restore_policy: bool,
+    ) {
+        assert!(
+            ckpt.matches(self.machine, self.spec, self.config),
+            "checkpoint was taken under a different machine/spec/config"
+        );
+        let mut d = codec::Dec::new(ckpt.payload());
+        self.gen.load_from(&mut d);
+        self.space.load_from(&mut d);
+        let n_wc = d.usize();
+        assert_eq!(n_wc, self.walk_caches.len(), "checkpoint walk-cache count");
+        for w in &mut self.walk_caches {
+            w.load_from(&mut d);
+        }
+        let n_tlbs = d.usize();
+        assert_eq!(n_tlbs, self.tlbs.len(), "checkpoint TLB count");
+        for t in &mut self.tlbs {
+            t.load_from(&mut d);
+        }
+        self.mem.load_from(&mut d);
+        self.sampler.load_from(&mut d);
+        let had_stats = d.bool();
+        assert_eq!(
+            had_stats,
+            self.page_stats.is_some(),
+            "checkpoint page-stat tracking does not match the config"
+        );
+        if let Some(ps) = &mut self.page_stats {
+            ps.load_from(&mut d);
+        }
+        self.faults.load_from(&mut d);
+        let fe = d.seq(|d| d.u64());
+        assert_eq!(
+            fe.len(),
+            self.fault_epoch.len(),
+            "checkpoint fault-epoch length"
+        );
+        self.fault_epoch = fe;
+        let fl = d.seq(|d| d.u64());
+        assert_eq!(
+            fl.len(),
+            self.fault_life.len(),
+            "checkpoint fault-life length"
+        );
+        self.fault_life = fl;
+        self.robust = checkpoint::dec_robust(&mut d);
+        self.wall = d.u64();
+        self.total_ops = d.u64();
+        self.overhead_total = d.u64();
+        self.epochs = d.seq(checkpoint::dec_epoch_record);
+        self.last_failures = d.seq(checkpoint::dec_failed_action);
+        let saved_attrib = d.bool();
+        assert_eq!(
+            saved_attrib, self.attrib_on,
+            "checkpoint attribution switch does not match the config"
+        );
+        if self.attrib_on {
+            self.prelude_bd = checkpoint::dec_breakdown(&mut d);
+            let ct = d.seq(checkpoint::dec_breakdown);
+            assert_eq!(
+                ct.len(),
+                self.core_totals.len(),
+                "checkpoint core-total count"
             );
-            None
+            self.core_totals = ct;
+            self.attrib_epochs = d.seq(checkpoint::dec_epoch_attribution);
         }
-    }
-}
-
-#[cfg(test)]
-mod env_override_tests {
-    use super::parse_env_override;
-
-    #[test]
-    fn unset_is_auto() {
-        assert_eq!(parse_env_override("CARREFOUR_JOBS", None), None);
-    }
-
-    #[test]
-    fn valid_values_parse_with_whitespace_tolerance() {
-        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some("4")), Some(4));
-        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some(" 12 ")), Some(12));
-        assert_eq!(parse_env_override("CARREFOUR_JOBS", Some("0")), Some(0));
-    }
-
-    #[test]
-    fn garbage_warns_and_falls_back_to_auto() {
-        for bad in ["four", "-1", "3.5", "", "0x10", "9999999999999999999"] {
-            assert_eq!(parse_env_override("CARREFOUR_JOBS", Some(bad)), None);
+        let policy_bytes = d.bytes().to_vec();
+        d.finish();
+        if restore_policy {
+            policy.restore_state(&policy_bytes);
         }
+        self.epoch = ckpt.epoch();
     }
 }
 
-/// Serializes everything a mid-stream resume needs, in `ckpt-v1` payload
-/// order. [`restore_checkpoint`] mirrors this exactly; any change to either
-/// must extend the schema descriptor in [`crate::checkpoint`].
-#[allow(clippy::too_many_arguments)]
-fn capture_checkpoint(
-    machine: &MachineSpec,
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    policy: &dyn NumaPolicy,
-    gen: &WorkloadGen,
-    st: &SimState<'_, '_>,
-    epoch_index: u32,
-    wall: u64,
-    total_ops: u64,
-    overhead_total: u64,
-    epochs: &[EpochRecord],
-    last_failures: &[FailedAction],
-    attrib_on: bool,
-    prelude_bd: &CycleBreakdown,
-    core_totals: &[CycleBreakdown],
-    attrib_epochs: &[EpochAttribution],
-) -> Checkpoint {
-    let mut e = codec::Enc::new();
-    gen.save_into(&mut e);
-    st.space.save_into(&mut e);
-    e.seq(st.walk_caches.iter(), |e, w| w.save_into(e));
-    e.seq(st.tlbs.iter(), |e, t| t.save_into(e));
-    st.mem.save_into(&mut e);
-    st.sampler.save_into(&mut e);
-    e.bool(st.page_stats.is_some());
-    if let Some(ps) = &st.page_stats {
-        ps.save_into(&mut e);
+impl Simulation {
+    /// Runs `spec` on `machine` under `policy` and returns the results —
+    /// [`Simulation::run_with`] with default options.
+    ///
+    /// The run is fully deterministic in `(spec, config.seed)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has more threads than the machine has cores, or if
+    /// the machine runs out of physical memory (a configuration error at our
+    /// scaled footprints).
+    pub fn run(
+        machine: &MachineSpec,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        policy: &mut dyn NumaPolicy,
+    ) -> SimResult {
+        Simulation::run_with(machine, spec, config, policy, RunOptions::default()).result()
     }
-    st.faults.save_into(&mut e);
-    e.seq(st.fault_epoch.iter(), |e, &c| e.u64(c));
-    e.seq(st.fault_life.iter(), |e, &c| e.u64(c));
-    checkpoint::enc_robust(&mut e, &st.robust);
-    e.u64(wall);
-    e.u64(total_ops);
-    e.u64(overhead_total);
-    e.seq(epochs.iter(), checkpoint::enc_epoch_record);
-    e.seq(last_failures.iter(), checkpoint::enc_failed_action);
-    e.bool(attrib_on);
-    if attrib_on {
-        checkpoint::enc_breakdown(&mut e, prelude_bd);
-        e.seq(core_totals.iter(), checkpoint::enc_breakdown);
-        e.seq(attrib_epochs.iter(), checkpoint::enc_epoch_attribution);
-    }
-    e.bytes(&policy.save_state());
-    Checkpoint::new(
-        epoch_index,
-        checkpoint::config_fingerprint(machine, spec, config),
-        e.into_bytes(),
-    )
-}
 
-/// Overwrites freshly-constructed run state from a `ckpt-v1` payload, in
-/// the exact order [`capture_checkpoint`] wrote it. Constructor-fixed
-/// dimensions (thread counts, TLB count, attribution switch) are asserted,
-/// not restored — a fingerprint-matched checkpoint always agrees on them.
-#[allow(clippy::too_many_arguments)]
-fn restore_checkpoint(
-    ckpt: &Checkpoint,
-    policy: &mut dyn NumaPolicy,
-    restore_policy: bool,
-    gen: &mut WorkloadGen,
-    st: &mut SimState<'_, '_>,
-    wall: &mut u64,
-    total_ops: &mut u64,
-    overhead_total: &mut u64,
-    epochs: &mut Vec<EpochRecord>,
-    last_failures: &mut Vec<FailedAction>,
-    attrib_on: bool,
-    prelude_bd: &mut CycleBreakdown,
-    core_totals: &mut Vec<CycleBreakdown>,
-    attrib_epochs: &mut Vec<EpochAttribution>,
-) {
-    let mut d = codec::Dec::new(ckpt.payload());
-    gen.load_from(&mut d);
-    st.space.load_from(&mut d);
-    let n_wc = d.usize();
-    assert_eq!(n_wc, st.walk_caches.len(), "checkpoint walk-cache count");
-    for w in &mut st.walk_caches {
-        w.load_from(&mut d);
+    /// Runs like [`Simulation::run`] until the epoch boundary that begins
+    /// epoch `epoch`, then snapshots into a [`Checkpoint`] and stops —
+    /// [`Simulation::resume`] continues from it bit-identically. Returns
+    /// `None` when the run completes before reaching `epoch` (the run then
+    /// executed in full; no snapshot exists).
+    pub fn checkpoint_at(
+        machine: &MachineSpec,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        policy: &mut dyn NumaPolicy,
+        epoch: u32,
+    ) -> Option<Checkpoint> {
+        let opts = RunOptions {
+            stop_at: Some(epoch),
+            ..RunOptions::default()
+        };
+        Simulation::run_with(machine, spec, config, policy, opts).checkpoint()
     }
-    let n_tlbs = d.usize();
-    assert_eq!(n_tlbs, st.tlbs.len(), "checkpoint TLB count");
-    for t in &mut st.tlbs {
-        t.load_from(&mut d);
+
+    /// Continues a run from `ckpt` to completion. The checkpoint must come
+    /// from the same machine/spec/config (asserted via its fingerprint), and
+    /// `policy` must be a freshly constructed instance of the same policy —
+    /// its mutable state is restored via [`NumaPolicy::restore_state`]. The
+    /// result is bit-identical to an uninterrupted run's.
+    pub fn resume(
+        machine: &MachineSpec,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        policy: &mut dyn NumaPolicy,
+        ckpt: &Checkpoint,
+    ) -> SimResult {
+        let opts = RunOptions {
+            start: Start::Resume(ckpt),
+            ..RunOptions::default()
+        };
+        Simulation::run_with(machine, spec, config, policy, opts).result()
     }
-    st.mem.load_from(&mut d);
-    st.sampler.load_from(&mut d);
-    let had_stats = d.bool();
-    assert_eq!(
-        had_stats,
-        st.page_stats.is_some(),
-        "checkpoint page-stat tracking does not match the config"
-    );
-    if let Some(ps) = &mut st.page_stats {
-        ps.load_from(&mut d);
-    }
-    st.faults.load_from(&mut d);
-    let fe = d.seq(|d| d.u64());
-    assert_eq!(
-        fe.len(),
-        st.fault_epoch.len(),
-        "checkpoint fault-epoch length"
-    );
-    st.fault_epoch = fe;
-    let fl = d.seq(|d| d.u64());
-    assert_eq!(
-        fl.len(),
-        st.fault_life.len(),
-        "checkpoint fault-life length"
-    );
-    st.fault_life = fl;
-    st.robust = checkpoint::dec_robust(&mut d);
-    *wall = d.u64();
-    *total_ops = d.u64();
-    *overhead_total = d.u64();
-    *epochs = d.seq(checkpoint::dec_epoch_record);
-    *last_failures = d.seq(checkpoint::dec_failed_action);
-    let saved_attrib = d.bool();
-    assert_eq!(
-        saved_attrib, attrib_on,
-        "checkpoint attribution switch does not match the config"
-    );
-    if attrib_on {
-        *prelude_bd = checkpoint::dec_breakdown(&mut d);
-        let ct = d.seq(checkpoint::dec_breakdown);
-        assert_eq!(ct.len(), core_totals.len(), "checkpoint core-total count");
-        *core_totals = ct;
-        *attrib_epochs = d.seq(checkpoint::dec_epoch_attribution);
-    }
-    let policy_bytes = d.bytes().to_vec();
-    d.finish();
-    // A fork (`restore_policy == false`) keeps the caller-prepared policy
-    // state: the snapshot's policy bytes belong to the *probe* policy, not
-    // the sibling about to run the tail.
-    if restore_policy {
-        policy.restore_state(&policy_bytes);
+
+    /// The one run entry point: `opts` selects the address-space setup,
+    /// the trace sink, the boundary hook, where the run starts (fresh or
+    /// from a snapshot), whether it stops early at a snapshot boundary,
+    /// and the access loop's memo switch. Every combination produces the
+    /// same simulated results as a plain [`Simulation::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulation::run`]; and when a resumed or forked checkpoint was
+    /// taken under a different machine, spec or config.
+    pub fn run_with(
+        machine: &MachineSpec,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        policy: &mut dyn NumaPolicy,
+        opts: RunOptions<'_>,
+    ) -> RunOutcome {
+        let RunOptions {
+            setup,
+            sink,
+            mut hook,
+            start,
+            stop_at,
+            memo,
+        } = opts;
+
+        // --- Setup. ---
+        let mut st = SimState::new(machine, spec, config, setup, sink, memo);
+        // A policy that never reads samples (and no fault filter to feed)
+        // makes sample storage dead work: elide it. The NMI count and its
+        // overhead are unchanged, so results are bit-identical.
+        if !policy.consumes_samples() && !st.faults.is_active() {
+            st.sampler.set_store(false);
+        }
+        st.metrics_on = hook.as_ref().is_some_and(|h| h.wants_metrics());
+        match start {
+            Start::Fresh => {
+                if let Some(h) = hook.as_deref_mut() {
+                    h.on_run_start(&RunInfo {
+                        workload: &spec.name,
+                        policy: policy.name(),
+                        machine: machine.name(),
+                        threads: spec.threads,
+                        nodes: machine.num_nodes(),
+                    });
+                }
+                st.prelude(&*policy);
+            }
+            Start::Resume(ckpt) => st.restore_checkpoint(ckpt, policy, true),
+            Start::Fork(ckpt) => st.restore_checkpoint(ckpt, policy, false),
+        }
+
+        // --- Rounds and boundaries, one epoch chunk at a time. ---
+        // A resume restarts at the restored epoch's first round. The `min`
+        // covers a checkpoint taken at the boundary after the final
+        // (possibly short) epoch: no rounds remain, only the finale runs.
+        let total_rounds = st.gen.total_rounds();
+        let rounds_per_epoch = config.rounds_per_epoch;
+        let mut round =
+            (u64::from(st.epoch) * u64::from(rounds_per_epoch)).min(u64::from(total_rounds)) as u32;
+        let mut closed_one = false;
+        loop {
+            // The capture point: the boundary that closed `st.epoch - 1`
+            // and began `st.epoch` (for epoch 0: prelude run, no rounds),
+            // where per-epoch accumulators are freshly reset. The hook is
+            // asked at every boundary this run closed except a stop —
+            // capturing a whole probe run in one pass.
+            let stop = stop_at == Some(st.epoch);
+            let offered = !stop
+                && closed_one
+                && hook
+                    .as_deref_mut()
+                    .is_some_and(|h| h.want_checkpoint(st.epoch));
+            if stop || offered {
+                let ckpt = st.capture_checkpoint(&*policy);
+                match hook.as_deref_mut() {
+                    Some(h) if offered => h.on_checkpoint(ckpt),
+                    _ => return RunOutcome::Stopped(ckpt),
+                }
+            }
+            if round >= total_rounds {
+                break;
+            }
+            let chunk_end = ((round / rounds_per_epoch + 1) * rounds_per_epoch).min(total_rounds);
+            st.run_rounds(round..chunk_end);
+            round = chunk_end;
+            st.epoch_boundary(policy, hook.as_deref_mut());
+            closed_one = true;
+        }
+
+        // --- Finale. ---
+        let result = st.finish(&*policy);
+        if let Some(h) = hook {
+            h.finish();
+        }
+        RunOutcome::Finished(Box::new(result))
     }
 }
 
@@ -2169,11 +1873,9 @@ mod tests {
 
     #[test]
     fn fast_path_matches_per_op_path() {
-        // The batched fast path (default) and the per-op path selected by
-        // CARREFOUR_NO_FASTPATH must agree bit-for-bit. Exercise coherent
-        // stores (uncached memo), a prefetched stream, and huge pages.
-        // Setting the env var mid-process is safe precisely because the
-        // two paths are identical: any concurrent test sees equal results.
+        // The access loop with its memo tricks (the default) and without
+        // them must agree bit-for-bit. Exercise coherent stores (uncached
+        // memo), a prefetched stream, and huge pages.
         let machine = MachineSpec::test_machine();
         for pattern in [
             AccessPattern::SharedUniform,
@@ -2186,28 +1888,12 @@ mod tests {
             let mut config = SimConfig::fast_test();
             config.vmem.thp = ThpControls::thp();
             let fast = Simulation::run(&machine, &spec, &config, &mut NullPolicy);
-            std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
-            let slow = Simulation::run(&machine, &spec, &config, &mut NullPolicy);
-            std::env::remove_var("CARREFOUR_NO_FASTPATH");
-            assert_eq!(fast.runtime_cycles, slow.runtime_cycles);
-            assert_eq!(fast.lifetime.ibs_samples, slow.lifetime.ibs_samples);
-            assert_eq!(fast.lifetime.total_ops, slow.lifetime.total_ops);
-            assert_eq!(fast.lifetime.lar, slow.lifetime.lar);
-            assert_eq!(fast.lifetime.imbalance, slow.lifetime.imbalance);
-            assert_eq!(fast.pages.psp, slow.pages.psp);
-            assert_eq!(fast.pages.pamup, slow.pages.pamup);
-            assert_eq!(fast.epochs.len(), slow.epochs.len());
-            for (a, b) in fast.epochs.iter().zip(slow.epochs.iter()) {
-                assert_eq!(a.counters.epoch_cycles, b.counters.epoch_cycles);
-                assert_eq!(a.counters.l2_accesses, b.counters.l2_accesses);
-                assert_eq!(a.counters.l2_misses, b.counters.l2_misses);
-                assert_eq!(a.counters.dram_local, b.counters.dram_local);
-                assert_eq!(a.counters.dram_remote, b.counters.dram_remote);
-                assert_eq!(
-                    a.counters.controller_requests,
-                    b.counters.controller_requests
-                );
-            }
+            let opts = RunOptions {
+                memo: false,
+                ..RunOptions::default()
+            };
+            let slow = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, opts);
+            assert_eq!(fast, slow.result());
         }
     }
 
@@ -2343,30 +2029,30 @@ mod tests {
         let spec = tiny_spec(AccessPattern::PrivateSlices, 4);
         let config = ckpt_config();
         let mut whole = DigestSink::new();
-        let full = Simulation::run_traced(&machine, &spec, &config, &mut NullPolicy, &mut whole);
+        let traced = RunOptions {
+            sink: Some(&mut whole),
+            ..RunOptions::default()
+        };
+        let full = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, traced).result();
         let whole = whole.into_digest();
 
         // One sink threaded through both phases sees the same event stream.
         let mut spliced = DigestSink::new();
-        let ckpt = Simulation::checkpoint_at_traced(
-            &machine,
-            &spec,
-            &config,
-            &mut NullPolicy,
-            |_| {},
-            Some(&mut spliced),
-            2,
-        )
-        .expect("epoch 2 exists");
-        let resumed = Simulation::resume_traced(
-            &machine,
-            &spec,
-            &config,
-            &mut NullPolicy,
-            |_| {},
-            Some(&mut spliced),
-            &ckpt,
-        );
+        let first = RunOptions {
+            sink: Some(&mut spliced),
+            stop_at: Some(2),
+            ..RunOptions::default()
+        };
+        let ckpt = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, first)
+            .checkpoint()
+            .expect("epoch 2 exists");
+        let second = RunOptions {
+            sink: Some(&mut spliced),
+            start: Start::Resume(&ckpt),
+            ..RunOptions::default()
+        };
+        let resumed =
+            Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, second).result();
         let spliced = spliced.into_digest();
         assert_eq!(resumed, full);
         assert_eq!(spliced.diff(&whole), None, "spliced trace digest diverged");

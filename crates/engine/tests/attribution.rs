@@ -4,23 +4,20 @@
 //! simulated wall cycle is charged to exactly one architectural bucket:
 //! `total.total() == runtime_cycles`, exactly, as integers — no float
 //! accumulation, no "other" bucket, no slack. These tests enforce that
-//! claim across workload patterns, THP settings, both execution paths
-//! (batched fast path and per-op), and — via proptest — under nonzero
+//! claim across workload patterns, THP settings, the access loop with and
+//! without its memo tricks, and — via proptest — under nonzero
 //! fault plans, where injected failures perturb policy actions and their
 //! attributed costs mid-run.
 
-use engine::{EpochCtx, FaultConfig, NullPolicy, NumaPolicy, SimConfig, SimResult, Simulation};
+use engine::{
+    EpochCtx, FaultConfig, NullPolicy, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation,
+};
 use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
-use std::sync::Mutex;
 use vmem::{PageSize, ThpControls};
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
-
-/// Serializes the test that flips `CARREFOUR_NO_FASTPATH` (the engine
-/// reads it per run; cargo runs this binary's tests on threads).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn small_spec(machine: &MachineSpec, mib: u64, pattern: AccessPattern) -> WorkloadSpec {
     WorkloadSpec {
@@ -67,18 +64,25 @@ impl NumaPolicy for Churn {
     }
 }
 
+/// An attributed run; `memo: false` turns the access loop's memo tricks
+/// off ([`RunOptions::memo`]).
 fn run_attributed(
     thp: ThpControls,
     pattern: AccessPattern,
     faults: FaultConfig,
     policy: &mut dyn NumaPolicy,
+    memo: bool,
 ) -> SimResult {
     let machine = MachineSpec::test_machine();
     let spec = small_spec(&machine, 4, pattern);
     let mut config = SimConfig::for_machine(&machine, thp);
     config.faults = faults;
     config.attribution = true;
-    Simulation::run(&machine, &spec, &config, policy)
+    let opts = RunOptions {
+        memo,
+        ..RunOptions::default()
+    };
+    Simulation::run_with(&machine, &spec, &config, policy, opts).result()
 }
 
 /// Asserts every conservation property the ledger promises, at every
@@ -152,7 +156,7 @@ fn conservation_holds_across_patterns_and_thp() {
             AccessPattern::SharedUniform,
             AccessPattern::Stream { stride: 64 },
         ] {
-            let r = run_attributed(thp, pattern, FaultConfig::none(), &mut NullPolicy);
+            let r = run_attributed(thp, pattern, FaultConfig::none(), &mut NullPolicy, true);
             assert_conserved(&r, threads);
         }
     }
@@ -160,26 +164,19 @@ fn conservation_holds_across_patterns_and_thp() {
 
 #[test]
 fn conservation_holds_on_both_execution_paths() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
-    let fast = run_attributed(
-        ThpControls::thp(),
-        AccessPattern::SharedUniform,
-        FaultConfig::none(),
-        &mut Churn,
-    );
-    std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
-    let slow = run_attributed(
-        ThpControls::thp(),
-        AccessPattern::SharedUniform,
-        FaultConfig::none(),
-        &mut Churn,
-    );
-    std::env::remove_var("CARREFOUR_NO_FASTPATH");
+    let [fast, slow] = [true, false].map(|memo| {
+        run_attributed(
+            ThpControls::thp(),
+            AccessPattern::SharedUniform,
+            FaultConfig::none(),
+            &mut Churn,
+            memo,
+        )
+    });
     let threads = MachineSpec::test_machine().total_cores();
     assert_conserved(&fast, threads);
     assert_conserved(&slow, threads);
-    // The fast path is bit-identical to the per-op path — ledger included.
+    // The memo tricks are bit-identical to the plain loop — ledger included.
     assert_eq!(fast, slow);
 }
 
@@ -191,6 +188,7 @@ fn buckets_reflect_architectural_activity() {
         AccessPattern::SharedUniform,
         FaultConfig::none(),
         &mut Churn,
+        true,
     );
     assert_conserved(&r, threads);
     let t = &r.attribution.as_ref().unwrap().total;

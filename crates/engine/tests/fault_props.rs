@@ -5,8 +5,8 @@
 //! consistently in [`engine::RobustnessStats`].
 
 use engine::{
-    DigestSink, EpochCtx, FaultConfig, MemoryPressure, NullPolicy, NumaPolicy, SimConfig,
-    SimResult, Simulation, TraceDigest,
+    DigestSink, EpochCtx, FaultConfig, MemoryPressure, NullPolicy, NumaPolicy, RunOptions,
+    SimConfig, SimResult, Simulation, TraceDigest,
 };
 use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
@@ -83,7 +83,11 @@ fn run_digested(
     config.faults = faults;
     config.validate_each_epoch = true;
     let mut sink = DigestSink::new();
-    let result = Simulation::run_traced(machine, spec, &config, policy, &mut sink);
+    let opts = RunOptions {
+        sink: Some(&mut sink),
+        ..RunOptions::default()
+    };
+    let result = Simulation::run_with(machine, spec, &config, policy, opts).result();
     (result, sink.into_digest())
 }
 
@@ -166,8 +170,8 @@ proptest! {
         let machine = MachineSpec::test_machine();
         let spec = small_spec(&machine, 4 << 20, pattern);
         let faults = FaultConfig::uniform(seed, rate);
-        let (ra, da) = run_digested(&machine, &spec, faults.clone(), &mut Churn);
-        let (rb, db) = run_digested(&machine, &spec, faults.clone(), &mut Churn);
+        let (ra, da) = run_digested(&machine, &spec, faults, &mut Churn);
+        let (rb, db) = run_digested(&machine, &spec, faults, &mut Churn);
         prop_assert_eq!(&ra, &rb);
         prop_assert!(da.diff(&db).is_none(), "trace digests diverged: {:?}", da.diff(&db));
         prop_assert_eq!(da, db);

@@ -38,8 +38,8 @@ pub mod prelude {
         ActionError, Checkpoint, CheckpointError, CountingSink, DigestSink, EpochCtx, EpochDigest,
         EpochRecord, EpochSnap, EventKind, FailedAction, FaultConfig, FaultRates, JsonlSink,
         LifetimeStats, MemoryPressure, NullPolicy, NumaPolicy, PageMetrics, PolicyAction,
-        PolicyDecision, RingSink, RobustnessStats, SimConfig, SimResult, Simulation, TeeSink,
-        TraceDigest, TraceEvent, TraceSink, VecSink,
+        PolicyDecision, RingSink, RobustnessStats, RunHook, RunOptions, RunOutcome, SimConfig,
+        SimResult, Simulation, Start, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,
     };
     pub use numa_topology::{CoreId, MachineSpec, NodeId, NodeSpec};
     pub use profiling::{IbsConfig, IbsSample, IbsSampler};

@@ -13,7 +13,7 @@
 
 use carrefour_bench::golden::{golden_dir, GOLDEN_CELLS};
 use carrefour_bench::{attrib, runner, PolicyKind};
-use engine::{DigestSink, SimConfig, Simulation, TraceDigest};
+use engine::{DigestSink, RunOptions, SimConfig, Simulation, TraceDigest};
 use numa_topology::MachineSpec;
 use workloads::Benchmark;
 
@@ -29,7 +29,11 @@ fn attributed_golden_runs_conserve_and_match_digests() {
         let spec = cell.bench.spec(&machine);
         let mut policy = cell.kind.make();
         let mut sink = DigestSink::new();
-        let result = Simulation::run_traced(&machine, &spec, &config, policy.as_mut(), &mut sink);
+        let opts = RunOptions {
+            sink: Some(&mut sink),
+            ..RunOptions::default()
+        };
+        let result = Simulation::run_with(&machine, &spec, &config, policy.as_mut(), opts).result();
         let mut digest = sink.into_digest();
         digest.policy = cell.kind.label().to_string();
         digest.runtime_cycles = result.runtime_cycles;

@@ -62,7 +62,11 @@ fn events_one_node(policy: &mut dyn NumaPolicy) -> Vec<TraceEvent> {
     let spec = spec(&machine);
     let config = SimConfig::for_machine(&machine, ThpControls::small_only());
     let mut sink = VecSink::new();
-    Simulation::run_traced(&machine, &spec, &config, policy, &mut sink);
+    let opts = RunOptions {
+        sink: Some(&mut sink),
+        ..RunOptions::default()
+    };
+    Simulation::run_with(&machine, &spec, &config, policy, opts).result();
     let mut events = sink.events;
     assert!(matches!(events.first(), Some(TraceEvent::RunStart { .. })));
     events.remove(0);
