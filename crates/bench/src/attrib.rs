@@ -63,7 +63,7 @@ pub fn cause_groups(base: &CycleBreakdown, cand: &CycleBreakdown) -> Vec<CauseGr
             b.tlb_lookup + b.walk_local_cycles()
         }),
         g("remote page walks", |b| b.walk_remote_cycles()),
-        g("page faults", |b| b.fault + b.replica_collapse),
+        g("page faults", |b| b.fault),
         g("policy + daemon overhead", |b| {
             b.khugepaged
                 + b.ibs_sampling
@@ -419,12 +419,11 @@ mod tests {
                 10 => a.walk_pwc_miss_local = field,
                 11 => a.walk_pwc_miss_remote = field,
                 12 => a.fault = field,
-                13 => a.replica_collapse = field,
-                14 => a.khugepaged = field,
-                15 => a.ibs_sampling = field,
-                16 => a.policy_migration = field,
-                17 => a.policy_split = field,
-                18 => a.policy_replication = field,
+                13 => a.khugepaged = field,
+                14 => a.ibs_sampling = field,
+                15 => a.policy_migration = field,
+                16 => a.policy_split = field,
+                17 => a.policy_replication = field,
                 _ => unreachable!("new bucket not covered by cause groups"),
             }
         }

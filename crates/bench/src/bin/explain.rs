@@ -99,7 +99,7 @@ fn explain_pair(machine: &MachineSpec, bench: Benchmark, base: PolicyKind, cand:
     }
 }
 
-/// Runs the six golden cells attributed and seeds
+/// Runs the 11 golden cells attributed and seeds
 /// `results/BENCH_attrib_baseline.json` — the checked-in reference of the
 /// golden configurations' cycle composition.
 fn golden_baseline() {

@@ -369,8 +369,7 @@ pub mod json {
         format!(
             "{{\"faults_4k\":{},\"faults_2m\":{},\"faults_1g\":{},\
              \"migrations_4k\":{},\"migrations_2m\":{},\"splits\":{},\
-             \"collapses\":{},\"replications\":{},\"replica_collapses\":{},\
-             \"bytes_copied\":{},\"table_replications\":{},\
+             \"collapses\":{},\"bytes_copied\":{},\"table_replications\":{},\
              \"table_migrations\":{}}}",
             v.faults_4k,
             v.faults_2m,
@@ -379,8 +378,6 @@ pub mod json {
             v.migrations_2m,
             v.splits,
             v.collapses,
-            v.replications,
-            v.replica_collapses,
             v.bytes_copied,
             v.table_replications,
             v.table_migrations,
@@ -406,12 +403,11 @@ pub mod json {
     fn robustness(r: &RobustnessStats) -> String {
         format!(
             "{{\"failed_migrations\":{},\"failed_splits\":{},\
-             \"failed_replications\":{},\"fallback_allocs\":{},\
+             \"fallback_allocs\":{},\
              \"busy_rejections\":{},\"dropped_samples\":{},\
              \"misattributed_samples\":{},\"retries\":{},\"oom_reclaims\":{}}}",
             r.failed_migrations,
             r.failed_splits,
-            r.failed_replications,
             r.fallback_allocs,
             r.busy_rejections,
             r.dropped_samples,

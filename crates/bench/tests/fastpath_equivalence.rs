@@ -8,19 +8,16 @@
 //! (`PartialEq` covers every per-epoch record and lifetime counter).
 //!
 //! The targeted scenarios pin the invalidation edge cases where a stale
-//! memo would be visible: replica collapse on store (remaps mid-epoch),
-//! shootdowns during a multi-threaded epoch (migration remaps), and
-//! demote-then-repromote (split followed by khugepaged collapse). Each
+//! memo would be visible: shootdowns during a multi-threaded epoch
+//! (migration remaps) and demote-then-repromote (split followed by khugepaged collapse). Each
 //! test also asserts the scenario actually fired, so a policy change that
 //! silences the trigger fails loudly instead of hollowing out the test.
 
-use carrefour::Carrefour;
 use carrefour_bench::runner::{CellSpec, Workload};
 use carrefour_bench::PolicyKind;
-use engine::{FaultConfig, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation};
+use engine::{FaultConfig, RunOptions, SimResult, Simulation};
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
-use vmem::ThpControls;
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
@@ -30,9 +27,21 @@ const BASE: u64 = 64 << 30;
 /// callers can assert their scenario actually triggered.
 fn assert_fastpath_equivalent(cell: &CellSpec) -> SimResult {
     let wspec = cell.workload.spec(&cell.machine);
-    assert_sim_equivalent(&cell.machine, &wspec, &cell.sim_config(), || {
-        cell.make_policy()
-    })
+    let config = cell.sim_config();
+    let [fast, slow] = [true, false].map(|memo| {
+        let opts = RunOptions {
+            memo,
+            ..RunOptions::default()
+        };
+        let mut policy = cell.make_policy();
+        Simulation::run_with(&cell.machine, &wspec, &config, policy.as_mut(), opts).result()
+    });
+    assert_eq!(
+        fast, slow,
+        "memo tricks diverged from the plain loop for {}/{}",
+        fast.workload, fast.policy
+    );
+    fast
 }
 
 /// A small multi-threaded workload over one region.
@@ -71,62 +80,6 @@ fn cell(workload: WorkloadSpec, kind: PolicyKind, faults: Option<FaultConfig>) -
         lp_params: None,
         family: None,
     }
-}
-
-/// Runs one `Simulation` twice — memo tricks on, then off — with a fresh
-/// policy instance each time, and asserts bit-identical results. Direct
-/// form of [`assert_fastpath_equivalent`] for scenarios that need a
-/// hand-configured policy (e.g. replication, which no `PolicyKind`
-/// enables).
-fn assert_sim_equivalent(
-    machine: &MachineSpec,
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    mut make_policy: impl FnMut() -> Box<dyn NumaPolicy>,
-) -> SimResult {
-    let [fast, slow] = [true, false].map(|memo| {
-        let opts = RunOptions {
-            memo,
-            ..RunOptions::default()
-        };
-        Simulation::run_with(machine, spec, config, make_policy().as_mut(), opts).result()
-    });
-    assert_eq!(
-        fast, slow,
-        "memo tricks diverged from the plain loop for {}/{}",
-        fast.workload, fast.policy
-    );
-    fast
-}
-
-/// Replica collapse on store: Carrefour-with-replication replicates
-/// read-mostly shared pages, and a later store collapses the replica set —
-/// a mid-epoch remap that must invalidate the uncached-outcome memo and
-/// the walk cache. (Replication is off in every `PolicyKind`, so this
-/// scenario drives `Simulation::run` directly.)
-#[test]
-fn replica_collapse_on_store_is_bit_identical() {
-    let machine = MachineSpec::test_machine();
-    // A large loader-built shared region (skewed onto node 0 so LAR is low
-    // and the policy engages) with rare stores: pages look read-only long
-    // enough to replicate, and the residual 1 % real stores then hit the
-    // replicas and collapse them.
-    let mut w = spec("replica-collapse", 32, AccessPattern::SharedUniform, 0.01);
-    w.regions[0].alloc_skew = 1.0;
-    w.ops_per_round = 1000;
-    w.compute_rounds = 150;
-    let mut config = SimConfig::for_machine(&machine, ThpControls::small_only());
-    // Dense sampling: replication coverage is sample-bound.
-    config.ibs.period = 32;
-    let r = assert_sim_equivalent(&machine, &w, &config, || {
-        Box::new(Carrefour::with_replication())
-    });
-    let vm = &r.lifetime.vmem;
-    assert!(vm.replications > 0, "scenario did not replicate: {vm:?}");
-    assert!(
-        vm.replica_collapses > 0,
-        "scenario did not collapse a replica on store: {vm:?}"
-    );
 }
 
 /// Shootdowns during a multi-threaded epoch: migrations remap pages while

@@ -116,6 +116,14 @@ impl Enc {
         }
     }
 
+    /// Writes `n` zero words: the slots of retired fields, kept so the
+    /// byte layout around them does not move (DESIGN.md §12).
+    pub fn retired(&mut self, n: usize) {
+        for _ in 0..n {
+            self.u64(0);
+        }
+    }
+
     /// Writes a length-prefixed sequence.
     pub fn seq<T>(
         &mut self,
@@ -241,6 +249,19 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// Reads `n` retired slots written by [`Enc::retired`]; a nonzero
+    /// word is malformed input, like a bad tag.
+    pub fn retired(&mut self, n: usize) {
+        for _ in 0..n {
+            let v = self.u64();
+            assert!(
+                v == 0,
+                "codec: retired slot holds {v} at offset {}",
+                self.pos - 8
+            );
+        }
+    }
+
     /// Reads a length-prefixed sequence into a `Vec`.
     pub fn seq<T>(&mut self, mut f: impl FnMut(&mut Self) -> T) -> Vec<T> {
         let n = self.usize();
@@ -334,6 +355,29 @@ mod tests {
         assert_eq!(d.opt(|d| d.u32()), Some(9));
         assert_eq!(d.opt(|d| d.u32()), None);
         d.finish();
+    }
+
+    #[test]
+    fn retired_slots_are_zero_words() {
+        let mut e = Enc::new();
+        e.retired(3);
+        e.u8(5);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), 3 * 8 + 1);
+        let mut d = Dec::new(&bytes);
+        d.retired(3);
+        assert_eq!(d.u8(), 5);
+        d.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "retired slot holds 7 at offset 8")]
+    fn nonzero_retired_slot_is_rejected() {
+        let mut e = Enc::new();
+        e.u64(0);
+        e.u64(7);
+        let bytes = e.into_bytes();
+        Dec::new(&bytes).retired(2);
     }
 
     #[test]

@@ -17,8 +17,6 @@ struct PageInfo {
     home: u16,
     /// Total samples.
     total: u32,
-    /// Sampled stores (reads-only pages are replication candidates).
-    stores: u32,
     /// Whether the grouped page is larger than 4 KiB.
     huge: bool,
     /// Whether this is a sub-page of a policy-split huge page.
@@ -50,7 +48,6 @@ fn group_pages(
         *info.nodes.entry(s.accessing_node.0).or_insert(0) += 1;
         info.home = s.home_node.0;
         info.total += 1;
-        info.stores += u32::from(s.is_store);
         info.huge = !pending && s.page_size != vmem::PageSize::Size4K;
         info.from_split = from_split;
     }
@@ -77,8 +74,6 @@ pub struct Carrefour {
     /// of chasing every new sample (the kernel module keeps per-page state
     /// across intervals for the same reason).
     node_seen: BTreeMap<u64, u16>,
-    /// Pages already replicated (don't re-issue every epoch).
-    replicated: BTreeSet<u64>,
 }
 
 /// The RNG seed every default-constructed Carrefour uses. Exposed so
@@ -92,16 +87,6 @@ impl Carrefour {
         Carrefour::with_config(CarrefourConfig::default(), DEFAULT_SEED)
     }
 
-    /// Creates the policy with replication enabled (the original
-    /// Carrefour's full mechanism set; see `CarrefourConfig`).
-    pub fn with_replication() -> Self {
-        let cfg = CarrefourConfig {
-            enable_replication: true,
-            ..CarrefourConfig::default()
-        };
-        Carrefour::with_config(cfg, DEFAULT_SEED)
-    }
-
     /// Creates the policy with explicit thresholds and RNG seed.
     pub fn with_config(cfg: CarrefourConfig, seed: u64) -> Self {
         Carrefour {
@@ -110,7 +95,6 @@ impl Carrefour {
             interleaved: BTreeSet::new(),
             placed_once: BTreeSet::new(),
             node_seen: BTreeMap::new(),
-            replicated: BTreeSet::new(),
         }
     }
 
@@ -196,16 +180,7 @@ impl Carrefour {
                         self.node_seen.insert(page, node);
                     }
                 }
-            } else if self.cfg.enable_replication
-                && !info.huge
-                && info.stores == 0
-                && !self.replicated.contains(&page)
-            {
-                // Multi-node, read-only, small: give every node a copy.
-                ctx.replicate(page);
-                self.replicated.insert(page);
-                budget -= 1;
-            } else if !self.interleaved.contains(&page) && !self.replicated.contains(&page) {
+            } else if !self.interleaved.contains(&page) {
                 let target = self.random_node(num_nodes);
                 ctx.migrate(page, target);
                 self.interleaved.insert(page);
@@ -226,7 +201,6 @@ impl Carrefour {
         self.interleaved.remove(&page);
         self.node_seen.remove(&page);
         self.placed_once.remove(&page);
-        self.replicated.remove(&page);
     }
 
     /// Picks a random node (shared RNG so composition stays deterministic).
@@ -240,7 +214,9 @@ impl Carrefour {
     }
 
     /// Serializes the cross-epoch placement state for a `ckpt-v1`
-    /// snapshot. `cfg` is constructor-provided and not serialized.
+    /// snapshot. `cfg` is constructor-provided and not serialized. A zero
+    /// word holds the slot of the retired replicated-page set (an empty
+    /// sequence), so the layout is unchanged (DESIGN.md §12).
     pub(crate) fn save_into(&self, e: &mut codec::Enc) {
         for w in self.rng.state() {
             e.u64(w);
@@ -251,7 +227,7 @@ impl Carrefour {
             e.u64(p);
             e.u16(n);
         });
-        e.seq(self.replicated.iter(), |e, &p| e.u64(p));
+        e.retired(1);
     }
 
     /// Restores state captured by [`Carrefour::save_into`] onto a
@@ -262,7 +238,7 @@ impl Carrefour {
         self.interleaved = d.seq(|d| d.u64()).into_iter().collect();
         self.placed_once = d.seq(|d| d.u64()).into_iter().collect();
         self.node_seen = d.seq(|d| (d.u64(), d.u16())).into_iter().collect();
-        self.replicated = d.seq(|d| d.u64()).into_iter().collect();
+        d.retired(1);
     }
 }
 

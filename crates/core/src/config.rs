@@ -16,11 +16,6 @@ pub struct CarrefourConfig {
     pub intensity_min_dram_per_op: f64,
     /// Rate limit: at most this many page migrations per epoch.
     pub max_migrations_per_epoch: usize,
-    /// Enable read-only page replication for multi-node pages with no
-    /// sampled stores (the original Carrefour's third mechanism; off by
-    /// default because this paper's description of Carrefour covers only
-    /// migration and interleaving).
-    pub enable_replication: bool,
 }
 
 impl Default for CarrefourConfig {
@@ -31,7 +26,6 @@ impl Default for CarrefourConfig {
             imbalance_enable_above: 35.0,
             intensity_min_dram_per_op: 0.001,
             max_migrations_per_epoch: 4096,
-            enable_replication: false,
         }
     }
 }
@@ -141,7 +135,6 @@ impl LpParams {
                 imbalance_enable_above: 25.0,
                 intensity_min_dram_per_op: 0.001,
                 max_migrations_per_epoch: 8192,
-                enable_replication: false,
             },
             robustness: RobustnessConfig::default(),
         }

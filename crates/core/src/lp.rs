@@ -252,12 +252,7 @@ impl NumaPolicy for CarrefourLp {
             .count() as u64;
         let failed_moves = failed
             .iter()
-            .filter(|f| {
-                matches!(
-                    f.action,
-                    PolicyAction::Migrate(_, _) | PolicyAction::Replicate(_)
-                )
-            })
+            .filter(|f| matches!(f.action, PolicyAction::Migrate(_, _)))
             .count() as u64;
         let trips_before = (self.split_breaker.trips, self.move_breaker.trips);
         self.split_breaker
@@ -402,7 +397,7 @@ impl NumaPolicy for CarrefourLp {
         self.issued_splits = 0;
         for a in ctx.queued() {
             match a {
-                PolicyAction::Migrate(_, _) | PolicyAction::Replicate(_) => self.issued_moves += 1,
+                PolicyAction::Migrate(_, _) => self.issued_moves += 1,
                 PolicyAction::Split(_) | PolicyAction::SplitScatter(_) => self.issued_splits += 1,
                 _ => {}
             }

@@ -27,7 +27,6 @@ fn retry_key(action: &PolicyAction) -> Option<(u8, u64)> {
         PolicyAction::Migrate(v, _) => Some((0, v)),
         PolicyAction::Split(v) => Some((1, v)),
         PolicyAction::SplitScatter(v) => Some((2, v)),
-        PolicyAction::Replicate(v) => Some((3, v)),
         PolicyAction::MigrateTables(v, _) => Some((4, v)),
         // THP toggles cannot fail, and a table-replication sweep absorbs
         // its own allocation failures; none is ever enqueued.
@@ -289,7 +288,7 @@ mod tests {
     #[test]
     fn gone_actions_are_never_retried() {
         let mut q = RetryQueue::new(RobustnessConfig::default());
-        let a = PolicyAction::Replicate(0x60_0000);
+        let a = PolicyAction::SplitScatter(0x60_0000);
         q.absorb_failures(
             0,
             &[FailedAction {

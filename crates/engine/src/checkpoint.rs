@@ -246,10 +246,6 @@ pub fn enc_action(e: &mut Enc, a: &PolicyAction) {
             e.u8(2);
             e.u64(v);
         }
-        PolicyAction::Replicate(v) => {
-            e.u8(3);
-            e.u64(v);
-        }
         PolicyAction::SetThpAlloc(b) => {
             e.u8(4);
             e.bool(b);
@@ -275,7 +271,6 @@ pub fn dec_action(d: &mut Dec<'_>) -> PolicyAction {
         0 => PolicyAction::Migrate(d.u64(), NodeId(d.u16())),
         1 => PolicyAction::Split(d.u64()),
         2 => PolicyAction::SplitScatter(d.u64()),
-        3 => PolicyAction::Replicate(d.u64()),
         4 => PolicyAction::SetThpAlloc(d.bool()),
         5 => PolicyAction::SetThpPromote(d.bool()),
         6 => PolicyAction::ReplicateTables,
@@ -327,7 +322,7 @@ pub(crate) fn enc_breakdown(e: &mut Enc, b: &CycleBreakdown) {
     e.u64(b.walk_pwc_miss_local);
     e.u64(b.walk_pwc_miss_remote);
     e.u64(b.fault);
-    e.u64(b.replica_collapse);
+    e.retired(1); // the data-page replica-collapse bucket
     e.u64(b.khugepaged);
     e.u64(b.ibs_sampling);
     e.u64(b.policy_migration);
@@ -335,6 +330,8 @@ pub(crate) fn enc_breakdown(e: &mut Enc, b: &CycleBreakdown) {
     e.u64(b.policy_replication);
 }
 
+/// Retired slots are read inside the next field's initialiser: struct
+/// literal fields evaluate in source order.
 pub(crate) fn dec_breakdown(d: &mut Dec<'_>) -> CycleBreakdown {
     CycleBreakdown {
         compute: d.u64(),
@@ -350,8 +347,10 @@ pub(crate) fn dec_breakdown(d: &mut Dec<'_>) -> CycleBreakdown {
         walk_pwc_miss_local: d.u64(),
         walk_pwc_miss_remote: d.u64(),
         fault: d.u64(),
-        replica_collapse: d.u64(),
-        khugepaged: d.u64(),
+        khugepaged: {
+            d.retired(1);
+            d.u64()
+        },
         ibs_sampling: d.u64(),
         policy_migration: d.u64(),
         policy_split: d.u64(),
@@ -414,7 +413,7 @@ pub(crate) fn dec_epoch_record(d: &mut Dec<'_>) -> EpochRecord {
 pub(crate) fn enc_robust(e: &mut Enc, r: &RobustnessStats) {
     e.u64(r.failed_migrations);
     e.u64(r.failed_splits);
-    e.u64(r.failed_replications);
+    e.retired(1); // the failed data-page replication count
     e.u64(r.fallback_allocs);
     e.u64(r.busy_rejections);
     e.u64(r.dropped_samples);
@@ -427,8 +426,10 @@ pub(crate) fn dec_robust(d: &mut Dec<'_>) -> RobustnessStats {
     RobustnessStats {
         failed_migrations: d.u64(),
         failed_splits: d.u64(),
-        failed_replications: d.u64(),
-        fallback_allocs: d.u64(),
+        fallback_allocs: {
+            d.retired(1);
+            d.u64()
+        },
         busy_rejections: d.u64(),
         dropped_samples: d.u64(),
         misattributed_samples: d.u64(),
@@ -452,8 +453,7 @@ fn enc_lifetime(e: &mut Enc, l: &LifetimeStats) {
     e.u64(l.vmem.migrations_2m);
     e.u64(l.vmem.splits);
     e.u64(l.vmem.collapses);
-    e.u64(l.vmem.replications);
-    e.u64(l.vmem.replica_collapses);
+    e.retired(2); // data-page replica creations and collapses
     e.u64(l.vmem.bytes_copied);
     e.u64(l.vmem.table_replications);
     e.u64(l.vmem.table_migrations);
@@ -479,9 +479,10 @@ fn dec_lifetime(d: &mut Dec<'_>) -> LifetimeStats {
             migrations_2m: d.u64(),
             splits: d.u64(),
             collapses: d.u64(),
-            replications: d.u64(),
-            replica_collapses: d.u64(),
-            bytes_copied: d.u64(),
+            bytes_copied: {
+                d.retired(2);
+                d.u64()
+            },
             table_replications: d.u64(),
             table_migrations: d.u64(),
         },
@@ -723,7 +724,6 @@ mod tests {
             PolicyAction::Migrate(0x20_0000, NodeId(3)),
             PolicyAction::Split(0x40_0000),
             PolicyAction::SplitScatter(0x60_0000),
-            PolicyAction::Replicate(0x1000),
             PolicyAction::SetThpAlloc(true),
             PolicyAction::SetThpPromote(false),
             PolicyAction::ReplicateTables,

@@ -16,9 +16,6 @@ pub enum PolicyAction {
     /// 4 KiB sub-pages across all nodes (one batched demote-and-spread
     /// operation, as the kernel performs it under a single lock pass).
     SplitScatter(u64),
-    /// Replicate the read-mostly 4 KiB page covering this virtual address
-    /// onto every node (the Carrefour replication extension).
-    Replicate(u64),
     /// Enable or disable 2 MiB allocation at fault time.
     SetThpAlloc(bool),
     /// Enable or disable khugepaged promotion.
@@ -184,11 +181,6 @@ impl<'a> EpochCtx<'a> {
     /// `vaddr`: demote, then interleave all sub-pages across nodes.
     pub fn split_scatter(&mut self, vaddr: u64) {
         self.actions.push(PolicyAction::SplitScatter(vaddr));
-    }
-
-    /// Requests replication of the read-mostly page covering `vaddr`.
-    pub fn replicate(&mut self, vaddr: u64) {
-        self.actions.push(PolicyAction::Replicate(vaddr));
     }
 
     /// Toggles 2 MiB allocation at fault time (Algorithm 1 lines 5, 17).

@@ -43,8 +43,6 @@ pub struct RobustnessStats {
     pub failed_migrations: u64,
     /// Splits (plain and scatter) requested by the policy that failed.
     pub failed_splits: u64,
-    /// Replications requested by the policy that failed.
-    pub failed_replications: u64,
     /// Huge allocations vetoed at fault time (forced 4 KiB fallback).
     pub fallback_allocs: u64,
     /// Actions rejected because their target page was pinned busy.
@@ -60,9 +58,9 @@ pub struct RobustnessStats {
 }
 
 impl RobustnessStats {
-    /// Total failed policy actions (migrations + splits + replications).
+    /// Total failed policy actions (migrations + splits).
     pub fn failed_actions(&self) -> u64 {
-        self.failed_migrations + self.failed_splits + self.failed_replications
+        self.failed_migrations + self.failed_splits
     }
 }
 

@@ -239,7 +239,7 @@ fn charge_access(b: &mut CycleBreakdown, out: &AccessOutcome, overlap: u64) {
 }
 
 /// Policy-action cycle costs by kind (so overhead attribution can name the
-/// action class). `migrate + split + replicate` is the old scalar total.
+/// action class). `replicate` is the Mitosis table-replication sweep.
 #[derive(Clone, Copy, Debug, Default)]
 struct ActionCosts {
     migrate: u64,
@@ -478,8 +478,8 @@ impl<'m, 't> SimState<'m, 't> {
         for t in &mut self.tlbs {
             t.invalidate(vbase, size);
         }
-        // A shootdown accompanies every remap (split, migration, replica
-        // collapse), any of which can change a page's home node. The memo
+        // A shootdown accompanies every remap (split, migration), either
+        // of which can change a page's home node. The memo
         // itself only depends on epoch-constant delays, but dropping it
         // here keeps the invalidation rule simple: any remap, any epoch
         // boundary.
@@ -584,30 +584,6 @@ impl<'m, 't> SimState<'m, 't> {
                     stable_line = None;
                     m
                 }
-            };
-
-            // 1b. Replication: readers use their local replica; a store to
-            // a replicated page collapses the replica set first.
-            let mapping = if self.space.has_replicas() && mapping.size == PageSize::Size4K {
-                if op.is_write && self.space.is_replicated(mapping.vbase) {
-                    let collapse = self.space.collapse_replicas(mapping.vbase);
-                    cycles += collapse;
-                    if let Some(b) = bd.as_deref_mut() {
-                        b.replica_collapse += collapse;
-                    }
-                    self.shootdown(mapping.vbase, mapping.size);
-                    stable_line = None;
-                    let epoch = self.epoch;
-                    self.emit(|| TraceEvent::ReplicaCollapse {
-                        epoch,
-                        vbase: mapping.vbase.0,
-                    });
-                    mapping
-                } else {
-                    self.space.resolve_replica(mapping, node)
-                }
-            } else {
-                mapping
             };
 
             // 2. Data access through the memory hierarchy. Stores to
@@ -837,27 +813,6 @@ impl<'m, 't> SimState<'m, 't> {
                         }
                         Err(e) => {
                             self.robust.failed_splits += 1;
-                            failures.push(FailedAction {
-                                action: a,
-                                error: action_error(&e),
-                            });
-                        }
-                    }
-                }
-                PolicyAction::Replicate(v) => {
-                    match self.space.replicate(VirtAddr(v), self.machine.num_nodes()) {
-                        Ok(c) => {
-                            if c > 0 {
-                                if let Some(m) = self.space.translate(VirtAddr(v)) {
-                                    self.shootdown(m.vbase, m.size);
-                                }
-                                migrations += 1; // replica copies count as moves
-                                costs.replicate += c;
-                                self.emit(|| TraceEvent::Replication { epoch, vbase: v });
-                            }
-                        }
-                        Err(e) => {
-                            self.robust.failed_replications += 1;
                             failures.push(FailedAction {
                                 action: a,
                                 error: action_error(&e),

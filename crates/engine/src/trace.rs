@@ -2,7 +2,7 @@
 //!
 //! The simulation's end-of-run aggregates say *that* a run behaved some way;
 //! the trace says *when* and *why*. Every observable state change — demand
-//! faults, khugepaged promotions, policy splits/migrations/replications,
+//! faults, khugepaged promotions, policy splits/migrations, table moves,
 //! THP toggles, the policy's own decisions with their evidence, and a
 //! per-epoch counter snapshot — is emitted as a [`TraceEvent`] through a
 //! [`TraceSink`].
@@ -140,20 +140,6 @@ pub enum TraceEvent {
         /// Node the page moved to.
         to: u16,
     },
-    /// A policy replication succeeded.
-    Replication {
-        /// Epoch that just closed.
-        epoch: u32,
-        /// Base of the replicated page.
-        vbase: u64,
-    },
-    /// A store collapsed a replica set.
-    ReplicaCollapse {
-        /// Epoch under accumulation.
-        epoch: u32,
-        /// Base of the page whose replicas died.
-        vbase: u64,
-    },
     /// A policy toggled a THP switch.
     ThpToggle {
         /// Epoch that just closed.
@@ -257,10 +243,6 @@ fn action_words(a: &PolicyAction, h: &mut Fnv64) {
         }
         PolicyAction::SplitScatter(v) => {
             h.word(2);
-            h.word(*v);
-        }
-        PolicyAction::Replicate(v) => {
-            h.word(3);
             h.word(*v);
         }
         PolicyAction::SetThpAlloc(b) => {
@@ -369,8 +351,6 @@ impl TraceEvent {
             TraceEvent::Promotion { .. } => EventKind::Promotion,
             TraceEvent::Split { .. } => EventKind::Split,
             TraceEvent::Migration { .. } => EventKind::Migration,
-            TraceEvent::Replication { .. } => EventKind::Replication,
-            TraceEvent::ReplicaCollapse { .. } => EventKind::ReplicaCollapse,
             TraceEvent::ThpToggle { .. } => EventKind::ThpToggle,
             TraceEvent::Decision { .. } => EventKind::Decision,
             TraceEvent::ActionFailed { .. } => EventKind::ActionFailed,
@@ -388,8 +368,6 @@ impl TraceEvent {
             | TraceEvent::Promotion { epoch, .. }
             | TraceEvent::Split { epoch, .. }
             | TraceEvent::Migration { epoch, .. }
-            | TraceEvent::Replication { epoch, .. }
-            | TraceEvent::ReplicaCollapse { epoch, .. }
             | TraceEvent::ThpToggle { epoch, .. }
             | TraceEvent::Decision { epoch, .. }
             | TraceEvent::ActionFailed { epoch, .. }
@@ -436,9 +414,7 @@ impl TraceEvent {
                 h.word(u64::from(*node));
                 h.word(u64::from(*thread));
             }
-            TraceEvent::Promotion { epoch, vbase }
-            | TraceEvent::Replication { epoch, vbase }
-            | TraceEvent::ReplicaCollapse { epoch, vbase } => {
+            TraceEvent::Promotion { epoch, vbase } => {
                 h.word(u64::from(*epoch));
                 h.word(*vbase);
             }
@@ -602,12 +578,6 @@ impl TraceEvent {
                  \"size\":\"{}\",\"from\":{from},\"to\":{to}}}",
                 size_str(*size)
             ),
-            TraceEvent::Replication { epoch, vbase } => {
-                format!("{{\"ev\":\"replication\",\"epoch\":{epoch},\"vbase\":{vbase}}}")
-            }
-            TraceEvent::ReplicaCollapse { epoch, vbase } => {
-                format!("{{\"ev\":\"replica_collapse\",\"epoch\":{epoch},\"vbase\":{vbase}}}")
-            }
             TraceEvent::ThpToggle { epoch, knob, on } => format!(
                 "{{\"ev\":\"thp_toggle\",\"epoch\":{epoch},\"knob\":\"{knob}\",\"on\":{on}}}"
             ),
@@ -661,7 +631,6 @@ impl TraceEvent {
                     PolicyAction::Migrate(v, n) => ("migrate", format!("{v},\"to\":{}", n.0)),
                     PolicyAction::Split(v) => ("split", v.to_string()),
                     PolicyAction::SplitScatter(v) => ("split_scatter", v.to_string()),
-                    PolicyAction::Replicate(v) => ("replicate", v.to_string()),
                     PolicyAction::SetThpAlloc(b) => ("set_thp_alloc", u64::from(*b).to_string()),
                     PolicyAction::SetThpPromote(b) => {
                         ("set_thp_promote", u64::from(*b).to_string())
@@ -727,6 +696,9 @@ impl TraceEvent {
 }
 
 /// Event kinds, for counting sinks and filters.
+///
+/// The discriminants are hashed into every trace digest, so they never
+/// change; 5 and 6 belonged to the retired data-page replication events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum EventKind {
@@ -740,10 +712,6 @@ pub enum EventKind {
     Split = 3,
     /// [`TraceEvent::Migration`].
     Migration = 4,
-    /// [`TraceEvent::Replication`].
-    Replication = 5,
-    /// [`TraceEvent::ReplicaCollapse`].
-    ReplicaCollapse = 6,
     /// [`TraceEvent::ThpToggle`].
     ThpToggle = 7,
     /// [`TraceEvent::Decision`].

@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Number of buckets in a [`CycleBreakdown`].
-pub const BUCKET_COUNT: usize = 19;
+pub const BUCKET_COUNT: usize = 18;
 
 /// One interval's wall cycles, split by architectural cause.
 ///
@@ -58,9 +58,6 @@ pub struct CycleBreakdown {
     pub walk_pwc_miss_remote: u64,
     /// Page-fault handling (allocation + lock contention).
     pub fault: u64,
-    /// In-line replica-collapse copies triggered by stores to replicated
-    /// pages.
-    pub replica_collapse: u64,
     /// khugepaged promotion-scan overhead (per-thread share).
     pub khugepaged: u64,
     /// IBS sampling NMI overhead (per-thread share).
@@ -70,7 +67,7 @@ pub struct CycleBreakdown {
     /// Policy split / split-scatter cost, including scatter copies
     /// (per-thread share).
     pub policy_split: u64,
-    /// Policy replication cost (per-thread share).
+    /// Mitosis page-table replication cost (per-thread share).
     pub policy_replication: u64,
 }
 
@@ -95,7 +92,6 @@ impl CycleBreakdown {
         self.walk_pwc_miss_local += other.walk_pwc_miss_local;
         self.walk_pwc_miss_remote += other.walk_pwc_miss_remote;
         self.fault += other.fault;
-        self.replica_collapse += other.replica_collapse;
         self.khugepaged += other.khugepaged;
         self.ibs_sampling += other.ibs_sampling;
         self.policy_migration += other.policy_migration;
@@ -121,7 +117,6 @@ impl CycleBreakdown {
             ("walk_pwc_miss_local", self.walk_pwc_miss_local),
             ("walk_pwc_miss_remote", self.walk_pwc_miss_remote),
             ("fault", self.fault),
-            ("replica_collapse", self.replica_collapse),
             ("khugepaged", self.khugepaged),
             ("ibs_sampling", self.ibs_sampling),
             ("policy_migration", self.policy_migration),
@@ -165,7 +160,7 @@ mod tests {
         // Distinct primes so any dropped/duplicated bucket changes the sum.
         let mut b = CycleBreakdown::default();
         let primes = [
-            2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+            2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
         ];
         b.compute = primes[0];
         b.tlb_lookup = primes[1];
@@ -180,12 +175,11 @@ mod tests {
         b.walk_pwc_miss_local = primes[10];
         b.walk_pwc_miss_remote = primes[11];
         b.fault = primes[12];
-        b.replica_collapse = primes[13];
-        b.khugepaged = primes[14];
-        b.ibs_sampling = primes[15];
-        b.policy_migration = primes[16];
-        b.policy_split = primes[17];
-        b.policy_replication = primes[18];
+        b.khugepaged = primes[13];
+        b.ibs_sampling = primes[14];
+        b.policy_migration = primes[15];
+        b.policy_split = primes[16];
+        b.policy_replication = primes[17];
         b
     }
 
@@ -193,7 +187,7 @@ mod tests {
     fn total_sums_every_bucket() {
         let b = filled();
         let expected: u64 = [
-            2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+            2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
         ]
         .iter()
         .sum();

@@ -45,7 +45,7 @@ pub use addr::{GIB, KIB, MIB, PAGE_1G, PAGE_2M, PAGE_4K};
 pub use error::VmemError;
 pub use frame::{FrameAllocator, FrameError};
 pub use ops::{OpCost, OpCostModel};
-pub use replica::{ReplicaSet, ReplicaTable};
+pub use replica::ReplicaSet;
 pub use space::{
     AddressSpace, AllocGate, AllowAll, FaultOutcome, SpaceError, ThpControls, VmemConfig, VmemStats,
 };

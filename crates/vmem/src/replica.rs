@@ -1,26 +1,17 @@
-//! Read-only page replication.
+//! Per-node replicas of page-table frames (the Mitosis mechanism).
 //!
-//! The original Carrefour system (Dashti et al., ASPLOS '13) has a third
-//! mechanism beside migration and interleaving: *replication* of read-mostly
-//! shared pages, giving every node a local copy. This paper's summary of
-//! Carrefour omits it (its benchmarks are write-heavy enough that the
-//! kernel module rarely engaged it), but the reproduction implements it as
-//! an optional extension so the complete mechanism space can be explored —
-//! see the `replication` ablation bench.
-//!
-//! Model: a 4 KiB page may carry one replica frame per node. Reads are
-//! serviced by the reader's local replica; any store collapses the replica
-//! set back to the master copy (writes to a replicated page are rare by
-//! selection — the policy only replicates pages whose samples contain no
-//! stores).
+//! A [`ReplicaSet`] holds the copies of one primary table frame, at most
+//! one per node; [`TableReplicas`] maps each replicated primary to its
+//! set. Walkers resolve each walk step through their node's copy, and
+//! structural writes to the primary fan out to every copy. Data pages are
+//! never replicated: the paper's Carrefour migrates and interleaves only.
 
-use crate::addr::{PhysAddr, VirtAddr};
-use crate::table::{Mapping, PageSize};
+use crate::addr::PhysAddr;
 use numa_topology::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The replica frames of one virtual page (master excluded).
+/// The replica frames of one primary table frame (primary excluded).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ReplicaSet {
     /// `frames[n]` = the frame on node `n`, if one exists.
@@ -55,119 +46,6 @@ impl ReplicaSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
-    }
-}
-
-/// The replica table of an address space.
-///
-/// Kept separate from the page table: replicas are a placement-layer
-/// concept (the hardware sees per-node page tables in the real system; the
-/// simulator resolves them at translation time).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ReplicaTable {
-    pages: BTreeMap<u64, ReplicaSet>,
-    /// Lifetime count of replica creations.
-    pub created: u64,
-    /// Lifetime count of collapses (a store hit a replicated page).
-    pub collapsed: u64,
-}
-
-impl ReplicaTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether any page is currently replicated (cheap fast-path check).
-    #[inline]
-    pub fn any(&self) -> bool {
-        !self.pages.is_empty()
-    }
-
-    /// Resolves the mapping a reader on `node` should use: its local
-    /// replica when one exists, the master mapping otherwise.
-    #[inline]
-    pub fn resolve(&self, master: Mapping, node: NodeId) -> Mapping {
-        if master.size != PageSize::Size4K || self.pages.is_empty() {
-            return master;
-        }
-        match self.pages.get(&master.vbase.0).and_then(|set| set.on(node)) {
-            Some(frame) => Mapping {
-                frame,
-                node,
-                ..master
-            },
-            None => master,
-        }
-    }
-
-    /// Whether the page at `vbase` has replicas.
-    pub fn is_replicated(&self, vbase: VirtAddr) -> bool {
-        self.pages.contains_key(&vbase.0)
-    }
-
-    /// Registers a replica frame for `(vbase, node)`.
-    pub fn add(&mut self, vbase: VirtAddr, node: NodeId, frame: PhysAddr) {
-        self.pages.entry(vbase.0).or_default().insert(node, frame);
-        self.created += 1;
-    }
-
-    /// Removes a page's replica set, returning the frames to free.
-    pub fn collapse(&mut self, vbase: VirtAddr) -> Vec<(NodeId, PhysAddr)> {
-        match self.pages.remove(&vbase.0) {
-            Some(mut set) => {
-                self.collapsed += 1;
-                set.drain()
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Number of currently replicated pages.
-    pub fn replicated_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Serializes the replica table for the `ckpt-v1` snapshot
-    /// (BTreeMaps iterate in sorted order, so the bytes are canonical).
-    pub fn save_into(&self, e: &mut codec::Enc) {
-        e.seq(self.pages.iter(), |e, (&vbase, set)| {
-            e.u64(vbase);
-            e.seq(set.frames.iter(), |e, (&n, &f)| {
-                e.u16(n);
-                e.u64(f.0);
-            });
-        });
-        e.u64(self.created);
-        e.u64(self.collapsed);
-    }
-
-    /// Restores state captured by [`ReplicaTable::save_into`].
-    pub fn load_from(&mut self, d: &mut codec::Dec<'_>) {
-        self.pages = d
-            .seq(|d| {
-                let vbase = d.u64();
-                let frames = d
-                    .seq(|d| (d.u16(), PhysAddr(d.u64())))
-                    .into_iter()
-                    .collect();
-                (vbase, ReplicaSet { frames })
-            })
-            .into_iter()
-            .collect();
-        self.created = d.u64();
-        self.collapsed = d.u64();
-    }
-
-    /// Visits every replica frame as `(page vbase, node, frame)` (exposed
-    /// for the invariant walker — replica frames are live allocations that
-    /// the page table does not know about).
-    pub fn for_each_frame(&self, mut f: impl FnMut(VirtAddr, NodeId, PhysAddr)) {
-        for (&vbase, set) in &self.pages {
-            for (&node, &frame) in &set.frames {
-                f(VirtAddr(vbase), NodeId(node), frame);
-            }
-        }
     }
 }
 
@@ -290,65 +168,6 @@ impl TableReplicas {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn master(vbase: u64) -> Mapping {
-        Mapping {
-            vbase: VirtAddr(vbase),
-            frame: PhysAddr(0x10_0000),
-            node: NodeId(0),
-            size: PageSize::Size4K,
-        }
-    }
-
-    #[test]
-    fn resolve_prefers_local_replica() {
-        let mut t = ReplicaTable::new();
-        let m = master(0x4000);
-        t.add(m.vbase, NodeId(1), PhysAddr(0x20_0000));
-        let local = t.resolve(m, NodeId(1));
-        assert_eq!(local.frame, PhysAddr(0x20_0000));
-        assert_eq!(local.node, NodeId(1));
-        // A node without a replica uses the master.
-        let remote = t.resolve(m, NodeId(2));
-        assert_eq!(remote.frame, m.frame);
-        assert_eq!(remote.node, NodeId(0));
-    }
-
-    #[test]
-    fn huge_mappings_are_never_resolved() {
-        let mut t = ReplicaTable::new();
-        let mut m = master(0x20_0000);
-        m.size = PageSize::Size2M;
-        t.add(VirtAddr(0x20_0000), NodeId(1), PhysAddr(0x30_0000));
-        let r = t.resolve(m, NodeId(1));
-        assert_eq!(r.frame, m.frame, "replication is 4 KiB-only");
-    }
-
-    #[test]
-    fn collapse_returns_all_frames() {
-        let mut t = ReplicaTable::new();
-        let m = master(0x4000);
-        t.add(m.vbase, NodeId(1), PhysAddr(0x20_0000));
-        t.add(m.vbase, NodeId(2), PhysAddr(0x30_0000));
-        assert!(t.is_replicated(m.vbase));
-        let freed = t.collapse(m.vbase);
-        assert_eq!(freed.len(), 2);
-        assert!(!t.is_replicated(m.vbase));
-        assert_eq!(t.collapsed, 1);
-        assert_eq!(t.created, 2);
-        // Idempotent.
-        assert!(t.collapse(m.vbase).is_empty());
-    }
-
-    #[test]
-    fn any_is_a_cheap_emptiness_check() {
-        let mut t = ReplicaTable::new();
-        assert!(!t.any());
-        t.add(VirtAddr(0x1000), NodeId(0), PhysAddr(0x999000));
-        assert!(t.any());
-        t.collapse(VirtAddr(0x1000));
-        assert!(!t.any());
-    }
 
     #[test]
     fn table_replicas_resolve_steps_inside_the_replica_frame() {

@@ -4,7 +4,7 @@ use crate::addr::{PhysAddr, VirtAddr, PAGE_1G, PAGE_2M, PAGE_4K};
 use crate::error::VmemError;
 use crate::frame::{FrameAllocator, FrameError};
 use crate::ops::{OpCost, OpCostModel};
-use crate::replica::{ReplicaTable, TableReplicas};
+use crate::replica::TableReplicas;
 use crate::table::{Mapping, PageSize, PageTable, TableError, WalkCache, WalkResult, WalkStep};
 use crate::tlb::TlbConfig;
 use numa_topology::{MachineSpec, NodeId};
@@ -137,10 +137,6 @@ pub struct VmemStats {
     pub splits: u64,
     /// Small-page runs collapsed into huge pages.
     pub collapses: u64,
-    /// Read-only replicas created (Carrefour replication extension).
-    pub replications: u64,
-    /// Replica sets collapsed by stores.
-    pub replica_collapses: u64,
     /// Bytes copied by migrations and collapses.
     pub bytes_copied: u64,
     /// Page-table frames replicated onto other nodes (Mitosis).
@@ -209,9 +205,6 @@ pub struct AddressSpace {
     /// re-collapse them (Linux's `MADV_NOHUGEPAGE` marking) until promotion
     /// is explicitly re-enabled.
     no_promote: std::collections::BTreeSet<u64>,
-    /// Read-only replicas of 4 KiB pages (the optional Carrefour
-    /// replication extension).
-    replicas: ReplicaTable,
     /// Per-node replicas of page-table frames (the Mitosis mechanism).
     table_replicas: TableReplicas,
     /// When nonzero, every newly created table frame is eagerly replicated
@@ -249,7 +242,6 @@ impl AddressSpace {
             total_cores: machine.total_cores(),
             scan_cursor: 0,
             no_promote: std::collections::BTreeSet::new(),
-            replicas: ReplicaTable::new(),
             table_replicas: TableReplicas::new(),
             eager_table_nodes: 0,
         })
@@ -286,30 +278,6 @@ impl AddressSpace {
     #[inline]
     pub fn translate(&self, vaddr: VirtAddr) -> Option<Mapping> {
         self.table.translate(vaddr)
-    }
-
-    /// Resolves a mapping for a reader on `node`, substituting the local
-    /// replica frame when the page is replicated.
-    #[inline]
-    pub fn resolve_replica(&self, master: Mapping, node: NodeId) -> Mapping {
-        self.replicas.resolve(master, node)
-    }
-
-    /// Whether any page is currently replicated (hot-path fast check).
-    #[inline]
-    pub fn has_replicas(&self) -> bool {
-        self.replicas.any()
-    }
-
-    /// Whether the 4 KiB page at `vbase` is replicated.
-    #[inline]
-    pub fn is_replicated(&self, vbase: VirtAddr) -> bool {
-        self.replicas.is_replicated(vbase)
-    }
-
-    /// Number of currently replicated pages.
-    pub fn replicated_pages(&self) -> usize {
-        self.replicas.replicated_pages()
     }
 
     /// Whether any page-table frame is replicated (hot-path fast check
@@ -443,46 +411,6 @@ impl AddressSpace {
             Some(old_node),
             self.costs.migrate(PageSize::Size4K, self.total_cores),
         ))
-    }
-
-    /// Replicates the 4 KiB page covering `vaddr` onto every node that
-    /// lacks a copy (the Carrefour replication extension; only meaningful
-    /// for read-mostly pages — any store collapses the set).
-    ///
-    /// Returns the cycles consumed. The caller must shoot down the page's
-    /// TLB entries so readers re-resolve to their local replica.
-    pub fn replicate(&mut self, vaddr: VirtAddr, num_nodes: usize) -> Result<OpCost, SpaceError> {
-        let m = self.table.translate(vaddr).ok_or(SpaceError::NotMapped)?;
-        if m.size != PageSize::Size4K {
-            return Err(SpaceError::NotMapped);
-        }
-        let mut cost: OpCost = 0;
-        for n in 0..num_nodes {
-            let node = NodeId::from(n);
-            if node == m.node || self.replicas.resolve(m, node).node == node {
-                continue;
-            }
-            let frame = self.frames.alloc(node, PageSize::Size4K)?;
-            self.replicas.add(m.vbase, node, frame);
-            self.stats.replications += 1;
-            self.stats.bytes_copied += PAGE_4K;
-            cost += self.costs.migrate(PageSize::Size4K, 0);
-        }
-        Ok(cost)
-    }
-
-    /// Collapses the replica set of the page at `vbase` (a store hit it).
-    /// Returns the cycles consumed; the caller must shoot down the page.
-    pub fn collapse_replicas(&mut self, vbase: VirtAddr) -> OpCost {
-        let freed = self.replicas.collapse(vbase);
-        if freed.is_empty() {
-            return 0;
-        }
-        self.stats.replica_collapses += 1;
-        for (_, frame) in freed {
-            self.frames.free(frame, PageSize::Size4K);
-        }
-        self.costs.split(self.total_cores) / 2
     }
 
     /// Simulated hardware walk (physical PTE references included).
@@ -635,9 +563,6 @@ impl AddressSpace {
         target: NodeId,
     ) -> Result<(Mapping, OpCost), SpaceError> {
         let m = self.table.translate(vaddr).ok_or(SpaceError::NotMapped)?;
-        if self.replicas.is_replicated(m.vbase) {
-            self.collapse_replicas(m.vbase);
-        }
         if m.node == target {
             return Ok((m, 0));
         }
@@ -689,10 +614,6 @@ impl AddressSpace {
         {
             Ok(out) => {
                 for m in &out.old_children {
-                    // A replicated child's replica frames die with it —
-                    // otherwise they leak and, worse, resurface stale if
-                    // the huge page is split again later.
-                    self.collapse_replicas(m.vbase);
                     self.frames.free(m.frame, m.size);
                 }
                 self.frames.free(out.table_frame, PageSize::Size4K);
@@ -838,7 +759,10 @@ impl AddressSpace {
     /// Serializes the full address-space state for the `ckpt-v1` snapshot:
     /// frame allocator free lists, the page-table arena, registered
     /// regions, the (runtime-mutable) THP switches, lifetime stats, the
-    /// khugepaged cursor and inhibitions, and the replica table.
+    /// khugepaged cursor and inhibitions, and the page-table replicas.
+    /// Five zero words hold the slots of the retired data-page replica
+    /// state (two counters and an empty replica table), so the layout is
+    /// unchanged (DESIGN.md §12).
     pub fn save_into(&self, e: &mut codec::Enc) {
         self.frames.save_into(e);
         self.table.save_into(e);
@@ -856,12 +780,11 @@ impl AddressSpace {
         e.u64(self.stats.migrations_2m);
         e.u64(self.stats.splits);
         e.u64(self.stats.collapses);
-        e.u64(self.stats.replications);
-        e.u64(self.stats.replica_collapses);
+        e.retired(2);
         e.u64(self.stats.bytes_copied);
         e.u64(self.scan_cursor);
         e.seq(self.no_promote.iter(), |e, &b| e.u64(b));
-        self.replicas.save_into(e);
+        e.retired(3);
         e.u64(self.stats.table_replications);
         e.u64(self.stats.table_migrations);
         e.usize(self.eager_table_nodes);
@@ -888,27 +811,26 @@ impl AddressSpace {
         self.stats.migrations_2m = d.u64();
         self.stats.splits = d.u64();
         self.stats.collapses = d.u64();
-        self.stats.replications = d.u64();
-        self.stats.replica_collapses = d.u64();
+        d.retired(2);
         self.stats.bytes_copied = d.u64();
         self.scan_cursor = d.u64();
         self.no_promote = d.seq(|d| d.u64()).into_iter().collect();
-        self.replicas.load_from(d);
+        d.retired(3);
         self.stats.table_replications = d.u64();
         self.stats.table_migrations = d.u64();
         self.eager_table_nodes = d.usize();
         self.table_replicas.load_from(d);
     }
 
-    /// Walks every structural invariant tying the page table, the replica
-    /// table, and the frame allocator together:
+    /// Walks every structural invariant tying the page table, its replicas,
+    /// and the frame allocator together:
     ///
     /// 1. the buddy allocator's own invariants ([`FrameAllocator::validate`]);
     /// 2. every leaf mapping is aligned, lies inside a registered region,
     ///    and claims the node that physically owns its frame;
-    /// 3. every replicated page is currently mapped as a 4 KiB leaf and its
-    ///    replica frames live on the nodes they claim;
-    /// 4. `table_bytes` equals the frames of the root-reachable table nodes;
+    /// 3. `table_bytes` equals the frames of the root-reachable table nodes;
+    /// 4. every table replica hangs off a root-reachable primary and lives
+    ///    on the node it claims;
     /// 5. leaf frames, table frames, replica frames, and free blocks are
     ///    pairwise disjoint (no double mapping, no mapped-but-free frame).
     ///
@@ -1010,34 +932,6 @@ impl AddressSpace {
             intervals.push((frame.0, PAGE_4K, "table-replica"));
         });
         if let Some(e) = table_replica_err {
-            return Err(e);
-        }
-
-        let mut replica_err: Option<VmemError> = None;
-        self.replicas.for_each_frame(|vbase, node, frame| {
-            if replica_err.is_some() {
-                return;
-            }
-            match self.table.translate(vbase) {
-                Some(m) if m.size == PageSize::Size4K && m.vbase == vbase => {}
-                _ => {
-                    replica_err = Some(VmemError::Invariant(format!(
-                        "replica of {vbase} exists but the page is not a \
-                         mapped 4 KiB leaf"
-                    )));
-                    return;
-                }
-            }
-            if self.frames.node_of(frame) != node {
-                replica_err = Some(VmemError::Invariant(format!(
-                    "replica frame {frame} claims {node} but belongs to {}",
-                    self.frames.node_of(frame)
-                )));
-                return;
-            }
-            intervals.push((frame.0, PAGE_4K, "replica"));
-        });
-        if let Some(e) = replica_err {
             return Err(e);
         }
 
@@ -1317,15 +1211,13 @@ mod tests {
         let mut s = space();
         s.map_region(BASE, 64 << 20).unwrap();
         s.validate().unwrap();
-        // Fault a mix of sizes, split, migrate, collapse, replicate.
+        // Fault a mix of sizes, split, migrate, collapse.
         s.fault(VirtAddr(BASE), NodeId(0)).unwrap();
         s.fault(VirtAddr(BASE + PAGE_2M), NodeId(1)).unwrap();
         s.validate().unwrap();
         s.split(VirtAddr(BASE)).unwrap();
         s.validate().unwrap();
         s.migrate(VirtAddr(BASE + 0x3000), NodeId(1)).unwrap();
-        s.validate().unwrap();
-        s.replicate(VirtAddr(BASE + 0x3000), 2).unwrap();
         s.validate().unwrap();
         s.thp_mut().promote_2m = true;
         s.clear_promote_inhibitions();
@@ -1346,7 +1238,7 @@ mod tests {
     #[test]
     fn walk_cache_tracks_every_space_operation() {
         // End-to-end invalidation check at the AddressSpace level: fault,
-        // split, migrate, replicate, promote — after each operation the
+        // split, migrate, promote — after each operation the
         // cached walk must equal the uncached one exactly.
         let mut s = space();
         s.map_region(BASE, 64 << 20).unwrap();
@@ -1382,21 +1274,6 @@ mod tests {
                 .node,
             NodeId(1)
         );
-        // Replication never touches the page table: the cached walk keeps
-        // returning the master mapping, and replica resolution downstream
-        // substitutes the local copy.
-        s.replicate(VirtAddr(BASE + 0x1000), 2).unwrap();
-        check(&s, &mut cache, BASE + 0x1000);
-        let master = s
-            .walk_cached(VirtAddr(BASE + 0x1000), &mut cache)
-            .mapping
-            .unwrap();
-        assert_eq!(master.node, NodeId(1));
-        let local = s.resolve_replica(master, NodeId(0));
-        assert_eq!(local.node, NodeId(0));
-        // ...and a store's replica collapse keeps the cache coherent too.
-        s.collapse_replicas(VirtAddr(BASE + 0x1000));
-        check(&s, &mut cache, BASE + 0x1000);
         // Promotion (collapse back to 2M after re-enabling) invalidates.
         s.clear_promote_inhibitions();
         for i in 0..512u64 {

@@ -222,21 +222,3 @@ fn huge_fault_falls_back_over_partially_populated_range() {
     let f = s.fault(VirtAddr(BASE + 0x80_000), NodeId(0)).unwrap();
     assert_eq!(f.mapping.size, PageSize::Size4K, "fell back cleanly");
 }
-
-#[test]
-fn collapse_releases_child_replicas() {
-    // Review finding: khugepaged collapse of a range containing a
-    // replicated child must free the replicas, or they leak and resurface
-    // stale after a later split.
-    let mut s = space_with(ThpControls::small_only());
-    s.map_region(BASE, 4 << 20).unwrap();
-    for i in 0..512u64 {
-        s.fault(VirtAddr(BASE + i * PAGE_4K), NodeId(0)).unwrap();
-    }
-    s.replicate(VirtAddr(BASE + 7 * PAGE_4K), 2).unwrap();
-    assert_eq!(s.replicated_pages(), 1);
-    s.thp_mut().promote_2m = true;
-    let (collapsed, _) = s.promotion_scan(8);
-    assert_eq!(collapsed.len(), 1);
-    assert_eq!(s.replicated_pages(), 0, "replicas must die with the child");
-}

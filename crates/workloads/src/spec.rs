@@ -90,7 +90,7 @@ pub struct RegionSpec {
     pub rw_shared: bool,
     /// Whether the region is never written after initialization (lookup
     /// tables, graph structure): the workload's write fraction does not
-    /// apply to it, making it a candidate for page replication.
+    /// apply to it.
     pub read_only: bool,
 }
 

@@ -117,7 +117,7 @@ fn print_json(r: &SimResult) {
          \"fault_cycles\":{},\"splits\":{},\"migrations_4k\":{},\
          \"table_replications\":{},\"table_migrations\":{},\
          \"robustness\":{{\"failed_migrations\":{},\"failed_splits\":{},\
-         \"failed_replications\":{},\"fallback_allocs\":{},\
+         \"fallback_allocs\":{},\
          \"busy_rejections\":{},\"dropped_samples\":{},\
          \"misattributed_samples\":{},\"retries\":{},\"oom_reclaims\":{}}}}}",
         r.machine,
@@ -135,7 +135,6 @@ fn print_json(r: &SimResult) {
         r.lifetime.vmem.table_migrations,
         rb.failed_migrations,
         rb.failed_splits,
-        rb.failed_replications,
         rb.fallback_allocs,
         rb.busy_rejections,
         rb.dropped_samples,

@@ -1,8 +1,9 @@
 //! Attribution over the golden cells: conservation and non-perturbation.
 //!
 //! Tier-1 guarantee for the cycle-attribution ledger (DESIGN.md §11),
-//! checked on all ten pinned golden configurations (UA.B and CG.D under
-//! Linux, THP, Carrefour-LP, Mitosis, and numaPTE on machine A):
+//! checked on all eleven pinned golden configurations (UA.B and CG.D under
+//! Linux, THP, Carrefour-LP, Mitosis, and numaPTE on machine A, plus UA.B
+//! under the tuned Carrefour-LP):
 //!
 //! 1. **Conservation** — with attribution on, the ledger's buckets sum
 //!    to `runtime_cycles` exactly, as integers, and every epoch's wall
@@ -10,9 +11,15 @@
 //! 2. **Non-perturbation** — an attributed run's trace digest still
 //!    matches the checked-in golden, byte for byte: turning the ledger on
 //!    changes no event, no counter, no cycle of any existing output.
+//! 3. **The replication bucket is Mitosis's** — `policy_replication`
+//!    books the table-replication sweeps, so it is nonzero exactly on the
+//!    Mitosis cells, which also report replicated table frames.
+//! 4. **The result codec round-trips** — `encode_result` (with its
+//!    retired zero slots, DESIGN.md §12) decodes back to the same result.
 
 use carrefour_bench::golden::{golden_dir, GOLDEN_CELLS};
 use carrefour_bench::{attrib, runner, PolicyKind};
+use engine::checkpoint::{decode_result, encode_result};
 use engine::{DigestSink, RunOptions, SimConfig, Simulation, TraceDigest};
 use numa_topology::MachineSpec;
 use workloads::Benchmark;
@@ -60,6 +67,22 @@ fn attributed_golden_runs_conserve_and_match_digests() {
                 "{name}: an epoch's wall breakdown diverged from its counter"
             );
         }
+        let replication = ledger.total.policy_replication;
+        if cell.kind == PolicyKind::Mitosis {
+            assert!(
+                replication > 0 && result.lifetime.vmem.table_replications > 0,
+                "{name}: Mitosis booked {replication} replication cycles for {} \
+                 replicated table frames",
+                result.lifetime.vmem.table_replications
+            );
+        } else {
+            assert_eq!(replication, 0, "{name}: only Mitosis replicates");
+        }
+        assert_eq!(
+            decode_result(&encode_result(&result)).as_ref(),
+            Some(&result),
+            "{name}: the result codec does not round-trip"
+        );
         let path = cell.path(&dir);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{name}: missing golden {} ({e})", path.display()));
