@@ -87,6 +87,52 @@ fn bench_walk_cached_4k(c: &mut Criterion) {
     });
 }
 
+/// The Linux-4K TLB-miss path the engine runs per miss
+/// (`walk_and_maybe_fault`): a cached walk of a 4 KiB leaf on the
+/// walking core's own walk cache, then the four walk-step reads replayed
+/// through that core's cache hierarchy as `PageWalk` accesses, homed on
+/// each table page's node. Same page layout as `walk_cached_4k`, so the
+/// difference between the two is the step replay's share.
+fn bench_walk_replay_4k(c: &mut Criterion) {
+    let machine = MachineSpec::machine_a();
+    let config = VmemConfig {
+        thp: ThpControls::small_only(),
+        ..VmemConfig::default()
+    };
+    let mut space = AddressSpace::new(&machine, config);
+    let base = 64u64 << 30;
+    space.map_region(base, 512 << 20).unwrap();
+    let mut pages = Vec::new();
+    for region in 0..256u64 {
+        for i in 0..64u64 {
+            let v = VirtAddr(base + region * (2 << 20) + i * 8 * 4096);
+            space.fault(v, NodeId((region % 4) as u16)).unwrap();
+            pages.push(v);
+        }
+    }
+    let cores = machine.total_cores();
+    let mut caches: Vec<WalkCache> = (0..cores).map(|_| WalkCache::new()).collect();
+    let mut mem = MemorySystem::new(&machine, MemSysConfig::scaled_default(8));
+    let mut rng = SmallRng::seed_from_u64(23);
+    c.bench_function("walk_replay_4k", |b| {
+        b.iter(|| {
+            let core = rng.random_range(0..cores);
+            let v = pages[rng.random_range(0..pages.len())];
+            let walk = space.walk_cached(v, &mut caches[core]);
+            let core = CoreId::from(core);
+            for s in walk.steps() {
+                mem.prefetch_access(core, s.pte_addr.0);
+            }
+            let mut cycles = 0u64;
+            for s in walk.steps() {
+                let out = mem.access(core, s.pte_addr.0, s.node, AccessKind::PageWalk);
+                cycles += u64::from(out.cycles);
+            }
+            std::hint::black_box(cycles)
+        })
+    });
+}
+
 fn bench_cache_path(c: &mut Criterion) {
     let machine = MachineSpec::machine_a();
     let mut mem = MemorySystem::new(&machine, MemSysConfig::scaled_default(8));
@@ -255,6 +301,7 @@ criterion_group!(
     bench_tlb,
     bench_tlb_miss_fill_4k,
     bench_walk_cached_4k,
+    bench_walk_replay_4k,
     bench_cache_path,
     bench_cache_path_dram_b,
     bench_pagestats_record_4k,

@@ -6,9 +6,9 @@
 //! plus all candidates — shares its simulation prefix through
 //! [`forktree::run_family`]: candidates whose decision stream matches the
 //! probe's cost zero simulated epochs, and divergent ones resume from the
-//! deepest checkpoint before their first divergent decision. The sweep is
-//! seeded and deterministic end to end: same grid, same refinement walk,
-//! same winner, bit-identical cells on every run.
+//! probe's snapshot at the start of their first divergent epoch. The
+//! sweep is seeded and deterministic end to end: same grid, same
+//! refinement walk, same winner, bit-identical cells on every run.
 //!
 //! Search: a fixed grid over the three thresholds the paper's sensitivity
 //! discussion names (split gain, hot-page cutoff, imbalance trigger),
@@ -20,12 +20,13 @@
 //! in `results/SWEEP_lp.json` (schema `sweep-v1`) together with the
 //! Pareto frontier and the prefix-sharing counters.
 //!
-//! `--smoke` runs a tiny 3×3 grid on the test machine, additionally runs
-//! the same cells *without* sharing, and asserts (a) every result and
-//! trace digest is bit-identical between the two execution strategies and
-//! (b) sharing cut simulated epochs by at least 2×. CI runs this on every
-//! push. `--no-share` disables prefix sharing in any mode (the A/B lever
-//! the smoke test uses internally).
+//! `--smoke` runs a tiny 3×3 grid plus one forking candidate on the test
+//! machine, additionally runs the same cells *without* sharing, and
+//! asserts (a) every result and trace digest is bit-identical between the
+//! two execution strategies, (b) sharing cut simulated epochs by at least
+//! 2×, and (c) at least one sibling resumed from a snapshot. CI runs this
+//! on every push. `--no-share` disables prefix sharing in any mode (the
+//! A/B lever the smoke test uses internally).
 
 use carrefour::LpParams;
 use carrefour_bench::forktree::{self, FamilyStats};
@@ -226,7 +227,8 @@ fn full_grid() -> Vec<Candidate> {
 
 /// The smoke grid: 3×3 hugging the defaults so most candidates share
 /// most (often all) of the probe's prefix — the reuse the CI gate
-/// asserts on.
+/// asserts on — plus a lower imbalance trigger, whose UA.B decisions
+/// first differ at epoch 18, so the gate also resumes from a snapshot.
 fn smoke_grid() -> Vec<Candidate> {
     let mut out = Vec::new();
     for &split in &[4.0, 5.0, 6.0] {
@@ -238,6 +240,10 @@ fn smoke_grid() -> Vec<Candidate> {
             }));
         }
     }
+    let id = out.len();
+    out.push(cand(id, "imb=20".into(), |p| {
+        p.carrefour.imbalance_enable_above = 20.0;
+    }));
     out
 }
 
@@ -504,14 +510,20 @@ fn print_share_report(stats: &FamilyStats) {
         stats.forks,
         stats.scratch
     );
+    println!(
+        "snapshots: {} captured, {} kept, {:.1} MiB peak kept in one family",
+        stats.snapshots_captured,
+        stats.snapshots_kept,
+        stats.peak_kept_bytes as f64 / (1024.0 * 1024.0)
+    );
 }
 
 // ---------------------------------------------------------------- smoke
 
 /// The CI gate: a tiny grid on the test machine, run twice — shared and
-/// from scratch — asserting bit-identity and a ≥2× cut in simulated
-/// epochs. Honors `--no-share` by skipping the shared leg's assertions
-/// (the JSON then records the scratch counters).
+/// from scratch — asserting bit-identity, a ≥2× cut in simulated epochs
+/// and at least one fork. Honors `--no-share` by skipping the shared
+/// leg's assertions (the JSON then records the scratch counters).
 fn run_smoke(out_path: &str, share: bool, jobs: usize) {
     std::env::set_var("CARREFOUR_QUIET", "1");
     let families = vec![
@@ -570,6 +582,10 @@ fn run_smoke(out_path: &str, share: bool, jobs: usize) {
              ({} simulated vs {} total)",
             stats.epochs_simulated,
             total
+        );
+        assert!(
+            stats.forks >= 1,
+            "sweep smoke: no sibling resumed from a snapshot"
         );
         assert_eq!(
             scratch_stats.epochs_simulated, total,

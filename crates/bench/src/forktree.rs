@@ -6,24 +6,30 @@
 //! [`engine::RunHook`] that records, at every epoch boundary, the
 //! policy's inputs (counters, filtered samples, THP switches, fed-back
 //! failures) and a fingerprint of its *outputs* (action queue, decision
-//! log, retry count — [`engine::epoch_output_fingerprint`]), and snapshots
-//! a ckpt-v1 checkpoint into an LRU cache bounded by
-//! `CARREFOUR_FORK_CACHE_MB`.
+//! log, retry count — [`engine::epoch_output_fingerprint`]).
 //!
-//! Every sibling then *replays* its own fresh policy over the recorded
-//! inputs — no simulation, just `on_epoch` calls — comparing output
-//! fingerprints epoch by epoch. The induction that makes this sound: as
-//! long as every earlier boundary's outputs matched the probe's, the
-//! sibling's simulation would have evolved bit-identically, so the
-//! recorded inputs *are* the inputs the sibling would have seen. At the
-//! first mismatch (epoch `e`), only epochs `e..` can differ; the sibling
-//! resumes from the deepest cached checkpoint `j ≤ e` via
-//! a [`Start::Fork`] run, which restores the simulation state but
-//! leaves the policy alone (the checkpoint holds the *probe's* policy
-//! bytes). The sibling's policy state at `j` is rebuilt by replaying a
-//! fresh instance over boundaries `0..j` — already verified equal, so the
-//! replay is cheap and exact. Cache eviction only ever costs reuse, never
-//! correctness: with no usable checkpoint the sibling runs from scratch.
+//! Every sibling *replays* its own fresh policy over each boundary as the
+//! probe records it — no simulation, just `on_epoch` calls — comparing
+//! output fingerprints in lockstep with the probe. The induction that
+//! makes this sound: as long as every earlier boundary's outputs matched
+//! the probe's, the sibling's simulation would have evolved
+//! bit-identically, so the recorded inputs *are* the inputs the sibling
+//! would have seen. At the first mismatch (epoch `e`), only epochs `e..`
+//! can differ, and the sibling claims the ckpt-v1 snapshot the probe took
+//! at the start of epoch `e`. The hook asks for a snapshot only while some
+//! sibling still matches, and drops each one that no sibling claimed when
+//! its boundary ends, so a family holds only the snapshots a fork will
+//! resume from.
+//!
+//! After the probe, a diverged sibling resumes from its claim via a
+//! [`Start::Fork`] run, which restores the simulation state but leaves
+//! the policy alone (the checkpoint holds the *probe's* policy bytes).
+//! The sibling's policy state at `e` is rebuilt by replaying a fresh
+//! instance over boundaries `0..e` — already verified equal, so the
+//! replay is cheap and exact. Claimed bytes are bounded by
+//! [`CLAIM_BUDGET_BYTES`]; a claim over the bound, or a divergence at
+//! epoch 0 (no snapshot precedes it), runs the sibling from scratch,
+//! which only ever costs reuse, never correctness.
 
 use crate::runner::CellSpec;
 use engine::{
@@ -32,14 +38,13 @@ use engine::{
 };
 use numa_topology::MachineSpec;
 use profiling::{EpochCounters, IbsSample};
+use std::rc::Rc;
 use std::time::Instant;
 use vmem::ThpControls;
 
-/// Default checkpoint-cache budget when `CARREFOUR_FORK_CACHE_MB` is
-/// unset (or unparseable — [`crate::env_override_u32`] warns and falls
-/// back here). The budget is per family; families running concurrently
-/// each get their own cache.
-pub const DEFAULT_CACHE_MB: u32 = 256;
+/// The most snapshot bytes one family keeps claimed at once. A claim that
+/// would exceed it is refused and its sibling runs from scratch.
+pub const CLAIM_BUDGET_BYTES: usize = 256 << 20;
 
 /// Everything the policy saw and produced at one epoch boundary of the
 /// probe run — the replay substrate for sibling cells.
@@ -53,74 +58,105 @@ struct BoundaryRecord {
     fingerprint: u64,
 }
 
-/// LRU cache of ckpt-v1 blobs, bounded by a byte budget. Front is
-/// least-recently-used; lookups touch. Strictly bounded: a blob larger
-/// than the whole budget is evicted on insert (the family then degrades
-/// to scratch runs — slower, never wrong).
-struct CkptCache {
-    budget: usize,
-    used: usize,
-    entries: Vec<(u32, Checkpoint)>,
-}
-
-impl CkptCache {
-    fn new(budget: usize) -> Self {
-        CkptCache {
-            budget,
-            used: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, ckpt: Checkpoint) {
-        self.used += ckpt.size_bytes();
-        self.entries.push((ckpt.epoch(), ckpt));
-        while self.used > self.budget {
-            let (_, evicted) = self.entries.remove(0);
-            self.used -= evicted.size_bytes();
-        }
-    }
-
-    /// The deepest cached checkpoint at epoch ≤ `epoch`, touched MRU.
-    fn deepest_at_most(&mut self, epoch: u32) -> Option<&Checkpoint> {
-        let best = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, (e, _))| *e <= epoch)
-            .max_by_key(|(_, (e, _))| *e)?
-            .0;
-        let entry = self.entries.remove(best);
-        self.entries.push(entry);
-        Some(&self.entries.last().expect("just pushed").1)
-    }
-}
-
-/// The probe-side hook: records every boundary and snapshots every
-/// epoch ≥ 1 into the LRU cache (one pass instead of O(epochs) re-runs).
-struct Recorder {
-    records: Vec<BoundaryRecord>,
-    cache: CkptCache,
-}
-
-impl RunHook for Recorder {
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
-        self.records.push(BoundaryRecord {
+impl BoundaryRecord {
+    fn new(b: &EpochBoundary<'_>) -> Self {
+        BoundaryRecord {
             epoch: b.epoch,
             counters: b.counters.clone(),
             samples: b.samples.to_vec(),
             thp: b.thp,
             failures: b.failures.map(<[FailedAction]>::to_vec),
             fingerprint: b.fingerprint,
-        });
+        }
+    }
+}
+
+/// Where a sibling stands against the probe's decision stream.
+enum Sibling {
+    /// Every boundary so far matched; holds the sibling's fresh policy,
+    /// replayed up to the probe's last boundary.
+    Matching(Box<dyn NumaPolicy>),
+    /// Outputs differed at some boundary. Holds the claimed snapshot of
+    /// that epoch's start, or `None` when there is none to resume from
+    /// (epoch 0, or the claim budget was spent).
+    Diverged(Option<Rc<Checkpoint>>),
+    /// Shares nothing with the probe: its policy name or sample appetite
+    /// differs (see [`run_family`]).
+    Excluded,
+}
+
+/// The probe-side hook: records each boundary, replays every matching
+/// sibling over it, and keeps the snapshot a diverging sibling claims.
+struct Lockstep<'m> {
+    machine: &'m MachineSpec,
+    records: Vec<BoundaryRecord>,
+    siblings: Vec<Sibling>,
+    /// The snapshot taken at the start of the epoch in flight.
+    pending: Option<Rc<Checkpoint>>,
+    budget: usize,
+    kept_bytes: usize,
+    captured: u64,
+    kept: u64,
+    replay_secs: f64,
+}
+
+impl Lockstep<'_> {
+    fn any_matching(&self) -> bool {
+        self.siblings
+            .iter()
+            .any(|s| matches!(s, Sibling::Matching(_)))
+    }
+
+    /// The pending snapshot for a sibling diverging at `epoch`: shared if
+    /// another sibling already claimed it, kept if it fits the budget.
+    fn claim(&mut self, epoch: u32) -> Option<Rc<Checkpoint>> {
+        let snap = self.pending.as_ref().filter(|c| c.epoch() == epoch)?;
+        if Rc::strong_count(snap) == 1 {
+            let size = snap.size_bytes();
+            if self.kept_bytes + size > self.budget {
+                return None;
+            }
+            self.kept_bytes += size;
+            self.kept += 1;
+        }
+        Some(Rc::clone(snap))
+    }
+}
+
+impl RunHook for Lockstep<'_> {
+    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+        if !self.any_matching() {
+            return;
+        }
+        let rec = BoundaryRecord::new(b);
+        let t = Instant::now();
+        for i in 0..self.siblings.len() {
+            let Sibling::Matching(policy) = &mut self.siblings[i] else {
+                continue;
+            };
+            if replay_boundary(self.machine, &rec, policy.as_mut()) != rec.fingerprint {
+                self.siblings[i] = Sibling::Diverged(self.claim(rec.epoch));
+            }
+        }
+        self.records.push(rec);
+        // Unclaimed, the snapshot of the epoch that just closed is dead.
+        self.pending = None;
+        self.replay_secs += t.elapsed().as_secs_f64();
     }
 
     fn want_checkpoint(&mut self, _epoch: u32) -> bool {
-        self.cache.budget > 0
+        self.any_matching()
     }
 
     fn on_checkpoint(&mut self, ckpt: Checkpoint) {
-        self.cache.insert(ckpt);
+        self.captured += 1;
+        self.pending = Some(Rc::new(ckpt));
+    }
+
+    fn finish(&mut self) {
+        // The snapshot after the final boundary: no boundary follows it,
+        // so nobody can diverge into it.
+        self.pending = None;
     }
 }
 
@@ -159,14 +195,23 @@ pub struct FamilyStats {
     pub full_matches: u64,
     /// Siblings resumed from a checkpoint mid-run.
     pub forks: u64,
-    /// Siblings run from epoch 0 (divergence before the first cached
-    /// checkpoint, cache eviction, or a policy-name mismatch).
+    /// Siblings run from epoch 0 (divergence at epoch 0, a claim over
+    /// [`CLAIM_BUDGET_BYTES`], or a policy-name mismatch).
     pub scratch: u64,
-    /// Host seconds of the probe's full observed run.
+    /// Snapshots the probe captured (one per boundary while a sibling
+    /// still matched).
+    pub snapshots_captured: u64,
+    /// Snapshots a diverging sibling claimed: one per distinct divergence
+    /// epoch ≥ 1 within the budget. The rest were dropped at once.
+    pub snapshots_kept: u64,
+    /// Bytes of the kept snapshots, all alive when the probe ends; merged
+    /// families report the largest.
+    pub peak_kept_bytes: u64,
+    /// Host seconds of the probe's own run, lockstep replays excluded.
     pub probe_secs: f64,
-    /// Host seconds spent replaying recorded boundaries (divergence
-    /// search plus forked-policy prefix rebuilds) — the price of asking
-    /// "can this sibling share?".
+    /// Host seconds spent replaying recorded boundaries (the lockstep
+    /// divergence search plus forked-policy prefix rebuilds) — the price
+    /// of asking "can this sibling share?".
     pub replay_secs: f64,
     /// Host seconds simulating forked siblings' tails.
     pub resume_secs: f64,
@@ -185,6 +230,9 @@ impl FamilyStats {
         self.full_matches += other.full_matches;
         self.forks += other.forks;
         self.scratch += other.scratch;
+        self.snapshots_captured += other.snapshots_captured;
+        self.snapshots_kept += other.snapshots_kept;
+        self.peak_kept_bytes = self.peak_kept_bytes.max(other.peak_kept_bytes);
         self.probe_secs += other.probe_secs;
         self.replay_secs += other.replay_secs;
         self.resume_secs += other.resume_secs;
@@ -231,10 +279,19 @@ fn splice_digest(
 /// returns its [`TraceDigest`] — bit-identical to a from-scratch traced
 /// run's (the forktree equivalence test enforces this).
 pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyStats) {
+    run_family_within(specs, traced, CLAIM_BUDGET_BYTES)
+}
+
+/// [`run_family`] with claimed snapshots bounded by `budget` bytes.
+pub(crate) fn run_family_within(
+    specs: &[CellSpec],
+    traced: bool,
+    budget: usize,
+) -> (Vec<FamilyCell>, FamilyStats) {
     assert!(!specs.is_empty(), "a family needs at least one cell");
     if specs.len() == 1 {
         // A lone cell has nobody to share with: plain run, no hook (which
-        // would record boundaries and snapshot each one for nothing).
+        // would record boundaries for nothing).
         let spec = &specs[0];
         let config = spec.sim_config();
         let wspec = spec.workload.spec(&spec.machine);
@@ -261,11 +318,6 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     let machine = &probe_spec.machine;
     let config = probe_spec.sim_config();
     let wspec = probe_spec.workload.spec(machine);
-    let budget_mb = crate::env_override_u32("CARREFOUR_FORK_CACHE_MB").unwrap_or(DEFAULT_CACHE_MB);
-    let mut recorder = Recorder {
-        records: Vec::new(),
-        cache: CkptCache::new(budget_mb as usize * 1024 * 1024),
-    };
 
     let mut stats = FamilyStats {
         cells: specs.len(),
@@ -273,14 +325,39 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     };
     let mut out = Vec::with_capacity(specs.len());
 
-    // --- Probe: one full observed run. ---
+    // --- Probe: one full observed run, siblings replayed in lockstep. ---
     let probe_t = Instant::now();
     let mut probe_policy = probe_spec.make_policy();
     let probe_name = probe_policy.name().to_string();
     let probe_consumes = probe_policy.consumes_samples();
+    let siblings = specs[1..]
+        .iter()
+        .map(|spec| {
+            let fresh = spec.make_policy();
+            // Digest splicing hashes the policy name into epoch 0:
+            // different names never share. Nor does a sibling that reads
+            // samples the probe's run did not store.
+            if fresh.name() == probe_name && fresh.consumes_samples() == probe_consumes {
+                Sibling::Matching(fresh)
+            } else {
+                Sibling::Excluded
+            }
+        })
+        .collect();
+    let mut lockstep = Lockstep {
+        machine,
+        records: Vec::new(),
+        siblings,
+        pending: None,
+        budget,
+        kept_bytes: 0,
+        captured: 0,
+        kept: 0,
+        replay_secs: 0.0,
+    };
     let mut sink = traced.then(DigestSink::new);
     let opts = RunOptions {
-        hook: Some(&mut recorder),
+        hook: Some(&mut lockstep),
         ..sink_opts(&mut sink)
     };
     let mut probe_result =
@@ -291,7 +368,11 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
         d
     });
     stats.epochs_simulated += probe_result.epochs.len() as u64;
-    stats.probe_secs += probe_t.elapsed().as_secs_f64();
+    stats.probe_secs += probe_t.elapsed().as_secs_f64() - lockstep.replay_secs;
+    stats.replay_secs += lockstep.replay_secs;
+    stats.snapshots_captured = lockstep.captured;
+    stats.snapshots_kept = lockstep.kept;
+    stats.peak_kept_bytes = lockstep.kept_bytes as u64;
     probe_result.policy = probe_spec.policy_label();
     let probe_plain = {
         // Siblings that fully match clone this (with their own label).
@@ -304,64 +385,50 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
         digest: probe_digest.clone(),
     });
 
-    // --- Siblings: replay, then fork / clone / scratch. ---
-    for spec in &specs[1..] {
-        let mut fresh = spec.make_policy();
-        if fresh.name() != probe_name || fresh.consumes_samples() != probe_consumes {
-            // Digest splicing hashes the policy name into epoch 0:
-            // different names never share. Nor does a sibling that reads
-            // samples the probe's run did not store.
-            out.push(run_scratch(
-                spec, machine, &wspec, &config, traced, &mut stats,
-            ));
-            continue;
-        }
-        let replay_t = Instant::now();
-        let mut divergence = None;
-        for rec in &recorder.records {
-            if replay_boundary(machine, rec, fresh.as_mut()) != rec.fingerprint {
-                divergence = Some(rec.epoch);
-                break;
+    // --- Siblings: clone, fork from the claim, or run from scratch. ---
+    let Lockstep {
+        records, siblings, ..
+    } = lockstep;
+    for (spec, sibling) in specs[1..].iter().zip(siblings) {
+        let ckpt = match sibling {
+            Sibling::Matching(_) => {
+                // Every boundary's outputs matched: the sibling's run
+                // *is* the probe's run.
+                let clone_t = Instant::now();
+                stats.epochs_reused += probe_plain.epochs.len() as u64;
+                stats.full_matches += 1;
+                let mut result = probe_plain.clone();
+                result.policy = spec.policy_label();
+                out.push(FamilyCell {
+                    result,
+                    digest: probe_digest.clone(),
+                });
+                stats.clone_secs += clone_t.elapsed().as_secs_f64();
+                continue;
             }
-        }
-        stats.replay_secs += replay_t.elapsed().as_secs_f64();
-        let Some(div_epoch) = divergence else {
-            // Every boundary's outputs matched: the sibling's run *is*
-            // the probe's run.
-            let clone_t = Instant::now();
-            stats.epochs_reused += probe_plain.epochs.len() as u64;
-            stats.full_matches += 1;
-            let mut result = probe_plain.clone();
-            result.policy = spec.policy_label();
-            out.push(FamilyCell {
-                result,
-                digest: probe_digest.clone(),
-            });
-            stats.clone_secs += clone_t.elapsed().as_secs_f64();
-            continue;
-        };
-        let Some(ckpt) = recorder.cache.deepest_at_most(div_epoch) else {
-            // Diverged at epoch 0, or the cache evicted everything usable.
-            out.push(run_scratch(
-                spec, machine, &wspec, &config, traced, &mut stats,
-            ));
-            continue;
+            Sibling::Diverged(Some(ckpt)) => ckpt,
+            Sibling::Diverged(None) | Sibling::Excluded => {
+                out.push(run_scratch(
+                    spec, machine, &wspec, &config, traced, &mut stats,
+                ));
+                continue;
+            }
         };
         let fork_epoch = ckpt.epoch();
         // Rebuild the sibling's policy state at the fork point: a fresh
-        // instance replayed over the already-verified prefix. (`fresh`
-        // itself processed the divergent boundary, so its state is past
-        // the fork point and cannot be used.)
+        // instance replayed over the already-verified prefix. (The
+        // lockstep instance processed the divergent boundary, so its
+        // state was past the fork point.)
         let rebuild_t = Instant::now();
         let mut forked = spec.make_policy();
-        for rec in &recorder.records[..fork_epoch as usize] {
+        for rec in &records[..fork_epoch as usize] {
             replay_boundary(machine, rec, forked.as_mut());
         }
         stats.replay_secs += rebuild_t.elapsed().as_secs_f64();
         let resume_t = Instant::now();
         let mut sink = traced.then(DigestSink::new);
         let opts = RunOptions {
-            start: Start::Fork(ckpt),
+            start: Start::Fork(&ckpt),
             ..sink_opts(&mut sink)
         };
         let mut result =
@@ -481,30 +548,58 @@ mod tests {
         s
     }
 
-    #[test]
-    fn cache_evicts_lru_and_touches_on_lookup() {
-        // Budget of ~2.5 blobs: inserting 1,2,3 evicts 1.
-        let mk = |epoch| Checkpoint::synthetic_for_tests(epoch, 100);
-        let mut c = CkptCache::new(250);
-        c.insert(mk(1));
-        c.insert(mk(2));
-        assert_eq!(c.entries.len(), 2);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(c.deepest_at_most(1).unwrap().epoch(), 1);
-        c.insert(mk(3));
-        let epochs: Vec<u32> = c.entries.iter().map(|(e, _)| *e).collect();
-        assert_eq!(epochs, vec![1, 3], "2 was least-recently-used");
-        // Deepest-at-most honors the bound, not just presence.
-        assert_eq!(c.deepest_at_most(2).unwrap().epoch(), 1);
-        assert!(c.deepest_at_most(0).is_none());
+    /// Sibling whose walk-miss re-enable threshold makes its decisions
+    /// differ from the probe's at `EpC`'s epoch 2 on the test machine.
+    fn walk_miss_sibling(walk_miss_enable: f64) -> CellSpec {
+        let mut p = carrefour::LpParams::default();
+        p.thresholds.walk_miss_enable = walk_miss_enable;
+        family_spec(Some(p))
     }
 
     #[test]
-    fn oversized_blob_is_evicted_on_insert() {
-        let mut c = CkptCache::new(50);
-        c.insert(Checkpoint::synthetic_for_tests(1, 100));
-        assert!(c.entries.is_empty(), "strictly bounded, even if empty");
-        assert_eq!(c.used, 0);
+    fn full_match_family_keeps_no_snapshot() {
+        let specs = vec![family_spec(None), family_spec(None), family_spec(None)];
+        let (cells, stats) = run_family(&specs, false);
+        assert_eq!(stats.full_matches, 2);
+        // One capture per boundary the probe closed, each dropped unclaimed.
+        assert_eq!(
+            stats.snapshots_captured,
+            cells[0].result.epochs.len() as u64
+        );
+        assert_eq!(stats.snapshots_kept, 0);
+        assert_eq!(stats.peak_kept_bytes, 0);
+    }
+
+    #[test]
+    fn siblings_diverging_together_share_one_snapshot() {
+        let specs = vec![
+            family_spec(None),
+            walk_miss_sibling(0.075),
+            walk_miss_sibling(0.1),
+        ];
+        let (_, stats) = run_family(&specs, false);
+        assert_eq!(stats.forks, 2);
+        assert_eq!(stats.epochs_reused, 2 * 2, "both resume at epoch 2");
+        assert_eq!(stats.snapshots_kept, 1);
+        assert!(stats.peak_kept_bytes > 0);
+        assert_eq!(
+            stats.snapshots_captured, 2,
+            "no capture once no sibling still matches"
+        );
+    }
+
+    #[test]
+    fn budget_below_one_snapshot_runs_forks_from_scratch() {
+        let specs = vec![family_spec(None), walk_miss_sibling(0.075)];
+        let (forked, forked_stats) = run_family(&specs, false);
+        assert_eq!(forked_stats.forks, 1);
+        let (starved, stats) = run_family_within(&specs, false, 1);
+        assert_eq!((stats.forks, stats.scratch), (0, 1));
+        assert_eq!((stats.snapshots_kept, stats.peak_kept_bytes), (0, 0));
+        assert_eq!(stats.epochs_reused, 0);
+        for (a, b) in forked.iter().zip(&starved) {
+            assert_eq!(a.result, b.result);
+        }
     }
 
     #[test]

@@ -33,8 +33,7 @@ pub fn attrib_enabled() -> bool {
 /// Reads `$name` as a `u32` override. Unset → `None` (auto). Set but
 /// unparseable → a loud stderr warning and `None`: a typo'd override
 /// silently pinning behaviour to the default is far worse than noise.
-/// Used by the bench runner's `CARREFOUR_JOBS` and
-/// `CARREFOUR_FORK_CACHE_MB`.
+/// Used by the bench runner's `CARREFOUR_JOBS`.
 pub fn env_override_u32(name: &str) -> Option<u32> {
     parse_env_override(name, std::env::var(name).ok().as_deref())
 }

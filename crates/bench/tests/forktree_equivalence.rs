@@ -161,3 +161,54 @@ fn full_match_reuses_every_epoch() {
         r
     });
 }
+
+/// A family whose siblings fork at two distinct epochs ≥ 1 (plus one
+/// full match): both resume from the snapshot the probe took at the
+/// start of their divergent epoch, so the family keeps exactly those two,
+/// and every result and digest still equals its from-scratch run.
+#[test]
+fn forks_at_two_epochs_keep_two_snapshots_and_match_scratch() {
+    std::env::set_var("CARREFOUR_QUIET", "1");
+    let machine = MachineSpec::test_machine();
+    let mk = |imbalance_enable_above: Option<f64>| {
+        let mut s = CellSpec::new(
+            machine.clone(),
+            workloads::Benchmark::UaB,
+            PolicyKind::CarrefourLp,
+        );
+        s.family = Some("forks".to_string());
+        s.lp_params = imbalance_enable_above.map(|v| {
+            let mut p = LpParams::default();
+            p.carrefour.imbalance_enable_above = v;
+            p
+        });
+        s
+    };
+    // On the test machine's UA.B, a 10 % trigger first changes a decision
+    // at epoch 10 and a 20 % trigger at epoch 18.
+    let specs = vec![
+        mk(None),
+        mk(Some(10.0)),
+        mk(Some(LpParams::default().carrefour.imbalance_enable_above)),
+        mk(Some(20.0)),
+    ];
+    let (cells, stats) = forktree::run_family(&specs, true);
+    assert_eq!(stats.forks, 2);
+    assert_eq!(stats.full_matches, 1);
+    assert_eq!(stats.scratch, 0);
+    assert_eq!(stats.snapshots_kept, 2);
+    assert!(stats.peak_kept_bytes > 0);
+    let epochs = cells[0].result.epochs.len() as u64;
+    assert_eq!(stats.epochs_reused, 10 + epochs + 18);
+    // The full match keeps every boundary's snapshot wanted; only the
+    // two claimed ones outlive their epoch.
+    assert_eq!(stats.snapshots_captured, epochs);
+    for (cell, spec) in cells.iter().zip(&specs) {
+        let (want_r, want_d) = scratch(spec);
+        assert_eq!(cell.result, want_r, "SimResult diverged");
+        let got_d = cell.digest.as_ref().expect("traced family returns digests");
+        if let Some(diff) = want_d.diff(got_d) {
+            panic!("trace digest diverged: {diff}");
+        }
+    }
+}

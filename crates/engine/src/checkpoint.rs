@@ -139,19 +139,11 @@ impl Checkpoint {
         self.config_fp
     }
 
-    /// In-memory payload size in bytes — what a cache holding live
-    /// checkpoints (the fork tree's LRU, `CARREFOUR_FORK_CACHE_MB`) should
-    /// charge against its budget.
+    /// In-memory payload size in bytes — what a holder of live
+    /// checkpoints (the fork tree's claimed snapshots) should charge
+    /// against its budget.
     pub fn size_bytes(&self) -> usize {
         self.payload.len()
-    }
-
-    /// A placeholder blob (`epoch`, `bytes` of zeros, zero fingerprint)
-    /// for exercising cache accounting without running a simulation.
-    /// Never restorable — `matches` rejects it against any real config.
-    #[doc(hidden)]
-    pub fn synthetic_for_tests(epoch: u32, bytes: usize) -> Checkpoint {
-        Checkpoint::new(epoch, 0, vec![0; bytes])
     }
 
     /// Whether this checkpoint was taken under exactly these inputs.

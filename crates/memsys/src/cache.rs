@@ -121,14 +121,6 @@ impl SetAssocCache {
     /// is filled, evicting the LRU way if the set is full.
     #[inline]
     pub fn access(&mut self, paddr: u64) -> bool {
-        self.access_stable(paddr).0
-    }
-
-    /// Like [`SetAssocCache::access`], additionally reporting whether the
-    /// hit was *stable*: the line was already in the MRU way, so the access
-    /// changed nothing but the hit counter. Returns `(hit, stable)`.
-    #[inline]
-    pub fn access_stable(&mut self, paddr: u64) -> (bool, bool) {
         let (idx, tag) = self.locate(paddr);
         let base = idx * self.ways;
         let len = self.lens[idx] as usize;
@@ -140,7 +132,7 @@ impl SetAssocCache {
                 set[..=pos].rotate_right(1);
             }
             self.hits += 1;
-            (true, pos == 0)
+            true
         } else {
             // Insert at MRU; a full set drops its LRU (last) tag.
             if len < self.ways {
@@ -150,7 +142,7 @@ impl SetAssocCache {
             self.tags.copy_within(base..base + keep, base + 1);
             self.tags[base] = tag;
             self.misses += 1;
-            (false, false)
+            false
         }
     }
 
@@ -455,13 +447,13 @@ mod tests {
             (line, idx * self.ways, self.lens[idx] as usize)
         }
 
-        fn access_stable(&mut self, paddr: u64) -> (bool, bool) {
+        fn access(&mut self, paddr: u64) -> bool {
             let (line, base, len) = self.set_of(paddr);
             let set = &mut self.tags[base..base + len];
             if let Some(pos) = set.iter().position(|&t| t == line) {
                 set[..=pos].rotate_right(1);
                 self.hits += 1;
-                (true, pos == 0)
+                true
             } else {
                 let idx = base / self.ways;
                 if len < self.ways {
@@ -471,7 +463,7 @@ mod tests {
                 self.tags.copy_within(base..base + keep, base + 1);
                 self.tags[base] = line;
                 self.misses += 1;
-                (false, false)
+                false
             }
         }
 
@@ -571,8 +563,7 @@ mod tests {
                 let paddr = (line << 6) | rng.random_range(0..64u64);
                 let mut stale_change = false;
                 match rng.random_range(0..100u32) {
-                    0..=39 => prop_assert_eq!(cache.access(paddr), oracle.access_stable(paddr).0),
-                    40..=59 => prop_assert_eq!(cache.access_stable(paddr), oracle.access_stable(paddr)),
+                    0..=59 => prop_assert_eq!(cache.access(paddr), oracle.access(paddr)),
                     60..=74 => prop_assert_eq!(cache.probe(paddr), oracle.probe(paddr)),
                     75..=91 => {
                         prop_assert_eq!(cache.invalidate(paddr), oracle.invalidate(paddr));

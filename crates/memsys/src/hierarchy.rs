@@ -60,31 +60,6 @@ impl CacheHierarchy {
         ServiceLevel::Dram
     }
 
-    /// Like [`CacheHierarchy::access`], additionally reporting whether the
-    /// access was *stable*: serviced by L1 with the line already in the MRU
-    /// way, meaning the probe changed nothing but the L1 hit counter. Only
-    /// L1 hits can be stable — any deeper service level fills lines and
-    /// reorders LRU stacks on the way back.
-    #[inline]
-    pub fn access_stable(
-        &mut self,
-        core: CoreId,
-        node: NodeId,
-        paddr: u64,
-    ) -> (ServiceLevel, bool) {
-        let (hit, mru) = self.l1[core.index()].access_stable(paddr);
-        if hit {
-            return (ServiceLevel::L1, mru);
-        }
-        if self.l2[core.index()].access(paddr) {
-            return (ServiceLevel::L2, false);
-        }
-        if self.l3[node.index()].access(paddr) {
-            return (ServiceLevel::L3, false);
-        }
-        (ServiceLevel::Dram, false)
-    }
-
     /// Adds `n` L1 hits for `core` without probing: the bulk-charge
     /// primitive for stable (MRU) hits, whose replay is a pure counter
     /// increment.

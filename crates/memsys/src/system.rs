@@ -286,65 +286,6 @@ impl MemorySystem {
         self.links.traverse_n(route, n);
     }
 
-    /// Performs one data access like [`MemorySystem::access`], additionally
-    /// reporting whether the access left the cache hierarchy's set state
-    /// unchanged (a *stable* hit: L1, already most-recently-used). A stable
-    /// access is idempotent — replaying the same line from the same core
-    /// would produce the same outcome and the same state — which is what
-    /// lets the engine's fast path charge same-line repeats in bulk via
-    /// [`MemorySystem::charge_l1_hits_n`].
-    #[inline]
-    pub fn access_stable(
-        &mut self,
-        core: CoreId,
-        paddr: u64,
-        home: NodeId,
-        kind: AccessKind,
-    ) -> (AccessOutcome, bool) {
-        let from = self.core_node[core.index()];
-        let (level, stable) = self.hierarchy.access_stable(core, from, paddr);
-        if level != ServiceLevel::L1 {
-            self.epoch.l2_accesses += 1;
-        }
-        let (mut queue, mut inter) = (0, 0);
-        let cycles = match level {
-            ServiceLevel::L1 => self.config.l1_latency,
-            ServiceLevel::L2 => self.config.l2_latency,
-            ServiceLevel::L3 | ServiceLevel::Dram => {
-                self.epoch.l2_misses += 1;
-                if kind == AccessKind::PageWalk {
-                    self.epoch.l2_walk_misses += 1;
-                }
-                if level == ServiceLevel::L3 {
-                    self.config.l3_latency
-                } else {
-                    if from == home {
-                        self.epoch.dram_local += 1;
-                    } else {
-                        self.epoch.dram_remote += 1;
-                    }
-                    queue = self.controllers[home.index()].request();
-                    let route = self.topology.route(from, home);
-                    let hops = route.hops();
-                    let link_delay = self.links.traverse(route);
-                    inter = hops * self.config.hop_latency + link_delay;
-                    self.config.l3_latency + self.config.dram_base_latency + queue + inter
-                }
-            }
-        };
-        (
-            AccessOutcome {
-                cycles,
-                level,
-                from_node: from,
-                home_node: home,
-                queue,
-                inter,
-            },
-            stable,
-        )
-    }
-
     /// Charges `n` stable L1 hits for `core` in bulk: the only state a
     /// stable hit changes is the L1 hit counter (the line is already MRU,
     /// and L1 hits touch no epoch counters), so `n` replays collapse to one
