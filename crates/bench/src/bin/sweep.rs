@@ -5,10 +5,11 @@
 //! [`LpParams`], so a (machine × benchmark) *family* — baseline probe
 //! plus all candidates — shares its simulation prefix through
 //! [`forktree::run_family`]: candidates whose decision stream matches the
-//! probe's cost zero simulated epochs, and divergent ones resume from the
-//! probe's snapshot at the start of their first divergent epoch. The
-//! sweep is seeded and deterministic end to end: same grid, same
-//! refinement walk, same winner, bit-identical cells on every run.
+//! probe's cost zero simulated epochs, and candidates that diverge
+//! together share one run resumed from the snapshot at the start of
+//! their first divergent epoch. The sweep is seeded and deterministic end
+//! to end: same grid, same refinement walk, same winner, bit-identical
+//! cells on every run.
 //!
 //! Search: a fixed grid over the three thresholds the paper's sensitivity
 //! discussion names (split gain, hot-page cutoff, imbalance trigger),
@@ -20,13 +21,14 @@
 //! in `results/SWEEP_lp.json` (schema `sweep-v1`) together with the
 //! Pareto frontier and the prefix-sharing counters.
 //!
-//! `--smoke` runs a tiny 3×3 grid plus one forking candidate on the test
-//! machine, additionally runs the same cells *without* sharing, and
+//! `--smoke` runs a tiny 3×3 grid plus three forking candidates on the
+//! test machine, additionally runs the same cells *without* sharing, and
 //! asserts (a) every result and trace digest is bit-identical between the
 //! two execution strategies, (b) sharing cut simulated epochs by at least
-//! 2×, and (c) at least one sibling resumed from a snapshot. CI runs this
-//! on every push. `--no-share` disables prefix sharing in any mode (the
-//! A/B lever the smoke test uses internally).
+//! 2×, (c) at least one class head resumed from a snapshot, and (d) at
+//! least one of them forked off another fork. CI runs this on every
+//! push. `--no-share` disables prefix sharing in any mode (the A/B lever
+//! the smoke test uses internally).
 
 use carrefour::LpParams;
 use carrefour_bench::forktree::{self, FamilyStats};
@@ -228,7 +230,10 @@ fn full_grid() -> Vec<Candidate> {
 /// The smoke grid: 3×3 hugging the defaults so most candidates share
 /// most (often all) of the probe's prefix — the reuse the CI gate
 /// asserts on — plus a lower imbalance trigger, whose UA.B decisions
-/// first differ at epoch 18, so the gate also resumes from a snapshot.
+/// first differ at epoch 18, so the gate also resumes from a snapshot,
+/// and two low walk-miss triggers. On UA.B both part from the probe at
+/// epoch 2 the same way and from each other at epoch 4, so the gate also
+/// reaches a nested fork; on EP.C both match the probe.
 fn smoke_grid() -> Vec<Candidate> {
     let mut out = Vec::new();
     for &split in &[4.0, 5.0, 6.0] {
@@ -244,6 +249,12 @@ fn smoke_grid() -> Vec<Candidate> {
     out.push(cand(id, "imb=20".into(), |p| {
         p.carrefour.imbalance_enable_above = 20.0;
     }));
+    for walk in [0.01, 0.02] {
+        let id = out.len();
+        out.push(cand(id, format!("walk={walk}"), |p| {
+            p.thresholds.walk_miss_enable = walk;
+        }));
+    }
     out
 }
 
@@ -502,12 +513,13 @@ fn print_share_report(stats: &FamilyStats) {
     let factor = total as f64 / stats.epochs_simulated.max(1) as f64;
     println!(
         "prefix sharing: {} epochs simulated, {} reused ({:.2}x reduction; \
-         {} full matches, {} forks, {} scratch)",
+         {} full matches, {} forks ({} nested), {} scratch)",
         stats.epochs_simulated,
         stats.epochs_reused,
         factor,
         stats.full_matches,
         stats.forks,
+        stats.nested_forks,
         stats.scratch
     );
     println!(
@@ -586,6 +598,10 @@ fn run_smoke(out_path: &str, share: bool, jobs: usize) {
         assert!(
             stats.forks >= 1,
             "sweep smoke: no sibling resumed from a snapshot"
+        );
+        assert!(
+            stats.nested_forks >= 1,
+            "sweep smoke: no class forked off another fork"
         );
         assert_eq!(
             scratch_stats.epochs_simulated, total,
@@ -678,6 +694,7 @@ fn write_json(
     ));
     out.push_str(&format!("  \"full_matches\": {},\n", stats.full_matches));
     out.push_str(&format!("  \"forks\": {},\n", stats.forks));
+    out.push_str(&format!("  \"nested_forks\": {},\n", stats.nested_forks));
     out.push_str(&format!("  \"scratch\": {},\n", stats.scratch));
     // Reuse-latency spans (bench-runner-v5 era): where the fork tree's
     // host seconds went — probing, replay verification, forked tails,

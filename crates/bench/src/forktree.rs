@@ -2,52 +2,63 @@
 //! differ only in policy parameters as one fork tree instead of N
 //! independent runs (DESIGN.md §15).
 //!
-//! The first cell of a family is the **probe**: it runs in full under a
-//! [`engine::RunHook`] that records, at every epoch boundary, the
-//! policy's inputs (counters, filtered samples, THP switches, fed-back
-//! failures) and a fingerprint of its *outputs* (action queue, decision
-//! log, retry count — [`engine::epoch_output_fingerprint`]).
+//! Cells run in **classes**. A class's first cell is its **head**, the
+//! only one simulated; the others are **members**. The head runs under a
+//! [`engine::RunHook`] (`Lockstep`) that records, at every epoch
+//! boundary, the policy's inputs (counters, filtered samples, THP
+//! switches, fed-back failures) and a fingerprint of its *outputs*
+//! (action queue, decision log, retry count —
+//! [`engine::epoch_output_fingerprint`]), and replays each member's own
+//! policy over that boundary — no simulation, just `on_epoch` calls —
+//! comparing fingerprints in lockstep. The induction that makes this
+//! sound: while every earlier boundary's outputs matched the head's, the
+//! member's simulation would have evolved bit-identically, so the
+//! recorded inputs *are* the inputs the member would have seen. A member
+//! that matches to the end is a **full match** and clones the head's
+//! result.
 //!
-//! Every sibling *replays* its own fresh policy over each boundary as the
-//! probe records it — no simulation, just `on_epoch` calls — comparing
-//! output fingerprints in lockstep with the probe. The induction that
-//! makes this sound: as long as every earlier boundary's outputs matched
-//! the probe's, the sibling's simulation would have evolved
-//! bit-identically, so the recorded inputs *are* the inputs the sibling
-//! would have seen. At the first mismatch (epoch `e`), only epochs `e..`
-//! can differ, and the sibling claims the ckpt-v1 snapshot the probe took
-//! at the start of epoch `e`. The hook asks for a snapshot only while some
-//! sibling still matches, and drops each one that no sibling claimed when
-//! its boundary ends, so a family holds only the snapshots a fork will
-//! resume from.
+//! Members that first differ at the same boundary `e` with the same
+//! output fingerprint split off as one new class. Their simulations are
+//! equal through epoch `e` (the head's) and their outputs at `e` are
+//! equal to each other's, so the induction restarts with the new class's
+//! first cell as a **sub-probe**: it forks from the snapshot the head's
+//! run took at the start of epoch `e` (a [`Start::Fork`] run, with its
+//! policy rebuilt by replaying a fresh instance over boundaries `0..e`),
+//! and the other members, already replayed through `e`, continue in
+//! lockstep against it from boundary `e + 1`. Classes recurse depth-first
+//! through one routine, `run_class`, so each distinct trajectory is
+//! simulated once. The family's first cell heads the first root class
+//! (the **probe**); cells whose policy name or sample appetite differs
+//! from it start root classes of their own.
 //!
-//! After the probe, a diverged sibling resumes from its claim via a
-//! [`Start::Fork`] run, which restores the simulation state but leaves
-//! the policy alone (the checkpoint holds the *probe's* policy bytes).
-//! The sibling's policy state at `e` is rebuilt by replaying a fresh
-//! instance over boundaries `0..e` — already verified equal, so the
-//! replay is cheap and exact. Claimed bytes are bounded by
-//! [`CLAIM_BUDGET_BYTES`]; a claim over the bound, or a divergence at
-//! epoch 0 (no snapshot precedes it), runs the sibling from scratch,
-//! which only ever costs reuse, never correctness.
+//! A head's run asks for a snapshot only while some member still matches,
+//! and drops each one no split claimed when its boundary ends. A claimed
+//! snapshot is freed once the last head forking from it has restored.
+//! Claimed bytes alive at once are bounded by [`CLAIM_BUDGET_BYTES`]. A
+//! class split at epoch 0 (no snapshot precedes it) or refused by the
+//! budget runs its head from scratch, which only costs reuse: its members
+//! still share that run.
 
 use crate::runner::CellSpec;
 use engine::{
     Checkpoint, DigestSink, EpochBoundary, EpochCtx, FailedAction, NumaPolicy, RunHook, RunOptions,
-    SimResult, Simulation, Start, TraceDigest, TraceSink,
+    SimConfig, SimResult, Simulation, Start, TraceDigest, TraceSink,
 };
 use numa_topology::MachineSpec;
 use profiling::{EpochCounters, IbsSample};
+use std::borrow::Cow;
 use std::rc::Rc;
 use std::time::Instant;
 use vmem::ThpControls;
+use workloads::WorkloadSpec;
 
-/// The most snapshot bytes one family keeps claimed at once. A claim that
-/// would exceed it is refused and its sibling runs from scratch.
+/// The most claimed snapshot bytes one family keeps alive at once. A
+/// claim that would exceed it is refused and its class head runs from
+/// scratch.
 pub const CLAIM_BUDGET_BYTES: usize = 256 << 20;
 
-/// Everything the policy saw and produced at one epoch boundary of the
-/// probe run — the replay substrate for sibling cells.
+/// Everything the policy saw and produced at one epoch boundary of a
+/// head's run — the replay substrate for its members and nested forks.
 struct BoundaryRecord {
     epoch: u32,
     counters: EpochCounters,
@@ -71,53 +82,78 @@ impl BoundaryRecord {
     }
 }
 
-/// Where a sibling stands against the probe's decision stream.
-enum Sibling {
-    /// Every boundary so far matched; holds the sibling's fresh policy,
-    /// replayed up to the probe's last boundary.
-    Matching(Box<dyn NumaPolicy>),
-    /// Outputs differed at some boundary. Holds the claimed snapshot of
-    /// that epoch's start, or `None` when there is none to resume from
-    /// (epoch 0, or the claim budget was spent).
-    Diverged(Option<Rc<Checkpoint>>),
-    /// Shares nothing with the probe: its policy name or sample appetite
-    /// differs (see [`run_family`]).
-    Excluded,
+/// A class cell other than the head, with its policy replayed through
+/// every boundary its class has matched so far.
+struct Member {
+    idx: usize,
+    policy: Box<dyn NumaPolicy>,
 }
 
-/// The probe-side hook: records each boundary, replays every matching
-/// sibling over it, and keeps the snapshot a diverging sibling claims.
-struct Lockstep<'m> {
-    machine: &'m MachineSpec,
-    records: Vec<BoundaryRecord>,
-    siblings: Vec<Sibling>,
-    /// The snapshot taken at the start of the epoch in flight.
-    pending: Option<Rc<Checkpoint>>,
+/// Cells that share one simulated run.
+struct Class {
+    /// Index of the head cell, the one that runs.
+    head: usize,
+    members: Vec<Member>,
+    /// The first boundary the members have not replayed: 0 for a root
+    /// class, `e + 1` for a class split off at boundary `e`.
+    first_live: u32,
+    /// The members' output fingerprint at the split boundary (unused for
+    /// a root class).
+    fingerprint: u64,
+    /// The snapshot the head forks from; `None` runs it from scratch.
+    ckpt: Option<Rc<Checkpoint>>,
+}
+
+impl Class {
+    fn root(head: usize) -> Self {
+        Class {
+            head,
+            members: Vec::new(),
+            first_live: 0,
+            fingerprint: 0,
+            ckpt: None,
+        }
+    }
+}
+
+/// Claimed snapshot bytes, family-wide, against the budget.
+struct Claims {
     budget: usize,
-    kept_bytes: usize,
+    live_bytes: usize,
+    peak_bytes: usize,
     captured: u64,
     kept: u64,
+}
+
+/// A head run's hook: records each boundary, replays every matching
+/// member over it, and splits diverging members into new classes, each
+/// claiming the snapshot its head will fork from.
+struct Lockstep<'a> {
+    machine: &'a MachineSpec,
+    claims: &'a mut Claims,
+    first_live: u32,
+    records: Vec<BoundaryRecord>,
+    matching: Vec<Member>,
+    split: Vec<Class>,
+    /// The snapshot taken at the start of the epoch in flight.
+    pending: Option<Rc<Checkpoint>>,
     replay_secs: f64,
 }
 
 impl Lockstep<'_> {
-    fn any_matching(&self) -> bool {
-        self.siblings
-            .iter()
-            .any(|s| matches!(s, Sibling::Matching(_)))
-    }
-
-    /// The pending snapshot for a sibling diverging at `epoch`: shared if
-    /// another sibling already claimed it, kept if it fits the budget.
+    /// The pending snapshot for a class splitting at `epoch`: shared if
+    /// another class already claimed it, kept if it fits the budget.
     fn claim(&mut self, epoch: u32) -> Option<Rc<Checkpoint>> {
         let snap = self.pending.as_ref().filter(|c| c.epoch() == epoch)?;
         if Rc::strong_count(snap) == 1 {
+            let claims = &mut *self.claims;
             let size = snap.size_bytes();
-            if self.kept_bytes + size > self.budget {
+            if claims.live_bytes + size > claims.budget {
                 return None;
             }
-            self.kept_bytes += size;
-            self.kept += 1;
+            claims.live_bytes += size;
+            claims.peak_bytes = claims.peak_bytes.max(claims.live_bytes);
+            claims.kept += 1;
         }
         Some(Rc::clone(snap))
     }
@@ -125,44 +161,59 @@ impl Lockstep<'_> {
 
 impl RunHook for Lockstep<'_> {
     fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
-        if !self.any_matching() {
+        if self.matching.is_empty() {
             return;
         }
         let rec = BoundaryRecord::new(b);
-        let t = Instant::now();
-        for i in 0..self.siblings.len() {
-            let Sibling::Matching(policy) = &mut self.siblings[i] else {
-                continue;
-            };
-            if replay_boundary(self.machine, &rec, policy.as_mut()) != rec.fingerprint {
-                self.siblings[i] = Sibling::Diverged(self.claim(rec.epoch));
+        // A split class's members already replayed its split boundary,
+        // which the head's run emits again.
+        if rec.epoch >= self.first_live {
+            let t = Instant::now();
+            for mut m in std::mem::take(&mut self.matching) {
+                let fp = replay_boundary(self.machine, &rec, m.policy.as_mut());
+                if fp == rec.fingerprint {
+                    self.matching.push(m);
+                    continue;
+                }
+                let first_live = rec.epoch + 1;
+                match self
+                    .split
+                    .iter_mut()
+                    .find(|c| c.first_live == first_live && c.fingerprint == fp)
+                {
+                    Some(class) => class.members.push(m),
+                    None => {
+                        let ckpt = self.claim(rec.epoch);
+                        self.split.push(Class {
+                            head: m.idx,
+                            members: Vec::new(),
+                            first_live,
+                            fingerprint: fp,
+                            ckpt,
+                        });
+                    }
+                }
             }
+            self.replay_secs += t.elapsed().as_secs_f64();
         }
         self.records.push(rec);
         // Unclaimed, the snapshot of the epoch that just closed is dead.
         self.pending = None;
-        self.replay_secs += t.elapsed().as_secs_f64();
     }
 
-    fn want_checkpoint(&mut self, _epoch: u32) -> bool {
-        self.any_matching()
+    fn want_checkpoint(&mut self, epoch: u32) -> bool {
+        epoch >= self.first_live && !self.matching.is_empty()
     }
 
     fn on_checkpoint(&mut self, ckpt: Checkpoint) {
-        self.captured += 1;
+        self.claims.captured += 1;
         self.pending = Some(Rc::new(ckpt));
-    }
-
-    fn finish(&mut self) {
-        // The snapshot after the final boundary: no boundary follows it,
-        // so nobody can diverge into it.
-        self.pending = None;
     }
 }
 
 /// Feeds one recorded boundary to `policy` and returns its output
-/// fingerprint. The decision log is enabled to mirror the probe run
-/// (which always has a hook attached).
+/// fingerprint. The decision log is enabled to mirror a head run with
+/// members (which always has a hook attached).
 fn replay_boundary(
     machine: &MachineSpec,
     rec: &BoundaryRecord,
@@ -180,44 +231,49 @@ fn replay_boundary(
     engine::epoch_output_fingerprint(rec.epoch, &actions, &decisions, retries)
 }
 
-/// Per-family execution counters, persisted into `BENCH_runner.json`
-/// (bench-runner-v4) and `SWEEP_lp.json` (sweep-v1). Replay boundary
-/// evaluations are *not* simulated epochs — no rounds run during replay.
+/// Per-family execution counters, persisted into `SWEEP_lp.json`
+/// (sweep-v1) and read by simbench. Replay boundary evaluations are *not*
+/// simulated epochs — no rounds run during replay. Every cell is counted
+/// once: as the probe, a fork, a scratch run or a full match.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FamilyStats {
     /// Cells in the family (including the probe).
     pub cells: usize,
     /// Epochs actually executed through the engine.
     pub epochs_simulated: u64,
-    /// Epochs restored from the shared prefix instead of executed.
+    /// Epochs restored from a shared prefix instead of executed.
     pub epochs_reused: u64,
-    /// Siblings whose whole decision stream matched the probe's.
+    /// Members whose whole decision stream matched their class head's.
     pub full_matches: u64,
-    /// Siblings resumed from a checkpoint mid-run.
+    /// Class heads resumed from a claimed snapshot mid-run.
     pub forks: u64,
-    /// Siblings run from epoch 0 (divergence at epoch 0, a claim over
-    /// [`CLAIM_BUDGET_BYTES`], or a policy-name mismatch).
+    /// Forks whose class split off another fork or scratch head rather
+    /// than off a root head: the recursion at depth two or more.
+    pub nested_forks: u64,
+    /// Class heads other than the probe run from epoch 0: a split at
+    /// epoch 0, a claim over [`CLAIM_BUDGET_BYTES`], or a root class whose
+    /// policy name or sample appetite differs from the probe's.
     pub scratch: u64,
-    /// Snapshots the probe captured (one per boundary while a sibling
-    /// still matched).
+    /// Snapshots the head runs captured (one per boundary another epoch
+    /// follows, while a member still matched).
     pub snapshots_captured: u64,
-    /// Snapshots a diverging sibling claimed: one per distinct divergence
-    /// epoch ≥ 1 within the budget. The rest were dropped at once.
+    /// Snapshots a splitting class claimed: one per distinct split epoch
+    /// ≥ 1 within the budget, per head run. The rest were dropped at once.
     pub snapshots_kept: u64,
-    /// Bytes of the kept snapshots, all alive when the probe ends; merged
-    /// families report the largest.
+    /// The most claimed snapshot bytes alive at once; merged families
+    /// report the largest.
     pub peak_kept_bytes: u64,
     /// Host seconds of the probe's own run, lockstep replays excluded.
     pub probe_secs: f64,
     /// Host seconds spent replaying recorded boundaries (the lockstep
     /// divergence search plus forked-policy prefix rebuilds) — the price
-    /// of asking "can this sibling share?".
+    /// of asking "can this cell share?".
     pub replay_secs: f64,
-    /// Host seconds simulating forked siblings' tails.
+    /// Host seconds simulating forked heads' tails, replays excluded.
     pub resume_secs: f64,
-    /// Host seconds cloning full-match results off the probe.
+    /// Host seconds cloning full-match results off their heads.
     pub clone_secs: f64,
-    /// Host seconds of scratch fallback runs.
+    /// Host seconds of scratch head runs, replays excluded.
     pub scratch_secs: f64,
 }
 
@@ -229,6 +285,7 @@ impl FamilyStats {
         self.epochs_reused += other.epochs_reused;
         self.full_matches += other.full_matches;
         self.forks += other.forks;
+        self.nested_forks += other.nested_forks;
         self.scratch += other.scratch;
         self.snapshots_captured += other.snapshots_captured;
         self.snapshots_kept += other.snapshots_kept;
@@ -250,25 +307,20 @@ pub struct FamilyCell {
     pub digest: Option<TraceDigest>,
 }
 
-/// Splices a forked sibling's digest: the probe's verified prefix
-/// (epochs `0..fork_epoch`) plus the resumed tail. Sound because epoch 0
-/// is the only epoch whose hash covers `RunStart` (workload, policy
-/// *name*, machine, seed) — all equal across a family with equal policy
-/// names — and resumed runs emit no `RunStart` of their own.
-fn splice_digest(
-    probe: &TraceDigest,
-    tail: TraceDigest,
-    fork_epoch: u32,
-    runtime_cycles: u64,
-) -> TraceDigest {
-    let mut epochs: Vec<_> = probe.epochs[..fork_epoch as usize].to_vec();
+/// Splices a forked head's digest: its parent head's digest — itself
+/// spliced if that head forked — for epochs `0..fork_epoch`, plus the
+/// resumed tail. Sound because epoch 0 is the only epoch whose hash
+/// covers `RunStart` (workload, policy *name*, machine, seed) — all equal
+/// within a class — and resumed runs emit no `RunStart` of their own.
+fn splice_digest(parent: &TraceDigest, tail: TraceDigest, fork_epoch: u32) -> TraceDigest {
+    let mut epochs: Vec<_> = parent.epochs[..fork_epoch as usize].to_vec();
     epochs.extend(tail.epochs);
     TraceDigest {
-        workload: probe.workload.clone(),
-        policy: probe.policy.clone(),
-        machine: probe.machine.clone(),
-        seed: probe.seed,
-        runtime_cycles,
+        workload: parent.workload.clone(),
+        policy: parent.policy.clone(),
+        machine: parent.machine.clone(),
+        seed: parent.seed,
+        runtime_cycles: tail.runtime_cycles,
         epochs,
     }
 }
@@ -282,170 +334,220 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     run_family_within(specs, traced, CLAIM_BUDGET_BYTES)
 }
 
+/// What one family run shares across its classes.
+struct Family<'s> {
+    specs: &'s [CellSpec],
+    machine: &'s MachineSpec,
+    wspec: WorkloadSpec,
+    config: SimConfig,
+    traced: bool,
+    claims: Claims,
+    stats: FamilyStats,
+    out: Vec<Option<FamilyCell>>,
+}
+
 /// [`run_family`] with claimed snapshots bounded by `budget` bytes.
-pub(crate) fn run_family_within(
+pub fn run_family_within(
     specs: &[CellSpec],
     traced: bool,
     budget: usize,
 ) -> (Vec<FamilyCell>, FamilyStats) {
     assert!(!specs.is_empty(), "a family needs at least one cell");
-    if specs.len() == 1 {
-        // A lone cell has nobody to share with: plain run, no hook (which
-        // would record boundaries for nothing).
-        let spec = &specs[0];
-        let config = spec.sim_config();
-        let wspec = spec.workload.spec(&spec.machine);
-        let mut stats = FamilyStats {
-            cells: 1,
-            ..FamilyStats::default()
-        };
-        let cell = run_scratch(spec, &spec.machine, &wspec, &config, traced, &mut stats);
-        stats.scratch = 0; // a lone probe is a plain run, not a fallback
-        stats.probe_secs = std::mem::take(&mut stats.scratch_secs);
-        return (vec![cell], stats);
+    if specs.len() > 1 {
+        let key = specs[0].family_key();
+        assert!(
+            key.is_some(),
+            "family cells must opt in via CellSpec::family"
+        );
+        assert!(
+            specs.iter().all(|s| s.family_key() == key),
+            "every cell in a family must share its family_key"
+        );
     }
-    let key = specs[0].family_key();
-    assert!(
-        key.is_some(),
-        "family cells must opt in via CellSpec::family"
-    );
-    assert!(
-        specs.iter().all(|s| s.family_key() == key),
-        "every cell in a family must share its family_key"
-    );
-
-    let probe_spec = &specs[0];
-    let machine = &probe_spec.machine;
-    let config = probe_spec.sim_config();
-    let wspec = probe_spec.workload.spec(machine);
-
-    let mut stats = FamilyStats {
-        cells: specs.len(),
-        ..FamilyStats::default()
-    };
-    let mut out = Vec::with_capacity(specs.len());
-
-    // --- Probe: one full observed run, siblings replayed in lockstep. ---
-    let probe_t = Instant::now();
-    let mut probe_policy = probe_spec.make_policy();
-    let probe_name = probe_policy.name().to_string();
-    let probe_consumes = probe_policy.consumes_samples();
-    let siblings = specs[1..]
-        .iter()
-        .map(|spec| {
-            let fresh = spec.make_policy();
-            // Digest splicing hashes the policy name into epoch 0:
-            // different names never share. Nor does a sibling that reads
-            // samples the probe's run did not store.
-            if fresh.name() == probe_name && fresh.consumes_samples() == probe_consumes {
-                Sibling::Matching(fresh)
-            } else {
-                Sibling::Excluded
-            }
-        })
-        .collect();
-    let mut lockstep = Lockstep {
+    let machine = &specs[0].machine;
+    let mut fam = Family {
+        specs,
         machine,
-        records: Vec::new(),
-        siblings,
-        pending: None,
-        budget,
-        kept_bytes: 0,
-        captured: 0,
-        kept: 0,
-        replay_secs: 0.0,
+        wspec: specs[0].workload.spec(machine),
+        config: specs[0].sim_config(),
+        traced,
+        claims: Claims {
+            budget,
+            live_bytes: 0,
+            peak_bytes: 0,
+            captured: 0,
+            kept: 0,
+        },
+        stats: FamilyStats {
+            cells: specs.len(),
+            ..FamilyStats::default()
+        },
+        out: specs.iter().map(|_| None).collect(),
     };
-    let mut sink = traced.then(DigestSink::new);
+
+    // Root classes. Digest splicing hashes the policy name into epoch 0,
+    // so different names never share; nor does a cell that reads samples
+    // its head's run did not store.
+    let mut roots: Vec<((String, bool), Class)> = Vec::new();
+    for (idx, spec) in specs.iter().enumerate() {
+        let policy = spec.make_policy();
+        let key = (policy.name().to_string(), policy.consumes_samples());
+        match roots.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, class)) => class.members.push(Member { idx, policy }),
+            None => roots.push((key, Class::root(idx))),
+        }
+    }
+    for (_, class) in roots {
+        run_class(&mut fam, class, &[], None, 0);
+    }
+
+    let Family {
+        claims,
+        mut stats,
+        out,
+        ..
+    } = fam;
+    stats.snapshots_captured = claims.captured;
+    stats.snapshots_kept = claims.kept;
+    stats.peak_kept_bytes = claims.peak_bytes as u64;
+    let cells = out
+        .into_iter()
+        .map(|c| c.expect("every cell belongs to a class"))
+        .collect();
+    (cells, stats)
+}
+
+/// Runs one class: simulates its head (fresh, or forked from the claimed
+/// snapshot), clones the result for every member that matched to the end,
+/// then recurses into the classes that split off. `prefix` holds the
+/// boundaries `0..e` before the head's fork epoch `e`, and `parent` the
+/// spliced digest of the head this class split from; `depth` is 0 for a
+/// root class.
+fn run_class(
+    fam: &mut Family<'_>,
+    class: Class,
+    prefix: &[&BoundaryRecord],
+    parent: Option<&TraceDigest>,
+    depth: u32,
+) {
+    let Class {
+        head,
+        members,
+        first_live,
+        ckpt,
+        ..
+    } = class;
+    let spec = &fam.specs[head];
+    let fork_epoch = ckpt.as_ref().map_or(0, |c| c.epoch());
+
+    // Rebuild the head's policy state at the fork point: a fresh instance
+    // replayed over the already-verified prefix. (Its lockstep instance
+    // processed the split boundary, so its state is past the fork point.)
+    let rebuild_t = Instant::now();
+    let mut policy = spec.make_policy();
+    for rec in &prefix[..fork_epoch as usize] {
+        replay_boundary(fam.machine, rec, policy.as_mut());
+    }
+    fam.stats.replay_secs += rebuild_t.elapsed().as_secs_f64();
+
+    // The last head forking from a snapshot takes it over, and the engine
+    // frees it once restored; earlier heads borrow it.
+    let shared;
+    let start = match ckpt.map(Rc::try_unwrap) {
+        None => Start::Fresh,
+        Some(Ok(last)) => {
+            fam.claims.live_bytes -= last.size_bytes();
+            Start::Fork(Cow::Owned(last))
+        }
+        Some(Err(rc)) => {
+            shared = rc;
+            Start::Fork(Cow::Borrowed(&*shared))
+        }
+    };
+
+    // A class without members has nobody to share with: a plain run,
+    // no hook (which would record boundaries for nothing).
+    let mut lockstep = (!members.is_empty()).then(|| Lockstep {
+        machine: fam.machine,
+        claims: &mut fam.claims,
+        first_live,
+        records: Vec::new(),
+        matching: members,
+        split: Vec::new(),
+        pending: None,
+        replay_secs: 0.0,
+    });
+    let run_t = Instant::now();
+    let mut sink = fam.traced.then(DigestSink::new);
     let opts = RunOptions {
-        hook: Some(&mut lockstep),
+        start,
+        hook: lockstep.as_mut().map(|l| l as &mut dyn RunHook),
         ..sink_opts(&mut sink)
     };
-    let mut probe_result =
-        Simulation::run_with(machine, &wspec, &config, probe_policy.as_mut(), opts).result();
-    let probe_digest = sink.map(|s| {
+    let mut result =
+        Simulation::run_with(fam.machine, &fam.wspec, &fam.config, policy.as_mut(), opts).result();
+    let (records, full, split, in_run_replay) = match lockstep {
+        Some(l) => (l.records, l.matching, l.split, l.replay_secs),
+        None => (Vec::new(), Vec::new(), Vec::new(), 0.0),
+    };
+    let run_secs = run_t.elapsed().as_secs_f64() - in_run_replay;
+    let digest = sink.map(|s| {
         let mut d = s.into_digest();
-        d.runtime_cycles = probe_result.runtime_cycles;
+        if fork_epoch > 0 {
+            let parent = parent.expect("a traced fork has a traced parent");
+            d = splice_digest(parent, d, fork_epoch);
+        }
+        d.runtime_cycles = result.runtime_cycles;
         d
     });
-    stats.epochs_simulated += probe_result.epochs.len() as u64;
-    stats.probe_secs += probe_t.elapsed().as_secs_f64() - lockstep.replay_secs;
-    stats.replay_secs += lockstep.replay_secs;
-    stats.snapshots_captured = lockstep.captured;
-    stats.snapshots_kept = lockstep.kept;
-    stats.peak_kept_bytes = lockstep.kept_bytes as u64;
-    probe_result.policy = probe_spec.policy_label();
-    let probe_plain = {
-        // Siblings that fully match clone this (with their own label).
-        let mut r = probe_result.clone();
-        r.policy.clone_from(&probe_name);
-        r
-    };
-    out.push(FamilyCell {
-        result: probe_result,
-        digest: probe_digest.clone(),
+
+    let stats = &mut fam.stats;
+    stats.replay_secs += in_run_replay;
+    stats.epochs_reused += u64::from(fork_epoch);
+    stats.epochs_simulated += result.epochs.len() as u64 - u64::from(fork_epoch);
+    if fork_epoch > 0 {
+        stats.forks += 1;
+        stats.nested_forks += u64::from(depth >= 2);
+        stats.resume_secs += run_secs;
+    } else if depth == 0 && head == 0 {
+        stats.probe_secs += run_secs;
+    } else {
+        stats.scratch += 1;
+        stats.scratch_secs += run_secs;
+    }
+    result.policy = spec.policy_label();
+
+    // Members that matched every boundary: their run *is* the head's.
+    let clone_t = Instant::now();
+    for m in full {
+        let mut r = result.clone();
+        r.policy = fam.specs[m.idx].policy_label();
+        stats.epochs_reused += r.epochs.len() as u64;
+        stats.full_matches += 1;
+        fam.out[m.idx] = Some(FamilyCell {
+            result: r,
+            digest: digest.clone(),
+        });
+    }
+    stats.clone_secs += clone_t.elapsed().as_secs_f64();
+    fam.out[head] = Some(FamilyCell {
+        result,
+        digest: digest.clone(),
     });
 
-    // --- Siblings: clone, fork from the claim, or run from scratch. ---
-    let Lockstep {
-        records, siblings, ..
-    } = lockstep;
-    for (spec, sibling) in specs[1..].iter().zip(siblings) {
-        let ckpt = match sibling {
-            Sibling::Matching(_) => {
-                // Every boundary's outputs matched: the sibling's run
-                // *is* the probe's run.
-                let clone_t = Instant::now();
-                stats.epochs_reused += probe_plain.epochs.len() as u64;
-                stats.full_matches += 1;
-                let mut result = probe_plain.clone();
-                result.policy = spec.policy_label();
-                out.push(FamilyCell {
-                    result,
-                    digest: probe_digest.clone(),
-                });
-                stats.clone_secs += clone_t.elapsed().as_secs_f64();
-                continue;
-            }
-            Sibling::Diverged(Some(ckpt)) => ckpt,
-            Sibling::Diverged(None) | Sibling::Excluded => {
-                out.push(run_scratch(
-                    spec, machine, &wspec, &config, traced, &mut stats,
-                ));
-                continue;
-            }
-        };
-        let fork_epoch = ckpt.epoch();
-        // Rebuild the sibling's policy state at the fork point: a fresh
-        // instance replayed over the already-verified prefix. (The
-        // lockstep instance processed the divergent boundary, so its
-        // state was past the fork point.)
-        let rebuild_t = Instant::now();
-        let mut forked = spec.make_policy();
-        for rec in &records[..fork_epoch as usize] {
-            replay_boundary(machine, rec, forked.as_mut());
+    // Depth-first into the split classes: a nested head rebuilds its
+    // policy over the parent prefix up to this head's fork epoch, then
+    // this head's own records.
+    if !split.is_empty() {
+        let records: Vec<&BoundaryRecord> = prefix[..fork_epoch as usize]
+            .iter()
+            .copied()
+            .chain(&records)
+            .collect();
+        for class in split {
+            run_class(fam, class, &records, digest.as_ref(), depth + 1);
         }
-        stats.replay_secs += rebuild_t.elapsed().as_secs_f64();
-        let resume_t = Instant::now();
-        let mut sink = traced.then(DigestSink::new);
-        let opts = RunOptions {
-            start: Start::Fork(&ckpt),
-            ..sink_opts(&mut sink)
-        };
-        let mut result =
-            Simulation::run_with(machine, &wspec, &config, forked.as_mut(), opts).result();
-        let digest = sink.map(|s| {
-            let probe_d = probe_digest.as_ref().expect("traced probe has a digest");
-            splice_digest(probe_d, s.into_digest(), fork_epoch, result.runtime_cycles)
-        });
-        stats.epochs_reused += u64::from(fork_epoch);
-        stats.epochs_simulated += result.epochs.len() as u64 - u64::from(fork_epoch);
-        stats.resume_secs += resume_t.elapsed().as_secs_f64();
-        stats.forks += 1;
-        result.policy = spec.policy_label();
-        out.push(FamilyCell { result, digest });
     }
-
-    (out, stats)
 }
 
 /// Default run options, traced into `sink` when there is one.
@@ -454,38 +556,6 @@ fn sink_opts(sink: &mut Option<DigestSink>) -> RunOptions<'_> {
         sink: sink.as_mut().map(|s| s as &mut dyn TraceSink),
         ..RunOptions::default()
     }
-}
-
-/// The no-sharing fallback: one full run, counted as such.
-fn run_scratch(
-    spec: &CellSpec,
-    machine: &MachineSpec,
-    wspec: &workloads::WorkloadSpec,
-    config: &engine::SimConfig,
-    traced: bool,
-    stats: &mut FamilyStats,
-) -> FamilyCell {
-    let t = Instant::now();
-    let mut policy = spec.make_policy();
-    let mut sink = traced.then(DigestSink::new);
-    let mut result = Simulation::run_with(
-        machine,
-        wspec,
-        config,
-        policy.as_mut(),
-        sink_opts(&mut sink),
-    )
-    .result();
-    let digest = sink.map(|s| {
-        let mut d = s.into_digest();
-        d.runtime_cycles = result.runtime_cycles;
-        d
-    });
-    stats.epochs_simulated += result.epochs.len() as u64;
-    stats.scratch += 1;
-    stats.scratch_secs += t.elapsed().as_secs_f64();
-    result.policy = spec.policy_label();
-    FamilyCell { result, digest }
 }
 
 /// Groups specs into families (by [`CellSpec::family_key`], preserving
@@ -561,30 +631,38 @@ mod tests {
         let specs = vec![family_spec(None), family_spec(None), family_spec(None)];
         let (cells, stats) = run_family(&specs, false);
         assert_eq!(stats.full_matches, 2);
-        // One capture per boundary the probe closed, each dropped unclaimed.
+        // One capture per boundary another epoch follows, each dropped
+        // unclaimed.
         assert_eq!(
             stats.snapshots_captured,
-            cells[0].result.epochs.len() as u64
+            cells[0].result.epochs.len() as u64 - 1
         );
         assert_eq!(stats.snapshots_kept, 0);
         assert_eq!(stats.peak_kept_bytes, 0);
     }
 
     #[test]
-    fn siblings_diverging_together_share_one_snapshot() {
+    fn siblings_diverging_together_share_one_fork() {
         let specs = vec![
             family_spec(None),
             walk_miss_sibling(0.075),
             walk_miss_sibling(0.1),
         ];
-        let (_, stats) = run_family(&specs, false);
-        assert_eq!(stats.forks, 2);
-        assert_eq!(stats.epochs_reused, 2 * 2, "both resume at epoch 2");
+        let (cells, stats) = run_family(&specs, false);
+        let epochs = cells[0].result.epochs.len() as u64;
+        // Both split at epoch 2 with equal outputs: one class, whose head
+        // forks and whose other member matches it to the end.
+        assert_eq!((stats.forks, stats.full_matches, stats.scratch), (1, 1, 0));
+        assert_eq!(stats.epochs_reused, 2 + epochs);
+        assert_eq!(stats.epochs_simulated, epochs + epochs - 2);
         assert_eq!(stats.snapshots_kept, 1);
         assert!(stats.peak_kept_bytes > 0);
+        // The probe captures epochs 1 and 2, until its last member splits
+        // off; the sub-probe captures 3..epochs for its member.
+        assert_eq!(stats.snapshots_captured, 2 + epochs - 3);
         assert_eq!(
-            stats.snapshots_captured, 2,
-            "no capture once no sibling still matches"
+            cells[1].result.runtime_cycles,
+            cells[2].result.runtime_cycles
         );
     }
 

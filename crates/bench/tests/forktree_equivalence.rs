@@ -2,8 +2,9 @@
 //! never a result change.
 //!
 //! DESIGN.md §15's correctness bar: a family simulated through
-//! `forktree::run_family` — probe, replay, checkpoint forks, full-match
-//! clones — must return, for every cell, the bit-identical `SimResult`
+//! `forktree::run_family` — probe, lockstep replay, classes split off
+//! and forked (nested ones included), scratch heads, full-match clones —
+//! must return, for every cell, the bit-identical `SimResult`
 //! (per-epoch records, robustness counters, 19-bucket attribution
 //! ledger) *and* trace digest that a from-scratch run of that cell
 //! produces. The property test drives random workload shapes, seeds,
@@ -138,7 +139,7 @@ proptest! {
 /// for it, all reused — and the counters say so.
 #[test]
 fn full_match_reuses_every_epoch() {
-    std::env::set_var("CARREFOUR_QUIET", "1");
+    test_env();
     let machine = MachineSpec::test_machine();
     let mk = || {
         let mut s = CellSpec::new(
@@ -168,7 +169,7 @@ fn full_match_reuses_every_epoch() {
 /// and every result and digest still equals its from-scratch run.
 #[test]
 fn forks_at_two_epochs_keep_two_snapshots_and_match_scratch() {
-    std::env::set_var("CARREFOUR_QUIET", "1");
+    test_env();
     let machine = MachineSpec::test_machine();
     let mk = |imbalance_enable_above: Option<f64>| {
         let mut s = CellSpec::new(
@@ -202,8 +203,14 @@ fn forks_at_two_epochs_keep_two_snapshots_and_match_scratch() {
     assert_eq!(stats.epochs_reused, 10 + epochs + 18);
     // The full match keeps every boundary's snapshot wanted; only the
     // two claimed ones outlive their epoch.
-    assert_eq!(stats.snapshots_captured, epochs);
-    for (cell, spec) in cells.iter().zip(&specs) {
+    assert_eq!(stats.snapshots_captured, epochs - 1);
+    assert_matches_scratch(&cells, &specs);
+}
+
+/// Every cell's result and traced digest equal its from-scratch run's.
+fn assert_matches_scratch(cells: &[forktree::FamilyCell], specs: &[CellSpec]) {
+    assert_eq!(cells.len(), specs.len());
+    for (cell, spec) in cells.iter().zip(specs) {
         let (want_r, want_d) = scratch(spec);
         assert_eq!(cell.result, want_r, "SimResult diverged");
         let got_d = cell.digest.as_ref().expect("traced family returns digests");
@@ -211,4 +218,115 @@ fn forks_at_two_epochs_keep_two_snapshots_and_match_scratch() {
             panic!("trace digest diverged: {diff}");
         }
     }
+}
+
+/// A test-machine Carrefour-LP family cell on `bench` with `tune`
+/// applied to the default tunables (`None`: the defaults themselves).
+fn tuned_cell(bench: workloads::Benchmark, tune: Option<&dyn Fn(&mut LpParams)>) -> CellSpec {
+    let mut s = CellSpec::new(MachineSpec::test_machine(), bench, PolicyKind::CarrefourLp);
+    s.family = Some("recursion".to_string());
+    s.lp_params = tune.map(|f| {
+        let mut p = LpParams::default();
+        f(&mut p);
+        p
+    });
+    s
+}
+
+/// Sets the environment every test in this binary runs under. The
+/// proptest turns the attribution ledger on for the whole process, so
+/// the other tests turn it on too: a family and its scratch twins must
+/// read the same config whatever order the tests run in.
+fn test_env() {
+    std::env::set_var("CARREFOUR_QUIET", "1");
+    std::env::set_var("CARREFOUR_ATTRIB", "1");
+}
+
+/// On the test machine's UA.C, imbalance triggers of 5, 10 and 20 % and
+/// walk-miss triggers of 0.01 and 0.02 all part from the default at
+/// epoch 2, the two axes in two different ways. Within each way the
+/// cells agree at epoch 2; 20 % then parts from 5 % at epoch 4, and 0.02
+/// from 0.01 at epoch 4, while 10 % follows 5 % to the end.
+fn ua_c_two_way_family() -> Vec<CellSpec> {
+    let imb = |v: f64| move |p: &mut LpParams| p.carrefour.imbalance_enable_above = v;
+    let walk = |v: f64| move |p: &mut LpParams| p.thresholds.walk_miss_enable = v;
+    let ua = |tune: Option<&dyn Fn(&mut LpParams)>| tuned_cell(workloads::Benchmark::UaC, tune);
+    vec![
+        ua(None),
+        ua(Some(&imb(5.0))),
+        ua(Some(&imb(10.0))),
+        ua(Some(&imb(20.0))),
+        ua(Some(&walk(0.01))),
+        ua(Some(&walk(0.02))),
+    ]
+}
+
+/// Two classes split off the probe at the same epoch 2, and each splits
+/// again at epoch 4: four forks (two nested), one full match, and each
+/// distinct trajectory simulated once.
+#[test]
+fn classes_split_at_one_epoch_and_nest() {
+    test_env();
+    let specs = ua_c_two_way_family();
+    let (cells, stats) = forktree::run_family(&specs, true);
+    let epochs = cells[0].result.epochs.len() as u64;
+    assert_eq!((stats.forks, stats.nested_forks), (4, 2));
+    assert_eq!((stats.full_matches, stats.scratch), (1, 0));
+    // The probe; the 5 % and 0.01 heads from epoch 2; the 20 % and 0.02
+    // heads from epoch 4.
+    assert_eq!(
+        stats.epochs_simulated,
+        epochs + 2 * (epochs - 2) + 2 * (epochs - 4)
+    );
+    assert_eq!(stats.epochs_reused, 2 * 2 + 2 * 4 + epochs);
+    // Both epoch-2 classes share one snapshot; each nested class claims
+    // its head's epoch-4 snapshot.
+    assert_eq!(stats.snapshots_kept, 3);
+    assert!(stats.peak_kept_bytes > 0);
+    // Captures while a member still matches: the probe at 1..=2, the 5 %
+    // head at 3..epochs (10 % matches it to the end), the 0.01 head at
+    // 3..=4.
+    assert_eq!(stats.snapshots_captured, 2 + (epochs - 3) + 2);
+    assert_matches_scratch(&cells, &specs);
+}
+
+/// The UA.C shape: several cells part from the probe at epoch 0 with
+/// equal outputs. They share one fresh head run and clone it, instead of
+/// each running from scratch.
+#[test]
+fn epoch_zero_class_costs_one_fresh_head() {
+    test_env();
+    let imb = |v: f64| move |p: &mut LpParams| p.carrefour.imbalance_enable_above = v;
+    let cg = |tune: Option<&dyn Fn(&mut LpParams)>| tuned_cell(workloads::Benchmark::CgD, tune);
+    // On the test machine's CG.D, 5 % and 10 % triggers part from the
+    // default at epoch 0 and agree to the end; 25 % matches the default.
+    let specs = vec![
+        cg(None),
+        cg(Some(&imb(5.0))),
+        cg(Some(&imb(10.0))),
+        cg(Some(&imb(25.0))),
+    ];
+    let (cells, stats) = forktree::run_family(&specs, true);
+    let epochs = cells[0].result.epochs.len() as u64;
+    assert_eq!((stats.forks, stats.scratch, stats.full_matches), (0, 1, 2));
+    assert_eq!(stats.epochs_simulated, 2 * epochs);
+    assert_eq!(stats.epochs_reused, 2 * epochs);
+    assert_eq!((stats.snapshots_kept, stats.peak_kept_bytes), (0, 0));
+    assert_matches_scratch(&cells, &specs);
+}
+
+/// A one-byte budget refuses every claim: each class head runs from
+/// scratch, nested ones included, while its members still share its run.
+#[test]
+fn refused_claims_run_heads_fresh_and_members_still_share() {
+    test_env();
+    let specs = ua_c_two_way_family();
+    let (cells, stats) = forktree::run_family_within(&specs, true, 1);
+    let epochs = cells[0].result.epochs.len() as u64;
+    assert_eq!((stats.forks, stats.nested_forks), (0, 0));
+    assert_eq!((stats.full_matches, stats.scratch), (1, 4));
+    assert_eq!(stats.epochs_simulated, 5 * epochs);
+    assert_eq!(stats.epochs_reused, epochs);
+    assert_eq!((stats.snapshots_kept, stats.peak_kept_bytes), (0, 0));
+    assert_matches_scratch(&cells, &specs);
 }

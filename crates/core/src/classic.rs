@@ -1,6 +1,7 @@
 //! The baseline Carrefour placement algorithm (Section 3.1).
 
 use crate::config::CarrefourConfig;
+use crate::pageset::PageSet;
 use engine::{EpochCtx, NumaPolicy};
 use numa_topology::NodeId;
 use profiling::{EpochCounters, IbsSample};
@@ -64,7 +65,7 @@ pub struct Carrefour {
     cfg: CarrefourConfig,
     rng: SmallRng,
     /// Pages already interleaved (don't re-randomize them every epoch).
-    interleaved: BTreeSet<u64>,
+    interleaved: PageSet,
     /// Sub-pages already placed on single-sample (post-split) evidence; one
     /// sample is enough to place a page once, but not to keep chasing it.
     placed_once: BTreeSet<u64>,
@@ -92,7 +93,7 @@ impl Carrefour {
         Carrefour {
             cfg,
             rng: SmallRng::seed_from_u64(seed),
-            interleaved: BTreeSet::new(),
+            interleaved: PageSet::default(),
             placed_once: BTreeSet::new(),
             node_seen: BTreeMap::new(),
         }
@@ -160,7 +161,7 @@ impl Carrefour {
                     // Conflicting single-node verdicts across epochs: the
                     // page is really shared; interleave it once.
                     Some(&prev) if prev != node => {
-                        if !self.interleaved.contains(&page) {
+                        if !self.interleaved.contains(page) {
                             let target = self.random_node(num_nodes);
                             ctx.migrate(page, target);
                             self.interleaved.insert(page);
@@ -171,7 +172,7 @@ impl Carrefour {
                     None => {
                         if node != info.home {
                             ctx.migrate(page, NodeId(node));
-                            self.interleaved.remove(&page);
+                            self.interleaved.remove(page);
                             if weak {
                                 self.placed_once.insert(page);
                             }
@@ -180,7 +181,7 @@ impl Carrefour {
                         self.node_seen.insert(page, node);
                     }
                 }
-            } else if !self.interleaved.contains(&page) {
+            } else if !self.interleaved.contains(page) {
                 let target = self.random_node(num_nodes);
                 ctx.migrate(page, target);
                 self.interleaved.insert(page);
@@ -198,7 +199,7 @@ impl Carrefour {
     /// Forgets all placement state about a page (called when Carrefour-LP
     /// splits it: the post-split — and post-recollapse — page is new).
     pub(crate) fn forget(&mut self, page: u64) {
-        self.interleaved.remove(&page);
+        self.interleaved.remove(page);
         self.node_seen.remove(&page);
         self.placed_once.remove(&page);
     }
@@ -221,7 +222,7 @@ impl Carrefour {
         for w in self.rng.state() {
             e.u64(w);
         }
-        e.seq(self.interleaved.iter(), |e, &p| e.u64(p));
+        e.seq(self.interleaved.iter(), |e, p| e.u64(p));
         e.seq(self.placed_once.iter(), |e, &p| e.u64(p));
         e.seq(self.node_seen.iter(), |e, (&p, &n)| {
             e.u64(p);

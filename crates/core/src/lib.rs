@@ -44,6 +44,7 @@ mod classic;
 mod config;
 pub mod lar;
 mod lp;
+mod pageset;
 mod robust;
 mod tables;
 

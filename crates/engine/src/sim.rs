@@ -15,6 +15,7 @@ use numa_topology::{CoreId, MachineSpec, NodeId};
 use profiling::{
     metrics, CoreFaultTime, CycleBreakdown, EpochCounters, IbsSample, IbsSampler, PageAccessStats,
 };
+use std::borrow::Cow;
 use vmem::{
     AddressSpace, Mapping, PageSize, PhysAddr, SpaceError, ThpControls, Tlb, TlbLookup, VirtAddr,
     WalkCache, WalkStep,
@@ -25,7 +26,7 @@ use workloads::{WorkloadGen, WorkloadSpec};
 pub struct Simulation;
 
 /// Where a run starts.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub enum Start<'c> {
     /// From scratch: build the address space, run the prelude, epoch 0.
     Fresh,
@@ -36,8 +37,9 @@ pub enum Start<'c> {
     /// prepared it — the fork half of the runner's prefix-sharing tree.
     /// `policy` must already be in the state a policy has after exactly
     /// `ckpt.epoch()` `on_epoch` calls; the snapshot's policy bytes belong
-    /// to the run it was taken from.
-    Fork(&'c Checkpoint),
+    /// to the run it was taken from. An owned snapshot is freed as soon as
+    /// it is restored.
+    Fork(Cow<'c, Checkpoint>),
 }
 
 /// How [`Simulation::run_with`] runs: every value is independent, and
@@ -167,9 +169,9 @@ pub trait RunHook {
     fn on_boundary(&mut self, _b: &EpochBoundary<'_>) {}
 
     /// Whether to capture a checkpoint at the boundary beginning `epoch`.
-    /// Asked at every boundary the run closes, so `epoch ≥ 1` — except the
-    /// one a run stops at ([`RunOptions::stop_at`]), whose snapshot goes
-    /// to the caller.
+    /// Asked at every boundary the run closes that another epoch follows,
+    /// so `1 ≤ epoch < epochs` — except the one a run stops at
+    /// ([`RunOptions::stop_at`]), whose snapshot goes to the caller.
     fn want_checkpoint(&mut self, _epoch: u32) -> bool {
         false
     }
@@ -1661,7 +1663,7 @@ impl Simulation {
                 st.prelude(&*policy);
             }
             Start::Resume(ckpt) => st.restore_checkpoint(ckpt, policy, true),
-            Start::Fork(ckpt) => st.restore_checkpoint(ckpt, policy, false),
+            Start::Fork(ckpt) => st.restore_checkpoint(&ckpt, policy, false),
         }
 
         // --- Rounds and boundaries, one epoch chunk at a time. ---
@@ -1677,11 +1679,14 @@ impl Simulation {
             // The capture point: the boundary that closed `st.epoch - 1`
             // and began `st.epoch` (for epoch 0: prelude run, no rounds),
             // where per-epoch accumulators are freshly reset. The hook is
-            // asked at every boundary this run closed except a stop —
-            // capturing a whole probe run in one pass.
+            // asked at every boundary this run closed that another epoch
+            // follows, except a stop — capturing a whole probe run in one
+            // pass. A stop at the boundary after the final epoch still
+            // snapshots there.
             let stop = stop_at == Some(st.epoch);
             let offered = !stop
                 && closed_one
+                && round < total_rounds
                 && hook
                     .as_deref_mut()
                     .is_some_and(|h| h.want_checkpoint(st.epoch));
@@ -2011,6 +2016,40 @@ mod tests {
         let spliced = spliced.into_digest();
         assert_eq!(resumed, full);
         assert_eq!(spliced.diff(&whole), None, "spliced trace digest diverged");
+    }
+
+    /// Counts the checkpoint offers a run makes, declining each.
+    #[derive(Default)]
+    struct CountOffers(Vec<u32>);
+
+    impl RunHook for CountOffers {
+        fn want_checkpoint(&mut self, epoch: u32) -> bool {
+            self.0.push(epoch);
+            false
+        }
+    }
+
+    #[test]
+    fn hook_is_offered_every_boundary_but_the_final_one() {
+        let machine = MachineSpec::test_machine();
+        let spec = tiny_spec(AccessPattern::PrivateSlices, 4);
+        let config = ckpt_config();
+        let mut offers = CountOffers::default();
+        let opts = RunOptions {
+            hook: Some(&mut offers),
+            ..RunOptions::default()
+        };
+        let full = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, opts).result();
+        let n = full.epochs.len() as u32;
+        assert!(n >= 2, "the run needs a boundary to offer");
+        // No epoch follows the final boundary, so no fork could use it.
+        assert_eq!(offers.0, (1..n).collect::<Vec<_>>());
+        // A stop there still snapshots, and resumes to the same result.
+        let last = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, n)
+            .expect("a stop at the final boundary still snapshots");
+        assert_eq!(last.epoch(), n);
+        let resumed = Simulation::resume(&machine, &spec, &config, &mut NullPolicy, &last);
+        assert_eq!(resumed, full);
     }
 
     #[test]
