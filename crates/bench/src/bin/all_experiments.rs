@@ -409,7 +409,7 @@ fn owned_secs(owner: &[usize], timed: &[TimedCell], i: usize) -> f64 {
 }
 
 /// Writes `results/BENCH_runner.json` (best effort, like `save_json`).
-/// The schema is documented in DESIGN.md §10 (v1–v4, v6) and §16 (v5: the
+/// The schema is documented in DESIGN.md §10 (v1–v4, v6, v7) and §16 (v5: the
 /// per-cell span fields and the suite-level `spans` rollup).
 fn write_bench_runner_json(
     exps: &[experiments::Experiment],
@@ -421,7 +421,7 @@ fn write_bench_runner_json(
 ) {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-runner-v6\",\n");
+    out.push_str("  \"schema\": \"bench-runner-v7\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     out.push_str(&format!("  \"total_wall_secs\": {total_wall_secs:.3},\n"));
@@ -451,7 +451,7 @@ fn write_bench_runner_json(
     let live: Vec<&TimedCell> = timed.iter().filter(|t| !t.spans.from_journal).collect();
     let tail = runner::tail_secs(live.iter().map(|t| {
         (
-            t.spans.queue_wait_secs,
+            t.spans.pickup_secs,
             t.spans.simulate_secs + t.spans.merge_secs,
         )
     }));
@@ -495,14 +495,14 @@ fn write_bench_runner_json(
     out.push_str("  \"cells\": [\n");
     for (i, t) in timed.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"machine\": \"{}\", \"benchmark\": \"{}\", \"policy\": \"{}\", \"wall_secs\": {:.3}, \"estimated_ops\": {}, \"actual_ops\": {}, \"queue_wait_secs\": {:.3}, \"merge_secs\": {:.3}, \"worker\": {}, \"from_journal\": {}}}{}\n",
+            "    {{\"machine\": \"{}\", \"benchmark\": \"{}\", \"policy\": \"{}\", \"wall_secs\": {:.3}, \"estimated_ops\": {}, \"actual_ops\": {}, \"pickup_secs\": {:.3}, \"merge_secs\": {:.3}, \"worker\": {}, \"from_journal\": {}}}{}\n",
             esc(&t.cell.machine),
             esc(&t.cell.benchmark),
             esc(&t.cell.policy),
             t.wall_secs,
             t.estimated_ops,
             t.cell.result.lifetime.total_ops,
-            t.spans.queue_wait_secs,
+            t.spans.pickup_secs,
             t.spans.merge_secs,
             t.spans.worker,
             t.spans.from_journal,

@@ -20,7 +20,7 @@
 //!
 //! `--what-if` turns the post-hoc diagnosis into a causal intervention:
 //! it snapshots the cell at an epoch boundary (`--epoch`, default the
-//! midpoint) as a `ckpt-v1` checkpoint, then resumes the tail **twice**
+//! midpoint) as a `ckpt-v2` checkpoint, then resumes the tail **twice**
 //! from that same fork point — once untouched, once with the first policy
 //! decision queued after the fork vetoed — and attributes the runtime
 //! delta between the two tails. Determinism makes the comparison exact:
@@ -38,7 +38,7 @@
 
 use carrefour_bench::runner::{par_map, resolve_jobs};
 use carrefour_bench::{attrib, golden, Cell, PolicyKind};
-use engine::{EpochCtx, NumaPolicy, SimConfig, Simulation};
+use engine::{EpochCtx, NumaPolicy, PolicyAction, SimConfig, Simulation};
 use numa_topology::MachineSpec;
 use std::path::Path;
 use workloads::Benchmark;
@@ -137,6 +137,19 @@ struct WhatIfPolicy {
     vetoed: Option<String>,
 }
 
+/// Queues `a` again through the request method that built it.
+fn requeue(ctx: &mut EpochCtx<'_>, a: PolicyAction) {
+    match a {
+        PolicyAction::Migrate(v, node) => ctx.migrate(v, node),
+        PolicyAction::Split(v) => ctx.split(v),
+        PolicyAction::SplitScatter(v) => ctx.split_scatter(v),
+        PolicyAction::SetThpAlloc(on) => ctx.set_thp_alloc(on),
+        PolicyAction::SetThpPromote(on) => ctx.set_thp_promote(on),
+        PolicyAction::ReplicateTables => ctx.replicate_tables(),
+        PolicyAction::MigrateTables(v, node) => ctx.migrate_tables(v, node),
+    }
+}
+
 impl NumaPolicy for WhatIfPolicy {
     fn name(&self) -> &str {
         &self.label
@@ -149,7 +162,7 @@ impl NumaPolicy for WhatIfPolicy {
             if !actions.is_empty() {
                 self.vetoed = Some(format!("{:?}", actions.remove(0)));
                 for a in actions {
-                    ctx.push(a);
+                    requeue(ctx, a);
                 }
             }
         }
@@ -189,7 +202,7 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
         ));
     }
 
-    // Fork: one ckpt-v1 snapshot, two resumed tails.
+    // Fork: one ckpt-v2 snapshot, two resumed tails.
     let ckpt = Simulation::checkpoint_at(machine, &spec, &config, kind.make().as_mut(), fork)
         .unwrap_or_else(|| {
             die(&format!(
@@ -218,7 +231,7 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
         kind.label()
     );
     println!(
-        "  fork epoch:  {fork} of {n} (ckpt-v1, {} bytes)",
+        "  fork epoch:  {fork} of {n} (ckpt-v2, {} bytes)",
         ckpt.to_bytes().len()
     );
     println!("  vetoed:      {vetoed}");

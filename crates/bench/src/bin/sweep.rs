@@ -641,8 +641,7 @@ fn run_smoke(out_path: &str, share: bool, jobs: usize) {
 fn params_json(p: &LpParams, indent: &str) -> String {
     format!(
         "{{\n{indent}  \"walk_miss_enable\": {}, \"fault_time_enable\": {}, \"carrefour_gain_pp\": {}, \"split_gain_pp\": {}, \"hot_page_fraction\": {},\n\
-         {indent}  \"min_samples_per_page\": {}, \"lar_enable_below\": {}, \"imbalance_enable_above\": {}, \"intensity_min_dram_per_op\": {}, \"max_migrations_per_epoch\": {},\n\
-         {indent}  \"max_retries\": {}, \"backoff_base_epochs\": {}, \"breaker_failure_rate\": {}, \"breaker_min_actions\": {}, \"breaker_cooloff_epochs\": {}\n{indent}}}",
+         {indent}  \"min_samples_per_page\": {}, \"lar_enable_below\": {}, \"imbalance_enable_above\": {}, \"intensity_min_dram_per_op\": {}, \"max_migrations_per_epoch\": {}\n{indent}}}",
         p.thresholds.walk_miss_enable,
         p.thresholds.fault_time_enable,
         p.thresholds.carrefour_gain_pp,
@@ -653,11 +652,6 @@ fn params_json(p: &LpParams, indent: &str) -> String {
         p.carrefour.imbalance_enable_above,
         p.carrefour.intensity_min_dram_per_op,
         p.carrefour.max_migrations_per_epoch,
-        p.robustness.max_retries,
-        p.robustness.backoff_base_epochs,
-        p.robustness.breaker_failure_rate,
-        p.robustness.breaker_min_actions,
-        p.robustness.breaker_cooloff_epochs,
     )
 }
 

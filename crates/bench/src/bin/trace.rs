@@ -153,7 +153,6 @@ fn decision_label(d: &PolicyDecision) -> String {
             total,
             ..
         } => format!("split-hot({base:#x}, {samples}/{total} samples)"),
-        PolicyDecision::BreakerTrip { breaker } => format!("breaker-trip({breaker})"),
     }
 }
 

@@ -5,9 +5,8 @@
 //! Cells run in **classes**. A class's first cell is its **head**, the
 //! only one simulated; the others are **members**. The head runs under a
 //! [`engine::RunHook`] (`Lockstep`) that records, at every epoch
-//! boundary, the policy's inputs (counters, filtered samples, THP
-//! switches, fed-back failures) and a fingerprint of its *outputs*
-//! (action queue, decision log, retry count —
+//! boundary, the policy's inputs (counters, samples, THP switches) and a
+//! fingerprint of its *outputs* (action queue and decision log —
 //! [`engine::epoch_output_fingerprint`]), and replays each member's own
 //! policy over that boundary — no simulation, just `on_epoch` calls —
 //! comparing fingerprints in lockstep. The induction that makes this
@@ -41,8 +40,8 @@
 
 use crate::runner::CellSpec;
 use engine::{
-    Checkpoint, DigestSink, EpochBoundary, EpochCtx, FailedAction, NumaPolicy, RunHook, RunOptions,
-    SimConfig, SimResult, Simulation, Start, TraceDigest, TraceSink,
+    Checkpoint, DigestSink, EpochBoundary, EpochCtx, NumaPolicy, RunHook, RunOptions, SimConfig,
+    SimResult, Simulation, Start, TraceDigest, TraceSink,
 };
 use numa_topology::MachineSpec;
 use profiling::{EpochCounters, IbsSample};
@@ -64,8 +63,6 @@ struct BoundaryRecord {
     counters: EpochCounters,
     samples: Vec<IbsSample>,
     thp: ThpControls,
-    /// `Some` exactly when the engine fed failures (fault-injected runs).
-    failures: Option<Vec<FailedAction>>,
     fingerprint: u64,
 }
 
@@ -76,7 +73,6 @@ impl BoundaryRecord {
             counters: b.counters.clone(),
             samples: b.samples.to_vec(),
             thp: b.thp,
-            failures: b.failures.map(<[FailedAction]>::to_vec),
             fingerprint: b.fingerprint,
         }
     }
@@ -220,15 +216,11 @@ fn replay_boundary(
     policy: &mut dyn NumaPolicy,
 ) -> u64 {
     let mut ctx = EpochCtx::new(machine, &rec.counters, &rec.samples, rec.thp, rec.epoch);
-    if let Some(f) = &rec.failures {
-        ctx.set_failures(f);
-    }
     ctx.enable_decision_log();
     policy.on_epoch(&mut ctx);
     let actions = ctx.take_actions();
     let decisions = ctx.take_decisions();
-    let retries = ctx.retries_recorded();
-    engine::epoch_output_fingerprint(rec.epoch, &actions, &decisions, retries)
+    engine::epoch_output_fingerprint(rec.epoch, &actions, &decisions)
 }
 
 /// Per-family execution counters, persisted into `SWEEP_lp.json`

@@ -12,12 +12,12 @@
 //!
 //! ```text
 //! {"key":"…","status":"ok","machine":"…","benchmark":"…","policy":"…",
-//!  "wall_secs":1.234,"blob":"<hex ckpt-v1 result codec>"}
+//!  "wall_secs":1.234,"blob":"<hex ckpt-v2 result codec>"}
 //! {"key":"…","status":"panicked","msg":"…"}
 //! ```
 //!
 //! `key` is [`CellSpec::key`] — the runner's dedup identity, covering
-//! machine, workload, policy, seed override, and fault plan. `blob` is the
+//! machine, workload, policy, seed override, and tunables. `blob` is the
 //! checksummed [`engine::checkpoint::encode_result`] encoding of the
 //! [`SimResult`], hex-armored so the line stays greppable text. Torn or
 //! corrupt lines (a crash mid-append, a truncated disk) fail the checksum
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn string_fields_round_trip_through_escapes() {
-        let key = "machine-a|UaB|Some(FaultConfig { seed: 1 })|\"quoted\"\\back";
+        let key = "machine-a|UaB|Linux4k|Some(7)|\"quoted\"\\back";
         let line = format!(
             "{{\"key\":\"{}\",\"status\":\"ok\",\"msg\":\"tab\\there\"}}",
             esc(key)

@@ -70,8 +70,6 @@ pub enum PolicyKind {
     ReactiveOnly,
     /// Full Carrefour-LP (Algorithm 1).
     CarrefourLp,
-    /// Carrefour-LP with action retries disabled (the `chaos` ablation).
-    CarrefourLpNoRetry,
     /// Linux with 1 GiB pages (Section 4.4's libhugetlbfs setup).
     Linux1g,
     /// Carrefour-LP starting from 1 GiB pages (Section 4.4).
@@ -99,7 +97,6 @@ impl PolicyKind {
             | PolicyKind::Carrefour2m
             | PolicyKind::ReactiveOnly
             | PolicyKind::CarrefourLp
-            | PolicyKind::CarrefourLpNoRetry
             | PolicyKind::CarrefourLpTuned => ThpControls::thp(),
             PolicyKind::Linux1g | PolicyKind::CarrefourLp1g => ThpControls::giant(),
         }
@@ -114,7 +111,6 @@ impl PolicyKind {
             PolicyKind::Carrefour4k | PolicyKind::Carrefour2m => Box::new(Carrefour::new()),
             PolicyKind::ConservativeOnly => Box::new(CarrefourLp::conservative_only()),
             PolicyKind::ReactiveOnly => Box::new(CarrefourLp::reactive_only()),
-            PolicyKind::CarrefourLpNoRetry => Box::new(CarrefourLp::without_retries()),
             PolicyKind::CarrefourLp | PolicyKind::CarrefourLp1g => Box::new(CarrefourLp::new()),
             PolicyKind::Mitosis => Box::new(Mitosis::new()),
             PolicyKind::NumaPte => Box::new(NumaPte::new()),
@@ -125,7 +121,7 @@ impl PolicyKind {
     }
 
     /// Every kind, in declaration order (the order legends list them).
-    pub fn all() -> [PolicyKind; 13] {
+    pub fn all() -> [PolicyKind; 12] {
         [
             PolicyKind::Linux4k,
             PolicyKind::LinuxThp,
@@ -134,7 +130,6 @@ impl PolicyKind {
             PolicyKind::ConservativeOnly,
             PolicyKind::ReactiveOnly,
             PolicyKind::CarrefourLp,
-            PolicyKind::CarrefourLpNoRetry,
             PolicyKind::Linux1g,
             PolicyKind::CarrefourLp1g,
             PolicyKind::Mitosis,
@@ -161,7 +156,6 @@ impl PolicyKind {
             PolicyKind::ConservativeOnly => "Conservative",
             PolicyKind::ReactiveOnly => "Reactive",
             PolicyKind::CarrefourLp => "Carrefour-LP",
-            PolicyKind::CarrefourLpNoRetry => "Carrefour-LP-NoRetry",
             PolicyKind::Linux1g => "Linux-1G",
             PolicyKind::CarrefourLp1g => "Carrefour-LP-1G",
             PolicyKind::Mitosis => "Mitosis",
@@ -401,18 +395,8 @@ pub mod json {
 
     fn robustness(r: &RobustnessStats) -> String {
         format!(
-            "{{\"failed_migrations\":{},\"failed_splits\":{},\
-             \"fallback_allocs\":{},\
-             \"busy_rejections\":{},\"dropped_samples\":{},\
-             \"misattributed_samples\":{},\"retries\":{},\"oom_reclaims\":{}}}",
-            r.failed_migrations,
-            r.failed_splits,
-            r.fallback_allocs,
-            r.busy_rejections,
-            r.dropped_samples,
-            r.misattributed_samples,
-            r.retries,
-            r.oom_reclaims,
+            "{{\"failed_migrations\":{},\"failed_splits\":{}}}",
+            r.failed_migrations, r.failed_splits,
         )
     }
 
@@ -516,7 +500,6 @@ mod tests {
             PolicyKind::ConservativeOnly,
             PolicyKind::ReactiveOnly,
             PolicyKind::CarrefourLp,
-            PolicyKind::CarrefourLpNoRetry,
             PolicyKind::Linux1g,
             PolicyKind::CarrefourLp1g,
             PolicyKind::Mitosis,

@@ -2,7 +2,7 @@
 //!
 //! Assembles everything the flight recorder and the runner leave behind —
 //! per-epoch metric time-series from [`engine::recorder`], span profiling
-//! from `results/BENCH_runner.json` (bench-runner-v6), the attribution
+//! from `results/BENCH_runner.json` (bench-runner-v7), the attribution
 //! file, the crash journal, and the committed baseline — into **one**
 //! HTML file with no external assets: styles are inline, charts are
 //! hand-rolled inline SVG (the build is dependency-free, DESIGN.md §16).
@@ -12,7 +12,7 @@
 //! deterministic, so re-running them here costs seconds and guarantees
 //! the charts describe exactly the commit being reported on, not a stale
 //! results file. Each cell's full series is also written out as
-//! `results/metrics_<stem>.jsonl` (schema `metrics-v2`) for ad-hoc
+//! `results/metrics_<stem>.jsonl` (schema `metrics-v3`) for ad-hoc
 //! grep/jq analysis next to the golden trace digests.
 //!
 //! The span section carries a self-check: per worker, busy (simulate +
@@ -97,7 +97,7 @@ pub struct RunnerCellRow {
     /// Simulate seconds (the span's simulate phase).
     pub wall_secs: f64,
     /// Seconds between suite start and worker pickup.
-    pub queue_wait_secs: f64,
+    pub pickup_secs: f64,
     /// Seconds in the post-simulate merge/journal/progress step.
     pub merge_secs: f64,
     /// Worker lane (first-pickup numbering).
@@ -109,7 +109,7 @@ pub struct RunnerCellRow {
 /// The slice of a `BENCH_runner.json` file the report reads.
 #[derive(Clone, Debug, Default)]
 pub struct RunnerReport {
-    /// Schema tag (`bench-runner-v6`; older tags parse too).
+    /// Schema tag (`bench-runner-v7`; older tags parse too).
     pub schema: String,
     /// Suite wall-clock seconds.
     pub total_wall_secs: f64,
@@ -170,7 +170,10 @@ pub fn parse_runner_json(text: &str) -> Option<RunnerReport> {
                     benchmark,
                     policy,
                     wall_secs: json_f64(line, "wall_secs").unwrap_or(0.0),
-                    queue_wait_secs: json_f64(line, "queue_wait_secs").unwrap_or(0.0),
+                    // Schemas before bench-runner-v7 call it `queue_wait_secs`.
+                    pickup_secs: json_f64(line, "pickup_secs")
+                        .or_else(|| json_f64(line, "queue_wait_secs"))
+                        .unwrap_or(0.0),
                     merge_secs: json_f64(line, "merge_secs").unwrap_or(0.0),
                     worker: json_f64(line, "worker").unwrap_or(0.0) as usize,
                     from_journal: line.contains("\"from_journal\": true"),
@@ -244,7 +247,7 @@ impl SpanBreakdown {
             total_wall_secs: r.total_wall_secs,
             lanes,
             tail_secs: crate::runner::tail_secs(
-                live.map(|c| (c.queue_wait_secs, c.wall_secs + c.merge_secs)),
+                live.map(|c| (c.pickup_secs, c.wall_secs + c.merge_secs)),
             ),
         }
     }
@@ -335,7 +338,7 @@ fn color_for(label: &str) -> &'static str {
 }
 
 /// An inline SVG timeline: one horizontal lane per worker, one rect per
-/// live cell from its pickup time (`queue_wait_secs`) for its simulate +
+/// live cell from its pickup time (`pickup_secs`) for its simulate +
 /// merge duration, colored by benchmark, with a hover `<title>`.
 pub fn worker_timeline(bd: &SpanBreakdown, cells: &[RunnerCellRow], w: u32) -> String {
     let row_h = 16;
@@ -350,16 +353,16 @@ pub fn worker_timeline(bd: &SpanBreakdown, cells: &[RunnerCellRow], w: u32) -> S
         let y = li as u32 * row_h + 2;
         for &ci in &lane.cells {
             let c = &cells[ci];
-            let x = c.queue_wait_secs / total * (w as f64 - 40.0) + 38.0;
+            let x = c.pickup_secs / total * (w as f64 - 40.0) + 38.0;
             let width = ((c.wall_secs + c.merge_secs) / total * (w as f64 - 40.0)).max(1.0);
             rects.push_str(&format!(
                 "<rect x=\"{x:.1}\" y=\"{y}\" width=\"{width:.1}\" height=\"{}\" fill=\"{}\">\
-                 <title>{} / {} — wait {:.3}s, sim {:.3}s, merge {:.3}s</title></rect>",
+                 <title>{} / {} — pickup {:.3}s, sim {:.3}s, merge {:.3}s</title></rect>",
                 row_h - 4,
                 color_for(&c.benchmark),
                 hesc(&c.benchmark),
                 hesc(&c.policy),
-                c.queue_wait_secs,
+                c.pickup_secs,
                 c.wall_secs,
                 c.merge_secs,
             ));
@@ -427,7 +430,7 @@ pub fn html_report(
          </style></head><body>\n<h1>Carrefour-LP flight recorder report</h1>\n",
     );
     out.push_str(&format!(
-        "<p class=\"note\">Recorded {} golden cells (schema metrics-v2); runner file: {}; \
+        "<p class=\"note\">Recorded {} golden cells (schema metrics-v3); runner file: {}; \
          baseline: {}; attribution file: {}.</p>\n",
         series.len(),
         runner.map_or("absent".into(), |r| hesc(&r.schema)),
@@ -510,23 +513,6 @@ pub fn html_report(
             };
             out.push_str(&metric_block("PAMUP %", &g(|p| p.pamup), "#edc948"));
             out.push_str(&metric_block("PSP %", &g(|p| p.psp), "#9c755f"));
-        }
-        if s.rows.iter().any(|r| r.policy.is_some()) {
-            let depth: Vec<f64> = s
-                .rows
-                .iter()
-                .map(|r| r.policy.map_or(f64::NAN, |p| p.retry_queue_depth as f64))
-                .collect();
-            out.push_str(&metric_block("retry queue depth", &depth, "#a11"));
-            let trips = s
-                .rows
-                .last()
-                .and_then(|r| r.policy)
-                .map_or((0, 0), |p| (p.split_breaker_trips, p.move_breaker_trips));
-            out.push_str(&format!(
-                "<p class=\"note\">breaker trips at end of run: split {}, move {}</p>",
-                trips.0, trips.1
-            ));
         }
         if s.rows.iter().any(|r| r.attrib.is_some()) {
             let policy_cycles: Vec<f64> = s
@@ -685,8 +671,14 @@ mod tests {
         assert_eq!(r.experiments[0], ("fig2".to_string(), 6.0));
         assert_eq!(r.cells.len(), 3);
         assert_eq!(r.cells[1].worker, 1);
+        assert_eq!(r.cells[1].pickup_secs, 0.2, "v5 names it queue_wait_secs");
         assert!(r.cells[2].from_journal);
         assert!(parse_runner_json("not json at all").is_none());
+        let v7 = synthetic_v5()
+            .replace("bench-runner-v5", "bench-runner-v7")
+            .replace("queue_wait_secs", "pickup_secs");
+        let r7 = parse_runner_json(&v7).expect("parses");
+        assert_eq!(r7.cells[1].pickup_secs, 0.2);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! replaces those with one shared pool:
 //!
 //! * [`CellSpec`] names one simulation cell completely — workload, policy,
-//!   machine, optional seed override, optional fault plan — so every
+//!   machine, optional seed override — so every
 //!   experiment submits work in the same currency;
 //! * [`par_map`] executes `n` independent jobs on a scoped worker pool
 //!   (`std::thread::scope`, no external dependencies — the build is
 //!   offline) and returns results in **submission order**, whatever order
 //!   the workers finished in;
 //! * [`Progress`] prints live `done/total` lines to stderr as cells
-//!   complete, shared by the figure bins, `chaos`, and `trace`;
+//!   complete, shared by the figure bins and `trace`;
 //! * [`resolve_jobs`] implements the worker-count override chain:
 //!   `--jobs N` on the command line, then the `CARREFOUR_JOBS` environment
 //!   variable, then [`std::thread::available_parallelism`].
@@ -31,14 +31,14 @@
 
 use crate::{run_cell, Cell, PolicyKind};
 use carrefour::{CarrefourLp, LpParams};
-use engine::{FaultConfig, NumaPolicy, SimConfig, SimResult, Simulation};
+use engine::{NumaPolicy, SimConfig, SimResult, Simulation};
 use numa_topology::MachineSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use workloads::{Benchmark, WorkloadSpec};
 
 /// The workload half of a cell: a named suite benchmark (its spec is
-/// derived per machine) or a fully explicit spec (tests, chaos probes).
+/// derived per machine) or a fully explicit spec (tests).
 #[derive(Clone, Debug)]
 pub enum Workload {
     /// One of the paper's suite benchmarks.
@@ -78,10 +78,7 @@ pub struct CellSpec {
     pub kind: PolicyKind,
     /// Override of `SimConfig::seed` (`None` = the standard seed).
     pub seed: Option<u64>,
-    /// Fault plan (`None` = fault-free).
-    pub faults: Option<FaultConfig>,
     /// Override of the result's policy label (`None` = `kind.label()`).
-    /// `chaos` uses this to tag cells with their fault rate.
     pub label: Option<String>,
     /// Override of the policy's tunables: when set, the cell runs
     /// `CarrefourLp::with_params` instead of `kind.make()` (`kind` still
@@ -104,7 +101,6 @@ impl CellSpec {
             workload: Workload::Bench(bench),
             kind,
             seed: None,
-            faults: None,
             label: None,
             lp_params: None,
             family: None,
@@ -143,17 +139,14 @@ impl CellSpec {
     /// every field that feeds the simulation.
     pub fn key(&self) -> String {
         let mut k = format!(
-            "{}|{:?}|{:?}|{:?}|{:?}",
+            "{}|{:?}|{:?}|{:?}",
             self.machine.name(),
             self.workload,
             self.kind,
             self.seed,
-            self.faults
         );
-        // Appended only when present so every pre-existing cell keeps its
-        // exact historical key (journals from older suite runs stay
-        // resumable). `family` is deliberately absent: it groups execution,
-        // it never changes what a cell computes.
+        // Appended only when present. `family` is deliberately absent: it
+        // groups execution, it never changes what a cell computes.
         if let Some(p) = &self.lp_params {
             k.push_str(&format!("|{p:?}"));
         }
@@ -162,7 +155,7 @@ impl CellSpec {
 
     /// The sharing-compatibility key: everything that must agree for two
     /// cells to be simulated as one fork-tree family — machine, workload,
-    /// seed, fault plan, and initial THP state (different THP switches mean
+    /// seed, and initial THP state (different THP switches mean
     /// different `SimConfig`s, hence different checkpoint fingerprints).
     /// Policy identity and parameters are deliberately excluded: they are
     /// the axis the family sweeps. `None` unless the cell opted in via
@@ -170,11 +163,10 @@ impl CellSpec {
     pub fn family_key(&self) -> Option<String> {
         self.family.as_ref().map(|f| {
             format!(
-                "{f}|{}|{:?}|{:?}|{:?}|{:?}",
+                "{f}|{}|{:?}|{:?}|{:?}",
                 self.machine.name(),
                 self.workload,
                 self.seed,
-                self.faults,
                 self.kind.initial_thp()
             )
         })
@@ -191,15 +183,12 @@ impl CellSpec {
 
     /// The `SimConfig` this cell runs under: the per-machine config for
     /// `kind`'s initial THP state, with the suite's attribution switch and
-    /// this cell's seed/fault overrides applied.
+    /// this cell's seed override applied.
     pub fn sim_config(&self) -> SimConfig {
         let mut config = SimConfig::for_machine(&self.machine, self.kind.initial_thp());
         config.attribution = crate::attrib_enabled();
         if let Some(seed) = self.seed {
             config.seed = seed;
-        }
-        if let Some(faults) = self.faults {
-            config.faults = faults;
         }
         config
     }
@@ -217,10 +206,10 @@ impl CellSpec {
     }
 }
 
-/// Runs one cell spec. Identical to [`run_cell`] for plain cells; seed
-/// and fault overrides are applied to the per-machine config first.
+/// Runs one cell spec. Identical to [`run_cell`] for plain cells; a seed
+/// override is applied to the per-machine config first.
 pub fn run_spec(spec: &CellSpec) -> SimResult {
-    if spec.seed.is_none() && spec.faults.is_none() && spec.lp_params.is_none() {
+    if spec.seed.is_none() && spec.lp_params.is_none() {
         if let Workload::Bench(b) = spec.workload {
             let mut r = run_cell(&spec.machine, b, spec.kind);
             r.policy = spec.policy_label();
@@ -698,9 +687,9 @@ impl Progress {
 /// and [`CellSpans::from_journal`] is set.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CellSpans {
-    /// Seconds the cell waited in the queue: suite submission → the
-    /// moment a worker picked it up.
-    pub queue_wait_secs: f64,
+    /// Seconds from suite start to the moment a worker picked the cell
+    /// up.
+    pub pickup_secs: f64,
     /// Seconds inside the simulation proper (`run_spec`).
     pub simulate_secs: f64,
     /// Seconds merging the result back into the suite (progress tick and
@@ -749,7 +738,7 @@ pub struct TimedCell {
     /// recorded so `BENCH_runner.json` can report estimate-vs-actual per
     /// cell.
     pub estimated_ops: u64,
-    /// Where those seconds went (queue wait, simulate, merge) and where
+    /// Where those seconds went (pickup time, simulate, merge) and where
     /// the cell ran.
     pub spans: CellSpans,
 }
@@ -817,7 +806,7 @@ where
         |i| specs[i].describe_with_family(),
         |i| {
             let spec = &specs[i];
-            let queue_wait_secs = suite_start.elapsed().as_secs_f64();
+            let pickup_secs = suite_start.elapsed().as_secs_f64();
             let worker = {
                 let id = std::thread::current().id();
                 let mut m = worker_of.lock().unwrap();
@@ -840,7 +829,7 @@ where
                 wall_secs,
                 estimated_ops: est[i],
                 spans: CellSpans {
-                    queue_wait_secs,
+                    pickup_secs,
                     simulate_secs: wall_secs,
                     merge_secs: merge_t.elapsed().as_secs_f64(),
                     worker,
@@ -1048,7 +1037,6 @@ mod tests {
             workload: Workload::Bench(bench),
             kind: PolicyKind::Linux4k,
             seed: None,
-            faults: None,
             label: None,
             lp_params: None,
             family: None,
@@ -1108,7 +1096,7 @@ mod tests {
         let mut c = a.clone();
         c.seed = Some(7);
         let mut d = a.clone();
-        d.faults = Some(FaultConfig::uniform(1, 0.1));
+        d.lp_params = Some(LpParams::tuned());
         let keys: std::collections::BTreeSet<String> =
             [&a, &b, &c, &d].iter().map(|s| s.key()).collect();
         assert_eq!(keys.len(), 4);

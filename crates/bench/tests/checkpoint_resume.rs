@@ -1,47 +1,90 @@
-//! Resume-equivalence of `ckpt-v1` checkpoints at adversarial epochs.
+//! Resume-equivalence of `ckpt-v2` checkpoints at adversarial epochs.
 //!
 //! The checkpoint contract (DESIGN.md §12): a run resumed from a snapshot
 //! is bit-identical — full `SimResult` equality, every per-epoch record,
 //! every robustness counter, the attribution ledger — to the run that was
-//! never interrupted. The engine's own tests prove this for small fault-free
-//! and faulted configs; the tests here aim the snapshot at the state that
-//! is easiest to lose:
+//! never interrupted. The engine's own tests prove this for small configs;
+//! the tests here aim the snapshot at the state that is easiest to lose:
 //!
-//! * the paper's **golden configurations** with attribution ON and a
-//!   nonzero `FaultPlan` (the acceptance bar for the format);
-//! * epochs where a fault-plan **allocation veto / `-EBUSY` pin fires**,
-//!   where Carrefour-LP is **mid-retry-backoff** (pending queue nonempty,
-//!   entries in flight), and where a **circuit breaker has tripped** —
-//!   checked exhaustively at *every* epoch boundary of the run, so the
-//!   adversarial epochs cannot be missed;
-//! * random shapes/seeds/rates/epochs with the access loop's **memo
-//!   tricks on and off** (`RunOptions::memo`), including resuming a
-//!   memo-on snapshot with them off — the snapshot boundary state must be
-//!   identical whichever loop produced or consumes it.
+//! * the paper's **golden configurations** with attribution ON (the
+//!   acceptance bar for the format);
+//! * epochs where Carrefour-LP's migrations onto a **full node fail**
+//!   with `NoMemory` — checked exhaustively at *every* epoch boundary of
+//!   the run, so the failing epochs cannot be missed;
+//! * random shapes/seeds/epochs, with and without a full node, with the
+//!   access loop's **memo tricks on and off** (`RunOptions::memo`),
+//!   including resuming a memo-on snapshot with them off — the snapshot
+//!   boundary state must be identical whichever loop produced or
+//!   consumes it.
 
-use carrefour::CarrefourLp;
 use carrefour_bench::{golden, PolicyKind};
 use engine::{
-    Checkpoint, FaultConfig, NumaPolicy, RunHook, RunOptions, SimConfig, SimResult, Simulation,
-    Start,
+    Checkpoint, NumaPolicy, RunHook, RunOptions, SimConfig, SimResult, Simulation, Start,
 };
-use numa_topology::MachineSpec;
+use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
+use vmem::{AddressSpace, PageSize};
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
-/// Runs with the access loop's memo tricks off (`RunOptions::memo`),
-/// fresh or resumed from `ckpt`.
-fn run_without_memo(
+/// Address-space setup that takes every free frame of node 0 before the
+/// workload starts: node-0 threads fault their pages in remotely, and the
+/// policy's migrations back onto node 0 fail with `NoMemory`.
+fn fill_node0(space: &mut AddressSpace) {
+    for size in [PageSize::Size2M, PageSize::Size4K] {
+        while space.alloc_frame(NodeId(0), size).is_ok() {}
+    }
+}
+
+type Setup<'a> = Option<&'a dyn Fn(&mut AddressSpace)>;
+
+/// A full run with `setup` applied to the fresh address space.
+fn run_from(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
     config: &SimConfig,
     policy: &mut dyn NumaPolicy,
-    ckpt: Option<&Checkpoint>,
+    setup: Setup<'_>,
 ) -> SimResult {
     let opts = RunOptions {
-        start: ckpt.map_or(Start::Fresh, Start::Resume),
+        setup,
+        ..RunOptions::default()
+    };
+    Simulation::run_with(machine, spec, config, policy, opts).result()
+}
+
+/// The snapshot at the boundary that begins `epoch` of a run with `setup`
+/// applied. A resume needs no setup: the snapshot carries the frames.
+fn checkpoint_from(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    setup: Setup<'_>,
+    epoch: u32,
+) -> Checkpoint {
+    let opts = RunOptions {
+        setup,
+        stop_at: Some(epoch),
+        ..RunOptions::default()
+    };
+    Simulation::run_with(machine, spec, config, policy, opts)
+        .checkpoint()
+        .unwrap_or_else(|| panic!("the run ends before epoch {epoch}"))
+}
+
+/// Resumes from `ckpt` with the access loop's memo tricks off
+/// (`RunOptions::memo`).
+fn resume_without_memo(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    ckpt: &Checkpoint,
+) -> SimResult {
+    let opts = RunOptions {
+        start: Start::Resume(ckpt),
         memo: false,
         ..RunOptions::default()
     };
@@ -74,19 +117,19 @@ fn small_spec(name: &str, mib: u64, pattern: AccessPattern) -> WorkloadSpec {
     }
 }
 
-/// Checkpoints at `epoch` with a fresh policy, round-trips the envelope
-/// bytes, resumes with another fresh policy, and asserts the resumed
-/// result equals `full`.
+/// Checkpoints at `epoch` with a fresh policy and `setup`, round-trips
+/// the envelope bytes, resumes with another fresh policy, and asserts the
+/// resumed result equals `full`.
 fn assert_resume_identical(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
     config: &SimConfig,
     mut make_policy: impl FnMut() -> Box<dyn NumaPolicy>,
+    setup: Setup<'_>,
     epoch: u32,
     full: &SimResult,
 ) {
-    let ckpt = Simulation::checkpoint_at(machine, spec, config, make_policy().as_mut(), epoch)
-        .unwrap_or_else(|| panic!("run has {} epochs, none at {epoch}", full.epochs.len()));
+    let ckpt = checkpoint_from(machine, spec, config, make_policy().as_mut(), setup, epoch);
     let ckpt = engine::Checkpoint::from_bytes(&ckpt.to_bytes()).expect("envelope round-trip");
     let resumed = Simulation::resume(machine, spec, config, make_policy().as_mut(), &ckpt);
     assert_eq!(
@@ -96,12 +139,12 @@ fn assert_resume_identical(
     );
 }
 
-/// Every golden configuration, attribution ON, under a nonzero fault
-/// plan: checkpoints at an early, middle, and late epoch all resume
-/// bit-identical. This is the acceptance bar for `ckpt-v1`: the exact
-/// cells whose digests gate CI must survive a mid-stream save/restore.
+/// Every golden configuration, attribution ON: checkpoints at an early,
+/// middle, and late epoch all resume bit-identical. This is the
+/// acceptance bar for `ckpt-v2`: the exact cells whose digests gate CI
+/// must survive a mid-stream save/restore.
 #[test]
-fn golden_configs_resume_bit_identical_with_attribution_and_faults() {
+fn golden_configs_resume_bit_identical_with_attribution() {
     std::env::set_var("CARREFOUR_QUIET", "1");
     let machine = MachineSpec::machine_a();
     let jobs = carrefour_bench::runner::resolve_jobs(None);
@@ -109,7 +152,6 @@ fn golden_configs_resume_bit_identical_with_attribution_and_faults() {
         let cell = golden::GOLDEN_CELLS[i];
         let mut config = SimConfig::for_machine(&machine, cell.kind.initial_thp());
         config.attribution = true;
-        config.faults = FaultConfig::uniform(0xC0FFEE, 0.15);
         let spec = cell.bench.spec(&machine);
         let full = Simulation::run(&machine, &spec, &config, cell.kind.make().as_mut());
         assert!(
@@ -118,79 +160,35 @@ fn golden_configs_resume_bit_identical_with_attribution_and_faults() {
         );
         let n = full.epochs.len() as u32;
         for epoch in [1, n / 2, n.saturating_sub(1)] {
-            assert_resume_identical(&machine, &spec, &config, || cell.kind.make(), epoch, &full);
+            let make = || cell.kind.make();
+            assert_resume_identical(&machine, &spec, &config, make, None, epoch, &full);
         }
     });
 }
 
-/// Heavy operational faults on Carrefour-LP: allocation vetoes, `-EBUSY`
-/// pins, and live retry backoff all present — and a checkpoint at *every*
-/// epoch boundary (pin-fire epochs and mid-backoff epochs included, by
-/// exhaustion) resumes bit-identical. The scenario assertions keep the
-/// test honest: if a config change stops the faults from firing, the test
-/// fails instead of hollowing out.
+/// Carrefour-LP with node 0 full: its migrations onto node 0 fail with
+/// `NoMemory`, and a checkpoint at *every* epoch boundary (the failing
+/// epochs included, by exhaustion) resumes bit-identical. The scenario
+/// assertion keeps the test honest: if a change stops the failures from
+/// happening, the test fails instead of hollowing out.
 #[test]
-fn every_epoch_resumes_under_pins_vetoes_and_retry_backoff() {
+fn every_epoch_resumes_with_failed_migrations_onto_a_full_node() {
     let machine = MachineSpec::test_machine();
-    let spec = small_spec("adversarial-lp", 4, AccessPattern::SharedUniform);
+    let spec = small_spec("full-node-lp", 4, AccessPattern::SharedUniform);
     let mut config = SimConfig::for_machine(&machine, PolicyKind::CarrefourLp.initial_thp());
     config.attribution = true;
-    config.faults = FaultConfig::uniform(97, 0.5);
-    let full = Simulation::run(
-        &machine,
-        &spec,
-        &config,
-        PolicyKind::CarrefourLp.make().as_mut(),
-    );
+    let make = || PolicyKind::CarrefourLp.make();
+    let full = run_from(&machine, &spec, &config, make().as_mut(), Some(&fill_node0));
     let rb = &full.robustness;
-    assert!(rb.fallback_allocs > 0, "no allocation veto fired: {rb:?}");
-    assert!(rb.busy_rejections > 0, "no -EBUSY pin fired: {rb:?}");
-    assert!(rb.retries > 0, "retry machinery never engaged: {rb:?}");
+    assert!(rb.failed_migrations > 0, "no migration failed: {rb:?}");
     let n = full.epochs.len() as u32;
     for epoch in 0..=n {
         assert_resume_identical(
             &machine,
             &spec,
             &config,
-            || PolicyKind::CarrefourLp.make(),
-            epoch,
-            &full,
-        );
-    }
-}
-
-/// A fault rate high enough to trip Carrefour-LP's circuit breakers: the
-/// breaker state (open-until epoch, trip count) is part of the snapshot,
-/// so every epoch — before, during, and after the open window — must
-/// resume bit-identical.
-#[test]
-fn every_epoch_resumes_with_a_tripped_circuit_breaker() {
-    let machine = MachineSpec::test_machine();
-    // Action-dense shape (the fast-path suite's shootdown scenario): the
-    // region is skewed onto node 0, so interleaving migrations flow every
-    // epoch — enough failing actions per batch to cross the breaker's
-    // minimum batch size at a 90 % failure rate.
-    let mut spec = small_spec("tripped-breaker", 16, AccessPattern::SharedUniform);
-    spec.regions[0].alloc_skew = 1.0;
-    spec.ops_per_round = 1000;
-    spec.compute_rounds = 60;
-    let mut config = SimConfig::for_machine(&machine, PolicyKind::CarrefourLp.initial_thp());
-    config.ibs.period = 32;
-    config.faults = FaultConfig::uniform(11, 0.9);
-    let mut lp = CarrefourLp::new();
-    let full = Simulation::run(&machine, &spec, &config, &mut lp);
-    let (split_trips, move_trips) = lp.breaker_trips();
-    assert!(
-        split_trips + move_trips > 0,
-        "no breaker tripped at rate 0.9 (splits {split_trips}, moves {move_trips})"
-    );
-    let n = full.epochs.len() as u32;
-    for epoch in 0..=n {
-        assert_resume_identical(
-            &machine,
-            &spec,
-            &config,
-            || Box::new(CarrefourLp::new()),
+            make,
+            Some(&fill_node0),
             epoch,
             &full,
         );
@@ -216,7 +214,6 @@ fn every_epoch_resumes_mid_table_replication_and_migration() {
         let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
         config.attribution = true;
         config.ibs.period = 32;
-        config.faults = FaultConfig::uniform(0xBEEF, 0.2);
         let full = Simulation::run(&machine, &spec, &config, kind.make().as_mut());
         let vm = &full.lifetime.vmem;
         match kind {
@@ -228,14 +225,14 @@ fn every_epoch_resumes_mid_table_replication_and_migration() {
         }
         let n = full.epochs.len() as u32;
         for epoch in 0..=n {
-            assert_resume_identical(&machine, &spec, &config, || kind.make(), epoch, &full);
+            assert_resume_identical(&machine, &spec, &config, || kind.make(), None, epoch, &full);
         }
         // A mid-stream snapshot must also resume identically with the memo
         // tricks off (which must itself agree with the memo-on loop).
         let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), n / 2)
             .expect("mid-run snapshot");
         let resumed_slow =
-            run_without_memo(&machine, &spec, &config, kind.make().as_mut(), Some(&ckpt));
+            resume_without_memo(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         assert_eq!(&resumed_slow, &full, "per-op resume diverged ({:?})", kind);
     }
 }
@@ -294,23 +291,22 @@ fn hook_checkpoints_match_checkpoint_at_bytes() {
 }
 
 proptest! {
-    /// Random workload shapes, seeds, policies, nonzero fault plans, and a
-    /// random snapshot epoch: the resumed run equals the uninterrupted one
+    /// Random workload shapes, seeds, policies, an optionally full node 0,
+    /// and a random snapshot epoch: the resumed run equals the
+    /// uninterrupted one
     /// with the memo tricks on, AND the *same memo-on snapshot* resumed
     /// with them off equals the memo-off uninterrupted run — the boundary
     /// state is loop-independent in both directions.
     #[test]
-    fn resume_is_bit_identical_under_faults_and_both_paths(
+    fn resume_is_bit_identical_on_both_paths(
         mib in 2u64..5,
         seed in 0u64..=u64::MAX,
-        fault_seed in 1u64..u64::MAX,
-        rate in 0.05f64..0.6,
+        full_node in [false, true].as_slice(),
         epoch_frac in 0.0f64..1.0,
         pattern in [AccessPattern::PrivateSlices, AccessPattern::SharedUniform].as_slice(),
         kind in [
             PolicyKind::LinuxThp,
             PolicyKind::CarrefourLp,
-            PolicyKind::CarrefourLpNoRetry,
             PolicyKind::Mitosis,
             PolicyKind::NumaPte,
         ].as_slice(),
@@ -319,22 +315,27 @@ proptest! {
         let spec = small_spec("ckpt-prop", mib, pattern);
         let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
         config.seed = seed;
-        config.faults = FaultConfig::uniform(fault_seed, rate);
+        let setup: Setup<'_> = if full_node { Some(&fill_node0) } else { None };
 
-        let full = Simulation::run(&machine, &spec, &config, kind.make().as_mut());
+        let full = run_from(&machine, &spec, &config, kind.make().as_mut(), setup);
         let n = full.epochs.len() as u32;
         // frac < 1.0 scaled over n+1 boundaries covers 0..=n inclusive.
         let epoch = (((f64::from(n) + 1.0) * epoch_frac) as u32).min(n);
-        let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), epoch)
-            .unwrap_or_else(|| panic!("run has {n} epochs, none at {epoch}"));
+        let ckpt = checkpoint_from(&machine, &spec, &config, kind.make().as_mut(), setup, epoch);
         let resumed = Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         prop_assert_eq!(&resumed, &full, "fast-path resume diverged at epoch {}", epoch);
 
         // The memo-off loop must agree with the memo-on loop (the existing
         // equivalence claim) and accept the memo-on snapshot verbatim.
-        let full_slow = run_without_memo(&machine, &spec, &config, kind.make().as_mut(), None);
+        let opts = RunOptions {
+            setup,
+            memo: false,
+            ..RunOptions::default()
+        };
+        let full_slow =
+            Simulation::run_with(&machine, &spec, &config, kind.make().as_mut(), opts).result();
         let resumed_slow =
-            run_without_memo(&machine, &spec, &config, kind.make().as_mut(), Some(&ckpt));
+            resume_without_memo(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         prop_assert_eq!(&full_slow, &full, "fast/per-op paths diverged");
         prop_assert_eq!(
             &resumed_slow,

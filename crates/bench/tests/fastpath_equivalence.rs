@@ -9,27 +9,40 @@
 //!
 //! The targeted scenarios pin the invalidation edge cases where a stale
 //! memo would be visible: shootdowns during a multi-threaded epoch
-//! (migration remaps) and demote-then-repromote (split followed by khugepaged collapse). Each
+//! (migration remaps), demote-then-repromote (split followed by khugepaged
+//! collapse) and migrations that fail onto a full node. Each
 //! test also asserts the scenario actually fired, so a policy change that
 //! silences the trigger fails loudly instead of hollowing out the test.
 
 use carrefour_bench::runner::{CellSpec, Workload};
 use carrefour_bench::PolicyKind;
-use engine::{FaultConfig, RunOptions, SimResult, Simulation};
-use numa_topology::MachineSpec;
+use engine::{RunOptions, SimResult, Simulation};
+use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
+use vmem::{AddressSpace, PageSize};
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
+/// Address-space setup that takes every free frame of node 0 before the
+/// workload starts: node-0 threads fault their pages in remotely, and the
+/// policy's migrations back onto node 0 fail with `NoMemory`.
+fn fill_node0(space: &mut AddressSpace) {
+    for size in [PageSize::Size2M, PageSize::Size4K] {
+        while space.alloc_frame(NodeId(0), size).is_ok() {}
+    }
+}
+
 /// Runs `cell` through the engine twice — memo tricks on, then off — and
-/// asserts the results are bit-identical. Returns the memo-on result so
-/// callers can assert their scenario actually triggered.
-fn assert_fastpath_equivalent(cell: &CellSpec) -> SimResult {
+/// asserts the results are bit-identical. Node 0 starts full when
+/// `full_node` is set. Returns the memo-on result so callers can assert
+/// their scenario actually triggered.
+fn assert_fastpath_equivalent(cell: &CellSpec, full_node: bool) -> SimResult {
     let wspec = cell.workload.spec(&cell.machine);
     let config = cell.sim_config();
     let [fast, slow] = [true, false].map(|memo| {
         let opts = RunOptions {
+            setup: full_node.then_some(&fill_node0 as &dyn Fn(&mut AddressSpace)),
             memo,
             ..RunOptions::default()
         };
@@ -69,13 +82,12 @@ fn spec(name: &str, mib: u64, pattern: AccessPattern, write_fraction: f64) -> Wo
     }
 }
 
-fn cell(workload: WorkloadSpec, kind: PolicyKind, faults: Option<FaultConfig>) -> CellSpec {
+fn cell(workload: WorkloadSpec, kind: PolicyKind) -> CellSpec {
     CellSpec {
         machine: MachineSpec::test_machine(),
         workload: Workload::Custom(workload),
         kind,
         seed: Some(7),
-        faults,
         label: None,
         lp_params: None,
         family: None,
@@ -94,7 +106,7 @@ fn shootdown_during_multithread_epoch_is_bit_identical() {
     w.ops_per_round = 1000;
     w.compute_rounds = 150;
     assert!(w.threads > 1, "scenario needs multiple threads");
-    let r = assert_fastpath_equivalent(&cell(w, PolicyKind::Carrefour4k, None));
+    let r = assert_fastpath_equivalent(&cell(w, PolicyKind::Carrefour4k), false);
     let vm = &r.lifetime.vmem;
     assert!(
         vm.migrations_4k + vm.migrations_2m > 0,
@@ -108,7 +120,7 @@ fn shootdown_during_multithread_epoch_is_bit_identical() {
 #[test]
 fn demote_then_repromote_is_bit_identical() {
     let w = spec("demote-repromote", 8, AccessPattern::SharedUniform, 0.5);
-    let r = assert_fastpath_equivalent(&cell(w, PolicyKind::CarrefourLp, None));
+    let r = assert_fastpath_equivalent(&cell(w, PolicyKind::CarrefourLp), false);
     let vm = &r.lifetime.vmem;
     assert!(vm.splits > 0, "scenario did not split a huge page: {vm:?}");
     assert!(
@@ -117,18 +129,26 @@ fn demote_then_repromote_is_bit_identical() {
     );
 }
 
+/// Failed migrations: with node 0 full, Carrefour-LP's moves onto it fail
+/// with `NoMemory` — no remap, no shootdown, while the other threads'
+/// memos stay live.
+#[test]
+fn failed_migrations_onto_a_full_node_are_bit_identical() {
+    let w = spec("full-node", 4, AccessPattern::SharedUniform, 0.4);
+    let r = assert_fastpath_equivalent(&cell(w, PolicyKind::CarrefourLp), true);
+    let rb = &r.robustness;
+    assert!(rb.failed_migrations > 0, "no migration failed: {rb:?}");
+}
+
 proptest! {
-    /// Random workload shapes, seeds, policies, and **nonzero fault
-    /// plans** produce bit-identical `SimResult`s with the memo tricks on
-    /// and off. Fault injection is the nastiest case: injected failures
-    /// (busy pins, allocation vetoes, dropped samples) perturb policy
-    /// actions mid-epoch, exactly where a stale memo would surface.
+    /// Random workload shapes, seeds, policies, and an optionally full
+    /// node 0 produce bit-identical `SimResult`s with the memo tricks on
+    /// and off.
     #[test]
-    fn fastpath_is_bit_identical_under_faults(
+    fn fastpath_is_bit_identical(
         mib in 2u64..6,
         seed in 0u64..=u64::MAX,
-        fault_seed in 1u64..u64::MAX,
-        rate in 0.01f64..0.5,
+        full_node in [false, true].as_slice(),
         write_fraction in 0.0f64..0.6,
         pattern in [AccessPattern::PrivateSlices, AccessPattern::SharedUniform, AccessPattern::Stream { stride: 64 }].as_slice(),
         kind in [
@@ -136,12 +156,11 @@ proptest! {
             PolicyKind::LinuxThp,
             PolicyKind::Carrefour4k,
             PolicyKind::CarrefourLp,
-            PolicyKind::CarrefourLpNoRetry,
         ].as_slice(),
     ) {
         let w = spec("fp-prop", mib, pattern, write_fraction);
-        let mut c = cell(w, kind, Some(FaultConfig::uniform(fault_seed, rate)));
+        let mut c = cell(w, kind);
         c.seed = Some(seed);
-        assert_fastpath_equivalent(&c);
+        assert_fastpath_equivalent(&c, full_node);
     }
 }

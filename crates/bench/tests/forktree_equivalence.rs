@@ -8,22 +8,22 @@
 //! (per-epoch records, robustness counters, 19-bucket attribution
 //! ledger) *and* trace digest that a from-scratch run of that cell
 //! produces. The property test drives random workload shapes, seeds,
-//! **nonzero fault plans** (the induction's hard case: fed-back failures
-//! and fault RNG state must survive the fork), random threshold
-//! perturbations as the family axis.
+//! and random threshold perturbations as the family axis; a fixed family
+//! on a machine with small nodes adds migrations that fail onto a full
+//! node.
 
 use carrefour::{LpParams, LpThresholds};
 use carrefour_bench::forktree;
 use carrefour_bench::runner::{CellSpec, Workload};
 use carrefour_bench::PolicyKind;
-use engine::{DigestSink, FaultConfig, RunOptions, SimResult, Simulation, TraceDigest};
-use numa_topology::MachineSpec;
+use engine::{DigestSink, RunOptions, SimResult, Simulation, TraceDigest};
+use numa_topology::{Interconnect, MachineSpec};
 use proptest::prelude::*;
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
-/// A small, cheap workload spec (same shape as the runner's fault props).
+/// A small, cheap workload spec (same shape as the runner's props).
 fn small_spec(machine: &MachineSpec, mib: u64, pattern: AccessPattern) -> WorkloadSpec {
     WorkloadSpec {
         name: "forktree-prop".to_string(),
@@ -68,14 +68,12 @@ fn scratch(spec: &CellSpec) -> (SimResult, TraceDigest) {
 
 proptest! {
     /// Probe + three siblings (one bit-identical to the probe, two with
-    /// perturbed thresholds) under fault injection and the attribution
-    /// ledger: every shared result and digest equals its scratch run's.
+    /// perturbed thresholds) under the attribution ledger: every shared
+    /// result and digest equals its scratch run's.
     #[test]
     fn forked_family_is_bit_identical_to_scratch_runs(
         mib in 2u64..5,
         seed in 0u64..=u64::MAX,
-        fault_seed in 1u64..u64::MAX,
-        rate in 0.01f64..0.4,
         pattern in [AccessPattern::PrivateSlices, AccessPattern::SharedUniform].as_slice(),
         split_gain_pp in 0.5f64..10.0,
         hot_page_fraction in 0.01f64..0.12,
@@ -91,7 +89,6 @@ proptest! {
             let mut s = CellSpec::new(machine.clone(), workloads::Benchmark::EpC, PolicyKind::CarrefourLp);
             s.workload = Workload::Custom(wspec.clone());
             s.seed = Some(seed);
-            s.faults = Some(FaultConfig::uniform(fault_seed, rate));
             s.family = Some("prop".to_string());
             s.lp_params = params;
             s
@@ -312,6 +309,57 @@ fn epoch_zero_class_costs_one_fresh_head() {
     assert_eq!(stats.epochs_simulated, 2 * epochs);
     assert_eq!(stats.epochs_reused, 2 * epochs);
     assert_eq!((stats.snapshots_kept, stats.peak_kept_bytes), (0, 0));
+    assert_matches_scratch(&cells, &specs);
+}
+
+/// Four one-core nodes of 4 MiB: a 10 MiB region that thread 0
+/// first-touches fills node 0 and spills onto the next nodes, so
+/// Carrefour-LP's migrations back onto a full node fail with `NoMemory`.
+/// The failure counts must survive the fork like any other state.
+#[test]
+fn family_with_failed_migrations_matches_scratch() {
+    test_env();
+    let machine = MachineSpec::homogeneous(
+        "small-nodes",
+        2.0,
+        4,
+        1,
+        4 << 20,
+        Interconnect::full_mesh(4),
+    );
+    let mut wspec = small_spec(&machine, 10, AccessPattern::PrivateSlices);
+    wspec.regions[0].alloc_skew = 1.0;
+    wspec.ops_per_round = 2000;
+    wspec.compute_rounds = 8;
+    let mk = |tune: Option<&dyn Fn(&mut LpParams)>| {
+        let mut s = CellSpec::new(
+            machine.clone(),
+            workloads::Benchmark::EpC,
+            PolicyKind::CarrefourLp,
+        );
+        s.workload = Workload::Custom(wspec.clone());
+        s.family = Some("full-node".to_string());
+        s.lp_params = tune.map(|f| {
+            let mut p = LpParams::default();
+            f(&mut p);
+            p
+        });
+        s
+    };
+    let specs = vec![
+        mk(None),
+        mk(Some(&|p| p.carrefour.max_migrations_per_epoch = 20)),
+        mk(Some(&|p| p.carrefour.max_migrations_per_epoch = 12)),
+    ];
+    let (cells, stats) = forktree::run_family(&specs, true);
+    // The two rate limits part from the probe at epoch 3, after the
+    // epoch-1 scatter's moves onto full nodes failed: the forked
+    // snapshot carries the failure counters.
+    assert_eq!((stats.forks, stats.scratch), (2, 0));
+    for c in &cells {
+        let rb = &c.result.robustness;
+        assert!(rb.failed_migrations > 0, "no migration failed: {rb:?}");
+    }
     assert_matches_scratch(&cells, &specs);
 }
 

@@ -8,21 +8,33 @@
 //! * every **golden cell** runs recorder-on and recorder-off with equal
 //!   [`engine::SimResult`]s (attribution ledger and robustness counters
 //!   ride along in `PartialEq`) and a byte-identical trace digest;
-//! * random shapes, seeds, policies, and **nonzero fault plans**, with
-//!   the attribution ledger ON, are bit-identical;
+//! * random shapes, seeds, policies, and an optionally full node 0
+//!   (migrations onto it fail), with the attribution ledger ON, are
+//!   bit-identical;
 //! * the recorded series itself is structurally sound: one row per
 //!   simulated epoch, in order, with the run header announced.
 
 use carrefour_bench::{golden, PolicyKind};
 use engine::{
-    DigestSink, FaultConfig, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation, TraceDigest,
-    VecRecorder,
+    DigestSink, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation, TraceDigest, VecRecorder,
 };
-use numa_topology::MachineSpec;
+use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
+use vmem::{AddressSpace, PageSize};
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
+
+/// Address-space setup that takes every free frame of node 0 before the
+/// workload starts: node-0 threads fault their pages in remotely, and the
+/// policy's migrations back onto node 0 fail with `NoMemory`.
+fn fill_node0(space: &mut AddressSpace) {
+    for size in [PageSize::Size2M, PageSize::Size4K] {
+        while space.alloc_frame(NodeId(0), size).is_ok() {}
+    }
+}
+
+type Setup<'a> = Option<&'a dyn Fn(&mut AddressSpace)>;
 
 /// A small multi-threaded workload, the same shape the
 /// checkpoint-equivalence suite uses.
@@ -56,9 +68,11 @@ fn run_plain(
     spec: &WorkloadSpec,
     config: &SimConfig,
     policy: &mut dyn NumaPolicy,
+    setup: Setup<'_>,
 ) -> (SimResult, TraceDigest) {
     let mut sink = DigestSink::new();
     let opts = RunOptions {
+        setup,
         sink: Some(&mut sink),
         ..RunOptions::default()
     };
@@ -73,10 +87,12 @@ fn run_recorded(
     spec: &WorkloadSpec,
     config: &SimConfig,
     policy: &mut dyn NumaPolicy,
+    setup: Setup<'_>,
 ) -> (SimResult, TraceDigest, VecRecorder) {
     let mut sink = DigestSink::new();
     let mut rec = VecRecorder::new();
     let opts = RunOptions {
+        setup,
         sink: Some(&mut sink),
         hook: Some(&mut rec),
         ..RunOptions::default()
@@ -92,9 +108,10 @@ fn assert_recorder_invisible(
     spec: &WorkloadSpec,
     config: &SimConfig,
     mut make_policy: impl FnMut() -> Box<dyn NumaPolicy>,
+    setup: Setup<'_>,
 ) -> (SimResult, VecRecorder) {
-    let (want, want_digest) = run_plain(machine, spec, config, make_policy().as_mut());
-    let (got, got_digest, rec) = run_recorded(machine, spec, config, make_policy().as_mut());
+    let (want, want_digest) = run_plain(machine, spec, config, make_policy().as_mut(), setup);
+    let (got, got_digest, rec) = run_recorded(machine, spec, config, make_policy().as_mut(), setup);
     assert_eq!(
         got, want,
         "SimResult diverged with the recorder on ({}/{})",
@@ -135,12 +152,13 @@ fn golden_cells_are_bit_identical_with_recorder_on() {
         let config = SimConfig::for_machine(&machine, cell.kind.initial_thp());
         let spec = cell.bench.spec(&machine);
         let (result, rec) =
-            assert_recorder_invisible(&machine, &spec, &config, || cell.kind.make());
+            assert_recorder_invisible(&machine, &spec, &config, || cell.kind.make(), None);
         assert_series_sound(&result, &rec);
         // The checked-in golden digest itself must also match the
         // recorder-on run: recompute it and diff.
         let want = golden::digest_cell(&machine, cell);
-        let (_, mut got, _) = run_recorded(&machine, &spec, &config, cell.kind.make().as_mut());
+        let (_, mut got, _) =
+            run_recorded(&machine, &spec, &config, cell.kind.make().as_mut(), None);
         got.policy = cell.kind.label().to_string();
         got.runtime_cycles = want.runtime_cycles;
         assert!(
@@ -153,19 +171,17 @@ fn golden_cells_are_bit_identical_with_recorder_on() {
 }
 
 proptest! {
-    /// Random workload shapes, seeds, policies, and **nonzero fault
-    /// plans**, with the attribution ledger ON:
-    /// recorder-on is bit-identical to recorder-off — `SimResult`
-    /// (ledger, robustness counters, per-epoch records) and trace digest.
-    /// Faults are the adversarial case: retries, vetoes, and breaker
-    /// trips populate the recorder's policy-introspection and
-    /// failed-action fields, which must stay read-only.
+    /// Random workload shapes, seeds, policies, and an optionally full
+    /// node 0, with the attribution ledger ON: recorder-on is
+    /// bit-identical to recorder-off — `SimResult` (ledger, robustness
+    /// counters, per-epoch records) and trace digest. The full node
+    /// populates the recorder's failed-action field, which must stay
+    /// read-only.
     #[test]
-    fn recorded_is_bit_identical_under_faults(
+    fn recorded_is_bit_identical(
         mib in 2u64..5,
         seed in 0u64..=u64::MAX,
-        fault_seed in 1u64..u64::MAX,
-        rate in 0.05f64..0.5,
+        full_node in [false, true].as_slice(),
         pattern in [AccessPattern::PrivateSlices, AccessPattern::SharedUniform].as_slice(),
         kind in [
             PolicyKind::Linux4k,
@@ -180,8 +196,9 @@ proptest! {
         let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
         config.seed = seed;
         config.attribution = true;
-        config.faults = FaultConfig::uniform(fault_seed, rate);
-        let (result, rec) = assert_recorder_invisible(&machine, &spec, &config, || kind.make());
+        let setup: Setup<'_> = if full_node { Some(&fill_node0) } else { None };
+        let (result, rec) =
+            assert_recorder_invisible(&machine, &spec, &config, || kind.make(), setup);
         assert_series_sound(&result, &rec);
         prop_assert!(result.attribution.is_some(), "ledger must be on");
         prop_assert!(

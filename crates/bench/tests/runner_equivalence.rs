@@ -4,20 +4,19 @@
 //! only *where* a cell runs, never what it computes, and results land in
 //! submission-order slots — so any worker count yields a bit-identical
 //! `Vec<Cell>`. The property test drives that claim with randomly shaped
-//! small workloads, random seeds, and **nonzero fault plans** (the fault
-//! injector draws from a per-cell RNG, the nastiest place a cross-thread
-//! leak could hide). A separate smoke test covers two real paper cells.
+//! small workloads and random seeds (every cell owns its RNG streams, the
+//! nastiest place a cross-thread leak could hide). A separate smoke test
+//! covers two real paper cells.
 
 use carrefour_bench::runner::{self, CellSpec, Progress, Workload};
 use carrefour_bench::PolicyKind;
-use engine::FaultConfig;
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
 use workloads::{AccessPattern, Benchmark, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
-/// A small, cheap workload spec (same shape as the engine's fault props).
+/// A small, cheap workload spec.
 fn small_spec(
     machine: &MachineSpec,
     name: String,
@@ -68,16 +67,14 @@ fn assert_jobs_equivalent(specs: &[CellSpec], jobs_a: usize, jobs_b: usize) {
 }
 
 proptest! {
-    /// N random cells — random workload shapes, seeds, policies, and
-    /// nonzero fault plans — produce `SimResult`s bit-identical
+    /// N random cells — random workload shapes, seeds, and policies —
+    /// produce `SimResult`s bit-identical
     /// (`PartialEq`) between a sequential run and a parallel run.
     #[test]
     fn parallel_run_is_bit_identical_to_sequential(
         n in 1usize..4,
         mib in 2u64..6,
         seed in 0u64..=u64::MAX,
-        fault_seed in 1u64..u64::MAX,
-        rate in 0.01f64..0.5,
         pattern in [AccessPattern::PrivateSlices, AccessPattern::SharedUniform].as_slice(),
         jobs in 2usize..5,
     ) {
@@ -86,7 +83,6 @@ proptest! {
             PolicyKind::Linux4k,
             PolicyKind::LinuxThp,
             PolicyKind::CarrefourLp,
-            PolicyKind::CarrefourLpNoRetry,
         ];
         let specs: Vec<CellSpec> = (0..n)
             .map(|i| CellSpec {
@@ -99,7 +95,6 @@ proptest! {
                 )),
                 kind: kinds[i % kinds.len()],
                 seed: Some(seed.wrapping_add(i as u64)),
-                faults: Some(FaultConfig::uniform(fault_seed, rate)),
                 label: None,
                 lp_params: None,
                 family: None,
@@ -164,7 +159,6 @@ fn panicking_cell_does_not_abort_the_suite() {
         )),
         kind: PolicyKind::CarrefourLp,
         seed: Some(5),
-        faults: None,
         label: None,
         lp_params: None,
         family: None,

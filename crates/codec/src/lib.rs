@@ -1,7 +1,7 @@
 //! Minimal binary codec for the checkpoint/journal layer.
 //!
 //! The vendored `serde` is a no-op marker (the build is offline), so the
-//! `ckpt-v1` snapshot format and the runner's cell journal serialize by
+//! `ckpt-v2` snapshot format and the runner's cell journal serialize by
 //! hand through this crate: a little-endian, length-prefixed byte stream
 //! with no self-description. Every struct that participates writes its
 //! fields in a fixed order via [`Enc`] and reads them back in the same

@@ -214,7 +214,7 @@ impl Carrefour {
         &self.cfg
     }
 
-    /// Serializes the cross-epoch placement state for a `ckpt-v1`
+    /// Serializes the cross-epoch placement state for a `ckpt-v2`
     /// snapshot. `cfg` is constructor-provided and not serialized. A zero
     /// word holds the slot of the retired replicated-page set (an empty
     /// sequence), so the layout is unchanged (DESIGN.md §12).

@@ -30,39 +30,6 @@ impl Default for CarrefourConfig {
     }
 }
 
-/// Tunables of Carrefour-LP's failure handling: bounded retry with
-/// epoch-granularity exponential backoff, plus per-component circuit
-/// breakers (the same enable/disable philosophy as Algorithm 1's
-/// thresholds, applied to the policy's own action-failure rate).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct RobustnessConfig {
-    /// Give up on an action after this many failed attempts.
-    pub max_retries: u32,
-    /// First retry waits this many epochs; each further attempt doubles
-    /// the wait (`base`, `2*base`, `4*base`, ...).
-    pub backoff_base_epochs: u32,
-    /// Trip a component's breaker when more than this fraction of its
-    /// epoch's actions failed, in `[0, 1]`.
-    pub breaker_failure_rate: f64,
-    /// Never trip on fewer than this many attempted actions (small epochs
-    /// are statistically meaningless).
-    pub breaker_min_actions: u64,
-    /// A tripped breaker keeps its component disabled for this many epochs.
-    pub breaker_cooloff_epochs: u32,
-}
-
-impl Default for RobustnessConfig {
-    fn default() -> Self {
-        RobustnessConfig {
-            max_retries: 3,
-            backoff_base_epochs: 1,
-            breaker_failure_rate: 0.5,
-            breaker_min_actions: 8,
-            breaker_cooloff_epochs: 4,
-        }
-    }
-}
-
 /// Algorithm 1's thresholds, exactly as the paper sets them.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct LpThresholds {
@@ -96,8 +63,8 @@ impl Default for LpThresholds {
 }
 
 /// The complete tunable surface of Carrefour-LP in one serializable value:
-/// Algorithm 1's thresholds, the underlying Carrefour's engagement knobs,
-/// and PR 1's retry/backoff constants. This is the coordinate the `sweep`
+/// Algorithm 1's thresholds and the underlying Carrefour's engagement
+/// knobs. This is the coordinate the `sweep`
 /// binary searches over (ROADMAP item 4) and the payload a
 /// `carrefour_bench::runner::CellSpec` carries to parameterize a cell.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -106,8 +73,6 @@ pub struct LpParams {
     pub thresholds: LpThresholds,
     /// Baseline Carrefour engagement and rate-limit knobs.
     pub carrefour: CarrefourConfig,
-    /// Retry/backoff/circuit-breaker constants.
-    pub robustness: RobustnessConfig,
 }
 
 impl LpParams {
@@ -136,7 +101,6 @@ impl LpParams {
                 intensity_min_dram_per_op: 0.001,
                 max_migrations_per_epoch: 8192,
             },
-            robustness: RobustnessConfig::default(),
         }
     }
 }

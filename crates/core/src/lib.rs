@@ -45,11 +45,9 @@ mod config;
 pub mod lar;
 mod lp;
 mod pageset;
-mod robust;
 mod tables;
 
 pub use classic::Carrefour;
-pub use config::{CarrefourConfig, LpParams, LpThresholds, RobustnessConfig};
+pub use config::{CarrefourConfig, LpParams, LpThresholds};
 pub use lp::CarrefourLp;
-pub use robust::{CircuitBreaker, RetryQueue};
 pub use tables::{Mitosis, NumaPte, NumaPteConfig};

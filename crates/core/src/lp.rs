@@ -1,10 +1,9 @@
 //! Carrefour-LP: Algorithm 1 of the paper.
 
 use crate::classic::Carrefour;
-use crate::config::{CarrefourConfig, LpParams, LpThresholds, RobustnessConfig};
+use crate::config::{CarrefourConfig, LpParams, LpThresholds};
 use crate::lar;
-use crate::robust::{CircuitBreaker, RetryQueue};
-use engine::{EpochCtx, NumaPolicy, PolicyAction, PolicyDecision, PolicyIntrospection};
+use engine::{EpochCtx, NumaPolicy, PolicyAction, PolicyDecision};
 use profiling::IbsSample;
 use std::collections::{BTreeMap, BTreeSet};
 use vmem::PageSize;
@@ -40,19 +39,6 @@ pub struct CarrefourLp {
     /// khugepaged re-collapses it (onto its majority node — i.e. placed),
     /// re-splitting it would only start an oscillation.
     split_history: std::collections::BTreeSet<u64>,
-    /// Bounded-backoff retry queue over the engine's failure feedback.
-    /// Dormant on fault-free runs (the feedback is always empty there).
-    retry: RetryQueue,
-    /// Disables splitting when most split attempts bounce.
-    split_breaker: CircuitBreaker,
-    /// Disables the Carrefour placement pass when most moves bounce.
-    move_breaker: CircuitBreaker,
-    /// `false` in the `carrefour-lp-noretry` ablation: failures are
-    /// observed (breakers still work) but never re-issued.
-    retry_enabled: bool,
-    /// Moves/splits issued last epoch, denominators for the breakers.
-    issued_moves: u64,
-    issued_splits: u64,
     name: &'static str,
 }
 
@@ -69,7 +55,6 @@ impl CarrefourLp {
 
     /// Full Carrefour-LP (both components).
     pub fn new() -> Self {
-        let robustness = RobustnessConfig::default();
         CarrefourLp {
             carrefour: Carrefour::new(),
             thresholds: LpThresholds::default(),
@@ -79,44 +64,8 @@ impl CarrefourLp {
             },
             split_pages: false,
             split_history: std::collections::BTreeSet::new(),
-            retry: RetryQueue::new(robustness),
-            split_breaker: CircuitBreaker::new(robustness),
-            move_breaker: CircuitBreaker::new(robustness),
-            retry_enabled: true,
-            issued_moves: 0,
-            issued_splits: 0,
             name: "carrefour-lp",
         }
-    }
-
-    /// The retry-free ablation for the `chaos` experiment: failures are
-    /// still observed (the breakers work) but never re-issued, so every
-    /// bounced migration or split is placement work permanently lost.
-    pub fn without_retries() -> Self {
-        CarrefourLp {
-            retry_enabled: false,
-            name: "carrefour-lp-noretry",
-            ..CarrefourLp::new()
-        }
-    }
-
-    /// Overrides the failure-handling tunables.
-    pub fn with_robustness(mut self, cfg: RobustnessConfig) -> Self {
-        self.retry = RetryQueue::new(cfg);
-        self.split_breaker = CircuitBreaker::new(cfg);
-        self.move_breaker = CircuitBreaker::new(cfg);
-        self
-    }
-
-    /// Actions abandoned after exhausting their retry budget (for tests
-    /// and experiment reporting).
-    pub fn abandoned_actions(&self) -> u64 {
-        self.retry.abandoned
-    }
-
-    /// Lifetime trip counts of the (split, move) circuit breakers.
-    pub fn breaker_trips(&self) -> (u64, u64) {
-        (self.split_breaker.trips, self.move_breaker.trips)
     }
 
     /// The reactive-only ablation of Figure 4 (run it with THP initially
@@ -160,7 +109,6 @@ impl CarrefourLp {
         CarrefourLp::new()
             .with_thresholds(params.thresholds)
             .with_carrefour(params.carrefour, crate::classic::DEFAULT_SEED)
-            .with_robustness(params.robustness)
     }
 
     /// Renames the policy (the tuned preset reports itself distinctly in
@@ -236,45 +184,6 @@ impl NumaPolicy for CarrefourLp {
 
     fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
         let t = self.thresholds;
-        let epoch = ctx.epoch_index;
-
-        // --- Failure handling (inert on fault-free runs: the feedback is
-        // empty, the queue stays empty, and closed breakers gate nothing).
-        let failed = ctx.failed();
-        let failed_splits = failed
-            .iter()
-            .filter(|f| {
-                matches!(
-                    f.action,
-                    PolicyAction::Split(_) | PolicyAction::SplitScatter(_)
-                )
-            })
-            .count() as u64;
-        let failed_moves = failed
-            .iter()
-            .filter(|f| matches!(f.action, PolicyAction::Migrate(_, _)))
-            .count() as u64;
-        let trips_before = (self.split_breaker.trips, self.move_breaker.trips);
-        self.split_breaker
-            .observe(epoch, self.issued_splits, failed_splits);
-        self.move_breaker
-            .observe(epoch, self.issued_moves, failed_moves);
-        if self.split_breaker.trips > trips_before.0 {
-            ctx.note(|| PolicyDecision::BreakerTrip { breaker: "split" });
-        }
-        if self.move_breaker.trips > trips_before.1 {
-            ctx.note(|| PolicyDecision::BreakerTrip { breaker: "move" });
-        }
-        if self.retry_enabled {
-            self.retry.absorb_failures(epoch, failed);
-            let due = self.retry.due(epoch);
-            ctx.record_retries(due.len() as u64);
-            for a in due {
-                ctx.push(a);
-            }
-        }
-        let split_open = self.split_breaker.is_open(epoch);
-        let move_open = self.move_breaker.is_open(epoch);
 
         // --- Conservative component (Algorithm 1, lines 4–9). ---
         if self.components.conservative {
@@ -326,7 +235,7 @@ impl NumaPolicy for CarrefourLp {
             let pages = group_large_pages(ctx.samples);
             let total: u32 = pages.values().map(|p| p.count).sum();
 
-            if (self.split_pages || !Self::effective_alloc_2m(ctx)) && !split_open {
+            if self.split_pages || !Self::effective_alloc_2m(ctx) {
                 // Line 16: split all *shared* large pages (each at most
                 // once — see `split_history`).
                 for (&base, view) in &pages {
@@ -358,7 +267,6 @@ impl NumaPolicy for CarrefourLp {
             let min_hot_samples = (self.carrefour.config().min_samples_per_page * 4) as u32;
             for (&base, view) in &pages {
                 if imbalanced
-                    && !split_open
                     && view.size != PageSize::Size4K
                     && view.count >= min_hot_samples
                     && f64::from(view.count) > t.hot_page_fraction * f64::from(total)
@@ -386,21 +294,9 @@ impl NumaPolicy for CarrefourLp {
         }
 
         // --- Line 20: interleave and migrate with Carrefour. ---
-        if !move_open && self.carrefour.engaged(ctx.counters) {
+        if self.carrefour.engaged(ctx.counters) {
             self.carrefour
                 .placement_pass(ctx, &split_pending, &self.split_history, &hot_excluded);
-        }
-
-        // Remember what was issued: next epoch's failure report is scored
-        // against these denominators by the breakers.
-        self.issued_moves = 0;
-        self.issued_splits = 0;
-        for a in ctx.queued() {
-            match a {
-                PolicyAction::Migrate(_, _) => self.issued_moves += 1,
-                PolicyAction::Split(_) | PolicyAction::SplitScatter(_) => self.issued_splits += 1,
-                _ => {}
-            }
         }
     }
 
@@ -409,11 +305,6 @@ impl NumaPolicy for CarrefourLp {
         self.carrefour.save_into(&mut e);
         e.bool(self.split_pages);
         e.seq(self.split_history.iter(), |e, &p| e.u64(p));
-        self.retry.save_into(&mut e);
-        self.split_breaker.save_into(&mut e);
-        self.move_breaker.save_into(&mut e);
-        e.u64(self.issued_moves);
-        e.u64(self.issued_splits);
         e.into_bytes()
     }
 
@@ -422,23 +313,7 @@ impl NumaPolicy for CarrefourLp {
         self.carrefour.load_from(&mut d);
         self.split_pages = d.bool();
         self.split_history = d.seq(|d| d.u64()).into_iter().collect();
-        self.retry.load_from(&mut d);
-        self.split_breaker.load_from(&mut d);
-        self.move_breaker.load_from(&mut d);
-        self.issued_moves = d.u64();
-        self.issued_splits = d.u64();
         d.finish();
-    }
-
-    fn introspect(&self, epoch: u32) -> Option<PolicyIntrospection> {
-        Some(PolicyIntrospection {
-            retry_queue_depth: self.retry.len(),
-            retries_abandoned: self.retry.abandoned,
-            split_breaker_open: self.split_breaker.is_open(epoch),
-            move_breaker_open: self.move_breaker.is_open(epoch),
-            split_breaker_trips: self.split_breaker.trips,
-            move_breaker_trips: self.move_breaker.trips,
-        })
     }
 }
 
@@ -652,181 +527,33 @@ mod tests {
         assert_eq!(CarrefourLp::new().name(), "carrefour-lp");
         assert_eq!(CarrefourLp::reactive_only().name(), "reactive");
         assert_eq!(CarrefourLp::conservative_only().name(), "conservative");
-        assert_eq!(
-            CarrefourLp::without_retries().name(),
-            "carrefour-lp-noretry"
-        );
     }
 
     #[test]
-    fn failed_migrations_are_retried_after_backoff() {
-        use engine::{ActionError, FailedAction};
-        let machine = MachineSpec::machine_a();
-        let counters = quiet_counters();
-        let mut lp = CarrefourLp::new();
-        let failed = [FailedAction {
-            action: PolicyAction::Migrate(0x20_0000, NodeId(2)),
-            error: ActionError::Busy,
-        }];
-
-        // Epoch 1 reports the failure: enqueued, not yet due.
-        let mut ctx = ctx_with(&machine, &counters, &[], ThpControls::thp());
-        ctx.epoch_index = 1;
-        ctx.set_failures(&failed);
-        lp.on_epoch(&mut ctx);
-        assert!(!ctx
-            .queued()
-            .contains(&PolicyAction::Migrate(0x20_0000, NodeId(2))));
-
-        // Epoch 2: backoff elapsed, the action is re-issued verbatim.
-        let mut ctx = ctx_with(&machine, &counters, &[], ThpControls::thp());
-        ctx.epoch_index = 2;
-        lp.on_epoch(&mut ctx);
-        assert!(ctx
-            .queued()
-            .contains(&PolicyAction::Migrate(0x20_0000, NodeId(2))));
-        assert_eq!(ctx.retries_recorded(), 1);
-    }
-
-    #[test]
-    fn noretry_ablation_never_reissues() {
-        use engine::{ActionError, FailedAction};
-        let machine = MachineSpec::machine_a();
-        let counters = quiet_counters();
-        let mut lp = CarrefourLp::without_retries();
-        let failed = [FailedAction {
-            action: PolicyAction::Migrate(0x20_0000, NodeId(2)),
-            error: ActionError::Busy,
-        }];
-        let mut ctx = ctx_with(&machine, &counters, &[], ThpControls::thp());
-        ctx.epoch_index = 1;
-        ctx.set_failures(&failed);
-        lp.on_epoch(&mut ctx);
-        for e in 2..8u32 {
-            let mut ctx = ctx_with(&machine, &counters, &[], ThpControls::thp());
-            ctx.epoch_index = e;
-            lp.on_epoch(&mut ctx);
-            assert!(ctx.queued().is_empty(), "epoch {e} re-issued an action");
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_are_abandoned() {
-        use engine::{ActionError, FailedAction};
-        let machine = MachineSpec::machine_a();
-        let counters = quiet_counters();
-        let mut lp = CarrefourLp::new();
-        let failed = [FailedAction {
-            action: PolicyAction::Split(0x40_0000),
-            error: ActionError::Busy,
-        }];
-        // Keep reporting the same failure; the queue gives up after
-        // max_retries (3) attempts.
-        for e in [1u32, 3, 6] {
-            let mut ctx = ctx_with(&machine, &counters, &[], ThpControls::thp());
-            ctx.epoch_index = e;
-            ctx.set_failures(&failed);
-            lp.on_epoch(&mut ctx);
-        }
-        assert_eq!(lp.abandoned_actions(), 1);
-        for e in 7..16u32 {
-            let mut ctx = ctx_with(&machine, &counters, &[], ThpControls::thp());
-            ctx.epoch_index = e;
-            lp.on_epoch(&mut ctx);
-            assert!(ctx.queued().is_empty(), "abandoned action re-issued at {e}");
-        }
-    }
-
-    #[test]
-    fn move_breaker_pauses_the_placement_pass() {
-        use engine::{ActionError, FailedAction};
-        let machine = MachineSpec::machine_a();
-        // NUMA trouble: low LAR so Carrefour engages every epoch.
-        let mut counters = quiet_counters();
-        counters.dram_local = 100;
-        counters.dram_remote = 900;
-        // Single-node remote pages → Migrate actions.
-        let mut samples = Vec::new();
-        for p in 0..16u64 {
-            for k in 0..4 {
-                samples.push(sample(
-                    (0x20_0000 * (p + 1)) + k * 64,
-                    1,
-                    0,
-                    PageSize::Size4K,
-                ));
-            }
-        }
-        let mut lp = CarrefourLp::reactive_only();
-
-        let mut ctx = ctx_with(&machine, &counters, &samples, ThpControls::small_only());
-        ctx.epoch_index = 0;
-        lp.on_epoch(&mut ctx);
-        let issued: Vec<PolicyAction> = ctx
-            .take_actions()
-            .into_iter()
-            .filter(|a| matches!(a, PolicyAction::Migrate(_, _)))
-            .collect();
-        assert!(
-            issued.len() >= 8,
-            "need a meaningful batch, got {}",
-            issued.len()
-        );
-
-        // Every single move bounced: the breaker must trip and the next
-        // epoch must issue no migrations at all.
-        let failed: Vec<FailedAction> = issued
-            .iter()
-            .map(|&action| FailedAction {
-                action,
-                error: ActionError::Busy,
-            })
-            .collect();
-        let mut ctx = ctx_with(&machine, &counters, &samples, ThpControls::small_only());
-        ctx.epoch_index = 1;
-        ctx.set_failures(&failed);
-        lp.on_epoch(&mut ctx);
-        assert!(
-            !ctx.queued()
-                .iter()
-                .any(|a| matches!(a, PolicyAction::Migrate(_, _))),
-            "breaker open, yet migrations were issued"
-        );
-        assert_eq!(lp.breaker_trips().1, 1);
-    }
-
-    #[test]
-    fn save_restore_preserves_retry_breaker_and_rng_state() {
-        use engine::{ActionError, FailedAction, NumaPolicy as _};
+    fn save_restore_preserves_split_and_rng_state() {
+        use engine::NumaPolicy as _;
         let machine = MachineSpec::machine_a();
         let mut counters = quiet_counters();
         counters.dram_local = 100;
         counters.dram_remote = 900;
         let samples = falsely_shared_samples();
 
-        // Epoch 0: split-and-scatter fires (split history, interleave sets,
-        // RNG draws). Epoch 1: a failure report populates the retry queue.
+        // Epochs 0 and 1: split-and-scatter fires (split history,
+        // interleave sets, RNG draws).
         let mut lp = CarrefourLp::new();
-        let mut ctx = ctx_with(&machine, &counters, &samples, ThpControls::thp());
-        lp.on_epoch(&mut ctx);
-        let failed = [FailedAction {
-            action: PolicyAction::Migrate(0x20_0000, NodeId(2)),
-            error: ActionError::Busy,
-        }];
-        let mut ctx = ctx_with(&machine, &counters, &samples, ThpControls::thp());
-        ctx.epoch_index = 1;
-        ctx.set_failures(&failed);
-        lp.on_epoch(&mut ctx);
+        for epoch in 0..2u32 {
+            let mut ctx = ctx_with(&machine, &counters, &samples, ThpControls::thp());
+            ctx.epoch_index = epoch;
+            lp.on_epoch(&mut ctx);
+        }
 
         // Snapshot mid-scenario, restore onto a fresh instance, and drive
-        // both through identical further epochs: every queued action (retry
-        // re-issues, RNG-chosen interleave targets) must match.
+        // both through identical further epochs: every queued action
+        // (RNG-chosen interleave targets included) must match.
         let bytes = lp.save_state();
         let mut restored = CarrefourLp::new();
         restored.restore_state(&bytes);
         assert_eq!(restored.split_flag(), lp.split_flag());
-        assert_eq!(restored.abandoned_actions(), lp.abandoned_actions());
-        assert_eq!(restored.breaker_trips(), lp.breaker_trips());
         for epoch in 2..6u32 {
             let mut ctx_a = ctx_with(&machine, &counters, &samples, ThpControls::thp());
             ctx_a.epoch_index = epoch;
@@ -876,24 +603,5 @@ mod tests {
                 "restored tuned policy diverged at epoch {epoch}"
             );
         }
-    }
-
-    #[test]
-    fn fault_free_feedback_changes_nothing() {
-        // The same epoch, once with the robustness machinery untouched and
-        // once after an explicit empty failure report: identical actions.
-        let machine = MachineSpec::machine_b();
-        let mut counters = quiet_counters();
-        counters.dram_local = 100;
-        counters.dram_remote = 900;
-        let samples = falsely_shared_samples();
-        let mut a = CarrefourLp::new();
-        let mut b = CarrefourLp::new();
-        let mut ctx_a = ctx_with(&machine, &counters, &samples, ThpControls::thp());
-        a.on_epoch(&mut ctx_a);
-        let mut ctx_b = ctx_with(&machine, &counters, &samples, ThpControls::thp());
-        ctx_b.set_failures(&[]);
-        b.on_epoch(&mut ctx_b);
-        assert_eq!(ctx_a.queued(), ctx_b.queued());
     }
 }

@@ -1,10 +1,10 @@
-//! Crash-resilient snapshots: the `ckpt-v1` binary checkpoint format.
+//! Crash-resilient snapshots: the `ckpt-v2` binary checkpoint format.
 //!
 //! A [`Checkpoint`] captures everything a mid-stream resume needs — vmem
-//! address space, caches, controllers, TLBs, sampler, fault plan, RNG
-//! streams, policy state, and the engine's loop-carried accumulators — at
-//! an epoch boundary, such that [`crate::Simulation::resume`] continues
-//! the run **bit-identically** to one that was never interrupted.
+//! address space, caches, controllers, TLBs, sampler, RNG streams, policy
+//! state, and the engine's loop-carried accumulators — at an epoch
+//! boundary, such that [`crate::Simulation::resume`] continues the run
+//! **bit-identically** to one that was never interrupted.
 //!
 //! # Envelope format
 //!
@@ -25,17 +25,16 @@
 //! a schema hash from a different build, a checksum mismatch, or trailing
 //! bytes all surface as a typed [`CheckpointError`]. A checkpoint whose
 //! *config fingerprint* differs (different machine, workload spec, or
-//! simulation config — including seed and fault plan) parses fine but is
+//! simulation config — including the seed) parses fine but is
 //! rejected at [`crate::Simulation::resume`] time: resuming under changed
 //! inputs cannot reproduce the uninterrupted run and is a caller bug.
 
-use crate::policy::{ActionError, FailedAction, PolicyAction};
 use crate::result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
 };
 use codec::{fnv1a, Dec, Enc};
-use numa_topology::{MachineSpec, NodeId};
+use numa_topology::MachineSpec;
 use profiling::{CoreFaultTime, CycleBreakdown, EpochCounters};
 use workloads::WorkloadSpec;
 
@@ -47,11 +46,10 @@ pub const VERSION: u32 = 1;
 /// Descriptor of the payload layout. Any change to what the snapshot
 /// serializes (or its order) MUST extend this string so old checkpoints
 /// are rejected by schema hash instead of mis-decoded.
-const SCHEMA: &str = "ckpt-v1: gen space(+table_homing) walk_caches[per-thread] tlbs mem \
-                      sampler(+walk_remote_steps) page_stats? faults fault_epoch fault_life \
-                      robust wall total_ops overhead_total epochs last_failures \
-                      attrib(prelude core_totals epochs; 19 buckets)? policy_bytes; \
-                      actions+={replicate_tables,migrate_tables}";
+const SCHEMA: &str = "ckpt-v2: gen space(+table_homing) walk_caches[per-thread] tlbs mem \
+                      sampler(+walk_remote_steps) page_stats? fault_epoch fault_life \
+                      failed_migrations failed_splits wall total_ops overhead_total epochs \
+                      attrib(prelude core_totals epochs; 19 buckets)? policy_bytes";
 
 /// FNV-1a hash of the payload schema descriptor.
 pub fn schema_hash() -> u64 {
@@ -60,8 +58,8 @@ pub fn schema_hash() -> u64 {
 
 /// Fingerprint of everything a run's behaviour is a function of: the
 /// machine, the workload spec, and the full simulation config (seed,
-/// fault plan, attribution switch, ...). Computed over the `Debug`
-/// renderings, which cover every field.
+/// attribution switch, ...). Computed over the `Debug` renderings, which
+/// cover every field.
 pub fn config_fingerprint(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
@@ -107,7 +105,7 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A validated `ckpt-v1` snapshot, ready to resume from.
+/// A validated `ckpt-v2` snapshot, ready to resume from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     epoch: u32,
@@ -159,7 +157,7 @@ impl Checkpoint {
         self.config_fp == config_fingerprint(machine, spec, config)
     }
 
-    /// Serializes the checkpoint into the `ckpt-v1` envelope.
+    /// Serializes the checkpoint into the `ckpt-v2` envelope.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + 48);
         out.extend_from_slice(MAGIC);
@@ -173,7 +171,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses and validates a `ckpt-v1` envelope. Every header field and
+    /// Parses and validates a `ckpt-v2` envelope. Every header field and
     /// the payload checksum are verified before this returns `Ok`, so the
     /// panicking payload decoder never sees torn or foreign bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
@@ -217,88 +215,9 @@ impl Checkpoint {
 
 // --- Shared binary codecs for the engine's result tree. ---
 //
-// Used by the snapshot payload (loop-carried EpochRecords, failures,
-// attribution) and by the bench runner's cell journal, which persists
-// whole SimResults between suite runs.
-
-/// Encodes one [`PolicyAction`] (public: policy crates serialize queued
-/// actions in their own `save_state` payloads).
-pub fn enc_action(e: &mut Enc, a: &PolicyAction) {
-    match *a {
-        PolicyAction::Migrate(v, node) => {
-            e.u8(0);
-            e.u64(v);
-            e.u16(node.0);
-        }
-        PolicyAction::Split(v) => {
-            e.u8(1);
-            e.u64(v);
-        }
-        PolicyAction::SplitScatter(v) => {
-            e.u8(2);
-            e.u64(v);
-        }
-        PolicyAction::SetThpAlloc(b) => {
-            e.u8(4);
-            e.bool(b);
-        }
-        PolicyAction::SetThpPromote(b) => {
-            e.u8(5);
-            e.bool(b);
-        }
-        PolicyAction::ReplicateTables => {
-            e.u8(6);
-        }
-        PolicyAction::MigrateTables(v, node) => {
-            e.u8(7);
-            e.u64(v);
-            e.u16(node.0);
-        }
-    }
-}
-
-/// Decodes one [`PolicyAction`] written by [`enc_action`].
-pub fn dec_action(d: &mut Dec<'_>) -> PolicyAction {
-    match d.u8() {
-        0 => PolicyAction::Migrate(d.u64(), NodeId(d.u16())),
-        1 => PolicyAction::Split(d.u64()),
-        2 => PolicyAction::SplitScatter(d.u64()),
-        4 => PolicyAction::SetThpAlloc(d.bool()),
-        5 => PolicyAction::SetThpPromote(d.bool()),
-        6 => PolicyAction::ReplicateTables,
-        7 => PolicyAction::MigrateTables(d.u64(), NodeId(d.u16())),
-        t => panic!("ckpt: invalid PolicyAction tag {t}"),
-    }
-}
-
-fn enc_action_error(e: &mut Enc, err: ActionError) {
-    e.u8(match err {
-        ActionError::Busy => 0,
-        ActionError::NoMemory => 1,
-        ActionError::Gone => 2,
-    });
-}
-
-fn dec_action_error(d: &mut Dec<'_>) -> ActionError {
-    match d.u8() {
-        0 => ActionError::Busy,
-        1 => ActionError::NoMemory,
-        2 => ActionError::Gone,
-        t => panic!("ckpt: invalid ActionError tag {t}"),
-    }
-}
-
-pub(crate) fn enc_failed_action(e: &mut Enc, f: &FailedAction) {
-    enc_action(e, &f.action);
-    enc_action_error(e, f.error);
-}
-
-pub(crate) fn dec_failed_action(d: &mut Dec<'_>) -> FailedAction {
-    FailedAction {
-        action: dec_action(d),
-        error: dec_action_error(d),
-    }
-}
+// Used by the snapshot payload (loop-carried EpochRecords, attribution)
+// and by the bench runner's cell journal, which persists whole SimResults
+// between suite runs.
 
 pub(crate) fn enc_breakdown(e: &mut Enc, b: &CycleBreakdown) {
     e.u64(b.compute);
@@ -402,32 +321,24 @@ pub(crate) fn dec_epoch_record(d: &mut Dec<'_>) -> EpochRecord {
     }
 }
 
-pub(crate) fn enc_robust(e: &mut Enc, r: &RobustnessStats) {
+/// The result blob's robustness block. After the two live counters come
+/// seven retired slots: the failed data-page replication count, then the
+/// six counters of the deleted fault-injection layer (fallback allocs,
+/// busy rejections, dropped and misattributed samples, retries, OOM
+/// reclaims).
+fn enc_robust(e: &mut Enc, r: &RobustnessStats) {
     e.u64(r.failed_migrations);
     e.u64(r.failed_splits);
-    e.retired(1); // the failed data-page replication count
-    e.u64(r.fallback_allocs);
-    e.u64(r.busy_rejections);
-    e.u64(r.dropped_samples);
-    e.u64(r.misattributed_samples);
-    e.u64(r.retries);
-    e.u64(r.oom_reclaims);
+    e.retired(7);
 }
 
-pub(crate) fn dec_robust(d: &mut Dec<'_>) -> RobustnessStats {
-    RobustnessStats {
+fn dec_robust(d: &mut Dec<'_>) -> RobustnessStats {
+    let r = RobustnessStats {
         failed_migrations: d.u64(),
         failed_splits: d.u64(),
-        fallback_allocs: {
-            d.retired(1);
-            d.u64()
-        },
-        busy_rejections: d.u64(),
-        dropped_samples: d.u64(),
-        misattributed_samples: d.u64(),
-        retries: d.u64(),
-        oom_reclaims: d.u64(),
-    }
+    };
+    d.retired(7);
+    r
 }
 
 fn enc_lifetime(e: &mut Enc, l: &LifetimeStats) {
@@ -618,8 +529,8 @@ mod tests {
                 psp_4k: 10.0,
             },
             robustness: RobustnessStats {
-                retries: 4,
-                ..RobustnessStats::default()
+                failed_migrations: 4,
+                failed_splits: 1,
             },
             attribution: Some(AttributionLedger {
                 prelude: CycleBreakdown {
@@ -710,41 +621,25 @@ mod tests {
         assert!(Checkpoint::from_bytes(&good).is_ok());
     }
 
+    /// `schema_hash()` of the last ckpt-v1 build.
+    const V1_SCHEMA_HASH: u64 = 0x3724_7654_0609_7f2c;
+
     #[test]
-    fn action_codec_round_trips_every_variant() {
-        let actions = [
-            PolicyAction::Migrate(0x20_0000, NodeId(3)),
-            PolicyAction::Split(0x40_0000),
-            PolicyAction::SplitScatter(0x60_0000),
-            PolicyAction::SetThpAlloc(true),
-            PolicyAction::SetThpPromote(false),
-            PolicyAction::ReplicateTables,
-            PolicyAction::MigrateTables(0x20_0000, NodeId(2)),
-        ];
-        let errors = [ActionError::Busy, ActionError::NoMemory, ActionError::Gone];
-        let mut e = Enc::new();
-        for a in &actions {
-            enc_action(&mut e, a);
-        }
-        for (i, &err) in errors.iter().enumerate() {
-            enc_failed_action(
-                &mut e,
-                &FailedAction {
-                    action: actions[i],
-                    error: err,
-                },
-            );
-        }
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        for a in &actions {
-            assert_eq!(dec_action(&mut d), *a);
-        }
-        for (i, &err) in errors.iter().enumerate() {
-            let f = dec_failed_action(&mut d);
-            assert_eq!(f.action, actions[i]);
-            assert_eq!(f.error, err);
-        }
-        d.finish();
+    fn ckpt_v1_blobs_are_refused_by_schema() {
+        // The last ckpt-v1 descriptor. Its payload carried the fault plan's
+        // RNG state and the fed-back failed actions, which ckpt-v2 dropped.
+        const V1: &str = "ckpt-v1: gen space(+table_homing) walk_caches[per-thread] tlbs mem \
+                          sampler(+walk_remote_steps) page_stats? faults fault_epoch fault_life \
+                          robust wall total_ops overhead_total epochs last_failures \
+                          attrib(prelude core_totals epochs; 19 buckets)? policy_bytes; \
+                          actions+={replicate_tables,migrate_tables}";
+        assert_eq!(fnv1a(V1.as_bytes()), V1_SCHEMA_HASH);
+        assert_ne!(schema_hash(), V1_SCHEMA_HASH);
+        let mut v1 = Checkpoint::new(3, 42, vec![7; 32]).to_bytes();
+        v1[12..20].copy_from_slice(&V1_SCHEMA_HASH.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&v1),
+            Err(CheckpointError::SchemaMismatch)
+        );
     }
 }

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use crate::faults::FaultConfig;
 use memsys::MemSysConfig;
 use profiling::IbsConfig;
 use serde::{Deserialize, Serialize};
@@ -33,11 +32,8 @@ pub struct SimConfig {
     /// Record exact per-page statistics (Table 2 metrics). Small overhead;
     /// disable for pure-performance benches.
     pub track_page_stats: bool,
-    /// Fault injection. [`FaultConfig::none()`] (the default) is guaranteed
-    /// bit-identical to a build without the fault layer.
-    pub faults: FaultConfig,
     /// Run the `vmem` invariant walker after every epoch, panicking on the
-    /// first violation. Expensive; for tests and chaos runs only.
+    /// first violation. Expensive; for tests only.
     pub validate_each_epoch: bool,
     /// Record the cycle-attribution ledger ([`crate::AttributionLedger`] in
     /// `SimResult.attribution`): every wall cycle charged to its
@@ -67,7 +63,6 @@ impl SimConfig {
             },
             khugepaged_scan_limit: 24,
             track_page_stats: true,
-            faults: FaultConfig::none(),
             validate_each_epoch: false,
             attribution: false,
         }

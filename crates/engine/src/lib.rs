@@ -35,7 +35,6 @@
 
 pub mod checkpoint;
 mod config;
-mod faults;
 mod policy;
 pub mod recorder;
 mod result;
@@ -44,7 +43,6 @@ pub mod trace;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::SimConfig;
-pub use faults::{FaultConfig, FaultCounters, FaultPlan, FaultRates, MemoryPressure};
 pub use policy::{
     ActionError, EpochCtx, FailedAction, NullPolicy, NumaPolicy, PolicyAction, PolicyIntrospection,
 };

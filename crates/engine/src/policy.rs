@@ -32,25 +32,16 @@ pub enum PolicyAction {
 /// Why a policy action failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ActionError {
-    /// The target page was pinned busy (`-EBUSY`); retrying after a
-    /// backoff may succeed.
-    Busy,
-    /// A frame allocation failed (`-ENOMEM`); retrying once pressure
-    /// lifts may succeed.
+    /// A frame allocation failed (`-ENOMEM`): the target node is full.
     NoMemory,
     /// The action no longer applies (page unmapped, already split,
-    /// wrong size class); retrying is pointless.
+    /// wrong size class).
     Gone,
 }
 
-impl ActionError {
-    /// Whether a retry of the failed action can ever succeed.
-    pub fn is_retryable(self) -> bool {
-        !matches!(self, ActionError::Gone)
-    }
-}
-
-/// One action that failed, reported back to the policy at the next epoch.
+/// One action the engine could not apply, traced as
+/// [`crate::TraceEvent::ActionFailed`] and counted in the run's
+/// [`crate::RobustnessStats`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FailedAction {
     /// The action as the policy issued it.
@@ -77,13 +68,6 @@ pub struct EpochCtx<'a> {
     /// Index of the epoch that just closed (0-based).
     pub epoch_index: u32,
     pub(crate) actions: Vec<PolicyAction>,
-    /// Actions from the *previous* epoch that failed (empty unless fault
-    /// injection is active — see the zero-fault identity note on
-    /// [`crate::FaultConfig`]).
-    failed: &'a [FailedAction],
-    /// Retries the policy re-issued this epoch (self-reported via
-    /// [`EpochCtx::record_retries`]).
-    retries: u64,
     /// Whether [`EpochCtx::note`] records decisions (the engine turns this
     /// on only when a trace sink is attached, so noting stays free on
     /// untraced runs).
@@ -108,8 +92,6 @@ impl<'a> EpochCtx<'a> {
             thp,
             epoch_index,
             actions: Vec::new(),
-            failed: &[],
-            retries: 0,
             record_decisions: false,
             decisions: Vec::new(),
         }
@@ -135,36 +117,6 @@ impl<'a> EpochCtx<'a> {
     /// the trace sink; exposed for policy unit tests).
     pub fn take_decisions(&mut self) -> Vec<PolicyDecision> {
         std::mem::take(&mut self.decisions)
-    }
-
-    /// Attaches the previous epoch's failed actions (the engine calls this
-    /// only when fault injection is active; exposed for policy tests).
-    pub fn set_failures(&mut self, failed: &'a [FailedAction]) {
-        self.failed = failed;
-    }
-
-    /// Actions from the previous epoch that failed, with their errors.
-    /// Empty on a fault-free run.
-    pub fn failed(&self) -> &'a [FailedAction] {
-        self.failed
-    }
-
-    /// Queues an already-constructed action (retry machinery re-issuing a
-    /// failed one verbatim).
-    pub fn push(&mut self, action: PolicyAction) {
-        self.actions.push(action);
-    }
-
-    /// Reports that `n` of the actions queued this epoch are retries of
-    /// earlier failures, for the run's robustness accounting.
-    pub fn record_retries(&mut self, n: u64) {
-        self.retries += n;
-    }
-
-    /// Retries reported this epoch (the engine drains this into
-    /// [`crate::RobustnessStats::retries`]).
-    pub fn retries_recorded(&self) -> u64 {
-        self.retries
     }
 
     /// Requests migration of the page covering `vaddr` to `node`.
@@ -217,27 +169,12 @@ impl<'a> EpochCtx<'a> {
     }
 }
 
-/// A read-only snapshot of a policy's failure-handling machinery at one
-/// epoch boundary, reported through [`NumaPolicy::introspect`] for the
-/// metrics recorder (DESIGN.md §16). Policies without retry queues or
-/// circuit breakers report `None`; the recorder serializes that as JSON
-/// `null` so the metrics stream distinguishes "no machinery" from "all
-/// quiet".
+/// A policy's self-report at one epoch boundary, returned by
+/// [`NumaPolicy::introspect`]. No policy in this workspace reports one and
+/// nothing reads it: the hook stays so that wrappers which forward every
+/// `NumaPolicy` method keep compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PolicyIntrospection {
-    /// Failed actions currently waiting in the retry queue.
-    pub retry_queue_depth: usize,
-    /// Actions abandoned after exhausting their retry budget (lifetime).
-    pub retries_abandoned: u64,
-    /// Whether the split circuit breaker is open at this boundary.
-    pub split_breaker_open: bool,
-    /// Whether the migration circuit breaker is open at this boundary.
-    pub move_breaker_open: bool,
-    /// Lifetime trip count of the split breaker.
-    pub split_breaker_trips: u64,
-    /// Lifetime trip count of the migration breaker.
-    pub move_breaker_trips: u64,
-}
+pub struct PolicyIntrospection {}
 
 /// A NUMA memory-placement policy invoked at every epoch boundary.
 pub trait NumaPolicy {
@@ -247,8 +184,8 @@ pub trait NumaPolicy {
     /// Reads the epoch's observations and queues actions on `ctx`.
     fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>);
 
-    /// Whether this policy reads IBS samples / page stats. When `false`
-    /// (and fault injection is off), the engine skips storing samples —
+    /// Whether this policy reads IBS samples / page stats. When `false`,
+    /// the engine skips storing samples —
     /// the sampling *overhead* is still charged, only the profiling
     /// bookkeeping nobody will read is elided, so results stay
     /// bit-identical.
@@ -256,7 +193,7 @@ pub trait NumaPolicy {
         true
     }
 
-    /// Serializes the policy's mutable state for a `ckpt-v1` snapshot.
+    /// Serializes the policy's mutable state for a checkpoint snapshot.
     /// Stateless policies (the default) return an empty buffer; stateful
     /// ones must capture everything [`NumaPolicy::restore_state`] needs to
     /// make a freshly-constructed instance continue bit-identically.
@@ -269,11 +206,9 @@ pub trait NumaPolicy {
     /// ignores the bytes (stateless policies).
     fn restore_state(&mut self, _bytes: &[u8]) {}
 
-    /// Read-only view of the policy's failure-handling state at the
-    /// boundary closing `epoch`, sampled by the metrics recorder. Must be
-    /// a pure observation: implementations may not mutate anything, so an
-    /// introspected run stays bit-identical to an uninspected one. The
-    /// default (`None`) is for policies without retry/breaker machinery.
+    /// The policy's self-report at the boundary closing `epoch` (see
+    /// [`PolicyIntrospection`]). Must be a pure observation. Every policy
+    /// here keeps the default, `None`.
     fn introspect(&self, _epoch: u32) -> Option<PolicyIntrospection> {
         None
     }
@@ -318,30 +253,6 @@ mod tests {
         let taken = ctx.take_actions();
         assert_eq!(taken.len(), 3);
         assert!(ctx.queued().is_empty());
-    }
-
-    #[test]
-    fn failure_feedback_round_trips() {
-        let machine = MachineSpec::test_machine();
-        let counters = EpochCounters::default();
-        let mut ctx = EpochCtx::new(&machine, &counters, &[], ThpControls::thp(), 1);
-        assert!(
-            ctx.failed().is_empty(),
-            "fault-free runs report no failures"
-        );
-        let failed = [FailedAction {
-            action: PolicyAction::Migrate(0x2000, NodeId(1)),
-            error: ActionError::Busy,
-        }];
-        ctx.set_failures(&failed);
-        assert_eq!(ctx.failed().len(), 1);
-        assert!(ctx.failed()[0].error.is_retryable());
-        assert!(!ActionError::Gone.is_retryable());
-        // A retry re-issues the action verbatim and is accounted.
-        ctx.push(ctx.failed()[0].action);
-        ctx.record_retries(1);
-        assert_eq!(ctx.queued(), &[PolicyAction::Migrate(0x2000, NodeId(1))]);
-        assert_eq!(ctx.retries_recorded(), 1);
     }
 
     #[test]

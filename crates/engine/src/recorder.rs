@@ -4,8 +4,7 @@
 //! true: the simulation driver hands it one [`MetricsSample`] per epoch
 //! boundary (in [`crate::EpochBoundary::metrics`]) — the paper's derived
 //! metrics (imbalance, PAMUP, NHP, PSP), per-controller load, TLB and
-//! walk-cache hit rates for the epoch, the policy's retry/breaker state
-//! ([`crate::PolicyIntrospection`]), and the attribution ledger's
+//! walk-cache hit rates for the epoch, and the attribution ledger's
 //! per-epoch delta. Where `engine::trace` answers "what happened", the
 //! recorder answers "how did the paper's metrics *evolve*" — the temporal
 //! curves Sections 2.2 and 3 of the paper argue from.
@@ -15,7 +14,7 @@
 //! The contract mirrors the trace layer's (DESIGN.md §9, §16): when no
 //! hook asks for samples the driver builds none; when one does, every
 //! read behind the sample is `&self` — counters already computed,
-//! page-stat aggregation, policy introspection — so a recorded run's
+//! page-stat aggregation — so a recorded run's
 //! `SimResult`, ledger, and trace digest are bit-identical to an
 //! unrecorded run's (proptested in
 //! `carrefour-bench/tests/metrics_equivalence.rs`). In particular the
@@ -23,19 +22,18 @@
 //! page stats are off, [`MetricsSample::pages`] is `None` and the JSONL
 //! field is `null` — forcing them on would change `SimResult::pages`.
 //!
-//! # `metrics-v2` JSONL
+//! # `metrics-v3` JSONL
 //!
 //! [`JsonlRecorder`] serializes the stream next to the trace output's
 //! format: one `{"metrics": "run_start", ...}` header line, one
 //! `{"metrics": "epoch", ...}` line per boundary. Schema in DESIGN.md §16.
 
-use crate::policy::PolicyIntrospection;
 use crate::sim::{EpochBoundary, RunHook};
 use profiling::CycleBreakdown;
 use std::io::Write;
 
 /// Identity of the run a recorder is attached to — the `run_start`
-/// header of a `metrics-v2` stream.
+/// header of a `metrics-v3` stream.
 #[derive(Clone, Copy, Debug)]
 pub struct RunInfo<'a> {
     /// Workload name (`WorkloadSpec::name`).
@@ -102,9 +100,6 @@ pub struct MetricsSample<'a> {
     pub failed_actions: u64,
     /// PAMUP/NHP/PSP (cumulative) — `None` when page stats are off.
     pub pages: Option<PageSnapshot>,
-    /// Retry-queue / circuit-breaker state — `None` for policies without
-    /// that machinery.
-    pub policy: Option<PolicyIntrospection>,
     /// The attribution ledger's delta for this epoch (wall buckets) —
     /// `None` when `SimConfig::attribution` is off.
     pub attrib: Option<&'a CycleBreakdown>,
@@ -132,7 +127,7 @@ impl MetricsSample<'_> {
         }
     }
 
-    /// Serializes the sample as one `metrics-v2` JSONL line (no trailing
+    /// Serializes the sample as one `metrics-v3` JSONL line (no trailing
     /// newline).
     pub fn to_json(&self) -> String {
         let mut s = format!(
@@ -169,20 +164,6 @@ impl MetricsSample<'_> {
                 num(p.psp)
             )),
             None => s.push_str(",\"pages\":null"),
-        }
-        match &self.policy {
-            Some(p) => s.push_str(&format!(
-                ",\"policy\":{{\"retry_queue_depth\":{},\"retries_abandoned\":{},\
-                 \"split_breaker_open\":{},\"move_breaker_open\":{},\
-                 \"split_breaker_trips\":{},\"move_breaker_trips\":{}}}",
-                p.retry_queue_depth,
-                p.retries_abandoned,
-                p.split_breaker_open,
-                p.move_breaker_open,
-                p.split_breaker_trips,
-                p.move_breaker_trips,
-            )),
-            None => s.push_str(",\"policy\":null"),
         }
         match self.attrib {
             Some(bd) => {
@@ -271,8 +252,6 @@ pub struct MetricsRow {
     pub failed_actions: u64,
     /// PAMUP/NHP/PSP, when page stats were on.
     pub pages: Option<PageSnapshot>,
-    /// Retry/breaker state, when the policy reports it.
-    pub policy: Option<PolicyIntrospection>,
     /// This epoch's attribution delta, when the ledger was on.
     pub attrib: Option<CycleBreakdown>,
 }
@@ -294,7 +273,6 @@ impl MetricsRow {
             collapses: s.collapses,
             failed_actions: s.failed_actions,
             pages: s.pages,
-            policy: s.policy,
             attrib: s.attrib.copied(),
         }
     }
@@ -341,7 +319,7 @@ impl RunHook for VecRecorder {
     }
 }
 
-/// Streams `metrics-v2` JSONL to any writer. Mirrors `JsonlSink`'s error
+/// Streams `metrics-v3` JSONL to any writer. Mirrors `JsonlSink`'s error
 /// handling: the first `io::Error` is stored (inspect via
 /// [`JsonlRecorder::error`]) and later writes are skipped — a
 /// recorder must never panic mid-simulation over a full disk.
@@ -375,7 +353,7 @@ impl<W: Write> JsonlRecorder<W> {
         }
     }
 
-    /// Writes one sample as a `metrics-v2` epoch line.
+    /// Writes one sample as a `metrics-v3` epoch line.
     pub fn record(&mut self, sample: &MetricsSample<'_>) {
         self.write_line(&sample.to_json());
     }
@@ -384,7 +362,7 @@ impl<W: Write> JsonlRecorder<W> {
 impl<W: Write> RunHook for JsonlRecorder<W> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.write_line(&format!(
-            "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v2\",\
+            "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v3\",\
              \"workload\":\"{}\",\"policy\":\"{}\",\"machine\":\"{}\",\
              \"threads\":{},\"nodes\":{}}}",
             esc(info.workload),
@@ -476,14 +454,6 @@ mod tests {
                 nhp: 2,
                 psp: 100.0,
             }),
-            policy: Some(PolicyIntrospection {
-                retry_queue_depth: 1,
-                retries_abandoned: 0,
-                split_breaker_open: false,
-                move_breaker_open: true,
-                split_breaker_trips: 0,
-                move_breaker_trips: 2,
-            }),
             attrib,
         }
     }
@@ -524,12 +494,12 @@ mod tests {
         let text = String::from_utf8(rec.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"schema\":\"metrics-v2\""));
+        assert!(lines[0].contains("\"schema\":\"metrics-v3\""));
         assert!(lines[0].contains("\"workload\":\"UA.B\""));
         assert!(lines[1].contains("\"controller_requests\":[10,20,30,40]"));
         assert!(lines[1].contains("\"tlb_hit_rate\":0.95"));
         assert!(lines[1].contains("\"compute\":7"));
-        assert!(lines[1].contains("\"move_breaker_open\":true"));
+        assert!(!lines[1].contains("\"policy\""));
         // Every line is balanced JSON (cheap structural check).
         for l in lines {
             assert_eq!(
@@ -545,12 +515,10 @@ mod tests {
         let reqs = [1u64];
         let s = MetricsSample {
             pages: None,
-            policy: None,
             ..sample(&reqs, None)
         };
         let j = s.to_json();
         assert!(j.contains("\"pages\":null"));
-        assert!(j.contains("\"policy\":null"));
         assert!(j.contains("\"attrib\":null"));
     }
 

@@ -21,40 +21,21 @@ pub struct EpochRecord {
     pub thp_alloc_enabled: bool,
     /// Whether khugepaged promotion was enabled when the epoch closed.
     pub thp_promote_enabled: bool,
-    /// Policy actions that failed this epoch: injected busy pins and
-    /// allocation failures, but also natural refusals of stale targets
-    /// (page already split or collapsed) that were previously skipped
-    /// silently — so this can be nonzero even without fault injection.
+    /// Policy actions that failed this epoch: allocation failures on a
+    /// full node and refusals of stale targets (page already split or
+    /// collapsed).
     pub failed_actions: u64,
 }
 
-/// Failure-and-recovery accounting of one run.
-///
-/// The injection-specific counters (`fallback_allocs`, `busy_rejections`,
-/// `dropped_samples`, `misattributed_samples`, `oom_reclaims`, `retries`)
-/// are all-zero on a fault-free run: the fault layer draws no random
-/// numbers unless a [`crate::FaultConfig`] enables it, and failed-action
-/// feedback — the trigger for retries — is only delivered to policies on
-/// fault-injected runs. The `failed_*` counters additionally record
-/// natural vmem refusals of stale actions, which can occur on any run.
+/// The policy actions of one run that the engine could not apply: a
+/// migration onto a full node (`NoMemory`), or a stale action whose page
+/// was already split or moved (`Gone`). Both occur naturally on any run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RobustnessStats {
     /// Migrations requested by the policy that failed.
     pub failed_migrations: u64,
     /// Splits (plain and scatter) requested by the policy that failed.
     pub failed_splits: u64,
-    /// Huge allocations vetoed at fault time (forced 4 KiB fallback).
-    pub fallback_allocs: u64,
-    /// Actions rejected because their target page was pinned busy.
-    pub busy_rejections: u64,
-    /// IBS samples lost before the policy saw them.
-    pub dropped_samples: u64,
-    /// IBS samples delivered with a falsified accessing node.
-    pub misattributed_samples: u64,
-    /// Actions re-issued by a policy's retry machinery.
-    pub retries: u64,
-    /// Allocation failures answered by reclaiming pressure-reserved memory.
-    pub oom_reclaims: u64,
 }
 
 impl RobustnessStats {
@@ -175,7 +156,7 @@ pub struct SimResult {
     pub lifetime: LifetimeStats,
     /// Table 2 metrics.
     pub pages: PageMetrics,
-    /// Failure-and-recovery accounting (all-zero without fault injection).
+    /// Policy actions the engine could not apply.
     pub robustness: RobustnessStats,
     /// Cycle-attribution ledger; `None` unless `SimConfig.attribution` was
     /// on for the run.

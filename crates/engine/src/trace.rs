@@ -70,11 +70,6 @@ pub enum PolicyDecision {
         /// Controller imbalance that engaged the hot-page pass.
         imbalance: f64,
     },
-    /// A circuit breaker tripped and paused a class of actions.
-    BreakerTrip {
-        /// Which breaker: `"split"` or `"move"`.
-        breaker: &'static str,
-    },
 }
 
 /// One traced simulation event. `epoch` is the index of the epoch being
@@ -156,7 +151,7 @@ pub enum TraceEvent {
         /// The decision.
         decision: PolicyDecision,
     },
-    /// A policy action failed (injected fault or natural vmem refusal).
+    /// A policy action failed (a full node or a stale target).
     ActionFailed {
         /// Epoch that just closed.
         epoch: u32,
@@ -306,16 +301,12 @@ fn decision_words(d: &PolicyDecision, h: &mut Fnv64) {
             h.word(u64::from(*total));
             h.word(imbalance.to_bits());
         }
-        PolicyDecision::BreakerTrip { breaker } => {
-            h.word(4);
-            h.bytes(breaker.as_bytes());
-        }
     }
 }
 
 /// FNV-1a fingerprint of one epoch boundary's complete policy output: the
 /// queued actions in issue order, the noted Algorithm-1 decisions in note
-/// order, and the retry count the policy recorded. Given equal inputs, two
+/// order. Given equal inputs, two
 /// policies whose boundary outputs fingerprint equal drive the engine
 /// identically through that boundary — the engine consumes *nothing else*
 /// from the policy — which is the soundness basis of the runner's
@@ -326,7 +317,6 @@ pub fn epoch_output_fingerprint(
     epoch: u32,
     actions: &[PolicyAction],
     decisions: &[PolicyDecision],
-    retries: u64,
 ) -> u64 {
     let mut h = Fnv64::new();
     h.word(u64::from(epoch));
@@ -338,7 +328,6 @@ pub fn epoch_output_fingerprint(
     for d in decisions {
         decision_words(d, &mut h);
     }
-    h.word(retries);
     h.value()
 }
 
@@ -460,8 +449,8 @@ impl TraceEvent {
             } => {
                 h.word(u64::from(*epoch));
                 action_words(action, h);
+                // Explicit tags: 0 was the retired injected `-EBUSY`.
                 h.word(match error {
-                    ActionError::Busy => 0,
                     ActionError::NoMemory => 1,
                     ActionError::Gone => 2,
                 });
@@ -616,9 +605,6 @@ impl TraceEvent {
                          \"total\":{total},\"imbalance\":{}",
                         num(*imbalance)
                     ),
-                    PolicyDecision::BreakerTrip { breaker } => {
-                        format!("\"what\":\"breaker_trip\",\"breaker\":\"{breaker}\"")
-                    }
                 };
                 format!("{{\"ev\":\"decision\",\"epoch\":{epoch},{body}}}")
             }
@@ -641,7 +627,6 @@ impl TraceEvent {
                     }
                 };
                 let err = match error {
-                    ActionError::Busy => "busy",
                     ActionError::NoMemory => "no_memory",
                     ActionError::Gone => "gone",
                 };

@@ -13,7 +13,7 @@
 //! — exactly, as integers, including under MLP division and per-thread
 //! overhead amortization (the engine uses prefix-sum differencing so the
 //! integer shares sum to the integer quotient). Tier-1 tests enforce this
-//! across every golden configuration and under fault injection.
+//! across every golden configuration and with failed policy actions.
 
 use serde::{Deserialize, Serialize};
 

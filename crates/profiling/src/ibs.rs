@@ -200,7 +200,7 @@ impl IbsSampler {
     }
 
     /// Serializes the sampler's mutable state — countdown, per-node stores,
-    /// lifetime/overhead counters, and the storage flag — for the `ckpt-v1`
+    /// lifetime/overhead counters, and the storage flag — for the `ckpt-v2`
     /// snapshot (the config is constructor-fixed).
     pub fn save_into(&self, e: &mut codec::Enc) {
         e.u64(self.countdown);

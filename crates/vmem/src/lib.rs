@@ -46,9 +46,7 @@ pub use error::VmemError;
 pub use frame::{FrameAllocator, FrameError};
 pub use ops::{OpCost, OpCostModel};
 pub use replica::ReplicaSet;
-pub use space::{
-    AddressSpace, AllocGate, AllowAll, FaultOutcome, SpaceError, ThpControls, VmemConfig, VmemStats,
-};
+pub use space::{AddressSpace, FaultOutcome, SpaceError, ThpControls, VmemConfig, VmemStats};
 pub use table::{
     CollapseOutcome, Mapping, PageSize, PageTable, TableError, WalkCache, WalkResult, WalkStep,
 };

@@ -162,30 +162,6 @@ struct Region {
     len: u64,
 }
 
-/// A veto point consulted before each huge/giant frame allocation at fault
-/// time. Models transient THP allocation failure — compaction not finding
-/// a contiguous block — which Linux reports as `thp_fault_fallback` and
-/// answers by backing the fault with 4 KiB pages instead.
-///
-/// The gate is `&mut` so implementations may hold RNG state (the engine's
-/// fault-injection plan does); it is consulted only for allocations that
-/// would genuinely be attempted (after the region-fit and population
-/// probes), so every call corresponds to one would-be huge allocation.
-pub trait AllocGate {
-    /// Whether a huge/giant allocation of `size` may proceed this fault.
-    fn allow_huge(&mut self, size: PageSize) -> bool;
-}
-
-/// The default gate: never vetoes anything.
-pub struct AllowAll;
-
-impl AllocGate for AllowAll {
-    #[inline]
-    fn allow_huge(&mut self, _size: PageSize) -> bool {
-        true
-    }
-}
-
 /// One process's address space on one machine.
 ///
 /// Owns the machine's frame allocator and the page table; the engine owns
@@ -450,19 +426,6 @@ impl AddressSpace {
     /// on the preferred node (falling back to smaller sizes before falling
     /// back to remote nodes, matching THP's behaviour).
     pub fn fault(&mut self, vaddr: VirtAddr, node: NodeId) -> Result<FaultOutcome, SpaceError> {
-        self.fault_gated(vaddr, node, &mut AllowAll)
-    }
-
-    /// Like [`AddressSpace::fault`], but consults `gate` before each huge
-    /// or giant allocation that would otherwise be attempted; a veto makes
-    /// the fault fall through to the next smaller size, exactly as if the
-    /// allocation itself had failed (THP compaction failure).
-    pub fn fault_gated(
-        &mut self,
-        vaddr: VirtAddr,
-        node: NodeId,
-        gate: &mut dyn AllocGate,
-    ) -> Result<FaultOutcome, SpaceError> {
         let region = self.region_of(vaddr).ok_or(SpaceError::NoRegion)?;
         if self.table.translate(vaddr).is_some() {
             return Err(SpaceError::AlreadyMapped);
@@ -495,10 +458,6 @@ impl AddressSpace {
                 vaddr.align_down(PAGE_4K),
             ];
             if probes.iter().any(|&p| self.table.translate(p).is_some()) {
-                continue;
-            }
-            if size != PageSize::Size4K && !gate.allow_huge(size) {
-                // Vetoed: compaction "failed"; fall back to a smaller size.
                 continue;
             }
             let got = if size == PageSize::Size4K {
@@ -756,13 +715,10 @@ impl AddressSpace {
         self.frames.free(frame, size);
     }
 
-    /// Serializes the full address-space state for the `ckpt-v1` snapshot:
+    /// Serializes the full address-space state for the `ckpt-v2` snapshot:
     /// frame allocator free lists, the page-table arena, registered
     /// regions, the (runtime-mutable) THP switches, lifetime stats, the
     /// khugepaged cursor and inhibitions, and the page-table replicas.
-    /// Five zero words hold the slots of the retired data-page replica
-    /// state (two counters and an empty replica table), so the layout is
-    /// unchanged (DESIGN.md §12).
     pub fn save_into(&self, e: &mut codec::Enc) {
         self.frames.save_into(e);
         self.table.save_into(e);
@@ -780,11 +736,9 @@ impl AddressSpace {
         e.u64(self.stats.migrations_2m);
         e.u64(self.stats.splits);
         e.u64(self.stats.collapses);
-        e.retired(2);
         e.u64(self.stats.bytes_copied);
         e.u64(self.scan_cursor);
         e.seq(self.no_promote.iter(), |e, &b| e.u64(b));
-        e.retired(3);
         e.u64(self.stats.table_replications);
         e.u64(self.stats.table_migrations);
         e.usize(self.eager_table_nodes);
@@ -811,11 +765,9 @@ impl AddressSpace {
         self.stats.migrations_2m = d.u64();
         self.stats.splits = d.u64();
         self.stats.collapses = d.u64();
-        d.retired(2);
         self.stats.bytes_copied = d.u64();
         self.scan_cursor = d.u64();
         self.no_promote = d.seq(|d| d.u64()).into_iter().collect();
-        d.retired(3);
         self.stats.table_replications = d.u64();
         self.stats.table_migrations = d.u64();
         self.eager_table_nodes = d.usize();
@@ -838,7 +790,7 @@ impl AddressSpace {
     /// deliberately untracked (pinned buffers), so they appear in none of
     /// the interval lists — which is consistent with every check above.
     ///
-    /// O(n log n) in the number of mappings: debug/chaos aid, not a fast
+    /// O(n log n) in the number of mappings: debug aid, not a fast
     /// path. Returns the first violation found.
     pub fn validate(&self) -> Result<(), VmemError> {
         self.frames.validate()?;
@@ -1172,29 +1124,6 @@ mod tests {
             SpaceError::BadRegion
         );
         s.map_region(BASE + (1 << 30), 4096).unwrap();
-    }
-
-    /// A gate vetoing every huge allocation.
-    struct DenyHuge;
-    impl AllocGate for DenyHuge {
-        fn allow_huge(&mut self, _: PageSize) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn gated_fault_falls_back_to_small_pages() {
-        let mut s = space();
-        s.map_region(BASE, 64 << 20).unwrap();
-        let f = s
-            .fault_gated(VirtAddr(BASE + 0x1234), NodeId(0), &mut DenyHuge)
-            .unwrap();
-        assert_eq!(f.mapping.size, PageSize::Size4K);
-        assert_eq!(s.stats().faults_4k, 1);
-        assert_eq!(s.stats().faults_2m, 0);
-        // The default gate still installs huge pages.
-        let f = s.fault(VirtAddr(BASE + PAGE_2M), NodeId(0)).unwrap();
-        assert_eq!(f.mapping.size, PageSize::Size2M);
     }
 
     #[test]

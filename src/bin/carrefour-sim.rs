@@ -6,14 +6,12 @@
 //! carrefour-sim --list
 //! ```
 //!
-//! Optional fault injection (`--fault-rate`, `--fault-seed`) drives the
-//! deterministic chaos layer; with the default rate of 0 the run is
-//! bit-identical to a build without the fault layer. Misuse (unknown
-//! machine/bench/policy, missing value) prints usage and exits 2. Same
+//! Misuse (unknown machine/bench/policy, missing value) prints usage and
+//! exits 2. Same
 //! arguments → byte-identical output, including `--json`.
 
 use carrefour::{Carrefour, CarrefourLp, LpParams, Mitosis, NumaPte};
-use engine::{FaultConfig, NullPolicy, NumaPolicy, SimConfig, SimResult, Simulation};
+use engine::{NullPolicy, NumaPolicy, SimConfig, SimResult, Simulation};
 use numa_topology::MachineSpec;
 use std::process::ExitCode;
 use vmem::ThpControls;
@@ -28,7 +26,6 @@ const POLICIES: &[&str] = &[
     "reactive",
     "carrefour-lp",
     "carrefour-lp-tuned",
-    "carrefour-lp-noretry",
     "mitosis",
     "numapte",
     "linux-1g",
@@ -38,15 +35,12 @@ const POLICIES: &[&str] = &[
 fn usage() {
     eprintln!(
         "usage: carrefour-sim --bench <name> [--machine a|b] [--policy <name>]\n\
-         \x20                    [--seed <u64>] [--fault-rate <0..1>] [--fault-seed <u64>]\n\
-         \x20                    [--json] [--list]\n\
+         \x20                    [--seed <u64>] [--json] [--list]\n\
          \n\
          \x20 --machine     a (4 nodes / 24 cores, default) or b (8 nodes / 64 cores)\n\
          \x20 --bench       benchmark name as the paper prints it (e.g. CG.D, WC, SSCA.20)\n\
          \x20 --policy      one of: {}\n\
          \x20 --seed        workload RNG seed (default 42)\n\
-         \x20 --fault-rate  operational fault-injection rate (default 0 = no faults)\n\
-         \x20 --fault-seed  fault-plan RNG seed (default 20140619)\n\
          \x20 --json        print the result as one JSON object instead of a table\n\
          \x20 --list        enumerate machines, benchmarks, and policies, then exit",
         POLICIES.join(", ")
@@ -84,7 +78,6 @@ fn make_policy(name: &str) -> Option<(Box<dyn NumaPolicy>, ThpControls)> {
             Box::new(CarrefourLp::with_params(LpParams::tuned()).named("carrefour-lp-tuned")),
             ThpControls::thp(),
         ),
-        "carrefour-lp-noretry" => (Box::new(CarrefourLp::without_retries()), ThpControls::thp()),
         "mitosis" => (Box::new(Mitosis::new()), ThpControls::small_only()),
         "numapte" => (Box::new(NumaPte::new()), ThpControls::small_only()),
         "linux-1g" => (Box::new(NullPolicy), ThpControls::giant()),
@@ -116,10 +109,7 @@ fn print_json(r: &SimResult) {
          \"imbalance\":{:.6},\"walk_miss_fraction\":{:.6},\
          \"fault_cycles\":{},\"splits\":{},\"migrations_4k\":{},\
          \"table_replications\":{},\"table_migrations\":{},\
-         \"robustness\":{{\"failed_migrations\":{},\"failed_splits\":{},\
-         \"fallback_allocs\":{},\
-         \"busy_rejections\":{},\"dropped_samples\":{},\
-         \"misattributed_samples\":{},\"retries\":{},\"oom_reclaims\":{}}}}}",
+         \"robustness\":{{\"failed_migrations\":{},\"failed_splits\":{}}}}}",
         r.machine,
         r.workload,
         r.policy,
@@ -135,12 +125,6 @@ fn print_json(r: &SimResult) {
         r.lifetime.vmem.table_migrations,
         rb.failed_migrations,
         rb.failed_splits,
-        rb.fallback_allocs,
-        rb.busy_rejections,
-        rb.dropped_samples,
-        rb.misattributed_samples,
-        rb.retries,
-        rb.oom_reclaims,
     );
 }
 
@@ -150,8 +134,6 @@ fn main() -> ExitCode {
     let mut bench = None;
     let mut policy = "carrefour-lp".to_string();
     let mut seed = None;
-    let mut fault_rate = 0.0f64;
-    let mut fault_seed = 20140619u64;
     let mut json = false;
 
     let mut it = args.iter();
@@ -192,26 +174,17 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--seed" | "--fault-rate" | "--fault-seed" => {
-                let flag = arg.clone();
-                let Ok(v) = value(&flag) else {
+            "--seed" => {
+                let Ok(v) = value("--seed") else {
                     usage();
                     return ExitCode::from(2);
                 };
-                let ok = match flag.as_str() {
-                    "--seed" => v.parse().map(|s| seed = Some(s)).is_ok(),
-                    "--fault-rate" => v
-                        .parse()
-                        .map(|r: f64| fault_rate = r)
-                        .map(|()| (0.0..=1.0).contains(&fault_rate))
-                        .unwrap_or(false),
-                    _ => v.parse().map(|s| fault_seed = s).is_ok(),
-                };
-                if !ok {
-                    eprintln!("carrefour-sim: bad value {v:?} for {flag}");
+                let Ok(s) = v.parse() else {
+                    eprintln!("carrefour-sim: bad value {v:?} for --seed");
                     usage();
                     return ExitCode::from(2);
-                }
+                };
+                seed = Some(s);
             }
             other => {
                 eprintln!("carrefour-sim: unknown argument {other:?}");
@@ -247,9 +220,6 @@ fn main() -> ExitCode {
     if let Some(s) = seed {
         config.seed = s;
     }
-    if fault_rate > 0.0 {
-        config.faults = FaultConfig::uniform(fault_seed, fault_rate);
-    }
     let mut result = Simulation::run(&machine, &spec, &config, policy_obj.as_mut());
     result.policy = policy.clone();
 
@@ -280,15 +250,10 @@ fn main() -> ExitCode {
         let rb = &result.robustness;
         if rb != &Default::default() {
             println!(
-                "  robustness: {} failed actions ({} migrations, {} splits), \
-                 {} fallback allocs, {} busy, {} dropped samples, {} retries",
+                "  robustness: {} failed actions ({} migrations, {} splits)",
                 rb.failed_actions(),
                 rb.failed_migrations,
                 rb.failed_splits,
-                rb.fallback_allocs,
-                rb.busy_rejections,
-                rb.dropped_samples,
-                rb.retries,
             );
         }
     }

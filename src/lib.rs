@@ -32,14 +32,14 @@ pub mod prelude {
 
     pub use carrefour::{
         Carrefour, CarrefourConfig, CarrefourLp, LpParams, LpThresholds, Mitosis, NumaPte,
-        NumaPteConfig, RobustnessConfig,
+        NumaPteConfig,
     };
     pub use engine::{
         ActionError, Checkpoint, CheckpointError, CountingSink, DigestSink, EpochCtx, EpochDigest,
-        EpochRecord, EpochSnap, EventKind, FailedAction, FaultConfig, FaultRates, JsonlSink,
-        LifetimeStats, MemoryPressure, NullPolicy, NumaPolicy, PageMetrics, PolicyAction,
-        PolicyDecision, RingSink, RobustnessStats, RunHook, RunOptions, RunOutcome, SimConfig,
-        SimResult, Simulation, Start, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,
+        EpochRecord, EpochSnap, EventKind, FailedAction, JsonlSink, LifetimeStats, NullPolicy,
+        NumaPolicy, PageMetrics, PolicyAction, PolicyDecision, RingSink, RobustnessStats, RunHook,
+        RunOptions, RunOutcome, SimConfig, SimResult, Simulation, Start, TeeSink, TraceDigest,
+        TraceEvent, TraceSink, VecSink,
     };
     pub use numa_topology::{CoreId, MachineSpec, NodeId, NodeSpec};
     pub use profiling::{IbsConfig, IbsSample, IbsSampler};

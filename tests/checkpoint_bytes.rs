@@ -1,4 +1,4 @@
-//! Pins the `ckpt-v1` checkpoint byte format. The payload encodes the
+//! Pins the `ckpt-v2` checkpoint byte format. The payload encodes the
 //! TLBs and page tables in a canonical order (TLB sets MRU-first, table
 //! entries by ascending slot index), so a change to how those structures
 //! are *stored* must leave these bytes alone. Re-pinning is an intended
@@ -40,7 +40,7 @@ fn machine_a_ua_b_linux_4k_checkpoint_bytes_are_pinned() {
     );
     assert_eq!(
         (digest, len),
-        (0x9258_3c48_af16_1f03, 2_332_070),
+        (0xc780_7eac_5643_1640, 2_331_873),
         "got {digest:016x} ({len} bytes)"
     );
 }
@@ -55,7 +55,7 @@ fn machine_b_cg_d_carrefour_lp_checkpoint_bytes_are_pinned() {
     );
     assert_eq!(
         (digest, len),
-        (0xdb2f_b195_a96e_c591, 3_826_576),
+        (0x5c1e_c46f_1397_51a0, 3_826_329),
         "got {digest:016x} ({len} bytes)"
     );
 }

@@ -1,6 +1,6 @@
 //! Property tests for NUMA-homed page tables (DESIGN.md §13): replica
 //! coherence under random operation sequences, and the full Mitosis /
-//! numaPTE policies surviving random fault plans.
+//! numaPTE policies surviving a full node.
 //!
 //! The central invariant: table replication and migration move *table*
 //! frames only. Whatever sequence of faults, splits, collapses, data
@@ -143,30 +143,43 @@ fn small_spec(machine: &MachineSpec) -> WorkloadSpec {
     }
 }
 
+/// Runs `policy` with per-epoch validation on. With `full_node`, every
+/// free frame of node 0 is taken before the workload starts: its threads
+/// fault in remotely, and table copies or moves onto node 0 fail.
 fn run_policy(
     machine: &MachineSpec,
-    faults: FaultConfig,
+    seed: u64,
+    full_node: bool,
     policy: &mut dyn NumaPolicy,
 ) -> SimResult {
     let spec = small_spec(machine);
     let mut config = SimConfig::for_machine(machine, vmem::ThpControls::small_only());
-    config.faults = faults;
+    config.seed = seed;
     config.validate_each_epoch = true;
-    Simulation::run(machine, &spec, &config, policy)
+    let fill = |space: &mut AddressSpace| {
+        for size in [PageSize::Size2M, PageSize::Size4K] {
+            while space.alloc_frame(NodeId(0), size).is_ok() {}
+        }
+    };
+    let opts = RunOptions {
+        setup: full_node.then_some(&fill as &dyn Fn(&mut AddressSpace)),
+        ..RunOptions::default()
+    };
+    Simulation::run_with(machine, &spec, &config, policy, opts).result()
 }
 
 proptest! {
-    /// Mitosis completes under arbitrary fault mixes with per-epoch
-    /// validation on: replication alloc failures degrade to primary
-    /// walks, never to a corrupt space.
+    /// Mitosis completes with per-epoch validation on, with or without a
+    /// full node: replication alloc failures degrade to primary walks,
+    /// never to a corrupt space.
     #[test]
-    fn mitosis_survives_random_fault_plans(
+    fn mitosis_survives_a_full_node(
         seed in 0u64..=u64::MAX,
-        rate in 0.0f64..0.7,
+        full_node in [false, true].as_slice(),
     ) {
         let machine = MachineSpec::test_machine();
         let mut policy = Mitosis::new();
-        let r = run_policy(&machine, FaultConfig::uniform(seed, rate), &mut policy);
+        let r = run_policy(&machine, seed, full_node, &mut policy);
         prop_assert!(r.runtime_cycles > 0);
         prop_assert!(
             r.lifetime.vmem.table_replications > 0,
@@ -174,17 +187,17 @@ proptest! {
         );
     }
 
-    /// numaPTE completes under arbitrary fault mixes with per-epoch
-    /// validation on; busy-pinned table migrations surface as failed
+    /// numaPTE completes with per-epoch validation on, with or without a
+    /// full node; table moves onto the full node surface as failed
     /// actions, not as corruption.
     #[test]
-    fn numapte_survives_random_fault_plans(
+    fn numapte_survives_a_full_node(
         seed in 0u64..=u64::MAX,
-        rate in 0.0f64..0.7,
+        full_node in [false, true].as_slice(),
     ) {
         let machine = MachineSpec::test_machine();
         let mut policy = NumaPte::new();
-        let r = run_policy(&machine, FaultConfig::uniform(seed, rate), &mut policy);
+        let r = run_policy(&machine, seed, full_node, &mut policy);
         prop_assert!(r.runtime_cycles > 0);
     }
 }
