@@ -13,6 +13,7 @@
 //! `attrib-v1` (documented in DESIGN.md §11).
 
 use crate::Cell;
+use codec::json::esc;
 use profiling::CycleBreakdown;
 use std::path::{Path, PathBuf};
 
@@ -224,39 +225,16 @@ pub fn narrative(base: &Cell, cand: &Cell) -> String {
     out
 }
 
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// One breakdown as a JSON object, bucket names from
-/// [`CycleBreakdown::pairs`] (the single source of bucket truth).
-pub fn breakdown_json(b: &CycleBreakdown) -> String {
-    let inner: Vec<String> = b
-        .pairs()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
 fn side_json(cell: &Cell) -> String {
     let l = ledger(cell);
-    let epoch_walls: Vec<String> = l.epochs.iter().map(|e| breakdown_json(&e.wall)).collect();
+    let epoch_walls: Vec<String> = l.epochs.iter().map(|e| e.wall.to_json()).collect();
     format!(
         "{{\"policy\":\"{}\",\"runtime_cycles\":{},\"prelude\":{},\"total\":{},\
          \"epoch_walls\":[{}]}}",
         esc(&cell.policy),
         cell.result.runtime_cycles,
-        breakdown_json(&l.prelude),
-        breakdown_json(&l.total),
+        l.prelude.to_json(),
+        l.total.to_json(),
         epoch_walls.join(","),
     )
 }
@@ -344,7 +322,7 @@ pub fn baseline_json(cells: &[Cell]) -> String {
                 esc(&c.benchmark),
                 esc(&c.policy),
                 c.result.runtime_cycles,
-                breakdown_json(&ledger(c).total),
+                ledger(c).total.to_json(),
             )
         })
         .collect();

@@ -8,9 +8,9 @@
 //! to `results/BENCH_runner.json` — the repo's performance trajectory file
 //! (schema in DESIGN.md §10).
 
-use carrefour_bench::json::{json_f64, json_str};
 use carrefour_bench::runner::{self, CellOutcome, Progress, TimedCell};
-use carrefour_bench::{attrib, experiments, journal, logx};
+use carrefour_bench::{arg_value, attrib, experiments, journal, logx, report};
+use codec::json::esc;
 use std::collections::HashMap;
 
 /// The journal suite name: one journal serves the whole binary, whatever
@@ -20,8 +20,15 @@ const SUITE: &str = "all";
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let resume = args.iter().any(|a| a == "--resume");
-    let only = only_from_args(&args);
-    let compare = compare_from_args();
+    // `--only a,b,c` runs a subset of the experiments (the CI
+    // kill-and-resume smoke test keeps its interrupted suite small).
+    let only: Option<Vec<String>> = arg_value(&args, "--only").map(|v| {
+        v.split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect()
+    });
+    let compare = arg_value(&args, "--compare");
     let attrib_on = std::env::args().any(|a| a == "--attrib") || carrefour_bench::attrib_enabled();
     if attrib_on {
         // The runner reads this per cell; setting it here lets `--attrib`
@@ -220,49 +227,8 @@ fn main() {
     }
 
     if let Some(path) = compare {
-        // This suite runs every unique cell from scratch (DESIGN.md §15),
-        // so its own reuse count is an honest 0 — the gate still compares
-        // it against the baseline's figure.
-        compare_against_baseline(&path, &exps, &exp_slots, &timed, total_wall_secs, 0);
+        compare_against_baseline(&path, &exps, &exp_slots, &timed, total_wall_secs);
     }
-}
-
-/// Parses `--only <a,b,c>` / `--only=a,b,c`: the comma-separated list of
-/// experiment names to run (used by the CI kill-and-resume smoke test to
-/// keep the interrupted suite small).
-fn only_from_args(args: &[String]) -> Option<Vec<String>> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let v = if a == "--only" {
-            it.next().cloned()
-        } else {
-            a.strip_prefix("--only=").map(str::to_string)
-        };
-        if let Some(v) = v {
-            return Some(
-                v.split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect(),
-            );
-        }
-    }
-    None
-}
-
-/// Parses `--compare <path>` / `--compare=<path>` out of the arguments.
-fn compare_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--compare" {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix("--compare=") {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 /// Compares this run's per-experiment wall-clock against a committed
@@ -280,75 +246,48 @@ fn compare_against_baseline(
     exp_slots: &[Vec<usize>],
     timed: &[TimedCell],
     total_wall_secs: f64,
-    epochs_reused_now: u64,
 ) {
-    let Ok(base) = std::fs::read_to_string(path) else {
-        logx::info(&format!(
-            "[all] --compare: cannot read {path}; skipping comparison"
-        ));
-        return;
+    let base = std::fs::read_to_string(path).map_err(|e| e.to_string());
+    let base = match base.and_then(|t| report::parse_runner_json(&t).map_err(|e| e.to_string())) {
+        Ok(b) => b,
+        Err(e) => {
+            logx::info(&format!(
+                "[all] --compare: cannot read {path} ({e}); skipping comparison"
+            ));
+            return;
+        }
     };
-    let mut base_exps: HashMap<String, f64> = HashMap::new();
-    let mut base_total: Option<f64> = None;
-    let mut base_reused: Option<f64> = None;
-    let mut in_experiments = false;
-    for line in base.lines() {
-        if let Some(t) = json_f64(line, "total_wall_secs") {
-            base_total = Some(t);
-        }
-        if let Some(r) = json_f64(line, "epochs_reused") {
-            base_reused = Some(r);
-        }
-        if line.contains("\"experiments\": [") {
-            in_experiments = true;
-            continue;
-        }
-        if in_experiments {
-            if line.trim_start().starts_with(']') {
-                in_experiments = false;
-                continue;
-            }
-            if let (Some(name), Some(secs)) = (json_str(line, "name"), json_f64(line, "wall_secs"))
-            {
-                base_exps.insert(name, secs);
-            }
-        }
-    }
     let owner = owners(exp_slots, timed.len());
+    let now: Vec<(String, f64)> = exps
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.name.to_string(), owned_secs(&owner, timed, i)))
+        .collect();
     logx::info(&format!("[all] comparison against {path}:"));
     let mut regressions = 0usize;
-    for (i, e) in exps.iter().enumerate() {
-        let now = owned_secs(&owner, timed, i);
-        let Some(&before) = base_exps.get(e.name) else {
-            continue;
-        };
-        if before <= 0.0 || now <= 0.0 {
-            continue; // fully deduped on one side: no meaningful ratio
-        }
-        let ratio = before / now;
-        let note = if now > before * 1.25 {
+    for (name, before, now) in report::baseline_deltas(&base, &now) {
+        let note = if report::regressed(before, now) {
             regressions += 1;
             "  <-- REGRESSION"
         } else {
             ""
         };
         logx::info(&format!(
-            "[all]   {:<12} {:>8.3}s -> {:>8.3}s  ({:.2}x){}",
-            e.name, before, now, ratio, note
+            "[all]   {name:<12} {before:>8.3}s -> {now:>8.3}s  ({:.2}x){note}",
+            before / now
         ));
     }
-    if let Some(bt) = base_total {
-        if bt > 0.0 && total_wall_secs > 0.0 {
-            logx::info(&format!(
-                "[all]   {:<12} {:>8.3}s -> {:>8.3}s  ({:.2}x)",
-                "TOTAL",
-                bt,
-                total_wall_secs,
-                bt / total_wall_secs
-            ));
-            if total_wall_secs > bt * 1.25 {
-                regressions += 1;
-            }
+    let bt = base.total_wall_secs;
+    if bt > 0.0 && total_wall_secs > 0.0 {
+        logx::info(&format!(
+            "[all]   {:<12} {:>8.3}s -> {:>8.3}s  ({:.2}x)",
+            "TOTAL",
+            bt,
+            total_wall_secs,
+            bt / total_wall_secs
+        ));
+        if report::regressed(bt, total_wall_secs) {
+            regressions += 1;
         }
     }
     if regressions > 0 {
@@ -357,23 +296,6 @@ fn compare_against_baseline(
             "::warning::all_experiments is >25% slower than {path} in {regressions} row(s); \
              see the comparison table in the job log"
         );
-    }
-    // Epoch-reuse regressions, soft-gated the same way: a baseline that
-    // shared prefix epochs while this run shares >25% fewer means the
-    // fork-tree stopped helping (a dedup key or family split broke),
-    // which wall-clock noise can mask on a fast host.
-    if let Some(before) = base_reused {
-        let now = epochs_reused_now as f64;
-        logx::info(&format!(
-            "[all]   {:<12} {:>8.0} -> {:>8.0} epochs reused",
-            "REUSE", before, now
-        ));
-        if before > 0.0 && now < before * 0.75 {
-            println!(
-                "::warning::all_experiments reused {now:.0} prefix epochs vs {before:.0} in \
-                 {path} (>25% drop); fork-tree sharing may have regressed"
-            );
-        }
     }
 }
 
@@ -409,7 +331,7 @@ fn owned_secs(owner: &[usize], timed: &[TimedCell], i: usize) -> f64 {
 }
 
 /// Writes `results/BENCH_runner.json` (best effort, like `save_json`).
-/// The schema is documented in DESIGN.md §10 (v1–v4, v6, v7) and §16 (v5: the
+/// The schema is documented in DESIGN.md §10 (v1–v4, v6–v8) and §16 (v5: the
 /// per-cell span fields and the suite-level `spans` rollup).
 fn write_bench_runner_json(
     exps: &[experiments::Experiment],
@@ -419,30 +341,19 @@ fn write_bench_runner_json(
     host_cores: usize,
     total_wall_secs: f64,
 ) {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-runner-v7\",\n");
+    out.push_str("  \"schema\": \"bench-runner-v8\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     out.push_str(&format!("  \"total_wall_secs\": {total_wall_secs:.3},\n"));
     out.push_str(&format!("  \"unique_cells\": {},\n", timed.len()));
     let submitted: usize = exp_slots.iter().map(Vec::len).sum();
     out.push_str(&format!("  \"submitted_cells\": {submitted},\n"));
-    // Prefix-sharing counters (new in v4). The figure suite deliberately
-    // runs every unique cell from scratch — per-cell journaling and
-    // crash-resume depend on each cell being an independent unit
-    // (DESIGN.md §15) — so `epochs_reused` is an honest 0 here and
-    // `families` is empty; the sweep's fork-tree reuse is accounted in
-    // results/SWEEP_lp.json (schema sweep-v1), where sharing actually
-    // runs. The fields exist in both files so trajectory tooling reads
-    // one shape.
     let epochs_simulated: u64 = timed
         .iter()
         .map(|t| t.cell.result.epochs.len() as u64)
         .sum();
     out.push_str(&format!("  \"epochs_simulated\": {epochs_simulated},\n"));
-    out.push_str("  \"epochs_reused\": 0,\n");
-    out.push_str("  \"families\": [],\n");
     // Span rollup (new in v5). Sums cover only cells run by *this*
     // process: journal-restored rows carry zero spans (from_journal),
     // so a resumed suite's rollup stays honest about where its own

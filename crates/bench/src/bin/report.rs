@@ -13,7 +13,7 @@
 //! per-worker busy+idle decomposition must re-compose the suite
 //! wall-clock within 5 % (DESIGN.md §16).
 
-use carrefour_bench::{logx, report};
+use carrefour_bench::{journal, logx, report};
 use std::path::Path;
 
 fn main() {
@@ -24,23 +24,12 @@ fn main() {
     logx::info("[report] recording golden cells (metrics-v1)...");
     let series = report::record_golden_cells(Path::new("results"));
 
-    let runner_text = std::fs::read_to_string("results/BENCH_runner.json").ok();
-    let runner = runner_text.as_deref().and_then(report::parse_runner_json);
-    let baseline_text = std::fs::read_to_string("results/BENCH_baseline.json").ok();
-    let baseline = baseline_text.as_deref().and_then(report::parse_runner_json);
+    let runner = read_runner_json("results/BENCH_runner.json");
+    let baseline = read_runner_json("results/BENCH_baseline.json");
     let attrib_present = Path::new("results/ATTRIB_all.json").exists();
     let journal = std::fs::read_to_string("results/journal_all.jsonl")
         .ok()
-        .map(|t| {
-            (
-                t.lines()
-                    .filter(|l| l.contains("\"status\":\"ok\""))
-                    .count(),
-                t.lines()
-                    .filter(|l| l.contains("\"status\":\"panicked\""))
-                    .count(),
-            )
-        });
+        .map(|t| journal::status_counts(&t));
 
     let html = report::html_report(
         &series,
@@ -79,4 +68,13 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// Reads one `BENCH_*.json` file: an absent file is silently `None`, a
+/// malformed one warns with its typed parse error and is `None` too.
+fn read_runner_json(path: &str) -> Option<report::RunnerReport> {
+    let text = std::fs::read_to_string(path).ok()?;
+    report::parse_runner_json(&text)
+        .map_err(|e| logx::warn(&format!("[report] ignoring {path}: {e}")))
+        .ok()
 }

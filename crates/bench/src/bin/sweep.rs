@@ -33,7 +33,8 @@
 use carrefour::LpParams;
 use carrefour_bench::forktree::{self, FamilyStats};
 use carrefour_bench::runner::{self, CellSpec};
-use carrefour_bench::{attrib, logx, PolicyKind};
+use carrefour_bench::{arg_value, attrib, logx, PolicyKind};
+use codec::json::esc;
 use engine::SimResult;
 use numa_topology::MachineSpec;
 use std::collections::HashMap;
@@ -82,20 +83,6 @@ fn main() {
     } else {
         run_full(&out_path, share, jobs);
     }
-}
-
-/// Parses `--flag <value>` / `--flag=<value>`.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 /// The family's cell list: baseline probe first, then every candidate.
@@ -668,7 +655,6 @@ fn write_json(
     refinements: &[Refinement],
     scratch: Option<&FamilyStats>,
 ) {
-    let esc = carrefour_bench::json::esc;
     let total = stats.epochs_simulated + stats.epochs_reused;
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"sweep-v1\",\n");

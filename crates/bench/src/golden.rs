@@ -173,35 +173,31 @@ pub fn bless(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// `dir`. Returns one report per divergent or unreadable cell; an empty
 /// vector means every cell matches.
 pub fn verify(dir: &Path) -> Vec<String> {
-    let mut reports = Vec::new();
-    for (cell, found) in compute_all() {
-        let path = cell.path(dir);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                reports.push(format!(
-                    "missing golden digest {} ({e}); run `cargo run --release \
-                     --bin trace -- --bless` to create it",
-                    path.display()
-                ));
-                continue;
-            }
-        };
-        let golden = match TraceDigest::from_json(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                reports.push(format!(
-                    "unparseable golden digest {}: {e}; re-bless it",
-                    path.display()
-                ));
-                continue;
-            }
-        };
-        if let Some(diff) = golden.diff(&found) {
-            reports.push(diff);
-        }
-    }
-    reports
+    compute_all()
+        .into_iter()
+        .filter_map(|(cell, found)| match load(&cell.path(dir)) {
+            Ok(golden) => golden.diff(&found),
+            Err(report) => Some(report),
+        })
+        .collect()
+}
+
+/// Reads one checked-in digest. A missing file or its typed parse error
+/// comes back as a report that names the file and the way to mend it.
+pub fn load(path: &Path) -> Result<TraceDigest, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        format!(
+            "missing golden digest {} ({e}); run `cargo run --release \
+             --bin trace -- --bless` to create it",
+            path.display()
+        )
+    })?;
+    TraceDigest::from_json(&text).map_err(|e| {
+        format!(
+            "unparseable golden digest {}: {e}; re-bless it",
+            path.display()
+        )
+    })
 }
 
 #[cfg(test)]

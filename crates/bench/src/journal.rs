@@ -27,9 +27,9 @@
 //! [`CellSpec::key`]: crate::runner::CellSpec::key
 //! [`SimResult`]: engine::SimResult
 
-use crate::json::esc;
 use crate::runner::TimedCell;
 use crate::Cell;
+use codec::json::{self, esc, JsonError, Value};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -113,21 +113,16 @@ impl Journal {
 }
 
 /// Loads every decodable `"ok"` cell from a suite's journal, keyed by
-/// [`CellSpec::key`]. Missing file means an empty map (a fresh run). Torn,
-/// corrupt, or failed lines are skipped; a later line for the same key
-/// replaces an earlier one.
+/// [`CellSpec::key`], plus the number of *stale* lines that were
+/// superseded by a later line for the same key. Missing file means an
+/// empty map (a fresh run). Torn, corrupt, or failed lines are skipped; a
+/// later line for the same key replaces an earlier one. A crash between
+/// append and kill can journal a cell twice, and a retry after a panic
+/// line legitimately re-journals the key — the count lets `--resume`
+/// report how much of the journal it discarded rather than silently
+/// folding duplicates.
 ///
 /// [`CellSpec::key`]: crate::runner::CellSpec::key
-pub fn load(suite: &str) -> HashMap<String, JournaledCell> {
-    load_counted(suite).0
-}
-
-/// [`load`], plus the number of *stale* lines that were superseded by a
-/// later line for the same key (the later-line-wins rule firing). A
-/// crash between append and kill can journal a cell twice, and a retry
-/// after a panic line legitimately re-journals the key — the count lets
-/// `--resume` report how much of the journal it discarded rather than
-/// silently folding duplicates.
 pub fn load_counted(suite: &str) -> (HashMap<String, JournaledCell>, usize) {
     match std::fs::read_to_string(journal_path(suite)) {
         Ok(text) => load_from_str(&text),
@@ -141,123 +136,57 @@ fn load_from_str(text: &str) -> (HashMap<String, JournaledCell>, usize) {
     let mut out = HashMap::new();
     let mut stale = 0usize;
     for line in text.lines() {
-        let Some(key) = json_string_field(line, "key") else {
+        // A torn or corrupt line (a crash mid-append) is a typed error
+        // here and is skipped: its cell re-runs.
+        let Ok((key, verdict)) = parse_line(line) else {
             continue;
         };
-        match json_string_field(line, "status").as_deref() {
-            Some("ok") => {
-                let Some(blob) = json_string_field(line, "blob") else {
-                    continue;
-                };
-                let Some(bytes) = codec::from_hex(&blob) else {
-                    continue;
-                };
-                let Some(result) = engine::checkpoint::decode_result(&bytes) else {
-                    continue; // torn line: checksum failed, cell re-runs
-                };
-                let (Some(machine), Some(benchmark), Some(policy)) = (
-                    json_string_field(line, "machine"),
-                    json_string_field(line, "benchmark"),
-                    json_string_field(line, "policy"),
-                ) else {
-                    continue;
-                };
-                let wall_secs = json_number_field(line, "wall_secs").unwrap_or(0.0);
-                let prev = out.insert(
-                    key,
-                    JournaledCell {
-                        cell: Cell {
-                            machine,
-                            benchmark,
-                            policy,
-                            result,
-                        },
-                        wall_secs,
-                    },
-                );
-                stale += usize::from(prev.is_some());
-            }
+        let superseded = match verdict {
+            Some(cell) => out.insert(key, cell).is_some(),
             // A later failure line invalidates an earlier success for the
             // same key (it should not happen, but the newest verdict wins).
-            Some(_) => {
-                stale += usize::from(out.remove(&key).is_some());
-            }
-            None => {}
-        }
+            None => out.remove(&key).is_some(),
+        };
+        stale += usize::from(superseded);
     }
     (out, stale)
 }
 
-/// Extracts the string value of `"name":"…"` from one JSON line, undoing
-/// the escapes [`esc`] produces. Cell keys contain quote characters (they
-/// embed `Debug`-formatted specs), so this must walk escapes rather than
-/// scan for the next raw quote.
-fn json_string_field(line: &str, name: &str) -> Option<String> {
-    let marker = format!("\"{name}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = (&mut chars).take(4).collect();
-                    let v = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
+/// Counts a journal's decodable `"ok"` lines and its failure lines (torn
+/// lines count as neither), for the report's provenance note.
+pub fn status_counts(text: &str) -> (usize, usize) {
+    let verdicts = text.lines().filter_map(|l| parse_line(l).ok());
+    verdicts.fold((0, 0), |(ok, failed), (_, cell)| match cell {
+        Some(_) => (ok + 1, failed),
+        None => (ok, failed + 1),
+    })
 }
 
-/// Extracts the numeric value of `"name":<number>` from one JSON line.
-fn json_number_field(line: &str, name: &str) -> Option<f64> {
-    let marker = format!("\"{name}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Parses one journal line into its cell key and verdict: the decoded
+/// cell for an `"ok"` line, `None` for a failure line. A blob that fails
+/// its hex armor or checksum is a [`JsonError`] like any malformed field.
+fn parse_line(line: &str) -> Result<(String, Option<JournaledCell>), JsonError> {
+    let v = json::parse(line)?;
+    let key = v.str_field("key")?.to_string();
+    if v.str_field("status")? != "ok" {
+        return Ok((key, None));
+    }
+    let result = codec::from_hex(v.str_field("blob")?)
+        .and_then(|bytes| engine::checkpoint::decode_result(&bytes))
+        .ok_or_else(|| JsonError::wrong_type("blob", "checksummed result"))?;
+    let cell = Cell {
+        machine: v.str_field("machine")?.to_string(),
+        benchmark: v.str_field("benchmark")?.to_string(),
+        policy: v.str_field("policy")?.to_string(),
+        result,
+    };
+    let wall_secs = v.get("wall_secs").and_then(Value::as_f64).unwrap_or(0.0);
+    Ok((key, Some(JournaledCell { cell, wall_secs })))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn string_fields_round_trip_through_escapes() {
-        let key = "machine-a|UaB|Linux4k|Some(7)|\"quoted\"\\back";
-        let line = format!(
-            "{{\"key\":\"{}\",\"status\":\"ok\",\"msg\":\"tab\\there\"}}",
-            esc(key)
-        );
-        assert_eq!(json_string_field(&line, "key").as_deref(), Some(key));
-        assert_eq!(json_string_field(&line, "status").as_deref(), Some("ok"));
-        assert_eq!(
-            json_string_field(&line, "msg").as_deref(),
-            Some("tab\there")
-        );
-        assert_eq!(json_string_field(&line, "absent"), None);
-    }
-
-    #[test]
-    fn number_fields_parse() {
-        let line = "{\"wall_secs\":1.25,\"n\":-3e2}";
-        assert_eq!(json_number_field(line, "wall_secs"), Some(1.25));
-        assert_eq!(json_number_field(line, "n"), Some(-300.0));
-        assert_eq!(json_number_field(line, "absent"), None);
-    }
 
     /// One valid journal line for `key`, exactly as [`Journal::record_ok`]
     /// writes it (same format string, no file involved).

@@ -7,7 +7,7 @@
 //! regenerated mechanically.
 
 use carrefour::{Carrefour, CarrefourLp, LpParams, Mitosis, NumaPte};
-use engine::{NullPolicy, NumaPolicy, SimConfig, SimResult, Simulation};
+use engine::{NullPolicy, NumaPolicy, SimResult};
 use numa_topology::MachineSpec;
 use serde::{Deserialize, Serialize};
 use vmem::ThpControls;
@@ -28,6 +28,21 @@ pub mod runner;
 /// existing JSON files and stdout stay byte-identical either way.
 pub fn attrib_enabled() -> bool {
     std::env::var_os("CARREFOUR_ATTRIB").is_some_and(|v| v == "1")
+}
+
+/// The value of `--flag <value>` or `--flag=<value>` in `args` (its first
+/// occurrence): the one command-line value parser of the bench binaries.
+pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == flag {
+            return it.next().cloned();
+        }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            return Some(v.to_string());
+        }
+    }
+    None
 }
 
 /// Reads `$name` as a `u32` override. Unset → `None` (auto). Set but
@@ -172,13 +187,7 @@ pub fn machines() -> Vec<MachineSpec> {
 
 /// Runs one (machine, benchmark, policy) cell.
 pub fn run_cell(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind) -> SimResult {
-    let mut config = SimConfig::for_machine(machine, kind.initial_thp());
-    config.attribution = attrib_enabled();
-    let spec = bench.spec(machine);
-    let mut policy = kind.make();
-    let mut result = Simulation::run(machine, &spec, &config, policy.as_mut());
-    result.policy = kind.label().to_string();
-    result
+    runner::run_spec(&runner::CellSpec::new(machine.clone(), bench, kind))
 }
 
 /// One row of an experiment output file.
@@ -208,21 +217,6 @@ pub fn matrix_specs(
         }
     }
     specs
-}
-
-/// Runs a full (benchmark × policy) matrix on one machine through the
-/// shared runner (worker count from `--jobs` / `CARREFOUR_JOBS` / host
-/// cores), preserving deterministic per-cell results.
-pub fn run_matrix(
-    machine: &MachineSpec,
-    benches: &[Benchmark],
-    policies: &[PolicyKind],
-) -> Vec<Cell> {
-    let specs = matrix_specs(machine, benches, policies);
-    let progress = runner::Progress::new(machine.name(), specs.len());
-    let cells = runner::run_cells(&specs, runner::default_jobs(), &progress);
-    progress.finish();
-    cells
 }
 
 /// Finds the cell for `(benchmark, policy)` in a matrix result.
@@ -267,78 +261,17 @@ pub fn fmt_pct(v: f64) -> String {
 }
 
 pub mod json {
-    //! Hand-rolled JSON serialization of experiment rows, plus the two
-    //! line scanners that read the `BENCH_*.json` files back.
+    //! JSON serialization of experiment rows (`results/<name>.json`).
     //!
-    //! The build environment is offline, so instead of `serde_json` the
-    //! result files are written by this small, explicit serializer. Field
-    //! names match the Rust struct fields, as serde would have emitted.
+    //! Field names match the Rust struct fields, as serde would have
+    //! emitted; escaping and number formatting come from
+    //! [`codec::json`], the workspace's one JSON module.
 
     use super::Cell;
+    use codec::json::{esc, num, u64s};
     use engine::{EpochRecord, LifetimeStats, PageMetrics, RobustnessStats, SimResult};
     use profiling::EpochCounters;
     use vmem::VmemStats;
-
-    /// Pulls `"key": <float>` out of one line of our own stable JSON format
-    /// (the `BENCH_*.json` writers emit one object per line, so a full parser
-    /// is not needed and the build stays dependency-free).
-    pub fn json_f64(line: &str, key: &str) -> Option<f64> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
-    /// Pulls `"key": "<string>"` out of one line (no escape handling: the
-    /// runner file only escapes `\` and `"`, which never appear in the
-    /// machine/benchmark/policy labels the report displays).
-    pub fn json_str(line: &str, key: &str) -> Option<String> {
-        let pat = format!("\"{key}\": \"");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        Some(rest[..rest.find('"')?].to_string())
-    }
-
-    /// Escapes a string for a JSON string literal (without quotes).
-    pub fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Formats a float as a JSON value (`null` for non-finite values).
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            // Rust's shortest-roundtrip Display output is valid JSON for
-            // finite doubles.
-            let s = format!("{v}");
-            if s.contains(['.', 'e', 'E']) {
-                s
-            } else {
-                format!("{s}.0")
-            }
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn u64s(values: &[u64]) -> String {
-        let inner: Vec<String> = values.iter().map(u64::to_string).collect();
-        format!("[{}]", inner.join(","))
-    }
 
     fn counters(c: &EpochCounters) -> String {
         let fault_cycles: Vec<u64> = c.fault_time.iter().map(|f| f.fault_cycles).collect();

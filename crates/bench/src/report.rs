@@ -2,7 +2,7 @@
 //!
 //! Assembles everything the flight recorder and the runner leave behind —
 //! per-epoch metric time-series from [`engine::recorder`], span profiling
-//! from `results/BENCH_runner.json` (bench-runner-v7), the attribution
+//! from `results/BENCH_runner.json` (bench-runner-v8), the attribution
 //! file, the crash journal, and the committed baseline — into **one**
 //! HTML file with no external assets: styles are inline, charts are
 //! hand-rolled inline SVG (the build is dependency-free, DESIGN.md §16).
@@ -21,7 +21,7 @@
 //! check renders loudly in the report and warns on stderr.
 
 use crate::golden::GOLDEN_CELLS;
-use crate::json::{json_f64, json_str};
+use codec::json::{self, JsonError, Value};
 use engine::{JsonlRecorder, MetricsRow, RunOptions, SimConfig, Simulation, TeeHook, VecRecorder};
 use numa_topology::MachineSpec;
 use std::path::Path;
@@ -109,12 +109,10 @@ pub struct RunnerCellRow {
 /// The slice of a `BENCH_runner.json` file the report reads.
 #[derive(Clone, Debug, Default)]
 pub struct RunnerReport {
-    /// Schema tag (`bench-runner-v7`; older tags parse too).
+    /// Schema tag (`bench-runner-v8`; older tags parse too).
     pub schema: String,
     /// Suite wall-clock seconds.
     pub total_wall_secs: f64,
-    /// Prefix epochs reused (0 for the figure suite).
-    pub epochs_reused: f64,
     /// Per-experiment `(name, owned wall seconds)`.
     pub experiments: Vec<(String, f64)>,
     /// Per-cell rows.
@@ -122,70 +120,67 @@ pub struct RunnerReport {
 }
 
 /// Parses a `BENCH_runner.json` (any `bench-runner-v*` schema; span
-/// fields default to zero when missing). `None` when the text has no
-/// schema tag at all — a truncated or foreign file.
-pub fn parse_runner_json(text: &str) -> Option<RunnerReport> {
-    let mut r = RunnerReport::default();
-    let mut in_experiments = false;
-    let mut in_cells = false;
-    for line in text.lines() {
-        if let Some(s) = json_str(line, "schema") {
-            r.schema = s;
-        }
-        if let Some(t) = json_f64(line, "total_wall_secs") {
-            r.total_wall_secs = t;
-        }
-        if let Some(e) = json_f64(line, "epochs_reused") {
-            r.epochs_reused = e;
-        }
-        if line.contains("\"experiments\": [") {
-            in_experiments = true;
-            continue;
-        }
-        if line.contains("\"cells\": [") {
-            in_cells = true;
-            continue;
-        }
-        let closing = line.trim_start().starts_with(']');
-        if in_experiments {
-            if closing {
-                in_experiments = false;
-            } else if let (Some(name), Some(secs)) =
-                (json_str(line, "name"), json_f64(line, "wall_secs"))
-            {
-                r.experiments.push((name, secs));
-            }
-            continue;
-        }
-        if in_cells {
-            if closing {
-                in_cells = false;
-            } else if let (Some(machine), Some(benchmark), Some(policy)) = (
-                json_str(line, "machine"),
-                json_str(line, "benchmark"),
-                json_str(line, "policy"),
-            ) {
-                r.cells.push(RunnerCellRow {
-                    machine,
-                    benchmark,
-                    policy,
-                    wall_secs: json_f64(line, "wall_secs").unwrap_or(0.0),
-                    // Schemas before bench-runner-v7 call it `queue_wait_secs`.
-                    pickup_secs: json_f64(line, "pickup_secs")
-                        .or_else(|| json_f64(line, "queue_wait_secs"))
-                        .unwrap_or(0.0),
-                    merge_secs: json_f64(line, "merge_secs").unwrap_or(0.0),
-                    worker: json_f64(line, "worker").unwrap_or(0.0) as usize,
-                    from_journal: line.contains("\"from_journal\": true"),
-                });
-            }
-        }
-    }
-    if r.schema.is_empty() {
-        None
-    } else {
-        Some(r)
-    }
+/// fields default to zero when missing). Malformed JSON, or a document
+/// without `schema`, `total_wall_secs`, `experiments` or `cells` — a
+/// truncated or foreign file — is a typed [`JsonError`].
+pub fn parse_runner_json(text: &str) -> Result<RunnerReport, JsonError> {
+    let v = json::parse(text)?;
+    let f64_or_zero = |row: &Value, key: &str| row.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+    let experiments = v
+        .array_field("experiments")?
+        .iter()
+        .map(|e| Ok((e.str_field("name")?.to_string(), e.f64_field("wall_secs")?)))
+        .collect::<Result<_, JsonError>>()?;
+    let cells = v
+        .array_field("cells")?
+        .iter()
+        .map(|c| {
+            Ok(RunnerCellRow {
+                machine: c.str_field("machine")?.to_string(),
+                benchmark: c.str_field("benchmark")?.to_string(),
+                policy: c.str_field("policy")?.to_string(),
+                wall_secs: f64_or_zero(c, "wall_secs"),
+                // Schemas before bench-runner-v7 call it `queue_wait_secs`.
+                pickup_secs: c
+                    .get("pickup_secs")
+                    .or_else(|| c.get("queue_wait_secs"))
+                    .and_then(Value::as_f64)
+                    .unwrap_or(0.0),
+                merge_secs: f64_or_zero(c, "merge_secs"),
+                worker: c.get("worker").and_then(Value::as_u64).unwrap_or(0) as usize,
+                from_journal: c.get("from_journal") == Some(&Value::Bool(true)),
+            })
+        })
+        .collect::<Result<_, JsonError>>()?;
+    Ok(RunnerReport {
+        schema: v.str_field("schema")?.to_string(),
+        total_wall_secs: v.f64_field("total_wall_secs")?,
+        experiments,
+        cells,
+    })
+}
+
+/// The per-experiment rows of the soft regression gate that
+/// `all_experiments --compare` and the report share, in `now` order, as
+/// `(name, baseline secs, now secs)`: only experiments that own cells in
+/// both runs (a fully deduped `0.000` has no meaningful ratio).
+pub fn baseline_deltas<'a>(
+    base: &RunnerReport,
+    now: &'a [(String, f64)],
+) -> Vec<(&'a str, f64, f64)> {
+    now.iter()
+        .filter_map(|(name, now_secs)| {
+            let (_, base_secs) = base.experiments.iter().find(|(n, _)| n == name)?;
+            (*base_secs > 0.0 && *now_secs > 0.0).then_some((name.as_str(), *base_secs, *now_secs))
+        })
+        .collect()
+}
+
+/// The soft gate itself: `now` seconds are more than 25 % slower than
+/// `base`. Wall-clock on shared runners is noisy, so it warns, never
+/// fails.
+pub fn regressed(base_secs: f64, now_secs: f64) -> bool {
+    now_secs > base_secs * 1.25
 }
 
 /// One worker lane's share of the suite wall-clock.
@@ -541,11 +536,10 @@ pub fn html_report(
             let busy: f64 = bd.lanes.iter().map(|l| l.busy_secs).sum();
             out.push_str(&format!(
                 "<p>Suite wall-clock <b>{:.3}s</b> across {} worker lane(s); busy \
-                 {busy:.3}s, tail {:.3}s, epochs reused {:.0}.</p>\n",
+                 {busy:.3}s, tail {:.3}s.</p>\n",
                 bd.total_wall_secs,
                 bd.lanes.len(),
                 bd.tail_secs,
-                r.epochs_reused,
             ));
             out.push_str(&worker_timeline(&bd, &r.cells, 900));
             out.push_str(
@@ -590,14 +584,8 @@ pub fn html_report(
                 "<table><tr><th class=\"l\">experiment</th><th>baseline s</th>\
                  <th>now s</th><th>ratio</th><th class=\"l\"></th></tr>\n",
             );
-            for (name, now_secs) in &now.experiments {
-                let Some((_, base_secs)) = base.experiments.iter().find(|(n, _)| n == name) else {
-                    continue;
-                };
-                if *base_secs <= 0.0 || *now_secs <= 0.0 {
-                    continue;
-                }
-                let flag = if *now_secs > base_secs * 1.25 {
+            for (name, base_secs, now_secs) in baseline_deltas(base, &now.experiments) {
+                let flag = if regressed(base_secs, now_secs) {
                     "<span class=\"fail\">REGRESSION</span>"
                 } else {
                     ""
@@ -611,10 +599,10 @@ pub fn html_report(
             }
             out.push_str("</table>\n");
             out.push_str(&format!(
-                "<p class=\"note\">Totals: baseline {:.3}s → now {:.3}s; epochs reused \
-                 {:.0} → {:.0}. Wall-clock comparisons on shared runners are noisy — \
-                 these are the same soft gates <code>--compare</code> prints.</p>\n",
-                base.total_wall_secs, now.total_wall_secs, base.epochs_reused, now.epochs_reused,
+                "<p class=\"note\">Totals: baseline {:.3}s → now {:.3}s. Wall-clock \
+                 comparisons on shared runners are noisy — these are the same soft gates \
+                 <code>--compare</code> prints.</p>\n",
+                base.total_wall_secs, now.total_wall_secs,
             ));
         }
         _ => out.push_str(
@@ -666,19 +654,21 @@ mod tests {
         let r = parse_runner_json(&synthetic_v5()).expect("parses");
         assert_eq!(r.schema, "bench-runner-v5");
         assert_eq!(r.total_wall_secs, 10.0);
-        assert_eq!(r.epochs_reused, 7.0);
         assert_eq!(r.experiments.len(), 2);
         assert_eq!(r.experiments[0], ("fig2".to_string(), 6.0));
         assert_eq!(r.cells.len(), 3);
         assert_eq!(r.cells[1].worker, 1);
         assert_eq!(r.cells[1].pickup_secs, 0.2, "v5 names it queue_wait_secs");
         assert!(r.cells[2].from_journal);
-        assert!(parse_runner_json("not json at all").is_none());
-        let v7 = synthetic_v5()
-            .replace("bench-runner-v5", "bench-runner-v7")
+        let e = parse_runner_json("not json at all").unwrap_err();
+        assert_eq!(e.offset, 1, "{e}");
+        let e = parse_runner_json("{\"schema\": \"bench-runner-v8\"}").unwrap_err();
+        assert_eq!(e, JsonError::missing("experiments"));
+        let v8 = synthetic_v5()
+            .replace("bench-runner-v5", "bench-runner-v8")
             .replace("queue_wait_secs", "pickup_secs");
-        let r7 = parse_runner_json(&v7).expect("parses");
-        assert_eq!(r7.cells[1].pickup_secs, 0.2);
+        let r8 = parse_runner_json(&v8).expect("parses");
+        assert_eq!(r8.cells[1].pickup_secs, 0.2);
     }
 
     #[test]

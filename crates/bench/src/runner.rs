@@ -8,10 +8,14 @@
 //! * [`CellSpec`] names one simulation cell completely — workload, policy,
 //!   machine, optional seed override — so every
 //!   experiment submits work in the same currency;
-//! * [`par_map`] executes `n` independent jobs on a scoped worker pool
+//! * three entry points share one scoped worker pool
 //!   (`std::thread::scope`, no external dependencies — the build is
-//!   offline) and returns results in **submission order**, whatever order
-//!   the workers finished in;
+//!   offline), and each returns results in **submission order**, whatever
+//!   order the workers finished in: [`par_map_outcomes_scheduled`] is the
+//!   pool itself (panic isolation, soft watchdog, optional execution
+//!   order); [`run_cells_outcomes`] is the suite path (cell specs run
+//!   longest-first, with spans and a completion hook); [`par_map`] runs
+//!   plain jobs and re-raises the first panic once every job finished;
 //! * [`Progress`] prints live `done/total` lines to stderr as cells
 //!   complete, shared by the figure bins and `trace`;
 //! * [`resolve_jobs`] implements the worker-count override chain:
@@ -29,7 +33,7 @@
 //! bit-identical `Vec<Cell>`s (enforced by the equivalence proptest in
 //! `tests/runner_equivalence.rs` and by the golden digests).
 
-use crate::{run_cell, Cell, PolicyKind};
+use crate::{Cell, PolicyKind};
 use carrefour::{CarrefourLp, LpParams};
 use engine::{NumaPolicy, SimConfig, SimResult, Simulation};
 use numa_topology::MachineSpec;
@@ -206,37 +210,16 @@ impl CellSpec {
     }
 }
 
-/// Runs one cell spec. Identical to [`run_cell`] for plain cells; a seed
-/// override is applied to the per-machine config first.
+/// Runs one cell spec: its [`CellSpec::sim_config`], workload and
+/// [`CellSpec::make_policy`], with the result labelled
+/// [`CellSpec::policy_label`].
 pub fn run_spec(spec: &CellSpec) -> SimResult {
-    if spec.seed.is_none() && spec.lp_params.is_none() {
-        if let Workload::Bench(b) = spec.workload {
-            let mut r = run_cell(&spec.machine, b, spec.kind);
-            r.policy = spec.policy_label();
-            return r;
-        }
-    }
     let config = spec.sim_config();
     let wspec = spec.workload.spec(&spec.machine);
     let mut policy = spec.make_policy();
     let mut r = Simulation::run(&spec.machine, &wspec, &config, policy.as_mut());
     r.policy = spec.policy_label();
     r
-}
-
-/// Parses `--jobs N` / `--jobs=N` out of the process arguments.
-pub fn jobs_from_args() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return it.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok();
-        }
-    }
-    None
 }
 
 /// Resolves the worker count: explicit CLI value, then `CARREFOUR_JOBS`,
@@ -253,10 +236,11 @@ pub fn resolve_jobs(cli: Option<usize>) -> usize {
         .max(1)
 }
 
-/// The default worker count for a binary: `--jobs` from its arguments,
-/// then the environment, then all host cores.
+/// The default worker count for a binary: `--jobs N` / `--jobs=N` from
+/// its arguments, then the environment, then all host cores.
 pub fn default_jobs() -> usize {
-    resolve_jobs(jobs_from_args())
+    let args: Vec<String> = std::env::args().collect();
+    resolve_jobs(crate::arg_value(&args, "--jobs").and_then(|v| v.parse().ok()))
 }
 
 /// How one isolated job ended.
@@ -301,11 +285,6 @@ impl<T> CellOutcome<T> {
             CellOutcome::Panicked { .. } => None,
         }
     }
-
-    /// Whether the job panicked.
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, CellOutcome::Panicked { .. })
-    }
 }
 
 /// Renders a caught panic payload (panics in this codebase are always
@@ -320,44 +299,25 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The soft per-cell deadline in host seconds (`CARREFOUR_CELL_DEADLINE_SECS`,
-/// default 300). `0` disables the watchdog entirely.
-pub fn cell_deadline_secs() -> f64 {
-    std::env::var("CARREFOUR_CELL_DEADLINE_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300.0)
-}
+/// The suite's soft per-cell deadline in host seconds: the watchdog warns
+/// about a cell still running past it and the cell comes back
+/// [`CellOutcome::TimedOut`] (it is never killed).
+pub const CELL_DEADLINE_SECS: f64 = 300.0;
 
-/// Panic-isolating variant of [`par_map`]: executes `f(0..n)` on up to
-/// `jobs` scoped workers and returns one [`CellOutcome`] per index, **in
-/// index order**. A panicking job is caught and reported in its slot while
-/// the rest of the queue drains normally. A soft watchdog thread warns on
-/// stderr when a running job exceeds `deadline_secs` (never killing it);
-/// jobs that finish past the deadline come back as
-/// [`CellOutcome::TimedOut`]. `describe(i)` labels job `i` in warnings.
-pub fn par_map_outcomes<T, F, D>(
-    jobs: usize,
-    n: usize,
-    deadline_secs: f64,
-    describe: D,
-    f: F,
-) -> Vec<CellOutcome<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    D: Fn(usize) -> String + Sync,
-{
-    par_map_outcomes_scheduled(jobs, n, deadline_secs, None, describe, f)
-}
-
-/// [`par_map_outcomes`] with an explicit execution order: workers pull
-/// indices from `schedule` (a permutation of `0..n`) front to back
-/// instead of `0, 1, 2, …`. Results still land **in index order** —
-/// scheduling only decides where and when each index runs, never what it
-/// computes, so any schedule returns bit-identical results (the
-/// longest-first proptest in `tests/runner_equivalence.rs` enforces
-/// this).
+/// The pool: executes `f(0..n)` on up to `jobs` scoped workers and
+/// returns one [`CellOutcome`] per index, **in index order**. A panicking
+/// job is caught and reported in its slot while the rest of the queue
+/// drains normally. A soft watchdog thread warns on stderr when a running
+/// job exceeds `deadline_secs` (never killing it; `0` disables it); jobs
+/// that finish past the deadline come back as [`CellOutcome::TimedOut`].
+/// `describe(i)` labels job `i` in warnings.
+///
+/// Workers pull indices from `schedule` (a permutation of `0..n`) front
+/// to back, or `0, 1, 2, …` when it is `None`. Results still land **in
+/// index order** — scheduling only decides where and when each index
+/// runs, never what it computes, so any schedule returns bit-identical
+/// results (the longest-first proptest in `tests/runner_equivalence.rs`
+/// enforces this).
 pub fn par_map_outcomes_scheduled<T, F, D>(
     jobs: usize,
     n: usize,
@@ -498,7 +458,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let outcomes = par_map_outcomes(jobs, n, 0.0, |i| format!("#{i}"), f);
+    let outcomes = par_map_outcomes_scheduled(jobs, n, 0.0, None, |i| format!("#{i}"), f);
     let mut out = Vec::with_capacity(n);
     let mut first_panic: Option<(usize, String)> = None;
     for (i, o) in outcomes.into_iter().enumerate() {
@@ -526,7 +486,7 @@ pub struct Progress {
     total: usize,
     done: AtomicUsize,
     /// Simulated ops completed so far (for the throughput column; cells
-    /// report their op count via [`Progress::cell_done_ops`]).
+    /// report their op count via [`Progress::cell_done`]).
     ops: std::sync::atomic::AtomicU64,
     /// Estimated ops of the whole suite ([`Progress::expect_ops`]); `0`
     /// means no estimates were registered and the ETA falls back to
@@ -536,34 +496,18 @@ pub struct Progress {
     /// cell's *estimate*, so the remaining-work arithmetic stays in one
     /// currency).
     est_done: std::sync::atomic::AtomicU64,
-    /// In-flight cells: `(start, estimated_ops)`, slot-indexed by the
-    /// ticket [`Progress::cell_started`] returned. Slots are `None` once
-    /// the cell completes.
-    inflight: std::sync::Mutex<Vec<Option<(Instant, u64)>>>,
     start: Instant,
     quiet: bool,
 }
 
-/// Work-remaining ETA in host seconds. `est_total`/`est_done` are suite
-/// estimates in ops; `inflight` holds `(elapsed_secs, est_ops)` of the
-/// cells currently running. Each in-flight cell is credited with the
-/// progress it would have made at the observed aggregate rate split
-/// evenly across the in-flight cells, capped below its own estimate (a
-/// cell is never credited as finished before it reports done) — so a
-/// suite whose tail is a few long cells stops reading as "N whole cells
-/// to go".
-fn eta_from_ops(est_total: u64, est_done: u64, secs: f64, inflight: &[(f64, u64)]) -> Option<f64> {
+/// Work-remaining ETA in host seconds: the estimated ops still to run
+/// (`est_total - est_done`) at the observed rate of estimated ops
+/// completed. `None` before any estimate is registered or completed.
+fn eta_from_ops(est_total: u64, est_done: u64, secs: f64) -> Option<f64> {
     if est_total == 0 || est_done == 0 || secs <= 0.0 {
         return None;
     }
-    let rate = est_done as f64 / secs;
-    let k = inflight.len().max(1) as f64;
-    let credit: f64 = inflight
-        .iter()
-        .map(|&(elapsed, est)| (rate / k * elapsed).min(est as f64 * 0.95))
-        .sum();
-    let remaining = (est_total.saturating_sub(est_done)) as f64 - credit;
-    Some((remaining.max(0.0) / rate).max(0.0))
+    Some(est_total.saturating_sub(est_done) as f64 * secs / est_done as f64)
 }
 
 impl Progress {
@@ -577,7 +521,6 @@ impl Progress {
             ops: std::sync::atomic::AtomicU64::new(0),
             est_total: std::sync::atomic::AtomicU64::new(0),
             est_done: std::sync::atomic::AtomicU64::new(0),
-            inflight: std::sync::Mutex::new(Vec::new()),
             start: Instant::now(),
             quiet: std::env::var_os("CARREFOUR_QUIET").is_some_and(|v| v == "1"),
         }
@@ -591,40 +534,15 @@ impl Progress {
         self.est_total.fetch_add(est_ops, Ordering::Relaxed);
     }
 
-    /// Marks one cell as started (`est_ops` is its cost estimate) and
-    /// returns a ticket for [`Progress::cell_done_ticket`]. In-flight
-    /// cells earn partial ETA credit as they run.
-    pub fn cell_started(&self, est_ops: u64) -> usize {
-        let mut v = self.inflight.lock().unwrap();
-        v.push(Some((Instant::now(), est_ops)));
-        v.len() - 1
-    }
-
-    /// Records one finished cell and prints a progress line.
-    pub fn cell_done(&self, what: &str) {
-        self.cell_done_ops(what, 0);
-    }
-
-    /// [`Progress::cell_done_ops`] for a cell registered with
-    /// [`Progress::cell_started`]: retires its in-flight slot and credits
-    /// its estimate as completed work.
-    pub fn cell_done_ticket(&self, what: &str, ops: u64, ticket: usize) {
-        let est = {
-            let mut v = self.inflight.lock().unwrap();
-            v[ticket].take().map_or(0, |(_, e)| e)
-        };
-        self.est_done.fetch_add(est, Ordering::Relaxed);
-        self.cell_done_ops(what, ops);
-    }
-
-    /// Records one finished cell that simulated `ops` memory operations.
-    /// The progress line carries cumulative throughput (simulated ops per
-    /// host second, when op counts are reported) and an ETA — from
-    /// work-remaining accounting when estimates were registered
-    /// ([`eta_from_ops`]: in-flight cells earn partial credit), from
-    /// mean whole-cell cost otherwise. Output is explicitly flushed so
-    /// piped logs (CI, `tee`) stay live.
-    pub fn cell_done_ops(&self, what: &str, ops: u64) {
+    /// Records one finished cell that simulated `ops` memory operations
+    /// (`0` when unknown) against its a-priori estimate `est_ops` (`0`
+    /// without one) and prints a progress line: cumulative throughput
+    /// (simulated ops per host second, when op counts are reported) and an
+    /// ETA — from work-remaining accounting when estimates were registered
+    /// ([`eta_from_ops`]), from mean whole-cell cost otherwise. Output is
+    /// explicitly flushed so piped logs (CI, `tee`) stay live.
+    pub fn cell_done(&self, what: &str, ops: u64, est_ops: u64) {
+        self.est_done.fetch_add(est_ops, Ordering::Relaxed);
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let total_ops = self.ops.fetch_add(ops, Ordering::Relaxed) + ops;
         if !self.quiet {
@@ -635,19 +553,10 @@ impl Progress {
                 line.push_str(&format!("  {:.2} Mops/s", total_ops as f64 / secs / 1e6));
             }
             if done < self.total && secs > 0.0 {
-                let inflight: Vec<(f64, u64)> = self
-                    .inflight
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .flatten()
-                    .map(|&(t0, est)| (t0.elapsed().as_secs_f64(), est))
-                    .collect();
                 let eta = eta_from_ops(
                     self.est_total.load(Ordering::Relaxed),
                     self.est_done.load(Ordering::Relaxed),
                     secs,
-                    &inflight,
                 )
                 .unwrap_or_else(|| secs / done as f64 * (self.total - done) as f64);
                 line.push_str(&format!("  eta {eta:.0}s"));
@@ -672,11 +581,6 @@ impl Progress {
             );
         }
         secs
-    }
-
-    /// Seconds since the reporter was created.
-    pub fn elapsed(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -754,31 +658,17 @@ pub fn longest_first_schedule(specs: &[CellSpec]) -> (Vec<usize>, Vec<u64>) {
     (order, est)
 }
 
-/// Runs every spec on the pool and returns result rows in submission
-/// order, with per-cell wall-clock. `progress` ticks as cells finish.
-/// Cells are *scheduled* longest-estimate-first so a big cell never
-/// starts last and stalls the suite on one worker — results are
-/// bit-identical for any schedule.
-pub fn run_cells_timed(specs: &[CellSpec], jobs: usize, progress: &Progress) -> Vec<TimedCell> {
-    run_cells_outcomes(specs, jobs, progress, |_, _| {})
-        .into_iter()
-        .enumerate()
-        .map(|(i, o)| match o {
-            CellOutcome::Ok(v) | CellOutcome::TimedOut { result: v, .. } => v,
-            CellOutcome::Panicked { msg } => {
-                panic!("runner cell {i} panicked (remaining cells were allowed to finish): {msg}")
-            }
-        })
-        .collect()
-}
-
-/// Panic-isolating variant of [`run_cells_timed`]: returns one
-/// [`CellOutcome`] per spec, in submission order, instead of aborting the
-/// suite on the first panicking cell. The soft per-cell watchdog deadline
-/// comes from [`cell_deadline_secs`]. `on_done(i, cell)` fires on the
-/// worker thread the moment cell `i` completes — the suite runner hooks
-/// the crash journal there, so a later `SIGKILL` loses at most the cells
-/// still in flight.
+/// The suite path: runs every spec on the pool and returns one
+/// [`CellOutcome`] per spec, in submission order, with per-cell
+/// wall-clock and spans. Cells are *scheduled* longest-estimate-first
+/// ([`longest_first_schedule`]) so a big cell never starts last and
+/// stalls the suite on one worker — results are bit-identical for any
+/// schedule. A panicking cell is reported in its slot instead of
+/// aborting the suite; the soft watchdog deadline is
+/// [`CELL_DEADLINE_SECS`]. `progress` ticks as cells finish, and
+/// `on_done(i, cell)` fires on the worker thread the moment cell `i`
+/// completes — the suite runner hooks the crash journal there, so a
+/// later `SIGKILL` loses at most the cells still in flight.
 pub fn run_cells_outcomes<H>(
     specs: &[CellSpec],
     jobs: usize,
@@ -799,7 +689,7 @@ where
     par_map_outcomes_scheduled(
         jobs,
         specs.len(),
-        cell_deadline_secs(),
+        CELL_DEADLINE_SECS,
         Some(schedule),
         // Panic and watchdog lines carry the family tag (when present)
         // so fork-tree failures grep by family.
@@ -813,12 +703,11 @@ where
                 let n = m.len();
                 *m.entry(id).or_insert(n)
             };
-            let ticket = progress.cell_started(est[i]);
             let t = Instant::now();
             let result = run_spec(spec);
             let wall_secs = t.elapsed().as_secs_f64();
             let merge_t = Instant::now();
-            progress.cell_done_ticket(&spec.describe(), result.lifetime.total_ops, ticket);
+            progress.cell_done(&spec.describe(), result.lifetime.total_ops, est[i]);
             let timed = TimedCell {
                 cell: Cell {
                     machine: spec.machine.name().to_string(),
@@ -842,14 +731,6 @@ where
     )
 }
 
-/// [`run_cells_timed`] without the timing wrapper.
-pub fn run_cells(specs: &[CellSpec], jobs: usize, progress: &Progress) -> Vec<Cell> {
-    run_cells_timed(specs, jobs, progress)
-        .into_iter()
-        .map(|t| t.cell)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,10 +741,6 @@ mod tests {
             let out = par_map(jobs, 17, |i| i * i);
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>(), "{jobs}");
         }
-    }
-
-    #[test]
-    fn par_map_handles_empty_and_single() {
         assert!(par_map(4, 0, |i| i).is_empty());
         assert_eq!(par_map(4, 1, |i| i + 7), vec![7]);
     }
@@ -871,10 +748,11 @@ mod tests {
     #[test]
     fn panicking_job_does_not_abort_siblings() {
         for jobs in [1, 4] {
-            let outcomes = par_map_outcomes(
+            let outcomes = par_map_outcomes_scheduled(
                 jobs,
                 9,
                 0.0,
+                None,
                 |i| format!("#{i}"),
                 |i| {
                     if i == 3 {
@@ -948,82 +826,16 @@ mod tests {
     }
 
     #[test]
-    fn eta_without_inflight_matches_plain_rate_math() {
+    fn eta_is_remaining_estimate_at_the_observed_rate() {
         // 100k of 400k estimated ops done in 10s → 30s remaining.
-        let eta = eta_from_ops(400_000, 100_000, 10.0, &[]).unwrap();
+        let eta = eta_from_ops(400_000, 100_000, 10.0).unwrap();
         assert!((eta - 30.0).abs() < 1e-9, "{eta}");
-        // No estimates, or nothing finished yet → no ops-based ETA.
-        assert!(eta_from_ops(0, 0, 10.0, &[]).is_none());
-        assert!(eta_from_ops(400_000, 0, 10.0, &[]).is_none());
-    }
-
-    #[test]
-    fn inflight_cells_earn_partial_eta_credit() {
-        // Rate = 10k ops/s. One in-flight cell of 200k est, running 5s:
-        // credited 50k, so remaining = 300k - 50k → 25s instead of 30s.
-        let plain = eta_from_ops(400_000, 100_000, 10.0, &[]).unwrap();
-        let credited = eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 200_000)]).unwrap();
-        assert!((plain - 30.0).abs() < 1e-9);
-        assert!((credited - 25.0).abs() < 1e-9, "{credited}");
-        // Two in-flight cells split the rate (25k each, 50k total — same
-        // aggregate as one cell at the full rate), but a small cell's
-        // credit caps at 95% of its own estimate: 25k + 9.5k → 26.55s.
-        let split =
-            eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 200_000), (5.0, 200_000)]).unwrap();
-        assert!((split - 25.0).abs() < 1e-9, "{split}");
-        let capped =
-            eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 200_000), (5.0, 10_000)]).unwrap();
-        assert!((capped - 26.55).abs() < 1e-9, "{capped}");
-    }
-
-    #[test]
-    fn inflight_credit_is_capped_below_the_cell_estimate() {
-        // A cell "running" absurdly long never counts as more than 95%
-        // done until it reports completion, and the ETA never goes
-        // negative.
-        let eta = eta_from_ops(200_000, 100_000, 10.0, &[(1e9, 100_000)]).unwrap();
-        let floor = (100_000.0 - 95_000.0) / 10_000.0;
-        assert!((eta - floor).abs() < 1e-9, "{eta}");
-        let eta = eta_from_ops(110_000, 100_000, 10.0, &[(1e9, 100_000)]).unwrap();
-        assert!((eta - 0.0).abs() < 1e-9, "clamped at zero, got {eta}");
-    }
-
-    #[test]
-    fn zero_estimate_inflight_cells_earn_no_credit() {
-        // A cell whose estimator came back 0 (custom workloads can) sits in
-        // the in-flight list without poisoning the ETA: its 95% cap is 0,
-        // so its credit is 0 — but it still takes a share of the rate.
-        let plain = eta_from_ops(400_000, 100_000, 10.0, &[]).unwrap();
-        let with_zero = eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 0)]).unwrap();
-        assert!((plain - 30.0).abs() < 1e-9);
-        assert!(
-            (with_zero - 30.0).abs() < 1e-9,
-            "zero-estimate cell credited nothing, got {with_zero}"
-        );
-        // Paired with a real cell it still only dilutes the shared rate:
-        // the 200k cell gets rate/2 * 5s = 25k credit, the zero cell 0.
-        let mixed = eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 0), (5.0, 200_000)]).unwrap();
-        assert!((mixed - 27.5).abs() < 1e-9, "{mixed}");
-    }
-
-    #[test]
-    fn all_cells_inflight_with_nothing_done_gives_no_eta() {
-        // Suite start: every cell is in flight, none has finished, so
-        // est_done == 0 and there is no observed rate to extrapolate from.
-        assert!(eta_from_ops(400_000, 0, 10.0, &[(5.0, 200_000), (5.0, 200_000)]).is_none());
-        // Degenerate wall clock never divides by zero either.
-        assert!(eta_from_ops(400_000, 100_000, 0.0, &[(5.0, 200_000)]).is_none());
-    }
-
-    #[test]
-    fn every_remaining_cell_inflight_converges_to_the_cap_floor() {
-        // All remaining work is in flight and every cell is near done: the
-        // credit caps keep 5% of each estimate outstanding, so the ETA
-        // stays positive until completions actually land.
-        let eta = eta_from_ops(300_000, 100_000, 10.0, &[(1e9, 100_000), (1e9, 100_000)]).unwrap();
-        let floor = (200_000.0 - 2.0 * 95_000.0) / 10_000.0;
-        assert!((eta - floor).abs() < 1e-9, "{eta} vs floor {floor}");
-        assert!(eta > 0.0);
+        // No estimates, nothing finished yet, or no elapsed time → no
+        // ops-based ETA; an overrun estimate never goes negative.
+        assert!(eta_from_ops(0, 0, 10.0).is_none());
+        assert!(eta_from_ops(400_000, 0, 10.0).is_none());
+        assert!(eta_from_ops(400_000, 100_000, 0.0).is_none());
+        assert_eq!(eta_from_ops(100_000, 200_000, 10.0), Some(0.0));
     }
 
     #[test]
@@ -1056,10 +868,11 @@ mod tests {
 
     #[test]
     fn slow_jobs_are_flagged_not_killed() {
-        let outcomes = par_map_outcomes(
+        let outcomes = par_map_outcomes_scheduled(
             2,
             2,
             0.01,
+            None,
             |i| format!("#{i}"),
             |i| {
                 if i == 1 {

@@ -138,6 +138,12 @@ fn failed_migrations_onto_a_full_node_are_bit_identical() {
     let r = assert_fastpath_equivalent(&cell(w, PolicyKind::CarrefourLp), true);
     let rb = &r.robustness;
     assert!(rb.failed_migrations > 0, "no migration failed: {rb:?}");
+    let per_epoch: u64 = r.epochs.iter().map(|e| e.failed_actions).sum();
+    assert_eq!(
+        per_epoch,
+        rb.failed_migrations + rb.failed_splits,
+        "per-epoch failed_actions must add up to the lifetime counters"
+    );
 }
 
 proptest! {

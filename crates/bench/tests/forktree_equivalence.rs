@@ -359,6 +359,10 @@ fn family_with_failed_migrations_matches_scratch() {
     for c in &cells {
         let rb = &c.result.robustness;
         assert!(rb.failed_migrations > 0, "no migration failed: {rb:?}");
+        // Every failure, a scatter's sub-page moves included, lands in
+        // its epoch's record.
+        let per_epoch: u64 = c.result.epochs.iter().map(|e| e.failed_actions).sum();
+        assert_eq!(per_epoch, rb.failed_migrations + rb.failed_splits, "{rb:?}");
     }
     assert_matches_scratch(&cells, &specs);
 }

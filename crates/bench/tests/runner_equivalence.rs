@@ -9,7 +9,7 @@
 //! covers two real paper cells.
 
 use carrefour_bench::runner::{self, CellSpec, Progress, Workload};
-use carrefour_bench::PolicyKind;
+use carrefour_bench::{Cell, PolicyKind};
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
 use workloads::{AccessPattern, Benchmark, RegionSpec, WorkloadSpec};
@@ -49,10 +49,15 @@ fn small_spec(
 /// reporter and asserts the full result rows are bit-identical.
 fn assert_jobs_equivalent(specs: &[CellSpec], jobs_a: usize, jobs_b: usize) {
     std::env::set_var("CARREFOUR_QUIET", "1");
-    let pa = Progress::new("eq-a", specs.len());
-    let a = runner::run_cells(specs, jobs_a, &pa);
-    let pb = Progress::new("eq-b", specs.len());
-    let b = runner::run_cells(specs, jobs_b, &pb);
+    let run = |label: &str, jobs: usize| -> Vec<Cell> {
+        let progress = Progress::new(label, specs.len());
+        runner::run_cells_outcomes(specs, jobs, &progress, |_, _| {})
+            .into_iter()
+            .map(|o| o.into_result().expect("no cell panics").cell)
+            .collect()
+    };
+    let a = run("eq-a", jobs_a);
+    let b = run("eq-b", jobs_b);
     assert_eq!(a.len(), b.len());
     for (ca, cb) in a.iter().zip(&b) {
         assert_eq!(ca.machine, cb.machine);
@@ -185,16 +190,4 @@ fn panicking_cell_does_not_abort_the_suite() {
             _ => panic!("expected the bad cell to panic"),
         }
     }
-}
-
-/// `run_spec` and the classic `run_cell` agree on plain cells, so the
-/// dedup in `all_experiments` serves figure bins the exact rows their
-/// standalone binaries would have computed.
-#[test]
-fn run_spec_matches_run_cell() {
-    let machine = MachineSpec::machine_a();
-    let spec = CellSpec::new(machine.clone(), Benchmark::UaB, PolicyKind::LinuxThp);
-    let a = runner::run_spec(&spec);
-    let b = carrefour_bench::run_cell(&machine, Benchmark::UaB, PolicyKind::LinuxThp);
-    assert_eq!(a, b);
 }

@@ -55,6 +55,6 @@ pub use result::{
 };
 pub use sim::{EpochBoundary, RunHook, RunOptions, RunOutcome, Simulation, Start};
 pub use trace::{
-    epoch_output_fingerprint, CountingSink, DigestSink, EpochDigest, EpochSnap, EventKind,
-    JsonlSink, PolicyDecision, RingSink, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,
+    epoch_output_fingerprint, DigestSink, EpochDigest, EpochSnap, EventKind, JsonlSink,
+    PolicyDecision, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,
 };

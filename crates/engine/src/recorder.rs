@@ -29,6 +29,7 @@
 //! `{"metrics": "epoch", ...}` line per boundary. Schema in DESIGN.md §16.
 
 use crate::sim::{EpochBoundary, RunHook};
+use codec::json::{self, esc, num, u64s};
 use profiling::CycleBreakdown;
 use std::io::Write;
 
@@ -143,7 +144,7 @@ impl MetricsSample<'_> {
             num(self.imbalance),
             num(self.lar),
             num(self.walk_miss_fraction),
-            u64_array(self.controller_requests),
+            u64s(self.controller_requests),
             self.tlb_l1_hits,
             self.tlb_l2_hits,
             self.tlb_misses,
@@ -166,58 +167,12 @@ impl MetricsSample<'_> {
             None => s.push_str(",\"pages\":null"),
         }
         match self.attrib {
-            Some(bd) => {
-                s.push_str(",\"attrib\":{");
-                for (i, (name, v)) in bd.pairs().iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!("\"{name}\":{v}"));
-                }
-                s.push('}');
-            }
+            Some(bd) => s.push_str(&format!(",\"attrib\":{}", bd.to_json())),
             None => s.push_str(",\"attrib\":null"),
         }
         s.push('}');
         s
     }
-}
-
-/// Formats a float as a JSON value (`null` for non-finite, a forced
-/// `.0` for integral values — same convention as the trace layer's).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-fn u64_array(values: &[u64]) -> String {
-    let inner: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", inner.join(","))
-}
-
-/// Escapes a string for a JSON string literal (without quotes).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// An owned copy of one sample — what [`VecRecorder`] stores and
@@ -319,49 +274,15 @@ impl RunHook for VecRecorder {
     }
 }
 
-/// Streams `metrics-v3` JSONL to any writer. Mirrors `JsonlSink`'s error
-/// handling: the first `io::Error` is stored (inspect via
-/// [`JsonlRecorder::error`]) and later writes are skipped — a
-/// recorder must never panic mid-simulation over a full disk.
-pub struct JsonlRecorder<W: Write> {
-    out: W,
-    error: Option<std::io::Error>,
-}
+/// Streams `metrics-v3` JSONL to any writer: a header line, then one
+/// [`MetricsSample::to_json`] line per boundary, with [`json::Lines`]'s
+/// keep-the-first-error policy (a recorder must never panic
+/// mid-simulation over a full disk).
+pub type JsonlRecorder<W> = json::Lines<W>;
 
-impl<W: Write> JsonlRecorder<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        JsonlRecorder { out, error: None }
-    }
-
-    /// The first write error, if any occurred.
-    pub fn error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Unwraps the writer (callers that need the file back).
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-        }
-    }
-
-    /// Writes one sample as a `metrics-v3` epoch line.
-    pub fn record(&mut self, sample: &MetricsSample<'_>) {
-        self.write_line(&sample.to_json());
-    }
-}
-
-impl<W: Write> RunHook for JsonlRecorder<W> {
+impl<W: Write> RunHook for json::Lines<W> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.write_line(&format!(
+        self.line(&format!(
             "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v3\",\
              \"workload\":\"{}\",\"policy\":\"{}\",\"machine\":\"{}\",\
              \"threads\":{},\"nodes\":{}}}",
@@ -379,16 +300,12 @@ impl<W: Write> RunHook for JsonlRecorder<W> {
 
     fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
         if let Some(sample) = &b.metrics {
-            self.record(sample);
+            self.line(&sample.to_json());
         }
     }
 
     fn finish(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-            }
-        }
+        self.flush();
     }
 }
 
@@ -488,7 +405,7 @@ mod tests {
             threads: 16,
             nodes: 4,
         });
-        rec.record(&s);
+        rec.line(&s.to_json());
         rec.finish();
         assert!(rec.error().is_none());
         let text = String::from_utf8(rec.into_inner()).unwrap();
@@ -550,7 +467,7 @@ mod tests {
         }
         let reqs = [1u64];
         let mut rec = JsonlRecorder::new(Failing);
-        rec.record(&sample(&reqs, None));
+        rec.line(&sample(&reqs, None).to_json());
         rec.finish();
         assert!(rec.error().is_some());
     }

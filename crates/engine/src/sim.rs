@@ -751,9 +751,16 @@ impl<'m, 't> SimState<'m, 't> {
                                         moved += 1;
                                     }
                                     // Sub-page moves of a batched scatter are
-                                    // best-effort (the page is already split):
-                                    // counted, but not traced one by one.
-                                    Err(_) => self.robust.failed_migrations += 1,
+                                    // best-effort (the page is already split),
+                                    // but each failure counts in the epoch's
+                                    // failures like any failed migration.
+                                    Err(e) => {
+                                        self.robust.failed_migrations += 1;
+                                        failures.push(FailedAction {
+                                            action: PolicyAction::Migrate(sub.0, node),
+                                            error: action_error(&e),
+                                        });
+                                    }
                                 }
                             }
                             // One event for the whole batched operation —

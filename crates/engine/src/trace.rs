@@ -19,7 +19,8 @@
 //!   meaningful regression oracle.
 
 use crate::policy::{ActionError, PolicyAction};
-use std::collections::VecDeque;
+use codec::json::{self, esc, num, u64s, JsonError};
+use codec::Fnv64;
 use std::io::Write;
 use vmem::PageSize;
 
@@ -332,7 +333,8 @@ pub fn epoch_output_fingerprint(
 }
 
 impl TraceEvent {
-    /// Short kind tag (used by counting sinks and the timeline renderer).
+    /// Short kind tag (used by the digest's per-kind counts and the
+    /// timeline renderer).
     pub fn kind(&self) -> EventKind {
         match self {
             TraceEvent::RunStart { .. } => EventKind::RunStart,
@@ -495,8 +497,8 @@ impl TraceEvent {
         }
     }
 
-    /// Serializes the event as one JSON object (hand-rolled: the build
-    /// environment has no `serde_json`).
+    /// Serializes the event as one JSON object (helpers from
+    /// [`codec::json`]).
     pub fn to_json(&self) -> String {
         fn size_str(s: PageSize) -> &'static str {
             match s {
@@ -505,22 +507,6 @@ impl TraceEvent {
                 PageSize::Size1G => "1G",
             }
         }
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                let s = format!("{v}");
-                if s.contains(['.', 'e', 'E']) {
-                    s
-                } else {
-                    format!("{s}.0")
-                }
-            } else {
-                "null".to_string()
-            }
-        }
-        fn u64s(values: &[u64]) -> String {
-            let inner: Vec<String> = values.iter().map(u64::to_string).collect();
-            format!("[{}]", inner.join(","))
-        }
         match self {
             TraceEvent::RunStart {
                 workload,
@@ -528,8 +514,11 @@ impl TraceEvent {
                 machine,
                 seed,
             } => format!(
-                "{{\"ev\":\"run_start\",\"workload\":\"{workload}\",\
-                 \"policy\":\"{policy}\",\"machine\":\"{machine}\",\"seed\":{seed}}}"
+                "{{\"ev\":\"run_start\",\"workload\":\"{}\",\
+                 \"policy\":\"{}\",\"machine\":\"{}\",\"seed\":{seed}}}",
+                esc(workload),
+                esc(policy),
+                esc(machine)
             ),
             TraceEvent::PageFault {
                 epoch,
@@ -680,7 +669,7 @@ impl TraceEvent {
     }
 }
 
-/// Event kinds, for counting sinks and filters.
+/// Event kinds, for the digest's per-kind counts and filters.
 ///
 /// The discriminants are hashed into every trace digest, so they never
 /// change; 5 and 6 belonged to the retired data-page replication events.
@@ -722,120 +711,6 @@ pub trait TraceSink {
     fn finish(&mut self) {}
 }
 
-/// FNV-1a, 64-bit: a small, dependency-free rolling hash. Not
-/// cryptographic — it only needs to make accidental digest collisions
-/// unlikely.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hash state.
-    pub fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Folds raw bytes into the state.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Folds one little-endian word into the state.
-    #[inline]
-    pub fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    /// The current hash value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
-}
-
-/// Counts events by kind — the cheapest possible sink.
-#[derive(Clone, Debug, Default)]
-pub struct CountingSink {
-    counts: [u64; 13],
-}
-
-impl CountingSink {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        CountingSink::default()
-    }
-
-    /// Events of `kind` seen so far.
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// All events seen so far.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn emit(&mut self, event: &TraceEvent) {
-        self.counts[event.kind() as usize] += 1;
-    }
-}
-
-/// Keeps the last `cap` events (flight-recorder mode: cheap enough to leave
-/// on, detailed enough to answer "what just happened" after a failure).
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `cap` events (`cap` = 0 keeps nothing).
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            cap,
-            buf: VecDeque::with_capacity(cap.min(4096)),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Events evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&mut self, event: &TraceEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event.clone());
-    }
-}
-
 /// Retains every event (for renderers; memory-unbounded, test/tooling use).
 #[derive(Clone, Debug, Default)]
 pub struct VecSink {
@@ -856,42 +731,18 @@ impl TraceSink for VecSink {
     }
 }
 
-/// Streams events as JSON Lines to any writer.
-pub struct JsonlSink<W: Write> {
-    w: W,
-    /// First I/O error encountered, if any (emission must never panic the
-    /// simulation).
-    pub error: Option<std::io::Error>,
-}
+/// Streams events as JSON Lines to any writer: one
+/// [`TraceEvent::to_json`] line per event, with [`json::Lines`]'s
+/// keep-the-first-error policy.
+pub type JsonlSink<W> = json::Lines<W>;
 
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
-        JsonlSink { w, error: None }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
+impl<W: Write> TraceSink for json::Lines<W> {
     fn emit(&mut self, event: &TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = writeln!(self.w, "{}", event.to_json()) {
-            self.error = Some(e);
-        }
+        self.line(&event.to_json());
     }
 
     fn finish(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.w.flush() {
-                self.error = Some(e);
-            }
-        }
+        self.flush();
     }
 }
 
@@ -1034,9 +885,9 @@ impl TraceDigest {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
-        out.push_str(&format!("  \"policy\": \"{}\",\n", self.policy));
-        out.push_str(&format!("  \"machine\": \"{}\",\n", self.machine));
+        out.push_str(&format!("  \"workload\": \"{}\",\n", esc(&self.workload)));
+        out.push_str(&format!("  \"policy\": \"{}\",\n", esc(&self.policy)));
+        out.push_str(&format!("  \"machine\": \"{}\",\n", esc(&self.machine)));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"runtime_cycles\": {},\n", self.runtime_cycles));
         out.push_str("  \"epochs\": [\n");
@@ -1061,53 +912,40 @@ impl TraceDigest {
         out
     }
 
-    /// Parses the format written by [`TraceDigest::to_json`]. A minimal
-    /// purpose-built parser (the build environment has no `serde_json`);
-    /// tolerant of whitespace, intolerant of anything else.
-    pub fn from_json(text: &str) -> Result<TraceDigest, String> {
-        fn str_field(text: &str, key: &str) -> Result<String, String> {
-            let pat = format!("\"{key}\"");
-            let at = text.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-            let rest = &text[at + pat.len()..];
-            let open = rest.find('"').ok_or_else(|| format!("bad {key}"))? + 1;
-            let close = rest[open..].find('"').ok_or_else(|| format!("bad {key}"))?;
-            Ok(rest[open..open + close].to_string())
-        }
-        fn u64_field(text: &str, key: &str) -> Result<u64, String> {
-            let pat = format!("\"{key}\"");
-            let at = text.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-            let rest = text[at + pat.len()..].trim_start_matches([':', ' ', '\t']);
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().map_err(|_| format!("bad {key}"))
-        }
-        let mut d = TraceDigest {
-            workload: str_field(text, "workload")?,
-            policy: str_field(text, "policy")?,
-            machine: str_field(text, "machine")?,
-            seed: u64_field(text, "seed")?,
-            runtime_cycles: u64_field(text, "runtime_cycles")?,
-            epochs: Vec::new(),
-        };
-        let epochs_at = text.find("\"epochs\"").ok_or("missing epochs")?;
-        let mut rest = &text[epochs_at..];
-        while let Some(open) = rest.find('{') {
-            let close = rest[open..].find('}').ok_or("unterminated epoch object")?;
-            let obj = &rest[open..open + close + 1];
-            d.epochs.push(EpochDigest {
-                epoch: u64_field(obj, "epoch")? as u32,
-                events: u64_field(obj, "events")?,
-                hash: u64::from_str_radix(&str_field(obj, "hash")?, 16)
-                    .map_err(|_| "bad hash".to_string())?,
-                faults: u64_field(obj, "faults")?,
-                splits: u64_field(obj, "splits")?,
-                migrations: u64_field(obj, "migrations")?,
-                collapses: u64_field(obj, "collapses")?,
-                decisions: u64_field(obj, "decisions")?,
-                failed: u64_field(obj, "failed")?,
-            });
-            rest = &rest[open + close + 1..];
-        }
-        Ok(d)
+    /// Parses the format written by [`TraceDigest::to_json`] through
+    /// [`codec::json::parse`]: malformed text or a missing or mistyped
+    /// field is a typed [`JsonError`], never a panic.
+    pub fn from_json(text: &str) -> Result<TraceDigest, JsonError> {
+        let v = json::parse(text)?;
+        let epochs = v
+            .array_field("epochs")?
+            .iter()
+            .map(|e| {
+                let epoch = u32::try_from(e.u64_field("epoch")?)
+                    .map_err(|_| JsonError::wrong_type("epoch", "u32"))?;
+                let hash = u64::from_str_radix(e.str_field("hash")?, 16)
+                    .map_err(|_| JsonError::wrong_type("hash", "hex u64"))?;
+                Ok(EpochDigest {
+                    epoch,
+                    events: e.u64_field("events")?,
+                    hash,
+                    faults: e.u64_field("faults")?,
+                    splits: e.u64_field("splits")?,
+                    migrations: e.u64_field("migrations")?,
+                    collapses: e.u64_field("collapses")?,
+                    decisions: e.u64_field("decisions")?,
+                    failed: e.u64_field("failed")?,
+                })
+            })
+            .collect::<Result<_, JsonError>>()?;
+        Ok(TraceDigest {
+            workload: v.str_field("workload")?.to_string(),
+            policy: v.str_field("policy")?.to_string(),
+            machine: v.str_field("machine")?.to_string(),
+            seed: v.u64_field("seed")?,
+            runtime_cycles: v.u64_field("runtime_cycles")?,
+            epochs,
+        })
     }
 }
 
@@ -1217,40 +1055,12 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_counts_by_kind() {
-        let mut s = CountingSink::new();
-        s.emit(&fault(0, 0x1000));
-        s.emit(&fault(0, 0x2000));
-        s.emit(&epoch_end(0));
-        assert_eq!(s.count(EventKind::PageFault), 2);
-        assert_eq!(s.count(EventKind::EpochEnd), 1);
-        assert_eq!(s.total(), 3);
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_tail() {
-        let mut s = RingSink::new(2);
-        for i in 0..5u64 {
-            s.emit(&fault(0, i * 0x1000));
-        }
-        assert_eq!(s.dropped(), 3);
-        let kept: Vec<u64> = s
-            .events()
-            .map(|e| match e {
-                TraceEvent::PageFault { vbase, .. } => *vbase,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kept, vec![0x3000, 0x4000]);
-    }
-
-    #[test]
     fn jsonl_sink_writes_one_line_per_event() {
         let mut s = JsonlSink::new(Vec::<u8>::new());
         s.emit(&fault(2, 0x20_0000));
         s.emit(&epoch_end(2));
         s.finish();
-        assert!(s.error.is_none());
+        assert!(s.error().is_none());
         let text = String::from_utf8(s.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -1376,14 +1186,14 @@ mod tests {
 
     #[test]
     fn tee_fans_out() {
-        let mut count = CountingSink::new();
-        let mut ring = RingSink::new(8);
+        let mut a = VecSink::new();
+        let mut b = VecSink::new();
         {
-            let mut tee = TeeSink::new(vec![&mut count, &mut ring]);
+            let mut tee = TeeSink::new(vec![&mut a, &mut b]);
             tee.emit(&fault(0, 0x1000));
             tee.finish();
         }
-        assert_eq!(count.total(), 1);
-        assert_eq!(ring.events().count(), 1);
+        assert_eq!(a.events.len(), 1);
+        assert_eq!(b.events, a.events);
     }
 }

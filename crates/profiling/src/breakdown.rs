@@ -99,6 +99,18 @@ impl CycleBreakdown {
         self.policy_replication += other.policy_replication;
     }
 
+    /// The buckets as one compact JSON object, keys from
+    /// [`CycleBreakdown::pairs`]: the one serialization the attribution
+    /// reports and the metrics JSONL share.
+    pub fn to_json(&self) -> String {
+        let inner: Vec<String> = self
+            .pairs()
+            .iter()
+            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .collect();
+        format!("{{{}}}", inner.join(","))
+    }
+
     /// Every bucket as a `(name, value)` pair, in declaration order. The
     /// single source of truth for serializers and diff reports — a bucket
     /// added to the struct but not here fails the exhaustiveness test.

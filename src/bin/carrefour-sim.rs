@@ -11,6 +11,7 @@
 //! arguments → byte-identical output, including `--json`.
 
 use carrefour::{Carrefour, CarrefourLp, LpParams, Mitosis, NumaPte};
+use codec::json::esc;
 use engine::{NullPolicy, NumaPolicy, SimConfig, SimResult, Simulation};
 use numa_topology::MachineSpec;
 use std::process::ExitCode;
@@ -110,9 +111,9 @@ fn print_json(r: &SimResult) {
          \"fault_cycles\":{},\"splits\":{},\"migrations_4k\":{},\
          \"table_replications\":{},\"table_migrations\":{},\
          \"robustness\":{{\"failed_migrations\":{},\"failed_splits\":{}}}}}",
-        r.machine,
-        r.workload,
-        r.policy,
+        esc(&r.machine),
+        esc(&r.workload),
+        esc(&r.policy),
         r.runtime_cycles,
         r.runtime_ms,
         r.lifetime.lar,

@@ -35,11 +35,11 @@ pub mod prelude {
         NumaPteConfig,
     };
     pub use engine::{
-        ActionError, Checkpoint, CheckpointError, CountingSink, DigestSink, EpochCtx, EpochDigest,
-        EpochRecord, EpochSnap, EventKind, FailedAction, JsonlSink, LifetimeStats, NullPolicy,
-        NumaPolicy, PageMetrics, PolicyAction, PolicyDecision, RingSink, RobustnessStats, RunHook,
-        RunOptions, RunOutcome, SimConfig, SimResult, Simulation, Start, TeeSink, TraceDigest,
-        TraceEvent, TraceSink, VecSink,
+        ActionError, Checkpoint, CheckpointError, DigestSink, EpochCtx, EpochDigest, EpochRecord,
+        EpochSnap, EventKind, FailedAction, JsonlSink, LifetimeStats, NullPolicy, NumaPolicy,
+        PageMetrics, PolicyAction, PolicyDecision, RobustnessStats, RunHook, RunOptions,
+        RunOutcome, SimConfig, SimResult, Simulation, Start, TeeSink, TraceDigest, TraceEvent,
+        TraceSink, VecSink,
     };
     pub use numa_topology::{CoreId, MachineSpec, NodeId, NodeSpec};
     pub use profiling::{IbsConfig, IbsSample, IbsSampler};

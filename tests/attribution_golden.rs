@@ -17,10 +17,10 @@
 //! 4. **The result codec round-trips** — `encode_result` (with its
 //!    retired zero slots, DESIGN.md §12) decodes back to the same result.
 
-use carrefour_bench::golden::{golden_dir, GOLDEN_CELLS};
+use carrefour_bench::golden::{self, golden_dir, GOLDEN_CELLS};
 use carrefour_bench::{attrib, runner, PolicyKind};
 use engine::checkpoint::{decode_result, encode_result};
-use engine::{DigestSink, RunOptions, SimConfig, Simulation, TraceDigest};
+use engine::{DigestSink, RunOptions, SimConfig, Simulation};
 use numa_topology::MachineSpec;
 use workloads::Benchmark;
 
@@ -83,11 +83,7 @@ fn attributed_golden_runs_conserve_and_match_digests() {
             Some(&result),
             "{name}: the result codec does not round-trip"
         );
-        let path = cell.path(&dir);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{name}: missing golden {} ({e})", path.display()));
-        let golden = TraceDigest::from_json(&text)
-            .unwrap_or_else(|e| panic!("{name}: unparseable golden {} ({e})", path.display()));
+        let golden = golden::load(&cell.path(&dir)).unwrap_or_else(|e| panic!("{name}: {e}"));
         if let Some(diff) = golden.diff(&digest) {
             panic!(
                 "{name}: attribution perturbed the simulation — the attributed \
