@@ -59,7 +59,7 @@ fn main() {
         if std::fs::write(&path, &rendered).is_ok() {
             println!("  -> {path} and results/trace_{}.jsonl\n", cell.stem());
         }
-        progress.cell_done(&cell.stem(), 0, 0);
+        progress.cell_done(&cell.stem(), 0, None);
     }
     progress.finish();
 }
@@ -73,7 +73,15 @@ enum Format {
 /// Parses `--format text|csv` / `--format=csv` out of the arguments.
 fn format_from_args() -> Format {
     let args: Vec<String> = std::env::args().collect();
-    let value = carrefour_bench::arg_value(&args, "--format");
+    let mut value: Option<String> = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--format" {
+            value = it.next().cloned();
+        } else if let Some(v) = a.strip_prefix("--format=") {
+            value = Some(v.to_string());
+        }
+    }
     match value.as_deref() {
         None | Some("text") => Format::Text,
         Some("csv") => Format::Csv,

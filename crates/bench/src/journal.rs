@@ -113,16 +113,21 @@ impl Journal {
 }
 
 /// Loads every decodable `"ok"` cell from a suite's journal, keyed by
-/// [`CellSpec::key`], plus the number of *stale* lines that were
-/// superseded by a later line for the same key. Missing file means an
-/// empty map (a fresh run). Torn, corrupt, or failed lines are skipped; a
-/// later line for the same key replaces an earlier one. A crash between
-/// append and kill can journal a cell twice, and a retry after a panic
-/// line legitimately re-journals the key — the count lets `--resume`
-/// report how much of the journal it discarded rather than silently
-/// folding duplicates.
+/// [`CellSpec::key`]. Missing file means an empty map (a fresh run). Torn,
+/// corrupt, or failed lines are skipped; a later line for the same key
+/// replaces an earlier one.
 ///
 /// [`CellSpec::key`]: crate::runner::CellSpec::key
+pub fn load(suite: &str) -> HashMap<String, JournaledCell> {
+    load_counted(suite).0
+}
+
+/// [`load`], plus the number of *stale* lines that were superseded by a
+/// later line for the same key (the later-line-wins rule firing). A
+/// crash between append and kill can journal a cell twice, and a retry
+/// after a panic line legitimately re-journals the key — the count lets
+/// `--resume` report how much of the journal it discarded rather than
+/// silently folding duplicates.
 pub fn load_counted(suite: &str) -> (HashMap<String, JournaledCell>, usize) {
     match std::fs::read_to_string(journal_path(suite)) {
         Ok(text) => load_from_str(&text),

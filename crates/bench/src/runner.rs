@@ -496,18 +496,34 @@ pub struct Progress {
     /// cell's *estimate*, so the remaining-work arithmetic stays in one
     /// currency).
     est_done: std::sync::atomic::AtomicU64,
+    /// In-flight cells: `(start, estimated_ops)`, slot-indexed by the
+    /// ticket [`Progress::cell_started`] returned. Slots are `None` once
+    /// the cell completes.
+    inflight: std::sync::Mutex<Vec<Option<(Instant, u64)>>>,
     start: Instant,
     quiet: bool,
 }
 
-/// Work-remaining ETA in host seconds: the estimated ops still to run
-/// (`est_total - est_done`) at the observed rate of estimated ops
-/// completed. `None` before any estimate is registered or completed.
-fn eta_from_ops(est_total: u64, est_done: u64, secs: f64) -> Option<f64> {
+/// Work-remaining ETA in host seconds. `est_total`/`est_done` are suite
+/// estimates in ops; `inflight` holds `(elapsed_secs, est_ops)` of the
+/// cells currently running. Each in-flight cell is credited with the
+/// progress it would have made at the observed aggregate rate split
+/// evenly across the in-flight cells, capped below its own estimate (a
+/// cell is never credited as finished before it reports done) — so a
+/// suite whose tail is a few long cells stops reading as "N whole cells
+/// to go".
+fn eta_from_ops(est_total: u64, est_done: u64, secs: f64, inflight: &[(f64, u64)]) -> Option<f64> {
     if est_total == 0 || est_done == 0 || secs <= 0.0 {
         return None;
     }
-    Some(est_total.saturating_sub(est_done) as f64 * secs / est_done as f64)
+    let rate = est_done as f64 / secs;
+    let k = inflight.len().max(1) as f64;
+    let credit: f64 = inflight
+        .iter()
+        .map(|&(elapsed, est)| (rate / k * elapsed).min(est as f64 * 0.95))
+        .sum();
+    let remaining = (est_total.saturating_sub(est_done)) as f64 - credit;
+    Some((remaining.max(0.0) / rate).max(0.0))
 }
 
 impl Progress {
@@ -521,6 +537,7 @@ impl Progress {
             ops: std::sync::atomic::AtomicU64::new(0),
             est_total: std::sync::atomic::AtomicU64::new(0),
             est_done: std::sync::atomic::AtomicU64::new(0),
+            inflight: std::sync::Mutex::new(Vec::new()),
             start: Instant::now(),
             quiet: std::env::var_os("CARREFOUR_QUIET").is_some_and(|v| v == "1"),
         }
@@ -534,15 +551,33 @@ impl Progress {
         self.est_total.fetch_add(est_ops, Ordering::Relaxed);
     }
 
+    /// Marks one cell as started (`est_ops` is its cost estimate) and
+    /// returns a ticket for [`Progress::cell_done`]. In-flight cells earn
+    /// partial ETA credit as they run.
+    pub fn cell_started(&self, est_ops: u64) -> usize {
+        let mut v = self.inflight.lock().unwrap();
+        v.push(Some((Instant::now(), est_ops)));
+        v.len() - 1
+    }
+
     /// Records one finished cell that simulated `ops` memory operations
-    /// (`0` when unknown) against its a-priori estimate `est_ops` (`0`
-    /// without one) and prints a progress line: cumulative throughput
+    /// (`0` when unknown) and prints a progress line. A `ticket` from
+    /// [`Progress::cell_started`] retires the cell's in-flight slot and
+    /// credits its estimate as completed work; `None` records a cell that
+    /// was never registered. The line carries cumulative throughput
     /// (simulated ops per host second, when op counts are reported) and an
     /// ETA — from work-remaining accounting when estimates were registered
-    /// ([`eta_from_ops`]), from mean whole-cell cost otherwise. Output is
-    /// explicitly flushed so piped logs (CI, `tee`) stay live.
-    pub fn cell_done(&self, what: &str, ops: u64, est_ops: u64) {
-        self.est_done.fetch_add(est_ops, Ordering::Relaxed);
+    /// ([`eta_from_ops`]: in-flight cells earn partial credit), from mean
+    /// whole-cell cost otherwise. Output is explicitly flushed so piped
+    /// logs (CI, `tee`) stay live.
+    pub fn cell_done(&self, what: &str, ops: u64, ticket: Option<usize>) {
+        if let Some(ticket) = ticket {
+            let est = {
+                let mut v = self.inflight.lock().unwrap();
+                v[ticket].take().map_or(0, |(_, e)| e)
+            };
+            self.est_done.fetch_add(est, Ordering::Relaxed);
+        }
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let total_ops = self.ops.fetch_add(ops, Ordering::Relaxed) + ops;
         if !self.quiet {
@@ -553,10 +588,19 @@ impl Progress {
                 line.push_str(&format!("  {:.2} Mops/s", total_ops as f64 / secs / 1e6));
             }
             if done < self.total && secs > 0.0 {
+                let inflight: Vec<(f64, u64)> = self
+                    .inflight
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .flatten()
+                    .map(|&(t0, est)| (t0.elapsed().as_secs_f64(), est))
+                    .collect();
                 let eta = eta_from_ops(
                     self.est_total.load(Ordering::Relaxed),
                     self.est_done.load(Ordering::Relaxed),
                     secs,
+                    &inflight,
                 )
                 .unwrap_or_else(|| secs / done as f64 * (self.total - done) as f64);
                 line.push_str(&format!("  eta {eta:.0}s"));
@@ -703,11 +747,12 @@ where
                 let n = m.len();
                 *m.entry(id).or_insert(n)
             };
+            let ticket = progress.cell_started(est[i]);
             let t = Instant::now();
             let result = run_spec(spec);
             let wall_secs = t.elapsed().as_secs_f64();
             let merge_t = Instant::now();
-            progress.cell_done(&spec.describe(), result.lifetime.total_ops, est[i]);
+            progress.cell_done(&spec.describe(), result.lifetime.total_ops, Some(ticket));
             let timed = TimedCell {
                 cell: Cell {
                     machine: spec.machine.name().to_string(),
@@ -826,16 +871,82 @@ mod tests {
     }
 
     #[test]
-    fn eta_is_remaining_estimate_at_the_observed_rate() {
+    fn eta_without_inflight_matches_plain_rate_math() {
         // 100k of 400k estimated ops done in 10s → 30s remaining.
-        let eta = eta_from_ops(400_000, 100_000, 10.0).unwrap();
+        let eta = eta_from_ops(400_000, 100_000, 10.0, &[]).unwrap();
         assert!((eta - 30.0).abs() < 1e-9, "{eta}");
-        // No estimates, nothing finished yet, or no elapsed time → no
-        // ops-based ETA; an overrun estimate never goes negative.
-        assert!(eta_from_ops(0, 0, 10.0).is_none());
-        assert!(eta_from_ops(400_000, 0, 10.0).is_none());
-        assert!(eta_from_ops(400_000, 100_000, 0.0).is_none());
-        assert_eq!(eta_from_ops(100_000, 200_000, 10.0), Some(0.0));
+        // No estimates, or nothing finished yet → no ops-based ETA.
+        assert!(eta_from_ops(0, 0, 10.0, &[]).is_none());
+        assert!(eta_from_ops(400_000, 0, 10.0, &[]).is_none());
+    }
+
+    #[test]
+    fn inflight_cells_earn_partial_eta_credit() {
+        // Rate = 10k ops/s. One in-flight cell of 200k est, running 5s:
+        // credited 50k, so remaining = 300k - 50k → 25s instead of 30s.
+        let plain = eta_from_ops(400_000, 100_000, 10.0, &[]).unwrap();
+        let credited = eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 200_000)]).unwrap();
+        assert!((plain - 30.0).abs() < 1e-9);
+        assert!((credited - 25.0).abs() < 1e-9, "{credited}");
+        // Two in-flight cells split the rate (25k each, 50k total — same
+        // aggregate as one cell at the full rate), but a small cell's
+        // credit caps at 95% of its own estimate: 25k + 9.5k → 26.55s.
+        let split =
+            eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 200_000), (5.0, 200_000)]).unwrap();
+        assert!((split - 25.0).abs() < 1e-9, "{split}");
+        let capped =
+            eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 200_000), (5.0, 10_000)]).unwrap();
+        assert!((capped - 26.55).abs() < 1e-9, "{capped}");
+    }
+
+    #[test]
+    fn inflight_credit_is_capped_below_the_cell_estimate() {
+        // A cell "running" absurdly long never counts as more than 95%
+        // done until it reports completion, and the ETA never goes
+        // negative.
+        let eta = eta_from_ops(200_000, 100_000, 10.0, &[(1e9, 100_000)]).unwrap();
+        let floor = (100_000.0 - 95_000.0) / 10_000.0;
+        assert!((eta - floor).abs() < 1e-9, "{eta}");
+        let eta = eta_from_ops(110_000, 100_000, 10.0, &[(1e9, 100_000)]).unwrap();
+        assert!((eta - 0.0).abs() < 1e-9, "clamped at zero, got {eta}");
+    }
+
+    #[test]
+    fn zero_estimate_inflight_cells_earn_no_credit() {
+        // A cell whose estimator came back 0 (custom workloads can) sits in
+        // the in-flight list without poisoning the ETA: its 95% cap is 0,
+        // so its credit is 0 — but it still takes a share of the rate.
+        let plain = eta_from_ops(400_000, 100_000, 10.0, &[]).unwrap();
+        let with_zero = eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 0)]).unwrap();
+        assert!((plain - 30.0).abs() < 1e-9);
+        assert!(
+            (with_zero - 30.0).abs() < 1e-9,
+            "zero-estimate cell credited nothing, got {with_zero}"
+        );
+        // Paired with a real cell it still only dilutes the shared rate:
+        // the 200k cell gets rate/2 * 5s = 25k credit, the zero cell 0.
+        let mixed = eta_from_ops(400_000, 100_000, 10.0, &[(5.0, 0), (5.0, 200_000)]).unwrap();
+        assert!((mixed - 27.5).abs() < 1e-9, "{mixed}");
+    }
+
+    #[test]
+    fn all_cells_inflight_with_nothing_done_gives_no_eta() {
+        // Suite start: every cell is in flight, none has finished, so
+        // est_done == 0 and there is no observed rate to extrapolate from.
+        assert!(eta_from_ops(400_000, 0, 10.0, &[(5.0, 200_000), (5.0, 200_000)]).is_none());
+        // Degenerate wall clock never divides by zero either.
+        assert!(eta_from_ops(400_000, 100_000, 0.0, &[(5.0, 200_000)]).is_none());
+    }
+
+    #[test]
+    fn every_remaining_cell_inflight_converges_to_the_cap_floor() {
+        // All remaining work is in flight and every cell is near done: the
+        // credit caps keep 5% of each estimate outstanding, so the ETA
+        // stays positive until completions actually land.
+        let eta = eta_from_ops(300_000, 100_000, 10.0, &[(1e9, 100_000), (1e9, 100_000)]).unwrap();
+        let floor = (200_000.0 - 2.0 * 95_000.0) / 10_000.0;
+        assert!((eta - floor).abs() < 1e-9, "{eta} vs floor {floor}");
+        assert!(eta > 0.0);
     }
 
     #[test]

@@ -27,48 +27,12 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// FNV-1a 64 over a byte slice — the same function the engine's trace
 /// digests use, so checkpoint checksums need no new primitives.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::default();
-    h.bytes(bytes);
-    h.value()
-}
-
-/// Streaming FNV-1a 64, for the engine's trace digests. Not
-/// cryptographic — it only needs to make accidental digest collisions
-/// unlikely.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV_OFFSET)
+    let mut h = FNV_OFFSET;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
     }
-}
-
-impl Fnv64 {
-    /// A fresh hash state.
-    pub fn new() -> Self {
-        Fnv64::default()
-    }
-
-    /// Folds raw bytes into the state.
-    #[inline]
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds one little-endian word into the state.
-    #[inline]
-    pub fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    /// The current hash value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
+    h
 }
 
 /// Append-only binary encoder.

@@ -276,13 +276,36 @@ impl RunHook for VecRecorder {
 
 /// Streams `metrics-v3` JSONL to any writer: a header line, then one
 /// [`MetricsSample::to_json`] line per boundary, with [`json::Lines`]'s
-/// keep-the-first-error policy (a recorder must never panic
-/// mid-simulation over a full disk).
-pub type JsonlRecorder<W> = json::Lines<W>;
+/// keep-the-first-error policy (inspect via [`JsonlRecorder::error`]; a
+/// recorder must never panic mid-simulation over a full disk). A metrics
+/// writer only, so it cannot be passed where a trace sink is expected.
+pub struct JsonlRecorder<W: Write>(json::Lines<W>);
 
-impl<W: Write> RunHook for json::Lines<W> {
+impl<W: Write> JsonlRecorder<W> {
+    /// Wraps a writer.
+    pub fn new(out: W) -> Self {
+        JsonlRecorder(json::Lines::new(out))
+    }
+
+    /// The first write error, if any occurred.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.0.error()
+    }
+
+    /// Unwraps the writer (callers that need the file back).
+    pub fn into_inner(self) -> W {
+        self.0.into_inner()
+    }
+
+    /// Writes one sample as a `metrics-v3` epoch line.
+    pub fn record(&mut self, sample: &MetricsSample<'_>) {
+        self.0.line(&sample.to_json());
+    }
+}
+
+impl<W: Write> RunHook for JsonlRecorder<W> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.line(&format!(
+        self.0.line(&format!(
             "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v3\",\
              \"workload\":\"{}\",\"policy\":\"{}\",\"machine\":\"{}\",\
              \"threads\":{},\"nodes\":{}}}",
@@ -300,12 +323,12 @@ impl<W: Write> RunHook for json::Lines<W> {
 
     fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
         if let Some(sample) = &b.metrics {
-            self.line(&sample.to_json());
+            self.record(sample);
         }
     }
 
     fn finish(&mut self) {
-        self.flush();
+        self.0.flush();
     }
 }
 
@@ -405,7 +428,7 @@ mod tests {
             threads: 16,
             nodes: 4,
         });
-        rec.line(&s.to_json());
+        rec.record(&s);
         rec.finish();
         assert!(rec.error().is_none());
         let text = String::from_utf8(rec.into_inner()).unwrap();
@@ -467,7 +490,7 @@ mod tests {
         }
         let reqs = [1u64];
         let mut rec = JsonlRecorder::new(Failing);
-        rec.line(&sample(&reqs, None).to_json());
+        rec.record(&sample(&reqs, None));
         rec.finish();
         assert!(rec.error().is_some());
     }

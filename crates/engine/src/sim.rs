@@ -662,21 +662,25 @@ impl<'m, 't> SimState<'m, 't> {
         cycles_total
     }
 
-    /// Applies policy actions; returns (migrations, splits, costs), the
-    /// cycle costs split by action kind for the attribution ledger
-    /// (`ActionCosts::total()` is the old opaque cost sum, unchanged).
+    /// Applies policy actions; returns (migrations, splits, costs,
+    /// scatter failures), the costs split by action kind for the
+    /// attribution ledger (`ActionCosts::total()` is the old opaque cost
+    /// sum, unchanged).
     ///
     /// Failures — vmem refusals such as a full target node or a stale
     /// action (page already split, wrong size class) — are appended to
     /// `failures` and tallied in the run's [`RobustnessStats`]; they change
-    /// accounting, not simulation state.
+    /// accounting, not simulation state. A split-scatter's failed sub-page
+    /// moves are not actions the policy issued, so they are only counted
+    /// (the last return value) rather than listed one by one.
     fn apply_actions(
         &mut self,
         actions: &[PolicyAction],
         failures: &mut Vec<FailedAction>,
-    ) -> (u64, u64, ActionCosts) {
+    ) -> (u64, u64, ActionCosts, u64) {
         let mut migrations = 0;
         let mut splits = 0;
+        let mut scatter_failures = 0;
         let mut costs = ActionCosts::default();
         let epoch = self.epoch;
         for &a in actions {
@@ -751,15 +755,12 @@ impl<'m, 't> SimState<'m, 't> {
                                         moved += 1;
                                     }
                                     // Sub-page moves of a batched scatter are
-                                    // best-effort (the page is already split),
-                                    // but each failure counts in the epoch's
-                                    // failures like any failed migration.
-                                    Err(e) => {
+                                    // best-effort (the page is already split):
+                                    // counted in the run's and the epoch's
+                                    // failures, but not traced one by one.
+                                    Err(_) => {
                                         self.robust.failed_migrations += 1;
-                                        failures.push(FailedAction {
-                                            action: PolicyAction::Migrate(sub.0, node),
-                                            error: action_error(&e),
-                                        });
+                                        scatter_failures += 1;
                                     }
                                 }
                             }
@@ -848,7 +849,7 @@ impl<'m, 't> SimState<'m, 't> {
                 },
             }
         }
-        (migrations, splits, costs)
+        (migrations, splits, costs, scatter_failures)
     }
 
     /// Builds the run state of a fresh run: address space mapped (and
@@ -1074,7 +1075,9 @@ impl<'m, 't> SimState<'m, 't> {
             });
         }
         let mut failures: Vec<FailedAction> = Vec::new();
-        let (migrations, splits, action_costs) = self.apply_actions(&actions, &mut failures);
+        let (migrations, splits, action_costs, scatter_failures) =
+            self.apply_actions(&actions, &mut failures);
+        let failed_actions = failures.len() as u64 + scatter_failures;
         let action_cost = action_costs.total();
         if self.trace.is_some() {
             for f in &failures {
@@ -1134,7 +1137,7 @@ impl<'m, 't> SimState<'m, 't> {
                 migrations,
                 splits,
                 collapses: collapsed.len() as u64,
-                failed_actions: failures.len() as u64,
+                failed_actions,
                 thp_alloc: self.space.thp().alloc_2m,
                 thp_promote: self.space.thp().promote_2m,
             };
@@ -1152,7 +1155,7 @@ impl<'m, 't> SimState<'m, 't> {
             overhead_cycles: overhead,
             thp_alloc_enabled: self.space.thp().alloc_2m,
             thp_promote_enabled: self.space.thp().promote_2m,
-            failed_actions: failures.len() as u64,
+            failed_actions,
         });
         if self.attrib_on {
             self.attrib_epochs.push(EpochAttribution {
@@ -1186,7 +1189,7 @@ impl<'m, 't> SimState<'m, 't> {
                 migrations,
                 splits,
                 collapses: collapsed.len() as u64,
-                failed_actions: failures.len() as u64,
+                failed_actions,
                 pages: self.page_stats.as_ref().map(|ps| {
                     let rows = self.mapped_page_rows(ps);
                     PageSnapshot {

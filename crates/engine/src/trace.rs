@@ -20,7 +20,6 @@
 
 use crate::policy::{ActionError, PolicyAction};
 use codec::json::{self, esc, num, u64s, JsonError};
-use codec::Fnv64;
 use std::io::Write;
 use vmem::PageSize;
 
@@ -711,6 +710,47 @@ pub trait TraceSink {
     fn finish(&mut self) {}
 }
 
+/// FNV-1a, 64-bit: a small, dependency-free rolling hash. Not
+/// cryptographic — it only needs to make accidental digest collisions
+/// unlikely.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A fresh hash state.
+    pub fn new() -> Self {
+        Fnv64(Self::OFFSET)
+    }
+
+    /// Folds raw bytes into the state.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Folds one little-endian word into the state.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// The current hash value.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
 /// Retains every event (for renderers; memory-unbounded, test/tooling use).
 #[derive(Clone, Debug, Default)]
 pub struct VecSink {
@@ -733,16 +773,35 @@ impl TraceSink for VecSink {
 
 /// Streams events as JSON Lines to any writer: one
 /// [`TraceEvent::to_json`] line per event, with [`json::Lines`]'s
-/// keep-the-first-error policy.
-pub type JsonlSink<W> = json::Lines<W>;
+/// keep-the-first-error policy (emission must never panic the
+/// simulation). A trace writer only, so it cannot be passed where a
+/// metrics hook is expected.
+pub struct JsonlSink<W: Write>(json::Lines<W>);
 
-impl<W: Write> TraceSink for json::Lines<W> {
+impl<W: Write> JsonlSink<W> {
+    /// Wraps a writer.
+    pub fn new(w: W) -> Self {
+        JsonlSink(json::Lines::new(w))
+    }
+
+    /// The first write error, if any occurred.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.0.error()
+    }
+
+    /// Consumes the sink, returning the writer.
+    pub fn into_inner(self) -> W {
+        self.0.into_inner()
+    }
+}
+
+impl<W: Write> TraceSink for JsonlSink<W> {
     fn emit(&mut self, event: &TraceEvent) {
-        self.line(&event.to_json());
+        self.0.line(&event.to_json());
     }
 
     fn finish(&mut self) {
-        self.flush();
+        self.0.flush();
     }
 }
 
