@@ -36,7 +36,7 @@
 //! (Table 1: page-walk misses vanish under huge pages — the ledger shows
 //! the win is walk-cycle reduction).
 
-use carrefour_bench::runner::{par_map, resolve_jobs};
+use carrefour_bench::runner::{default_jobs, par_map};
 use carrefour_bench::{attrib, golden, Cell, PolicyKind};
 use engine::{EpochCtx, NumaPolicy, PolicyAction, SimConfig, Simulation};
 use numa_topology::MachineSpec;
@@ -87,7 +87,7 @@ fn run_attributed(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind) -> 
 /// prints the narrative.
 fn explain_pair(machine: &MachineSpec, bench: Benchmark, base: PolicyKind, cand: PolicyKind) {
     let kinds = [base, cand];
-    let mut cells = par_map(resolve_jobs(None).min(2), 2, |i| {
+    let mut cells = par_map(default_jobs().min(2), 2, |i| {
         run_attributed(machine, bench, kinds[i])
     });
     let cand_cell = cells.pop().expect("par_map(2) returned both cells");
@@ -104,8 +104,7 @@ fn explain_pair(machine: &MachineSpec, bench: Benchmark, base: PolicyKind, cand:
 /// golden configurations' cycle composition.
 fn golden_baseline() {
     let machine = MachineSpec::machine_a();
-    let jobs = resolve_jobs(None);
-    let cells = par_map(jobs, golden::GOLDEN_CELLS.len(), |i| {
+    let cells = par_map(default_jobs(), golden::GOLDEN_CELLS.len(), |i| {
         let c = golden::GOLDEN_CELLS[i];
         run_attributed(&machine, c.bench, c.kind)
     });
@@ -311,6 +310,8 @@ fn main() {
                         .unwrap_or_else(|_| die(&format!("--epoch {v:?} is not a number"))),
                 );
             }
+            // Read by `default_jobs`; the value is skipped here so it is
+            // not taken as a positional argument.
             "--jobs" => {
                 let _ = it.next();
             }

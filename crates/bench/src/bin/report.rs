@@ -21,7 +21,7 @@ fn main() {
         .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
         .unwrap_or_else(|| "results/report.html".to_string());
 
-    logx::info("[report] recording golden cells (metrics-v1)...");
+    logx::info("[report] recording golden cells (metrics-v3)...");
     let series = report::record_golden_cells(Path::new("results"));
 
     let runner = read_runner_json("results/BENCH_runner.json");

@@ -16,14 +16,12 @@
 //! response to a golden-trace failure).
 
 use carrefour_bench::golden::{self, GoldenCell, GOLDEN_CELLS};
+use carrefour_bench::logx;
 use carrefour_bench::runner::Progress;
-use engine::trace::{EpochSnap, PolicyDecision, TraceEvent};
-use engine::{JsonlSink, RunOptions, SimConfig, Simulation, TeeSink, TraceSink, VecSink};
+use engine::trace::{events_to_jsonl, EpochSnap, PolicyDecision, TraceEvent};
+use engine::{RunOptions, SimConfig, Simulation, VecSink};
 use numa_topology::MachineSpec;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::BufWriter;
-use std::path::Path;
 
 fn main() {
     let bless = std::env::args().any(|a| a == "--bless");
@@ -56,8 +54,9 @@ fn main() {
         };
         print!("{rendered}");
         let path = format!("results/trace_{}.{ext}", cell.stem());
-        if std::fs::write(&path, &rendered).is_ok() {
-            println!("  -> {path} and results/trace_{}.jsonl\n", cell.stem());
+        match std::fs::write(&path, &rendered) {
+            Ok(()) => println!("  -> {path} and results/trace_{}.jsonl\n", cell.stem()),
+            Err(e) => logx::warn(&format!("could not write {path}: {e}")),
         }
         progress.cell_done(&cell.stem(), 0, None);
     }
@@ -92,28 +91,23 @@ fn format_from_args() -> Format {
     }
 }
 
-/// Runs one cell with a collector and a JSONL file sink teed together.
+/// Runs one cell traced into memory and writes its event stream to
+/// `results/trace_<cell>.jsonl`. A failed write warns and the timeline
+/// still renders from memory (a read-only checkout).
 fn run_traced_cell(machine: &MachineSpec, cell: GoldenCell) -> (Vec<TraceEvent>, f64) {
     let config = SimConfig::for_machine(machine, cell.kind.initial_thp());
     let spec = cell.bench.spec(machine);
     let mut policy = cell.kind.make();
     let mut collect = VecSink::new();
+    let opts = RunOptions {
+        hook: Some(&mut collect),
+        ..RunOptions::default()
+    };
+    let result = Simulation::run_with(machine, &spec, &config, policy.as_mut(), opts).result();
     let jsonl_path = format!("results/trace_{}.jsonl", cell.stem());
-    let mut run = |sink: &mut dyn TraceSink| {
-        let opts = RunOptions {
-            sink: Some(sink),
-            ..RunOptions::default()
-        };
-        Simulation::run_with(machine, &spec, &config, policy.as_mut(), opts).result()
-    };
-    let result = match File::create(Path::new(&jsonl_path)) {
-        Ok(f) => {
-            let mut jsonl = JsonlSink::new(BufWriter::new(f));
-            run(&mut TeeSink::new(vec![&mut collect, &mut jsonl]))
-        }
-        // Read-only checkout: still render the timeline from memory.
-        Err(_) => run(&mut collect),
-    };
+    if let Err(e) = std::fs::write(&jsonl_path, events_to_jsonl(&collect.events)) {
+        logx::warn(&format!("could not write {jsonl_path}: {e}"));
+    }
     (collect.events, result.runtime_ms)
 }
 

@@ -41,7 +41,7 @@
 use crate::runner::CellSpec;
 use engine::{
     Checkpoint, DigestSink, EpochBoundary, EpochCtx, NumaPolicy, RunHook, RunOptions, SimConfig,
-    SimResult, Simulation, Start, TraceDigest, TraceSink,
+    SimResult, Simulation, Start, TraceDigest, TraceEvent,
 };
 use numa_topology::MachineSpec;
 use profiling::{EpochCounters, IbsSample};
@@ -123,7 +123,8 @@ struct Claims {
 
 /// A head run's hook: records each boundary, replays every matching
 /// member over it, and splits diverging members into new classes, each
-/// claiming the snapshot its head will fork from.
+/// claiming the snapshot its head will fork from. A traced family's head
+/// also forwards its events to `digest`.
 struct Lockstep<'a> {
     machine: &'a MachineSpec,
     claims: &'a mut Claims,
@@ -134,6 +135,7 @@ struct Lockstep<'a> {
     /// The snapshot taken at the start of the epoch in flight.
     pending: Option<Rc<Checkpoint>>,
     replay_secs: f64,
+    digest: Option<DigestSink>,
 }
 
 impl Lockstep<'_> {
@@ -156,6 +158,16 @@ impl Lockstep<'_> {
 }
 
 impl RunHook for Lockstep<'_> {
+    fn wants_events(&self) -> bool {
+        self.digest.is_some()
+    }
+
+    fn on_event(&mut self, event: &TraceEvent) {
+        if let Some(d) = &mut self.digest {
+            d.on_event(event);
+        }
+    }
+
     fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
         if self.matching.is_empty() {
             return;
@@ -457,8 +469,10 @@ fn run_class(
         }
     };
 
-    // A class without members has nobody to share with: a plain run,
-    // no hook (which would record boundaries for nothing).
+    // A class without members has nobody to share with: its hook is the
+    // digest alone when traced, and a plain run has none (a lockstep hook
+    // would record boundaries for nothing).
+    let mut sink = fam.traced.then(DigestSink::new);
     let mut lockstep = (!members.is_empty()).then(|| Lockstep {
         machine: fam.machine,
         claims: &mut fam.claims,
@@ -468,18 +482,26 @@ fn run_class(
         split: Vec::new(),
         pending: None,
         replay_secs: 0.0,
+        digest: sink.take(),
     });
     let run_t = Instant::now();
-    let mut sink = fam.traced.then(DigestSink::new);
+    let hook = match (&mut lockstep, &mut sink) {
+        (Some(l), _) => Some(l as &mut dyn RunHook),
+        (None, Some(d)) => Some(d as &mut dyn RunHook),
+        (None, None) => None,
+    };
     let opts = RunOptions {
         start,
-        hook: lockstep.as_mut().map(|l| l as &mut dyn RunHook),
-        ..sink_opts(&mut sink)
+        hook,
+        ..RunOptions::default()
     };
     let mut result =
         Simulation::run_with(fam.machine, &fam.wspec, &fam.config, policy.as_mut(), opts).result();
     let (records, full, split, in_run_replay) = match lockstep {
-        Some(l) => (l.records, l.matching, l.split, l.replay_secs),
+        Some(l) => {
+            sink = l.digest;
+            (l.records, l.matching, l.split, l.replay_secs)
+        }
         None => (Vec::new(), Vec::new(), Vec::new(), 0.0),
     };
     let run_secs = run_t.elapsed().as_secs_f64() - in_run_replay;
@@ -539,14 +561,6 @@ fn run_class(
         for class in split {
             run_class(fam, class, &records, digest.as_ref(), depth + 1);
         }
-    }
-}
-
-/// Default run options, traced into `sink` when there is one.
-fn sink_opts(sink: &mut Option<DigestSink>) -> RunOptions<'_> {
-    RunOptions {
-        sink: sink.as_mut().map(|s| s as &mut dyn TraceSink),
-        ..RunOptions::default()
     }
 }
 

@@ -120,7 +120,7 @@ pub fn golden_dir() -> PathBuf {
 
 /// Runs one golden cell traced and returns its digest. Identical inputs
 /// to [`crate::run_cell`] — same machine config, same pinned seed — plus
-/// a [`DigestSink`]; the digest's policy field is normalized to the
+/// a [`DigestSink`] hook; the digest's policy field is normalized to the
 /// display label so goldens are self-describing.
 pub fn digest_cell(machine: &MachineSpec, cell: GoldenCell) -> TraceDigest {
     let config = SimConfig::for_machine(machine, cell.kind.initial_thp());
@@ -128,7 +128,7 @@ pub fn digest_cell(machine: &MachineSpec, cell: GoldenCell) -> TraceDigest {
     let mut policy = cell.kind.make();
     let mut sink = DigestSink::new();
     let opts = RunOptions {
-        sink: Some(&mut sink),
+        hook: Some(&mut sink),
         ..RunOptions::default()
     };
     let result = Simulation::run_with(machine, &spec, &config, policy.as_mut(), opts).result();

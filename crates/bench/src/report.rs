@@ -22,7 +22,7 @@
 
 use crate::golden::GOLDEN_CELLS;
 use codec::json::{self, JsonError, Value};
-use engine::{JsonlRecorder, MetricsRow, RunOptions, SimConfig, Simulation, TeeHook, VecRecorder};
+use engine::{MetricsSample, RunOptions, SimConfig, Simulation, VecRecorder};
 use numa_topology::MachineSpec;
 use std::path::Path;
 
@@ -32,8 +32,8 @@ pub struct CellSeries {
     pub stem: String,
     /// Human title ("ua.B / carrefour-lp").
     pub title: String,
-    /// One row per epoch boundary, in epoch order.
-    pub rows: Vec<MetricsRow>,
+    /// One sample per epoch boundary, in epoch order.
+    pub samples: Vec<MetricsSample>,
     /// The run's total wall cycles (the paper's runtime axis).
     pub runtime_cycles: u64,
 }
@@ -41,8 +41,8 @@ pub struct CellSeries {
 /// Runs every golden cell with the metrics recorder on (attribution
 /// enabled so the per-epoch ledger deltas are populated) and writes each
 /// series to `<dir>/metrics_<stem>.jsonl`. Returns the in-memory series
-/// in [`GOLDEN_CELLS`] order. File-write failures warn and keep going:
-/// the HTML report can still be built from memory.
+/// in [`GOLDEN_CELLS`] order. A failed write warns, naming the path, and
+/// keeps going: the HTML report can still be built from memory.
 pub fn record_golden_cells(dir: &Path) -> Vec<CellSeries> {
     if let Err(e) = std::fs::create_dir_all(dir) {
         crate::logx::warn(&format!("could not create {}: {e}", dir.display()));
@@ -57,28 +57,21 @@ pub fn record_golden_cells(dir: &Path) -> Vec<CellSeries> {
         config.attribution = true;
         let spec = cell.bench.spec(&machine);
         let mut policy = cell.kind.make();
-        let mut vec_rec = VecRecorder::new();
-        let mut jsonl = JsonlRecorder::new(Vec::new());
-        let result = {
-            let mut tee = TeeHook::new(&mut vec_rec, &mut jsonl);
-            let opts = RunOptions {
-                hook: Some(&mut tee),
-                ..RunOptions::default()
-            };
-            Simulation::run_with(&machine, &spec, &config, policy.as_mut(), opts).result()
+        let mut rec = VecRecorder::new();
+        let opts = RunOptions {
+            hook: Some(&mut rec),
+            ..RunOptions::default()
         };
+        let result = Simulation::run_with(&machine, &spec, &config, policy.as_mut(), opts).result();
         let stem = cell.stem();
-        if let Some(e) = jsonl.error() {
-            crate::logx::warn(&format!("metrics serialization failed for {stem}: {e}"));
-        }
         let path = dir.join(format!("metrics_{stem}.jsonl"));
-        if let Err(e) = std::fs::write(&path, jsonl.into_inner()) {
+        if let Err(e) = std::fs::write(&path, rec.to_jsonl()) {
             crate::logx::warn(&format!("could not write {}: {e}", path.display()));
         }
         CellSeries {
             stem,
             title: format!("{} / {}", cell.bench.name(), cell.kind.label()),
-            rows: vec_rec.rows,
+            samples: rec.samples,
             runtime_cycles: result.runtime_cycles,
         }
     })
@@ -446,14 +439,14 @@ pub fn html_report(
          <th>PAMUP %</th><th>hot pages</th><th>PSP %</th></tr>\n",
     );
     for s in series {
-        let mean_imb = if s.rows.is_empty() {
+        let mean_imb = if s.samples.is_empty() {
             0.0
         } else {
-            s.rows.iter().map(|r| r.imbalance).sum::<f64>() / s.rows.len() as f64
+            s.samples.iter().map(|r| r.imbalance).sum::<f64>() / s.samples.len() as f64
         };
-        let migr: u64 = s.rows.iter().map(|r| r.migrations).sum();
-        let splits: u64 = s.rows.iter().map(|r| r.splits).sum();
-        let last = s.rows.last();
+        let migr: u64 = s.samples.iter().map(|r| r.migrations).sum();
+        let splits: u64 = s.samples.iter().map(|r| r.splits).sum();
+        let last = s.samples.last();
         let pages = last.and_then(|r| r.pages);
         out.push_str(&format!(
             "<tr><td class=\"l\">{}</td><td>{:.3}</td><td>{:.3}</td><td>{:.1}</td>\
@@ -476,17 +469,17 @@ pub fn html_report(
             "<div class=\"cell\"><h3>{}</h3>\n",
             hesc(&s.title)
         ));
-        let f = |g: fn(&MetricsRow) -> f64| s.rows.iter().map(g).collect::<Vec<f64>>();
+        let f = |g: fn(&MetricsSample) -> f64| s.samples.iter().map(g).collect::<Vec<f64>>();
         out.push_str(&metric_block("imbalance %", &f(|r| r.imbalance), "#e15759"));
         out.push_str(&metric_block("LAR", &f(|r| r.lar), "#4e79a7"));
         out.push_str(&metric_block(
             "TLB hit rate",
-            &f(|r| r.tlb_hit_rate),
+            &f(MetricsSample::tlb_hit_rate),
             "#59a14f",
         ));
         out.push_str(&metric_block(
             "walk-cache hit rate",
-            &f(|r| r.walk_cache_hit_rate),
+            &f(MetricsSample::walk_cache_hit_rate),
             "#76b7b2",
         ));
         out.push_str(&metric_block(
@@ -499,9 +492,9 @@ pub fn html_report(
             &f(|r| r.walk_miss_fraction),
             "#f28e2b",
         ));
-        if s.rows.iter().any(|r| r.pages.is_some()) {
+        if s.samples.iter().any(|r| r.pages.is_some()) {
             let g = |h: fn(&engine::PageSnapshot) -> f64| {
-                s.rows
+                s.samples
                     .iter()
                     .map(|r| r.pages.as_ref().map_or(f64::NAN, h))
                     .collect::<Vec<f64>>()
@@ -509,9 +502,9 @@ pub fn html_report(
             out.push_str(&metric_block("PAMUP %", &g(|p| p.pamup), "#edc948"));
             out.push_str(&metric_block("PSP %", &g(|p| p.psp), "#9c755f"));
         }
-        if s.rows.iter().any(|r| r.attrib.is_some()) {
+        if s.samples.iter().any(|r| r.attrib.is_some()) {
             let policy_cycles: Vec<f64> = s
-                .rows
+                .samples
                 .iter()
                 .map(|r| {
                     r.attrib.as_ref().map_or(f64::NAN, |b| {
@@ -705,7 +698,7 @@ mod tests {
         let series = vec![CellSeries {
             stem: "x".into(),
             title: "ua.B / <tag> & \"quote\"".into(),
-            rows: Vec::new(),
+            samples: Vec::new(),
             runtime_cycles: 1_000_000,
         }];
         let r = parse_runner_json(&synthetic_v5()).expect("parses");

@@ -24,7 +24,7 @@ use engine::{
 use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
 use vmem::{AddressSpace, PageSize};
-use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
+use workloads::{AccessPattern, RegionSpec, WorkloadGen, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
 
@@ -130,8 +130,22 @@ fn assert_resume_identical(
     full: &SimResult,
 ) {
     let ckpt = checkpoint_from(machine, spec, config, make_policy().as_mut(), setup, epoch);
+    assert_snapshot_resumes(machine, spec, config, make_policy().as_mut(), &ckpt, full);
+}
+
+/// Round-trips `ckpt`'s envelope bytes, resumes with a fresh `policy`,
+/// and asserts the resumed result equals `full`.
+fn assert_snapshot_resumes(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    ckpt: &Checkpoint,
+    full: &SimResult,
+) {
+    let epoch = ckpt.epoch();
     let ckpt = engine::Checkpoint::from_bytes(&ckpt.to_bytes()).expect("envelope round-trip");
-    let resumed = Simulation::resume(machine, spec, config, make_policy().as_mut(), &ckpt);
+    let resumed = Simulation::resume(machine, spec, config, policy, &ckpt);
     assert_eq!(
         &resumed, full,
         "resume from epoch {epoch} diverged ({}/{})",
@@ -139,10 +153,28 @@ fn assert_resume_identical(
     );
 }
 
+/// Keeps the checkpoints a run offers at the listed epochs.
+struct CaptureAt {
+    epochs: Vec<u32>,
+    taken: Vec<Checkpoint>,
+}
+
+impl RunHook for CaptureAt {
+    fn want_checkpoint(&mut self, epoch: u32) -> bool {
+        self.epochs.contains(&epoch)
+    }
+
+    fn on_checkpoint(&mut self, ckpt: Checkpoint) {
+        self.taken.push(ckpt);
+    }
+}
+
 /// Every golden configuration, attribution ON: checkpoints at an early,
 /// middle, and late epoch all resume bit-identical. This is the
 /// acceptance bar for `ckpt-v2`: the exact cells whose digests gate CI
-/// must survive a mid-stream save/restore.
+/// must survive a mid-stream save/restore. The snapshots come from a hook
+/// on the full run, whose bytes equal `checkpoint_at`'s
+/// (`hook_checkpoints_match_checkpoint_at_bytes`).
 #[test]
 fn golden_configs_resume_bit_identical_with_attribution() {
     std::env::set_var("CARREFOUR_QUIET", "1");
@@ -153,15 +185,30 @@ fn golden_configs_resume_bit_identical_with_attribution() {
         let mut config = SimConfig::for_machine(&machine, cell.kind.initial_thp());
         config.attribution = true;
         let spec = cell.bench.spec(&machine);
-        let full = Simulation::run(&machine, &spec, &config, cell.kind.make().as_mut());
+        let rounds = WorkloadGen::new(&spec, config.seed).total_rounds();
+        let n = rounds.div_ceil(config.rounds_per_epoch);
+        let mut epochs = vec![1, n / 2, n - 1];
+        epochs.dedup();
+        let mut hook = CaptureAt {
+            epochs,
+            taken: Vec::new(),
+        };
+        let opts = RunOptions {
+            hook: Some(&mut hook),
+            ..RunOptions::default()
+        };
+        let full = Simulation::run_with(&machine, &spec, &config, cell.kind.make().as_mut(), opts)
+            .result();
+        assert_eq!(full.epochs.len() as u32, n, "{}: epoch count", cell.stem());
         assert!(
             full.attribution.is_some(),
             "golden cell must carry the ledger"
         );
-        let n = full.epochs.len() as u32;
-        for epoch in [1, n / 2, n.saturating_sub(1)] {
-            let make = || cell.kind.make();
-            assert_resume_identical(&machine, &spec, &config, make, None, epoch, &full);
+        let taken: Vec<u32> = hook.taken.iter().map(Checkpoint::epoch).collect();
+        assert_eq!(taken, hook.epochs, "{}: snapshot epochs", cell.stem());
+        for ckpt in &hook.taken {
+            let mut policy = cell.kind.make();
+            assert_snapshot_resumes(&machine, &spec, &config, policy.as_mut(), ckpt, &full);
         }
     });
 }

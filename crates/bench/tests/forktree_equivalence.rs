@@ -55,7 +55,7 @@ fn scratch(spec: &CellSpec) -> (SimResult, TraceDigest) {
     let mut policy = spec.make_policy();
     let mut sink = DigestSink::new();
     let opts = RunOptions {
-        sink: Some(&mut sink),
+        hook: Some(&mut sink),
         ..RunOptions::default()
     };
     let mut r =

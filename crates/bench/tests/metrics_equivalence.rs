@@ -7,16 +7,18 @@
 //!
 //! * every **golden cell** runs recorder-on and recorder-off with equal
 //!   [`engine::SimResult`]s (attribution ledger and robustness counters
-//!   ride along in `PartialEq`) and a byte-identical trace digest;
+//!   ride along in `PartialEq`) and a byte-identical trace digest, which
+//!   also equals the checked-in golden;
 //! * random shapes, seeds, policies, and an optionally full node 0
 //!   (migrations onto it fail), with the attribution ledger ON, are
 //!   bit-identical;
-//! * the recorded series itself is structurally sound: one row per
+//! * the recorded series itself is structurally sound: one sample per
 //!   simulated epoch, in order, with the run header announced.
 
 use carrefour_bench::{golden, PolicyKind};
 use engine::{
-    DigestSink, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation, TraceDigest, VecRecorder,
+    DigestSink, EpochBoundary, NumaPolicy, RunHook, RunInfo, RunOptions, SimConfig, SimResult,
+    Simulation, TraceDigest, TraceEvent, VecRecorder,
 };
 use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
@@ -73,11 +75,41 @@ fn run_plain(
     let mut sink = DigestSink::new();
     let opts = RunOptions {
         setup,
-        sink: Some(&mut sink),
+        hook: Some(&mut sink),
         ..RunOptions::default()
     };
     let result = Simulation::run_with(machine, spec, config, policy, opts).result();
     (result, sink.into_digest())
+}
+
+/// The recorder-on side: a [`VecRecorder`] that also digests the run's
+/// events, since a run takes one hook.
+#[derive(Default)]
+struct Recorded {
+    digest: DigestSink,
+    rec: VecRecorder,
+}
+
+impl RunHook for Recorded {
+    fn on_run_start(&mut self, info: &RunInfo) {
+        self.rec.on_run_start(info);
+    }
+
+    fn wants_events(&self) -> bool {
+        true
+    }
+
+    fn on_event(&mut self, event: &TraceEvent) {
+        self.digest.on_event(event);
+    }
+
+    fn wants_metrics(&self) -> bool {
+        true
+    }
+
+    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+        self.rec.on_boundary(b);
+    }
 }
 
 /// Runs one cell traced with a [`VecRecorder`] attached:
@@ -89,27 +121,25 @@ fn run_recorded(
     policy: &mut dyn NumaPolicy,
     setup: Setup<'_>,
 ) -> (SimResult, TraceDigest, VecRecorder) {
-    let mut sink = DigestSink::new();
-    let mut rec = VecRecorder::new();
+    let mut hook = Recorded::default();
     let opts = RunOptions {
         setup,
-        sink: Some(&mut sink),
-        hook: Some(&mut rec),
+        hook: Some(&mut hook),
         ..RunOptions::default()
     };
     let result = Simulation::run_with(machine, spec, config, policy, opts).result();
-    (result, sink.into_digest(), rec)
+    (result, hook.digest.into_digest(), hook.rec)
 }
 
 /// Asserts recorder-on == recorder-off for one cell, returning the
-/// recorded series for structural checks.
+/// recorder-on result, digest and series for further checks.
 fn assert_recorder_invisible(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
     config: &SimConfig,
     mut make_policy: impl FnMut() -> Box<dyn NumaPolicy>,
     setup: Setup<'_>,
-) -> (SimResult, VecRecorder) {
+) -> (SimResult, TraceDigest, VecRecorder) {
     let (want, want_digest) = run_plain(machine, spec, config, make_policy().as_mut(), setup);
     let (got, got_digest, rec) = run_recorded(machine, spec, config, make_policy().as_mut(), setup);
     assert_eq!(
@@ -122,45 +152,44 @@ fn assert_recorder_invisible(
         "trace digest diverged with the recorder on: {}",
         want_digest.diff(&got_digest).unwrap_or_default()
     );
-    (want, rec)
+    (got, got_digest, rec)
 }
 
 /// Checks the recorded series' structure against the run it observed.
 fn assert_series_sound(result: &SimResult, rec: &VecRecorder) {
     assert_eq!(
-        rec.rows.len(),
+        rec.samples.len(),
         result.epochs.len(),
-        "one row per simulated epoch"
+        "one sample per simulated epoch"
     );
-    for (i, row) in rec.rows.iter().enumerate() {
-        assert_eq!(row.epoch as usize, i, "rows arrive in epoch order");
+    for (i, sample) in rec.samples.iter().enumerate() {
+        assert_eq!(sample.epoch as usize, i, "samples arrive in epoch order");
     }
-    let (workload, _, _) = rec.header.as_ref().expect("run header announced");
-    assert_eq!(workload, &result.workload);
+    let header = rec.header.as_ref().expect("run header announced");
+    assert_eq!(header.workload, result.workload);
 }
 
 /// Every golden cell — the exact digests that gate CI — is bit-identical
 /// with the recorder attached, trace digest included. This is the
-/// tentpole's acceptance bar.
+/// recorder's acceptance bar.
 #[test]
 fn golden_cells_are_bit_identical_with_recorder_on() {
     std::env::set_var("CARREFOUR_QUIET", "1");
     let machine = MachineSpec::machine_a();
+    let dir = golden::golden_dir();
     let jobs = carrefour_bench::runner::resolve_jobs(None);
     carrefour_bench::runner::par_map(jobs, golden::GOLDEN_CELLS.len(), |i| {
         let cell = golden::GOLDEN_CELLS[i];
         let config = SimConfig::for_machine(&machine, cell.kind.initial_thp());
         let spec = cell.bench.spec(&machine);
-        let (result, rec) =
+        let (result, mut got, rec) =
             assert_recorder_invisible(&machine, &spec, &config, || cell.kind.make(), None);
         assert_series_sound(&result, &rec);
-        // The checked-in golden digest itself must also match the
-        // recorder-on run: recompute it and diff.
-        let want = golden::digest_cell(&machine, cell);
-        let (_, mut got, _) =
-            run_recorded(&machine, &spec, &config, cell.kind.make().as_mut(), None);
+        // The recorder-on digest must also match the checked-in golden
+        // (which tier-1's golden_trace equates with a plain run).
+        let want = golden::load(&cell.path(&dir)).unwrap_or_else(|e| panic!("{e}"));
         got.policy = cell.kind.label().to_string();
-        got.runtime_cycles = want.runtime_cycles;
+        got.runtime_cycles = result.runtime_cycles;
         assert!(
             want.diff(&got).is_none(),
             "golden {} diverged with recorder on: {}",
@@ -197,13 +226,13 @@ proptest! {
         config.seed = seed;
         config.attribution = true;
         let setup: Setup<'_> = if full_node { Some(&fill_node0) } else { None };
-        let (result, rec) =
+        let (result, _, rec) =
             assert_recorder_invisible(&machine, &spec, &config, || kind.make(), setup);
         assert_series_sound(&result, &rec);
         prop_assert!(result.attribution.is_some(), "ledger must be on");
         prop_assert!(
-            rec.rows.iter().all(|r| r.attrib.is_some()),
-            "every row carries its epoch's attribution delta when the ledger is on"
+            rec.samples.iter().all(|s| s.attrib.is_some()),
+            "every sample carries its epoch's attribution delta when the ledger is on"
         );
     }
 }

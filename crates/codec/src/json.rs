@@ -6,7 +6,6 @@
 //! parser: malformed input is a typed [`JsonError`], never a panic.
 
 use std::fmt;
-use std::io::{self, Write};
 
 /// Escapes a string for a JSON string literal (without the quotes):
 /// `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` use their
@@ -47,46 +46,6 @@ pub fn num(v: f64) -> String {
 pub fn u64s(values: &[u64]) -> String {
     let inner: Vec<String> = values.iter().map(u64::to_string).collect();
     format!("[{}]", inner.join(","))
-}
-
-/// A JSON Lines stream over any writer, for the trace and metrics JSONL
-/// files. The first I/O error is kept ([`Lines::error`]) and every later
-/// line is dropped: a stream must never panic a simulation over a full
-/// disk.
-pub struct Lines<W: Write> {
-    out: W,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> Lines<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        Lines { out, error: None }
-    }
-
-    /// Writes one line (the newline is appended).
-    pub fn line(&mut self, line: &str) {
-        if self.error.is_none() {
-            self.error = writeln!(self.out, "{line}").err();
-        }
-    }
-
-    /// Flushes the writer (once the stream is complete).
-    pub fn flush(&mut self) {
-        if self.error.is_none() {
-            self.error = self.out.flush().err();
-        }
-    }
-
-    /// The first write error, if any occurred.
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The files the

@@ -24,15 +24,51 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64 over a byte slice — the same function the engine's trace
-/// digests use, so checkpoint checksums need no new primitives.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// FNV-1a, 64-bit, as a streaming state: a small, dependency-free rolling
+/// hash. Not cryptographic — it only needs to make accidental collisions
+/// unlikely. Trace digests, ckpt-v2 and journal checksums all hash
+/// through it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A fresh hash state.
+    pub fn new() -> Self {
+        Fnv64(FNV_OFFSET)
     }
-    h
+
+    /// Folds raw bytes into the state.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Folds one little-endian word into the state.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// The current hash value.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
+/// FNV-1a 64 over a byte slice: [`Fnv64`] in one call.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.bytes(bytes);
+    h.value()
 }
 
 /// Append-only binary encoder.
@@ -407,6 +443,12 @@ mod tests {
         assert_eq!(fnv1a(b""), FNV_OFFSET);
         // Standard FNV-1a 64 test vector.
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        // Streaming in pieces hashes the concatenation; a word is its
+        // little-endian bytes.
+        let mut h = Fnv64::new();
+        h.bytes(b"ab");
+        h.word(0x0807_0605_0403_0201);
+        assert_eq!(h.value(), fnv1a(b"ab\x01\x02\x03\x04\x05\x06\x07\x08"));
     }
 
     #[test]

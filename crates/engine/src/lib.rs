@@ -46,15 +46,13 @@ pub use config::SimConfig;
 pub use policy::{
     ActionError, EpochCtx, FailedAction, NullPolicy, NumaPolicy, PolicyAction, PolicyIntrospection,
 };
-pub use recorder::{
-    JsonlRecorder, MetricsRow, MetricsSample, PageSnapshot, RunInfo, TeeHook, VecRecorder,
-};
+pub use recorder::{MetricsSample, PageSnapshot, RunInfo, VecRecorder};
 pub use result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
 };
 pub use sim::{EpochBoundary, RunHook, RunOptions, RunOutcome, Simulation, Start};
 pub use trace::{
-    epoch_output_fingerprint, DigestSink, EpochDigest, EpochSnap, EventKind, JsonlSink,
-    PolicyDecision, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,
+    epoch_output_fingerprint, DigestSink, EpochDigest, EpochSnap, EventKind, PolicyDecision,
+    TraceDigest, TraceEvent, VecSink,
 };

@@ -69,8 +69,8 @@ pub struct EpochCtx<'a> {
     pub epoch_index: u32,
     pub(crate) actions: Vec<PolicyAction>,
     /// Whether [`EpochCtx::note`] records decisions (the engine turns this
-    /// on only when a trace sink is attached, so noting stays free on
-    /// untraced runs).
+    /// on only when a run hook is attached, so noting stays free on plain
+    /// runs).
     record_decisions: bool,
     decisions: Vec<PolicyDecision>,
 }
@@ -98,14 +98,15 @@ impl<'a> EpochCtx<'a> {
     }
 
     /// Turns on decision recording for this epoch (the engine does this
-    /// when tracing; exposed for policy tests that assert on decisions).
+    /// when a hook is attached; exposed for policy tests that assert on
+    /// decisions).
     pub fn enable_decision_log(&mut self) {
         self.record_decisions = true;
     }
 
     /// Records a [`PolicyDecision`] with its evidence, for the trace. The
-    /// closure only runs when a trace sink is attached, so call sites pay
-    /// nothing on untraced runs. Purely observational — noting a decision
+    /// closure only runs when a run hook is attached, so call sites pay
+    /// nothing on plain runs. Purely observational — noting a decision
     /// never changes what the engine does.
     pub fn note(&mut self, make: impl FnOnce() -> PolicyDecision) {
         if self.record_decisions {
@@ -114,7 +115,7 @@ impl<'a> EpochCtx<'a> {
     }
 
     /// Drains the decisions noted this epoch (the engine forwards them to
-    /// the trace sink; exposed for policy unit tests).
+    /// the hook; exposed for policy unit tests).
     pub fn take_decisions(&mut self) -> Vec<PolicyDecision> {
         std::mem::take(&mut self.decisions)
     }

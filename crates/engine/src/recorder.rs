@@ -24,29 +24,45 @@
 //!
 //! # `metrics-v3` JSONL
 //!
-//! [`JsonlRecorder`] serializes the stream next to the trace output's
-//! format: one `{"metrics": "run_start", ...}` header line, one
+//! [`VecRecorder::to_jsonl`] serializes a recorded run next to the trace
+//! output's format: one `{"metrics": "run_start", ...}` header line, one
 //! `{"metrics": "epoch", ...}` line per boundary. Schema in DESIGN.md §16.
 
 use crate::sim::{EpochBoundary, RunHook};
-use codec::json::{self, esc, num, u64s};
+use codec::json::{esc, num, u64s};
 use profiling::CycleBreakdown;
-use std::io::Write;
 
-/// Identity of the run a recorder is attached to — the `run_start`
-/// header of a `metrics-v3` stream.
-#[derive(Clone, Copy, Debug)]
-pub struct RunInfo<'a> {
+/// Identity of the run a hook is attached to — the `run_start` header of
+/// a `metrics-v3` stream.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunInfo {
     /// Workload name (`WorkloadSpec::name`).
-    pub workload: &'a str,
+    pub workload: String,
     /// Policy display name ([`crate::NumaPolicy::name`]).
-    pub policy: &'a str,
+    pub policy: String,
     /// Machine name.
-    pub machine: &'a str,
+    pub machine: String,
     /// Worker thread count of the workload.
     pub threads: usize,
     /// NUMA node count of the machine.
     pub nodes: usize,
+}
+
+impl RunInfo {
+    /// Serializes the `metrics-v3` `run_start` header line (no trailing
+    /// newline).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v3\",\
+             \"workload\":\"{}\",\"policy\":\"{}\",\"machine\":\"{}\",\
+             \"threads\":{},\"nodes\":{}}}",
+            esc(&self.workload),
+            esc(&self.policy),
+            esc(&self.machine),
+            self.threads,
+            self.nodes,
+        )
+    }
 }
 
 /// The paper's page-granularity metrics at one boundary, over every
@@ -65,8 +81,8 @@ pub struct PageSnapshot {
 /// One epoch boundary's metric sample. TLB and walk-cache counts are
 /// per-epoch deltas (the engine differences the lifetime counters);
 /// everything else is this epoch's value as the policy saw it.
-#[derive(Clone, Copy, Debug)]
-pub struct MetricsSample<'a> {
+#[derive(Clone, Debug)]
+pub struct MetricsSample {
     /// The epoch this boundary closed.
     pub epoch: u32,
     /// Wall cycles of the epoch, boundary overhead included.
@@ -80,7 +96,7 @@ pub struct MetricsSample<'a> {
     /// Fraction of L2 misses that were page-walk references.
     pub walk_miss_fraction: f64,
     /// Per-controller request counts this epoch.
-    pub controller_requests: &'a [u64],
+    pub controller_requests: Vec<u64>,
     /// TLB L1 hits this epoch (summed over threads).
     pub tlb_l1_hits: u64,
     /// TLB L2 hits this epoch.
@@ -103,10 +119,10 @@ pub struct MetricsSample<'a> {
     pub pages: Option<PageSnapshot>,
     /// The attribution ledger's delta for this epoch (wall buckets) —
     /// `None` when `SimConfig::attribution` is off.
-    pub attrib: Option<&'a CycleBreakdown>,
+    pub attrib: Option<CycleBreakdown>,
 }
 
-impl MetricsSample<'_> {
+impl MetricsSample {
     /// TLB hit rate this epoch (L1 + L2 hits over all lookups); 1.0 for
     /// an epoch with no lookups.
     pub fn tlb_hit_rate(&self) -> f64 {
@@ -144,7 +160,7 @@ impl MetricsSample<'_> {
             num(self.imbalance),
             num(self.lar),
             num(self.walk_miss_fraction),
-            u64s(self.controller_requests),
+            u64s(&self.controller_requests),
             self.tlb_l1_hits,
             self.tlb_l2_hits,
             self.tlb_misses,
@@ -166,7 +182,7 @@ impl MetricsSample<'_> {
             )),
             None => s.push_str(",\"pages\":null"),
         }
-        match self.attrib {
+        match &self.attrib {
             Some(bd) => s.push_str(&format!(",\"attrib\":{}", bd.to_json())),
             None => s.push_str(",\"attrib\":null"),
         }
@@ -175,71 +191,14 @@ impl MetricsSample<'_> {
     }
 }
 
-/// An owned copy of one sample — what [`VecRecorder`] stores and
-/// report tooling charts from.
-#[derive(Clone, Debug)]
-pub struct MetricsRow {
-    /// The epoch this boundary closed.
-    pub epoch: u32,
-    /// Wall cycles of the epoch, boundary overhead included.
-    pub epoch_cycles: u64,
-    /// Memory operations executed during the epoch.
-    pub mem_ops: u64,
-    /// Controller-load imbalance (stddev % of mean) this epoch.
-    pub imbalance: f64,
-    /// Local access ratio of the epoch's DRAM traffic.
-    pub lar: f64,
-    /// Fraction of L2 misses that were page-walk references.
-    pub walk_miss_fraction: f64,
-    /// Per-controller request counts this epoch.
-    pub controller_requests: Vec<u64>,
-    /// TLB hit rate this epoch.
-    pub tlb_hit_rate: f64,
-    /// Walk-cache hit rate this epoch.
-    pub walk_cache_hit_rate: f64,
-    /// Pages migrated at this boundary.
-    pub migrations: u64,
-    /// Pages split at this boundary.
-    pub splits: u64,
-    /// khugepaged collapses at this boundary.
-    pub collapses: u64,
-    /// Failed policy actions at this boundary.
-    pub failed_actions: u64,
-    /// PAMUP/NHP/PSP, when page stats were on.
-    pub pages: Option<PageSnapshot>,
-    /// This epoch's attribution delta, when the ledger was on.
-    pub attrib: Option<CycleBreakdown>,
-}
-
-impl MetricsRow {
-    fn from_sample(s: &MetricsSample<'_>) -> Self {
-        MetricsRow {
-            epoch: s.epoch,
-            epoch_cycles: s.epoch_cycles,
-            mem_ops: s.mem_ops,
-            imbalance: s.imbalance,
-            lar: s.lar,
-            walk_miss_fraction: s.walk_miss_fraction,
-            controller_requests: s.controller_requests.to_vec(),
-            tlb_hit_rate: s.tlb_hit_rate(),
-            walk_cache_hit_rate: s.walk_cache_hit_rate(),
-            migrations: s.migrations,
-            splits: s.splits,
-            collapses: s.collapses,
-            failed_actions: s.failed_actions,
-            pages: s.pages,
-            attrib: s.attrib.copied(),
-        }
-    }
-}
-
-/// Buffers every sample in memory — the report binary's recorder.
+/// Buffers a run's header and every sample in memory — the report
+/// binary's recorder.
 #[derive(Default)]
 pub struct VecRecorder {
-    /// The run header, when one was announced.
-    pub header: Option<(String, String, String)>,
-    /// One row per epoch boundary, in order.
-    pub rows: Vec<MetricsRow>,
+    /// The run header, when one was announced (fresh runs only).
+    pub header: Option<RunInfo>,
+    /// One sample per epoch boundary, in order.
+    pub samples: Vec<MetricsSample>,
 }
 
 impl VecRecorder {
@@ -248,19 +207,23 @@ impl VecRecorder {
         VecRecorder::default()
     }
 
-    /// Stores one sample as a row.
-    pub fn record(&mut self, sample: &MetricsSample<'_>) {
-        self.rows.push(MetricsRow::from_sample(sample));
+    /// Serializes the recording as `metrics-v3` JSON Lines: the header
+    /// line (when announced), then one [`MetricsSample::to_json`] line per
+    /// sample, each ending in a newline.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        let header = self.header.iter().map(RunInfo::to_json);
+        for line in header.chain(self.samples.iter().map(MetricsSample::to_json)) {
+            out.push_str(&line);
+            out.push('\n');
+        }
+        out
     }
 }
 
 impl RunHook for VecRecorder {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.header = Some((
-            info.workload.to_string(),
-            info.policy.to_string(),
-            info.machine.to_string(),
-        ));
+    fn on_run_start(&mut self, info: &RunInfo) {
+        self.header = Some(info.clone());
     }
 
     fn wants_metrics(&self) -> bool {
@@ -269,101 +232,8 @@ impl RunHook for VecRecorder {
 
     fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
         if let Some(sample) = &b.metrics {
-            self.record(sample);
+            self.samples.push(sample.clone());
         }
-    }
-}
-
-/// Streams `metrics-v3` JSONL to any writer: a header line, then one
-/// [`MetricsSample::to_json`] line per boundary, with [`json::Lines`]'s
-/// keep-the-first-error policy (inspect via [`JsonlRecorder::error`]; a
-/// recorder must never panic mid-simulation over a full disk). A metrics
-/// writer only, so it cannot be passed where a trace sink is expected.
-pub struct JsonlRecorder<W: Write>(json::Lines<W>);
-
-impl<W: Write> JsonlRecorder<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        JsonlRecorder(json::Lines::new(out))
-    }
-
-    /// The first write error, if any occurred.
-    pub fn error(&self) -> Option<&std::io::Error> {
-        self.0.error()
-    }
-
-    /// Unwraps the writer (callers that need the file back).
-    pub fn into_inner(self) -> W {
-        self.0.into_inner()
-    }
-
-    /// Writes one sample as a `metrics-v3` epoch line.
-    pub fn record(&mut self, sample: &MetricsSample<'_>) {
-        self.0.line(&sample.to_json());
-    }
-}
-
-impl<W: Write> RunHook for JsonlRecorder<W> {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.0.line(&format!(
-            "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v3\",\
-             \"workload\":\"{}\",\"policy\":\"{}\",\"machine\":\"{}\",\
-             \"threads\":{},\"nodes\":{}}}",
-            esc(info.workload),
-            esc(info.policy),
-            esc(info.machine),
-            info.threads,
-            info.nodes,
-        ));
-    }
-
-    fn wants_metrics(&self) -> bool {
-        true
-    }
-
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
-        if let Some(sample) = &b.metrics {
-            self.record(sample);
-        }
-    }
-
-    fn finish(&mut self) {
-        self.0.flush();
-    }
-}
-
-/// Forwards run start, boundaries and finish to two hooks (tee).
-/// Checkpoint requests are not forwarded.
-pub struct TeeHook<'a> {
-    a: &'a mut dyn RunHook,
-    b: &'a mut dyn RunHook,
-}
-
-impl<'a> TeeHook<'a> {
-    /// Combines two hooks.
-    pub fn new(a: &'a mut dyn RunHook, b: &'a mut dyn RunHook) -> Self {
-        TeeHook { a, b }
-    }
-}
-
-impl RunHook for TeeHook<'_> {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.a.on_run_start(info);
-        self.b.on_run_start(info);
-    }
-
-    fn wants_metrics(&self) -> bool {
-        self.a.wants_metrics() || self.b.wants_metrics()
-    }
-
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
-        self.a.on_boundary(b);
-        self.b.on_boundary(b);
-    }
-
-    fn finish(&mut self) {
-        self.a.finish();
-        self.b.finish();
     }
 }
 
@@ -371,7 +241,7 @@ impl RunHook for TeeHook<'_> {
 mod tests {
     use super::*;
 
-    fn sample<'a>(reqs: &'a [u64], attrib: Option<&'a CycleBreakdown>) -> MetricsSample<'a> {
+    fn sample(reqs: &[u64], attrib: Option<CycleBreakdown>) -> MetricsSample {
         MetricsSample {
             epoch: 3,
             epoch_cycles: 1000,
@@ -379,7 +249,7 @@ mod tests {
             imbalance: 12.5,
             lar: 0.75,
             walk_miss_fraction: 0.1,
-            controller_requests: reqs,
+            controller_requests: reqs.to_vec(),
             tlb_l1_hits: 90,
             tlb_l2_hits: 5,
             tlb_misses: 5,
@@ -419,19 +289,18 @@ mod tests {
             compute: 7,
             ..CycleBreakdown::default()
         };
-        let s = sample(&reqs, Some(&bd));
-        let mut rec = JsonlRecorder::new(Vec::new());
-        rec.on_run_start(&RunInfo {
-            workload: "UA.B",
-            policy: "Carrefour-LP",
-            machine: "machine-a",
-            threads: 16,
-            nodes: 4,
-        });
-        rec.record(&s);
-        rec.finish();
-        assert!(rec.error().is_none());
-        let text = String::from_utf8(rec.into_inner()).unwrap();
+        let rec = VecRecorder {
+            header: Some(RunInfo {
+                workload: "UA.B".into(),
+                policy: "Carrefour-LP".into(),
+                machine: "machine-a".into(),
+                threads: 16,
+                nodes: 4,
+            }),
+            samples: vec![sample(&reqs, Some(bd))],
+        };
+        let text = rec.to_jsonl();
+        assert!(text.ends_with('\n'));
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"schema\":\"metrics-v3\""));
@@ -466,32 +335,29 @@ mod tests {
     fn vec_recorder_keeps_rows_in_order() {
         let reqs = [1u64, 2];
         let mut rec = VecRecorder::new();
+        let counters = profiling::EpochCounters::default();
         for e in 0..4u32 {
-            let s = MetricsSample {
+            rec.on_boundary(&EpochBoundary {
                 epoch: e,
-                ..sample(&reqs, None)
-            };
-            rec.record(&s);
+                counters: &counters,
+                samples: &[],
+                thp: vmem::ThpControls::small_only(),
+                actions: &[],
+                decisions: &[],
+                fingerprint: 0,
+                metrics: Some(MetricsSample {
+                    epoch: e,
+                    ..sample(&reqs, None)
+                }),
+            });
         }
-        assert_eq!(rec.rows.len(), 4);
-        assert!(rec.rows.windows(2).all(|w| w[0].epoch + 1 == w[1].epoch));
-    }
-
-    #[test]
-    fn write_errors_are_stored_not_raised() {
-        struct Failing;
-        impl Write for Failing {
-            fn write(&mut self, _b: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let reqs = [1u64];
-        let mut rec = JsonlRecorder::new(Failing);
-        rec.record(&sample(&reqs, None));
-        rec.finish();
-        assert!(rec.error().is_some());
+        assert_eq!(rec.samples.len(), 4);
+        assert!(rec.samples.windows(2).all(|w| w[0].epoch + 1 == w[1].epoch));
+        assert!(rec.header.is_none(), "no run start was announced");
+        assert_eq!(
+            rec.to_jsonl().lines().count(),
+            4,
+            "no header line without one"
+        );
     }
 }

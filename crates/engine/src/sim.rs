@@ -8,7 +8,7 @@ use crate::result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
 };
-use crate::trace::{EpochSnap, PolicyDecision, TraceEvent, TraceSink};
+use crate::trace::{EpochSnap, PolicyDecision, TraceEvent};
 use memsys::{AccessKind, AccessOutcome, MemorySystem, ServiceLevel};
 use numa_topology::{CoreId, MachineSpec, NodeId};
 use profiling::{
@@ -47,12 +47,10 @@ pub struct RunOptions<'a> {
     /// Called on the freshly built address space before the workload
     /// starts — for pre-conditions such as fragmented physical memory.
     pub setup: Option<&'a dyn Fn(&mut AddressSpace)>,
-    /// Receives every simulation event. Tracing is purely observational.
-    /// A stopped run does **not** finish the sink: thread the same sink
-    /// through the resumed run and the combined stream (and digest) equals
-    /// an uninterrupted traced run's.
-    pub sink: Option<&'a mut dyn TraceSink>,
-    /// Observes every epoch boundary (see [`RunHook`]).
+    /// Observes the run: its trace events and epoch boundaries (see
+    /// [`RunHook`]). Observation is purely passive. Thread the same hook
+    /// through a stopped run and its resumed run, and the combined event
+    /// stream (and digest) equals an uninterrupted traced run's.
     pub hook: Option<&'a mut dyn RunHook>,
     /// Fresh, or from a checkpoint.
     pub start: Start<'a>,
@@ -71,7 +69,6 @@ impl Default for RunOptions<'_> {
     fn default() -> Self {
         RunOptions {
             setup: None,
-            sink: None,
             hook: None,
             start: Start::Fresh,
             stop_at: None,
@@ -134,19 +131,31 @@ pub struct EpochBoundary<'a> {
     pub fingerprint: u64,
     /// The flight recorder's sample for this epoch (DESIGN.md §16) —
     /// `Some` exactly when the hook's [`RunHook::wants_metrics`] is true.
-    pub metrics: Option<MetricsSample<'a>>,
+    pub metrics: Option<MetricsSample>,
 }
 
-/// Observes a run at its epoch boundaries: the flight recorder's metrics
-/// (DESIGN.md §16) and the prefix-sharing fork tree (DESIGN.md §15) are
-/// both implementations. Every method defaults to a no-op.
+/// The engine's one run observer: trace events as they happen and every
+/// epoch boundary. The trace collectors (`VecSink`, `DigestSink`), the
+/// flight recorder's metrics (DESIGN.md §16) and the prefix-sharing fork
+/// tree (DESIGN.md §15) are all implementations. Every method defaults to
+/// a no-op.
 ///
 /// Attaching a hook never changes simulation results or checkpoint bytes:
 /// every read behind it is `&self`.
 pub trait RunHook {
     /// Called once before the prelude of a [`Start::Fresh`] run (resumed
     /// and forked runs do not re-announce themselves).
-    fn on_run_start(&mut self, _info: &RunInfo<'_>) {}
+    fn on_run_start(&mut self, _info: &RunInfo) {}
+
+    /// Whether [`RunHook::on_event`] should receive the run's trace
+    /// events. Asked once, when the run starts: a run whose hook does not
+    /// want them constructs no event at all.
+    fn wants_events(&self) -> bool {
+        false
+    }
+
+    /// Receives one trace event, in simulation order.
+    fn on_event(&mut self, _event: &TraceEvent) {}
 
     /// Whether [`EpochBoundary::metrics`] should be built. Asked once,
     /// when the run starts: the sample costs a page-stat aggregation and
@@ -170,10 +179,6 @@ pub trait RunHook {
 
     /// Receives the checkpoint requested by [`RunHook::want_checkpoint`].
     fn on_checkpoint(&mut self, _ckpt: Checkpoint) {}
-
-    /// Called when the run completes (flush point for buffering hooks).
-    /// Not called when the run stops at [`RunOptions::stop_at`].
-    fn finish(&mut self) {}
 }
 
 /// splitmix64 finalizer: a stride-proof mixing function for deterministic
@@ -275,9 +280,11 @@ struct SimState<'m, 't> {
     threads: usize,
     /// Policy actions the engine could not apply.
     robust: RobustnessStats,
-    /// Trace sink, if the caller attached one ([`RunOptions::sink`]).
-    /// `None` on plain runs: no event is constructed, let alone emitted.
-    trace: Option<&'t mut dyn TraceSink>,
+    /// The run's observer, if the caller attached one ([`RunOptions::hook`]).
+    hook: Option<&'t mut dyn RunHook>,
+    /// Emit trace events to the hook ([`RunHook::wants_events`]). Off on
+    /// plain runs: no event is constructed, let alone emitted.
+    events_on: bool,
     /// Index of the epoch currently accumulating (for event attribution).
     epoch: u32,
     /// The access loop's memo tricks are on ([`RunOptions::memo`]).
@@ -334,12 +341,14 @@ fn action_error(e: &SpaceError) -> ActionError {
 }
 
 impl<'m, 't> SimState<'m, 't> {
-    /// Emits one trace event. The closure only runs when a sink is
-    /// attached, so untraced runs pay a single branch per call site.
+    /// Emits one trace event. The closure only runs when the hook wants
+    /// events, so untraced runs pay a single branch per call site.
     #[inline]
     fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.emit(&make());
+        if self.events_on {
+            if let Some(h) = self.hook.as_deref_mut() {
+                h.on_event(&make());
+            }
         }
     }
 
@@ -859,7 +868,7 @@ impl<'m, 't> SimState<'m, 't> {
         spec: &'m WorkloadSpec,
         config: &'m SimConfig,
         setup: Option<&dyn Fn(&mut AddressSpace)>,
-        sink: Option<&'t mut dyn TraceSink>,
+        hook: Option<&'t mut dyn RunHook>,
         memo: bool,
     ) -> Self {
         assert!(
@@ -902,7 +911,9 @@ impl<'m, 't> SimState<'m, 't> {
             fault_contention: config.vmem.costs.fault_contention_per_thread,
             threads: spec.threads,
             robust: RobustnessStats::default(),
-            trace: sink,
+            events_on: hook.as_ref().is_some_and(|h| h.wants_events()),
+            metrics_on: hook.as_ref().is_some_and(|h| h.wants_metrics()),
+            hook,
             epoch: 0,
             memo,
             fast_uncached: vec![None; nodes * nodes],
@@ -922,7 +933,6 @@ impl<'m, 't> SimState<'m, 't> {
             core_bds: vec![CycleBreakdown::default(); attrib_threads],
             core_totals: vec![CycleBreakdown::default(); attrib_threads],
             attrib_epochs: Vec::new(),
-            metrics_on: false,
             rec_prev_tlb: (0, 0, 0),
             rec_prev_walk: (0, 0),
         }
@@ -1018,11 +1028,7 @@ impl<'m, 't> SimState<'m, 't> {
 
     /// Closes the current epoch: kernel daemons, counters, the policy and
     /// its actions, the hook, then opens the next epoch.
-    fn epoch_boundary(
-        &mut self,
-        policy: &mut dyn NumaPolicy,
-        hook: Option<&mut (dyn RunHook + '_)>,
-    ) {
+    fn epoch_boundary(&mut self, policy: &mut dyn NumaPolicy) {
         let machine = self.machine;
         let epoch = self.epoch;
         let (collapsed, khuge_cost) = self.space.promotion_scan(self.config.khugepaged_scan_limit);
@@ -1031,7 +1037,7 @@ impl<'m, 't> SimState<'m, 't> {
             for t in &mut self.tlbs {
                 t.flush();
             }
-            if self.trace.is_some() {
+            if self.events_on {
                 for &vbase in &collapsed {
                     self.emit(|| TraceEvent::Promotion {
                         epoch,
@@ -1062,7 +1068,7 @@ impl<'m, 't> SimState<'m, 't> {
 
         let boundary_thp = self.space.thp();
         let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch);
-        if self.trace.is_some() || hook.is_some() {
+        if self.hook.is_some() {
             ctx.enable_decision_log();
         }
         policy.on_epoch(&mut ctx);
@@ -1079,7 +1085,7 @@ impl<'m, 't> SimState<'m, 't> {
             self.apply_actions(&actions, &mut failures);
         let failed_actions = failures.len() as u64 + scatter_failures;
         let action_cost = action_costs.total();
-        if self.trace.is_some() {
+        if self.events_on {
             for f in &failures {
                 self.emit(|| TraceEvent::ActionFailed {
                     epoch,
@@ -1119,7 +1125,7 @@ impl<'m, 't> SimState<'m, 't> {
             self.epoch_wall_bd.policy_replication += re;
         }
 
-        if self.trace.is_some() {
+        if self.events_on {
             // Snapshot before end_epoch resets the per-epoch
             // controller counters: the delays shown are the ones that
             // were actually charged during this epoch.
@@ -1168,7 +1174,7 @@ impl<'m, 't> SimState<'m, 't> {
             }
             self.epoch_wall_bd = CycleBreakdown::default();
         }
-        if let Some(hook) = hook {
+        if self.hook.is_some() {
             let counters = &self.epochs.last().expect("boundary just pushed").counters;
             let totals = self
                 .metrics_on
@@ -1180,7 +1186,7 @@ impl<'m, 't> SimState<'m, 't> {
                 imbalance: metrics::imbalance(&counters.controller_requests),
                 lar: mem_stats.lar(),
                 walk_miss_fraction: counters.walk_miss_fraction(),
-                controller_requests: &counters.controller_requests,
+                controller_requests: counters.controller_requests.clone(),
                 tlb_l1_hits: tlb.0 - self.rec_prev_tlb.0,
                 tlb_l2_hits: tlb.1 - self.rec_prev_tlb.1,
                 tlb_misses: tlb.2 - self.rec_prev_tlb.2,
@@ -1198,21 +1204,25 @@ impl<'m, 't> SimState<'m, 't> {
                         psp: metrics::psp(&rows),
                     }
                 }),
-                attrib: self.attrib_epochs.last().map(|e| &e.wall),
-            });
-            hook.on_boundary(&EpochBoundary {
-                epoch,
-                counters,
-                samples: &samples,
-                thp: boundary_thp,
-                actions: &actions,
-                decisions: &decisions,
-                fingerprint: crate::trace::epoch_output_fingerprint(epoch, &actions, &decisions),
-                metrics,
+                attrib: self.attrib_epochs.last().map(|e| e.wall),
             });
             if let Some((tlb, walk)) = totals {
                 self.rec_prev_tlb = tlb;
                 self.rec_prev_walk = walk;
+            }
+            if let Some(hook) = self.hook.as_deref_mut() {
+                hook.on_boundary(&EpochBoundary {
+                    epoch,
+                    counters,
+                    samples: &samples,
+                    thp: boundary_thp,
+                    actions: &actions,
+                    decisions: &decisions,
+                    fingerprint: crate::trace::epoch_output_fingerprint(
+                        epoch, &actions, &decisions,
+                    ),
+                    metrics,
+                });
             }
         }
         self.fault_epoch.iter_mut().for_each(|c| *c = 0);
@@ -1253,7 +1263,7 @@ impl<'m, 't> SimState<'m, 't> {
     }
 
     /// Whole-run aggregates: the finished run's [`SimResult`].
-    fn finish(mut self, policy: &dyn NumaPolicy) -> SimResult {
+    fn finish(self, policy: &dyn NumaPolicy) -> SimResult {
         let (machine, spec, wall) = (self.machine, self.spec, self.wall);
         let life = self.mem.lifetime_stats();
         let controller_totals = self.mem.controller_total_requests();
@@ -1302,10 +1312,6 @@ impl<'m, 't> SimState<'m, 't> {
             }
             None => PageMetrics::default(),
         };
-
-        if let Some(t) = self.trace.as_mut() {
-            t.finish();
-        }
 
         let attribution = if self.attrib_on {
             let mut total = self.prelude_bd;
@@ -1528,7 +1534,7 @@ impl Simulation {
     }
 
     /// The one run entry point: `opts` selects the address-space setup,
-    /// the trace sink, the boundary hook, where the run starts (fresh or
+    /// the run's observer hook, where the run starts (fresh or
     /// from a snapshot), whether it stops early at a snapshot boundary,
     /// and the access loop's memo switch. Every combination produces the
     /// same simulated results as a plain [`Simulation::run`].
@@ -1546,29 +1552,27 @@ impl Simulation {
     ) -> RunOutcome {
         let RunOptions {
             setup,
-            sink,
-            mut hook,
+            hook,
             start,
             stop_at,
             memo,
         } = opts;
 
         // --- Setup. ---
-        let mut st = SimState::new(machine, spec, config, setup, sink, memo);
+        let mut st = SimState::new(machine, spec, config, setup, hook, memo);
         // A policy that never reads samples makes sample storage dead
         // work: elide it. The NMI count and its overhead are unchanged, so
         // results are bit-identical.
         if !policy.consumes_samples() {
             st.sampler.set_store(false);
         }
-        st.metrics_on = hook.as_ref().is_some_and(|h| h.wants_metrics());
         match start {
             Start::Fresh => {
-                if let Some(h) = hook.as_deref_mut() {
+                if let Some(h) = st.hook.as_deref_mut() {
                     h.on_run_start(&RunInfo {
-                        workload: &spec.name,
-                        policy: policy.name(),
-                        machine: machine.name(),
+                        workload: spec.name.clone(),
+                        policy: policy.name().to_string(),
+                        machine: machine.name().to_string(),
                         threads: spec.threads,
                         nodes: machine.num_nodes(),
                     });
@@ -1600,12 +1604,13 @@ impl Simulation {
             let offered = !stop
                 && closed_one
                 && round < total_rounds
-                && hook
+                && st
+                    .hook
                     .as_deref_mut()
                     .is_some_and(|h| h.want_checkpoint(st.epoch));
             if stop || offered {
                 let ckpt = st.capture_checkpoint(&*policy);
-                match hook.as_deref_mut() {
+                match st.hook.as_deref_mut() {
                     Some(h) if offered => h.on_checkpoint(ckpt),
                     _ => return RunOutcome::Stopped(ckpt),
                 }
@@ -1616,16 +1621,12 @@ impl Simulation {
             let chunk_end = ((round / rounds_per_epoch + 1) * rounds_per_epoch).min(total_rounds);
             st.run_rounds(round..chunk_end);
             round = chunk_end;
-            st.epoch_boundary(policy, hook.as_deref_mut());
+            st.epoch_boundary(policy);
             closed_one = true;
         }
 
         // --- Finale. ---
-        let result = st.finish(&*policy);
-        if let Some(h) = hook {
-            h.finish();
-        }
-        RunOutcome::Finished(Box::new(result))
+        RunOutcome::Finished(Box::new(st.finish(&*policy)))
     }
 }
 
@@ -1847,16 +1848,16 @@ mod tests {
         let config = ckpt_config();
         let mut whole = DigestSink::new();
         let traced = RunOptions {
-            sink: Some(&mut whole),
+            hook: Some(&mut whole),
             ..RunOptions::default()
         };
         let full = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, traced).result();
         let whole = whole.into_digest();
 
-        // One sink threaded through both phases sees the same event stream.
+        // One hook threaded through both phases sees the same event stream.
         let mut spliced = DigestSink::new();
         let first = RunOptions {
-            sink: Some(&mut spliced),
+            hook: Some(&mut spliced),
             stop_at: Some(2),
             ..RunOptions::default()
         };
@@ -1864,7 +1865,7 @@ mod tests {
             .checkpoint()
             .expect("epoch 2 exists");
         let second = RunOptions {
-            sink: Some(&mut spliced),
+            hook: Some(&mut spliced),
             start: Start::Resume(&ckpt),
             ..RunOptions::default()
         };
@@ -1875,11 +1876,16 @@ mod tests {
         assert_eq!(spliced.diff(&whole), None, "spliced trace digest diverged");
     }
 
-    /// Counts the checkpoint offers a run makes, declining each.
+    /// Counts the checkpoint offers a run makes, declining each, and the
+    /// events it receives without asking for them.
     #[derive(Default)]
-    struct CountOffers(Vec<u32>);
+    struct CountOffers(Vec<u32>, usize);
 
     impl RunHook for CountOffers {
+        fn on_event(&mut self, _event: &TraceEvent) {
+            self.1 += 1;
+        }
+
         fn want_checkpoint(&mut self, epoch: u32) -> bool {
             self.0.push(epoch);
             false
@@ -1901,6 +1907,7 @@ mod tests {
         assert!(n >= 2, "the run needs a boundary to offer");
         // No epoch follows the final boundary, so no fork could use it.
         assert_eq!(offers.0, (1..n).collect::<Vec<_>>());
+        assert_eq!(offers.1, 0, "events reach only a hook that wants them");
         // A stop there still snapshots, and resumes to the same result.
         let last = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, n)
             .expect("a stop at the final boundary still snapshots");

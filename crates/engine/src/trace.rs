@@ -4,23 +4,25 @@
 //! the trace says *when* and *why*. Every observable state change — demand
 //! faults, khugepaged promotions, policy splits/migrations, table moves,
 //! THP toggles, the policy's own decisions with their evidence, and a
-//! per-epoch counter snapshot — is emitted as a [`TraceEvent`] through a
-//! [`TraceSink`].
+//! per-epoch counter snapshot — is emitted as a [`TraceEvent`] to the run's
+//! [`RunHook`] when its [`RunHook::wants_events`] is true.
 //!
 //! Two invariants the engine guarantees:
 //!
-//! * **Zero cost when off.** [`crate::Simulation::run`] passes no sink and
-//!   every emission site is guarded by an `Option` check; no event is even
-//!   constructed. A traced run produces a bit-identical [`crate::SimResult`]
-//!   to an untraced one — sinks only observe, they never feed back.
+//! * **Zero cost when off.** [`crate::Simulation::run`] attaches no hook
+//!   and every emission site is guarded by a flag set once at run start; no
+//!   event is even constructed. A traced run produces a bit-identical
+//!   [`crate::SimResult`] to an untraced one — hooks only observe, they
+//!   never feed back.
 //! * **Determinism.** Events are emitted in simulation order, which is fully
 //!   determined by `(spec, config)`. Two runs with the same inputs produce
 //!   the same event stream, which is what makes golden [`TraceDigest`]s a
 //!   meaningful regression oracle.
 
 use crate::policy::{ActionError, PolicyAction};
+use crate::sim::RunHook;
 use codec::json::{self, esc, num, u64s, JsonError};
-use std::io::Write;
+use codec::Fnv64;
 use vmem::PageSize;
 
 /// A policy's explanation of something it decided this epoch, with the
@@ -699,58 +701,6 @@ pub enum EventKind {
     TableMigration = 12,
 }
 
-/// Where trace events go. Implementations must be pure observers: a sink
-/// that fed information back into the simulation would break the
-/// bit-identical-results guarantee.
-pub trait TraceSink {
-    /// Receives one event, in simulation order.
-    fn emit(&mut self, event: &TraceEvent);
-
-    /// Called once after the run's last event (flush buffers, close files).
-    fn finish(&mut self) {}
-}
-
-/// FNV-1a, 64-bit: a small, dependency-free rolling hash. Not
-/// cryptographic — it only needs to make accidental digest collisions
-/// unlikely.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hash state.
-    pub fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Folds raw bytes into the state.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Folds one little-endian word into the state.
-    #[inline]
-    pub fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    /// The current hash value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
-}
-
 /// Retains every event (for renderers; memory-unbounded, test/tooling use).
 #[derive(Clone, Debug, Default)]
 pub struct VecSink {
@@ -765,70 +715,25 @@ impl VecSink {
     }
 }
 
-impl TraceSink for VecSink {
-    fn emit(&mut self, event: &TraceEvent) {
+impl RunHook for VecSink {
+    fn wants_events(&self) -> bool {
+        true
+    }
+
+    fn on_event(&mut self, event: &TraceEvent) {
         self.events.push(event.clone());
     }
 }
 
-/// Streams events as JSON Lines to any writer: one
-/// [`TraceEvent::to_json`] line per event, with [`json::Lines`]'s
-/// keep-the-first-error policy (emission must never panic the
-/// simulation). A trace writer only, so it cannot be passed where a
-/// metrics hook is expected.
-pub struct JsonlSink<W: Write>(json::Lines<W>);
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
-        JsonlSink(json::Lines::new(w))
+/// Serializes events as JSON Lines: one [`TraceEvent::to_json`] line per
+/// event, each ending in a newline (the `results/trace_*.jsonl` format).
+pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    for e in events {
+        out.push_str(&e.to_json());
+        out.push('\n');
     }
-
-    /// The first write error, if any occurred.
-    pub fn error(&self) -> Option<&std::io::Error> {
-        self.0.error()
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.0.into_inner()
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn emit(&mut self, event: &TraceEvent) {
-        self.0.line(&event.to_json());
-    }
-
-    fn finish(&mut self) {
-        self.0.flush();
-    }
-}
-
-/// Fans one event stream out to several sinks.
-pub struct TeeSink<'a> {
-    sinks: Vec<&'a mut dyn TraceSink>,
-}
-
-impl<'a> TeeSink<'a> {
-    /// Builds a tee over the given sinks.
-    pub fn new(sinks: Vec<&'a mut dyn TraceSink>) -> Self {
-        TeeSink { sinks }
-    }
-}
-
-impl TraceSink for TeeSink<'_> {
-    fn emit(&mut self, event: &TraceEvent) {
-        for s in &mut self.sinks {
-            s.emit(event);
-        }
-    }
-
-    fn finish(&mut self) {
-        for s in &mut self.sinks {
-            s.finish();
-        }
-    }
+    out
 }
 
 /// One epoch's digest line: event counts plus a rolling hash of every event
@@ -1010,7 +915,7 @@ impl TraceDigest {
 
 /// Accumulates a [`TraceDigest`] from the event stream: events fold into
 /// the current epoch's counts and hash; [`TraceEvent::EpochEnd`] seals the
-/// epoch. The golden-run regression harness is built on this sink.
+/// epoch. The golden-run regression harness is built on this hook.
 #[derive(Clone, Debug, Default)]
 pub struct DigestSink {
     digest: TraceDigest,
@@ -1030,7 +935,7 @@ impl DigestSink {
         }
     }
 
-    /// Consumes the sink, returning the digest (callers typically fill in
+    /// Consumes the hook, returning the digest (callers typically fill in
     /// `runtime_cycles` from the [`crate::SimResult`] afterwards).
     pub fn into_digest(mut self) -> TraceDigest {
         // Seal a trailing partial epoch, if the run ended mid-epoch.
@@ -1052,8 +957,12 @@ impl DigestSink {
     }
 }
 
-impl TraceSink for DigestSink {
-    fn emit(&mut self, event: &TraceEvent) {
+impl RunHook for DigestSink {
+    fn wants_events(&self) -> bool {
+        true
+    }
+
+    fn on_event(&mut self, event: &TraceEvent) {
         if let TraceEvent::RunStart {
             workload,
             policy,
@@ -1114,13 +1023,9 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let mut s = JsonlSink::new(Vec::<u8>::new());
-        s.emit(&fault(2, 0x20_0000));
-        s.emit(&epoch_end(2));
-        s.finish();
-        assert!(s.error().is_none());
-        let text = String::from_utf8(s.into_inner()).unwrap();
+    fn events_to_jsonl_writes_one_line_per_event() {
+        let text = events_to_jsonl(&[fault(2, 0x20_0000), epoch_end(2)]);
+        assert!(text.ends_with('\n'));
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"ev\":\"page_fault\""));
@@ -1133,18 +1038,18 @@ mod tests {
     fn digest_sink_seals_epochs_and_hashes_deterministically() {
         let run = |n_faults: u64| {
             let mut s = DigestSink::new();
-            s.emit(&TraceEvent::RunStart {
+            s.on_event(&TraceEvent::RunStart {
                 workload: "w".into(),
                 policy: "p".into(),
                 machine: "m".into(),
                 seed: 7,
             });
             for i in 0..n_faults {
-                s.emit(&fault(0, i * 0x1000));
+                s.on_event(&fault(0, i * 0x1000));
             }
-            s.emit(&epoch_end(0));
-            s.emit(&fault(1, 0x9000));
-            s.emit(&epoch_end(1));
+            s.on_event(&epoch_end(0));
+            s.on_event(&fault(1, 0x9000));
+            s.on_event(&epoch_end(1));
             s.into_digest()
         };
         let a = run(3);
@@ -1165,14 +1070,14 @@ mod tests {
         // to a different node: counts agree, hashes must not.
         let mk = |to: u16| {
             let mut s = DigestSink::new();
-            s.emit(&TraceEvent::Migration {
+            s.on_event(&TraceEvent::Migration {
                 epoch: 0,
                 vbase: 0x20_0000,
                 size: PageSize::Size4K,
                 from: 0,
                 to,
             });
-            s.emit(&epoch_end(0));
+            s.on_event(&epoch_end(0));
             s.into_digest()
         };
         let a = mk(1);
@@ -1185,15 +1090,15 @@ mod tests {
     #[test]
     fn digest_json_round_trips() {
         let mut s = DigestSink::new();
-        s.emit(&TraceEvent::RunStart {
+        s.on_event(&TraceEvent::RunStart {
             workload: "UA.B".into(),
             policy: "Carrefour-LP".into(),
             machine: "machine-a".into(),
             seed: 42,
         });
-        s.emit(&fault(0, 0x1000));
-        s.emit(&epoch_end(0));
-        s.emit(&epoch_end(1));
+        s.on_event(&fault(0, 0x1000));
+        s.on_event(&epoch_end(0));
+        s.on_event(&epoch_end(1));
         let mut d = s.into_digest();
         d.runtime_cycles = 123_456_789;
         let parsed = TraceDigest::from_json(&d.to_json()).unwrap();
@@ -1241,18 +1146,5 @@ mod tests {
         slower.runtime_cycles = 101;
         let report = base.diff(&slower).unwrap();
         assert!(report.contains("runtime_cycles changed"), "{report}");
-    }
-
-    #[test]
-    fn tee_fans_out() {
-        let mut a = VecSink::new();
-        let mut b = VecSink::new();
-        {
-            let mut tee = TeeSink::new(vec![&mut a, &mut b]);
-            tee.emit(&fault(0, 0x1000));
-            tee.finish();
-        }
-        assert_eq!(a.events.len(), 1);
-        assert_eq!(b.events, a.events);
     }
 }

@@ -36,10 +36,9 @@ pub mod prelude {
     };
     pub use engine::{
         ActionError, Checkpoint, CheckpointError, DigestSink, EpochCtx, EpochDigest, EpochRecord,
-        EpochSnap, EventKind, FailedAction, JsonlSink, LifetimeStats, NullPolicy, NumaPolicy,
-        PageMetrics, PolicyAction, PolicyDecision, RobustnessStats, RunHook, RunOptions,
-        RunOutcome, SimConfig, SimResult, Simulation, Start, TeeSink, TraceDigest, TraceEvent,
-        TraceSink, VecSink,
+        EpochSnap, EventKind, FailedAction, LifetimeStats, NullPolicy, NumaPolicy, PageMetrics,
+        PolicyAction, PolicyDecision, RobustnessStats, RunHook, RunOptions, RunOutcome, SimConfig,
+        SimResult, Simulation, Start, TraceDigest, TraceEvent, VecSink,
     };
     pub use numa_topology::{CoreId, MachineSpec, NodeId, NodeSpec};
     pub use profiling::{IbsConfig, IbsSample, IbsSampler};

@@ -37,7 +37,7 @@ fn attributed_golden_runs_conserve_and_match_digests() {
         let mut policy = cell.kind.make();
         let mut sink = DigestSink::new();
         let opts = RunOptions {
-            sink: Some(&mut sink),
+            hook: Some(&mut sink),
             ..RunOptions::default()
         };
         let result = Simulation::run_with(&machine, &spec, &config, policy.as_mut(), opts).result();

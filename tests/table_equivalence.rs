@@ -63,7 +63,7 @@ fn events_one_node(policy: &mut dyn NumaPolicy) -> Vec<TraceEvent> {
     let config = SimConfig::for_machine(&machine, ThpControls::small_only());
     let mut sink = VecSink::new();
     let opts = RunOptions {
-        sink: Some(&mut sink),
+        hook: Some(&mut sink),
         ..RunOptions::default()
     };
     Simulation::run_with(&machine, &spec, &config, policy, opts).result();
