@@ -20,7 +20,7 @@
 //!
 //! `--what-if` turns the post-hoc diagnosis into a causal intervention:
 //! it snapshots the cell at an epoch boundary (`--epoch`, default the
-//! midpoint) as a `ckpt-v2` checkpoint, then resumes the tail **twice**
+//! midpoint) as a `ckpt-v3` checkpoint, then resumes the tail **twice**
 //! from that same fork point — once untouched, once with the first policy
 //! decision queued after the fork vetoed — and attributes the runtime
 //! delta between the two tails. Determinism makes the comparison exact:
@@ -201,7 +201,7 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
         ));
     }
 
-    // Fork: one ckpt-v2 snapshot, two resumed tails.
+    // Fork: one ckpt-v3 snapshot, two resumed tails.
     let ckpt = Simulation::checkpoint_at(machine, &spec, &config, kind.make().as_mut(), fork)
         .unwrap_or_else(|| {
             die(&format!(
@@ -230,7 +230,7 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
         kind.label()
     );
     println!(
-        "  fork epoch:  {fork} of {n} (ckpt-v2, {} bytes)",
+        "  fork epoch:  {fork} of {n} (ckpt-v3, {} bytes)",
         ckpt.to_bytes().len()
     );
     println!("  vetoed:      {vetoed}");

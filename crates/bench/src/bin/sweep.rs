@@ -25,8 +25,9 @@
 //! test machine, additionally runs the same cells *without* sharing, and
 //! asserts (a) every result and trace digest is bit-identical between the
 //! two execution strategies, (b) sharing cut simulated epochs by at least
-//! 2×, (c) at least one class head resumed from a snapshot, and (d) at
-//! least one of them forked off another fork. CI runs this on every
+//! 2×, (c) at least one class head resumed from a snapshot, (d) at
+//! least one of them forked off another fork, and (e) every snapshot a
+//! head run captured was kept by a class. CI runs this on every
 //! push. `--no-share` disables prefix sharing in any mode (the A/B lever
 //! the smoke test uses internally).
 
@@ -520,8 +521,8 @@ fn print_share_report(stats: &FamilyStats) {
 // ---------------------------------------------------------------- smoke
 
 /// The CI gate: a tiny grid on the test machine, run twice — shared and
-/// from scratch — asserting bit-identity, a ≥2× cut in simulated epochs
-/// and at least one fork. Honors `--no-share` by skipping the shared
+/// from scratch — asserting bit-identity, a ≥2× cut in simulated epochs,
+/// at least one fork and no snapshot captured for nothing. Honors `--no-share` by skipping the shared
 /// leg's assertions (the JSON then records the scratch counters).
 fn run_smoke(out_path: &str, share: bool, jobs: usize) {
     std::env::set_var("CARREFOUR_QUIET", "1");
@@ -589,6 +590,12 @@ fn run_smoke(out_path: &str, share: bool, jobs: usize) {
         assert!(
             stats.nested_forks >= 1,
             "sweep smoke: no class forked off another fork"
+        );
+        // No family keeps more than it captured, so equal totals mean
+        // every family captured only snapshots it kept.
+        assert_eq!(
+            stats.snapshots_captured, stats.snapshots_kept,
+            "sweep smoke: a head run captured a snapshot no class kept"
         );
         assert_eq!(
             scratch_stats.epochs_simulated, total,

@@ -18,29 +18,30 @@
 //!
 //! Members that first differ at the same boundary `e` with the same
 //! output fingerprint split off as one new class. Their simulations are
-//! equal through epoch `e` (the head's) and their outputs at `e` are
-//! equal to each other's, so the induction restarts with the new class's
-//! first cell as a **sub-probe**: it forks from the snapshot the head's
-//! run took at the start of epoch `e` (a [`Start::Fork`] run, with its
-//! policy rebuilt by replaying a fresh instance over boundaries `0..e`),
-//! and the other members, already replayed through `e`, continue in
-//! lockstep against it from boundary `e + 1`. Classes recurse depth-first
-//! through one routine, `run_class`, so each distinct trajectory is
-//! simulated once. The family's first cell heads the first root class
-//! (the **probe**); cells whose policy name or sample appetite differs
-//! from it start root classes of their own.
+//! equal through epoch `e`'s rounds (the head's) and their outputs at `e`
+//! are equal to each other's, so the induction restarts with the new
+//! class's first cell as a **sub-probe**: it forks from the snapshot the
+//! head's run takes at boundary `e`'s decision point (a [`Start::Fork`]
+//! run, with its policy rebuilt by replaying a fresh instance over
+//! boundaries `0..e`) and runs boundary `e` with its own decision, and the
+//! other members, already replayed through `e`, continue in lockstep
+//! against it from boundary `e + 1`. Classes recurse depth-first through
+//! one routine, `run_class`, so each distinct trajectory is simulated
+//! once. The family's first cell heads the first root class (the
+//! **probe**); cells whose policy name or sample appetite differs from it
+//! start root classes of their own.
 //!
-//! A head's run asks for a snapshot only while some member still matches,
-//! and drops each one no split claimed when its boundary ends. A claimed
-//! snapshot is freed once the last head forking from it has restored.
-//! Claimed bytes alive at once are bounded by [`CLAIM_BUDGET_BYTES`]. A
-//! class split at epoch 0 (no snapshot precedes it) or refused by the
-//! budget runs its head from scratch, which only costs reuse: its members
-//! still share that run.
+//! The hook sees each boundary's decision before the engine applies it,
+//! so a head's run captures a snapshot only where a new class splits off:
+//! every capture is claimed. A claimed snapshot is freed once the last
+//! head forking from it has restored. Claimed bytes alive at once are
+//! bounded by [`CLAIM_BUDGET_BYTES`]. A class split at epoch 0 or refused
+//! by the budget runs its head from scratch, which only costs reuse: its
+//! members still share that run.
 
 use crate::runner::CellSpec;
 use engine::{
-    Checkpoint, DigestSink, EpochBoundary, EpochCtx, NumaPolicy, RunHook, RunOptions, SimConfig,
+    Checkpoint, DigestSink, EpochCtx, EpochDecision, NumaPolicy, RunHook, RunOptions, SimConfig,
     SimResult, Simulation, Start, TraceDigest, TraceEvent,
 };
 use numa_topology::MachineSpec;
@@ -67,7 +68,7 @@ struct BoundaryRecord {
 }
 
 impl BoundaryRecord {
-    fn new(b: &EpochBoundary<'_>) -> Self {
+    fn new(b: &EpochDecision<'_>) -> Self {
         BoundaryRecord {
             epoch: b.epoch,
             counters: b.counters.clone(),
@@ -98,6 +99,9 @@ struct Class {
     fingerprint: u64,
     /// The snapshot the head forks from; `None` runs it from scratch.
     ckpt: Option<Rc<Checkpoint>>,
+    /// A traced family's digest of the parent head's run up to the
+    /// snapshot, which the forked head's events continue.
+    digest: Option<DigestSink>,
 }
 
 impl Class {
@@ -108,6 +112,7 @@ impl Class {
             first_live: 0,
             fingerprint: 0,
             ckpt: None,
+            digest: None,
         }
     }
 }
@@ -121,10 +126,10 @@ struct Claims {
     kept: u64,
 }
 
-/// A head run's hook: records each boundary, replays every matching
-/// member over it, and splits diverging members into new classes, each
-/// claiming the snapshot its head will fork from. A traced family's head
-/// also forwards its events to `digest`.
+/// A head run's hook: records each boundary's decision, replays every
+/// matching member over it, and splits diverging members into new
+/// classes, capturing the snapshot their heads will fork from. A traced
+/// family's head also forwards its events to `digest`.
 struct Lockstep<'a> {
     machine: &'a MachineSpec,
     claims: &'a mut Claims,
@@ -132,29 +137,8 @@ struct Lockstep<'a> {
     records: Vec<BoundaryRecord>,
     matching: Vec<Member>,
     split: Vec<Class>,
-    /// The snapshot taken at the start of the epoch in flight.
-    pending: Option<Rc<Checkpoint>>,
     replay_secs: f64,
     digest: Option<DigestSink>,
-}
-
-impl Lockstep<'_> {
-    /// The pending snapshot for a class splitting at `epoch`: shared if
-    /// another class already claimed it, kept if it fits the budget.
-    fn claim(&mut self, epoch: u32) -> Option<Rc<Checkpoint>> {
-        let snap = self.pending.as_ref().filter(|c| c.epoch() == epoch)?;
-        if Rc::strong_count(snap) == 1 {
-            let claims = &mut *self.claims;
-            let size = snap.size_bytes();
-            if claims.live_bytes + size > claims.budget {
-                return None;
-            }
-            claims.live_bytes += size;
-            claims.peak_bytes = claims.peak_bytes.max(claims.live_bytes);
-            claims.kept += 1;
-        }
-        Some(Rc::clone(snap))
-    }
 }
 
 impl RunHook for Lockstep<'_> {
@@ -168,13 +152,22 @@ impl RunHook for Lockstep<'_> {
         }
     }
 
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+    /// A split at epoch 0 runs from scratch, and a class's split boundary
+    /// is one its members already replayed.
+    fn may_capture(&mut self, epoch: u32) -> bool {
+        epoch > 0 && epoch >= self.first_live && !self.matching.is_empty()
+    }
+
+    /// Asks for a snapshot exactly when a new class splits off. The engine
+    /// takes it only where `may_capture` said yes, so never at epoch 0.
+    fn on_decision(&mut self, d: &EpochDecision<'_>) -> bool {
         if self.matching.is_empty() {
-            return;
+            return false;
         }
-        let rec = BoundaryRecord::new(b);
+        let rec = BoundaryRecord::new(d);
+        let mut new_class = false;
         // A split class's members already replayed its split boundary,
-        // which the head's run emits again.
+        // which the head's run decides again.
         if rec.epoch >= self.first_live {
             let t = Instant::now();
             for mut m in std::mem::take(&mut self.matching) {
@@ -191,13 +184,14 @@ impl RunHook for Lockstep<'_> {
                 {
                     Some(class) => class.members.push(m),
                     None => {
-                        let ckpt = self.claim(rec.epoch);
+                        new_class = true;
                         self.split.push(Class {
                             head: m.idx,
                             members: Vec::new(),
                             first_live,
                             fingerprint: fp,
-                            ckpt,
+                            ckpt: None,
+                            digest: None,
                         });
                     }
                 }
@@ -205,17 +199,27 @@ impl RunHook for Lockstep<'_> {
             self.replay_secs += t.elapsed().as_secs_f64();
         }
         self.records.push(rec);
-        // Unclaimed, the snapshot of the epoch that just closed is dead.
-        self.pending = None;
+        new_class
     }
 
-    fn want_checkpoint(&mut self, epoch: u32) -> bool {
-        epoch >= self.first_live && !self.matching.is_empty()
-    }
-
+    /// Hands the snapshot to every class that split off at its boundary,
+    /// unless it would take the claimed bytes over budget.
     fn on_checkpoint(&mut self, ckpt: Checkpoint) {
-        self.claims.captured += 1;
-        self.pending = Some(Rc::new(ckpt));
+        let claims = &mut *self.claims;
+        claims.captured += 1;
+        let size = ckpt.size_bytes();
+        if claims.live_bytes + size > claims.budget {
+            return;
+        }
+        claims.live_bytes += size;
+        claims.peak_bytes = claims.peak_bytes.max(claims.live_bytes);
+        claims.kept += 1;
+        let first_live = ckpt.epoch() + 1;
+        let snap = Rc::new(ckpt);
+        for class in self.split.iter_mut().filter(|c| c.first_live == first_live) {
+            class.ckpt = Some(Rc::clone(&snap));
+            class.digest.clone_from(&self.digest);
+        }
     }
 }
 
@@ -245,7 +249,8 @@ pub struct FamilyStats {
     pub cells: usize,
     /// Epochs actually executed through the engine.
     pub epochs_simulated: u64,
-    /// Epochs restored from a shared prefix instead of executed.
+    /// Epochs restored from a shared prefix instead of executed: a fork
+    /// at boundary `e` reuses epochs `0..=e`, a full match all of them.
     pub epochs_reused: u64,
     /// Members whose whole decision stream matched their class head's.
     pub full_matches: u64,
@@ -258,11 +263,11 @@ pub struct FamilyStats {
     /// epoch 0, a claim over [`CLAIM_BUDGET_BYTES`], or a root class whose
     /// policy name or sample appetite differs from the probe's.
     pub scratch: u64,
-    /// Snapshots the head runs captured (one per boundary another epoch
-    /// follows, while a member still matched).
+    /// Snapshots the head runs captured: one per boundary ≥ 1 where a new
+    /// class split off.
     pub snapshots_captured: u64,
-    /// Snapshots a splitting class claimed: one per distinct split epoch
-    /// ≥ 1 within the budget, per head run. The rest were dropped at once.
+    /// Captured snapshots the splitting classes kept: all of them, unless
+    /// [`CLAIM_BUDGET_BYTES`] refused one.
     pub snapshots_kept: u64,
     /// The most claimed snapshot bytes alive at once; merged families
     /// report the largest.
@@ -309,24 +314,6 @@ pub struct FamilyCell {
     pub result: SimResult,
     /// Present iff [`run_family`] was called with `traced = true`.
     pub digest: Option<TraceDigest>,
-}
-
-/// Splices a forked head's digest: its parent head's digest — itself
-/// spliced if that head forked — for epochs `0..fork_epoch`, plus the
-/// resumed tail. Sound because epoch 0 is the only epoch whose hash
-/// covers `RunStart` (workload, policy *name*, machine, seed) — all equal
-/// within a class — and resumed runs emit no `RunStart` of their own.
-fn splice_digest(parent: &TraceDigest, tail: TraceDigest, fork_epoch: u32) -> TraceDigest {
-    let mut epochs: Vec<_> = parent.epochs[..fork_epoch as usize].to_vec();
-    epochs.extend(tail.epochs);
-    TraceDigest {
-        workload: parent.workload.clone(),
-        policy: parent.policy.clone(),
-        machine: parent.machine.clone(),
-        seed: parent.seed,
-        runtime_cycles: tail.runtime_cycles,
-        epochs,
-    }
 }
 
 /// Runs a family of cells through the fork tree. `specs` must be
@@ -402,7 +389,7 @@ pub fn run_family_within(
         }
     }
     for (_, class) in roots {
-        run_class(&mut fam, class, &[], None, 0);
+        run_class(&mut fam, class, &[], 0);
     }
 
     let Family {
@@ -424,25 +411,22 @@ pub fn run_family_within(
 /// Runs one class: simulates its head (fresh, or forked from the claimed
 /// snapshot), clones the result for every member that matched to the end,
 /// then recurses into the classes that split off. `prefix` holds the
-/// boundaries `0..e` before the head's fork epoch `e`, and `parent` the
-/// spliced digest of the head this class split from; `depth` is 0 for a
-/// root class.
-fn run_class(
-    fam: &mut Family<'_>,
-    class: Class,
-    prefix: &[&BoundaryRecord],
-    parent: Option<&TraceDigest>,
-    depth: u32,
-) {
+/// boundaries `0..e` before the head's fork boundary `e`; `depth` is 0
+/// for a root class.
+fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], depth: u32) {
     let Class {
         head,
         members,
         first_live,
         ckpt,
+        digest,
         ..
     } = class;
     let spec = &fam.specs[head];
+    // A fork starts at boundary `e`'s decision point: epochs `0..=e` ran
+    // their rounds in the parent head's run.
     let fork_epoch = ckpt.as_ref().map_or(0, |c| c.epoch());
+    let reused = ckpt.as_ref().map_or(0, |c| c.epoch() + 1);
 
     // Rebuild the head's policy state at the fork point: a fresh instance
     // replayed over the already-verified prefix. (Its lockstep instance
@@ -471,8 +455,9 @@ fn run_class(
 
     // A class without members has nobody to share with: its hook is the
     // digest alone when traced, and a plain run has none (a lockstep hook
-    // would record boundaries for nothing).
-    let mut sink = fam.traced.then(DigestSink::new);
+    // would record boundaries for nothing). A forked head's digest goes on
+    // from its parent's at the snapshot.
+    let mut sink = fam.traced.then(|| digest.unwrap_or_default());
     let mut lockstep = (!members.is_empty()).then(|| Lockstep {
         machine: fam.machine,
         claims: &mut fam.claims,
@@ -480,7 +465,6 @@ fn run_class(
         records: Vec::new(),
         matching: members,
         split: Vec::new(),
-        pending: None,
         replay_secs: 0.0,
         digest: sink.take(),
     });
@@ -507,19 +491,15 @@ fn run_class(
     let run_secs = run_t.elapsed().as_secs_f64() - in_run_replay;
     let digest = sink.map(|s| {
         let mut d = s.into_digest();
-        if fork_epoch > 0 {
-            let parent = parent.expect("a traced fork has a traced parent");
-            d = splice_digest(parent, d, fork_epoch);
-        }
         d.runtime_cycles = result.runtime_cycles;
         d
     });
 
     let stats = &mut fam.stats;
     stats.replay_secs += in_run_replay;
-    stats.epochs_reused += u64::from(fork_epoch);
-    stats.epochs_simulated += result.epochs.len() as u64 - u64::from(fork_epoch);
-    if fork_epoch > 0 {
+    stats.epochs_reused += u64::from(reused);
+    stats.epochs_simulated += result.epochs.len() as u64 - u64::from(reused);
+    if reused > 0 {
         stats.forks += 1;
         stats.nested_forks += u64::from(depth >= 2);
         stats.resume_secs += run_secs;
@@ -559,7 +539,7 @@ fn run_class(
             .chain(&records)
             .collect();
         for class in split {
-            run_class(fam, class, &records, digest.as_ref(), depth + 1);
+            run_class(fam, class, &records, depth + 1);
         }
     }
 }
@@ -637,12 +617,9 @@ mod tests {
         let specs = vec![family_spec(None), family_spec(None), family_spec(None)];
         let (cells, stats) = run_family(&specs, false);
         assert_eq!(stats.full_matches, 2);
-        // One capture per boundary another epoch follows, each dropped
-        // unclaimed.
-        assert_eq!(
-            stats.snapshots_captured,
-            cells[0].result.epochs.len() as u64 - 1
-        );
+        assert!(cells[0].result.epochs.len() > 1);
+        // Nobody splits, so nothing is captured.
+        assert_eq!(stats.snapshots_captured, 0);
         assert_eq!(stats.snapshots_kept, 0);
         assert_eq!(stats.peak_kept_bytes, 0);
     }
@@ -657,15 +634,15 @@ mod tests {
         let (cells, stats) = run_family(&specs, false);
         let epochs = cells[0].result.epochs.len() as u64;
         // Both split at epoch 2 with equal outputs: one class, whose head
-        // forks and whose other member matches it to the end.
+        // forks at boundary 2 (reusing epochs 0..=2) and whose other
+        // member matches it to the end.
         assert_eq!((stats.forks, stats.full_matches, stats.scratch), (1, 1, 0));
-        assert_eq!(stats.epochs_reused, 2 + epochs);
-        assert_eq!(stats.epochs_simulated, epochs + epochs - 2);
+        assert_eq!(stats.epochs_reused, 3 + epochs);
+        assert_eq!(stats.epochs_simulated, epochs + epochs - 3);
         assert_eq!(stats.snapshots_kept, 1);
         assert!(stats.peak_kept_bytes > 0);
-        // The probe captures epochs 1 and 2, until its last member splits
-        // off; the sub-probe captures 3..epochs for its member.
-        assert_eq!(stats.snapshots_captured, 2 + epochs - 3);
+        // The one split is the one capture.
+        assert_eq!(stats.snapshots_captured, 1);
         assert_eq!(
             cells[1].result.runtime_cycles,
             cells[2].result.runtime_cycles

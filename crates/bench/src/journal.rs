@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! {"key":"…","status":"ok","machine":"…","benchmark":"…","policy":"…",
-//!  "wall_secs":1.234,"blob":"<hex ckpt-v2 result codec>"}
+//!  "wall_secs":1.234,"blob":"<hex encode_result blob>"}
 //! {"key":"…","status":"panicked","msg":"…"}
 //! ```
 //!

@@ -1,4 +1,4 @@
-//! Resume-equivalence of `ckpt-v2` checkpoints at adversarial epochs.
+//! Resume-equivalence of `ckpt-v3` checkpoints at adversarial epochs.
 //!
 //! The checkpoint contract (DESIGN.md §12): a run resumed from a snapshot
 //! is bit-identical — full `SimResult` equality, every per-epoch record,
@@ -10,7 +10,9 @@
 //!   acceptance bar for the format);
 //! * epochs where Carrefour-LP's migrations onto a **full node fail**
 //!   with `NoMemory` — checked exhaustively at *every* epoch boundary of
-//!   the run, so the failing epochs cannot be missed;
+//!   the run, so the failing epochs cannot be missed (a snapshot holds a
+//!   boundary's decision point, so boundary `e`'s failures happen after
+//!   the resume);
 //! * random shapes/seeds/epochs, with and without a full node, with the
 //!   access loop's **memo tricks on and off** (`RunOptions::memo`),
 //!   including resuming a memo-on snapshot with them off — the snapshot
@@ -19,7 +21,8 @@
 
 use carrefour_bench::{golden, PolicyKind};
 use engine::{
-    Checkpoint, NumaPolicy, RunHook, RunOptions, SimConfig, SimResult, Simulation, Start,
+    Checkpoint, EpochDecision, NumaPolicy, RunHook, RunOptions, SimConfig, SimResult, Simulation,
+    Start,
 };
 use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
@@ -54,8 +57,9 @@ fn run_from(
     Simulation::run_with(machine, spec, config, policy, opts).result()
 }
 
-/// The snapshot at the boundary that begins `epoch` of a run with `setup`
-/// applied. A resume needs no setup: the snapshot carries the frames.
+/// The snapshot at the decision point of boundary `epoch` of a run with
+/// `setup` applied. A resume needs no setup: the snapshot carries the
+/// frames.
 fn checkpoint_from(
     machine: &MachineSpec,
     spec: &WorkloadSpec,
@@ -153,15 +157,19 @@ fn assert_snapshot_resumes(
     );
 }
 
-/// Keeps the checkpoints a run offers at the listed epochs.
+/// Captures a run's checkpoints at the listed boundaries.
 struct CaptureAt {
     epochs: Vec<u32>,
     taken: Vec<Checkpoint>,
 }
 
 impl RunHook for CaptureAt {
-    fn want_checkpoint(&mut self, epoch: u32) -> bool {
+    fn may_capture(&mut self, epoch: u32) -> bool {
         self.epochs.contains(&epoch)
+    }
+
+    fn on_decision(&mut self, _d: &EpochDecision<'_>) -> bool {
+        true
     }
 
     fn on_checkpoint(&mut self, ckpt: Checkpoint) {
@@ -171,7 +179,7 @@ impl RunHook for CaptureAt {
 
 /// Every golden configuration, attribution ON: checkpoints at an early,
 /// middle, and late epoch all resume bit-identical. This is the
-/// acceptance bar for `ckpt-v2`: the exact cells whose digests gate CI
+/// acceptance bar for `ckpt-v3`: the exact cells whose digests gate CI
 /// must survive a mid-stream save/restore. The snapshots come from a hook
 /// on the full run, whose bytes equal `checkpoint_at`'s
 /// (`hook_checkpoints_match_checkpoint_at_bytes`).
@@ -229,7 +237,7 @@ fn every_epoch_resumes_with_failed_migrations_onto_a_full_node() {
     let rb = &full.robustness;
     assert!(rb.failed_migrations > 0, "no migration failed: {rb:?}");
     let n = full.epochs.len() as u32;
-    for epoch in 0..=n {
+    for epoch in 0..n {
         assert_resume_identical(
             &machine,
             &spec,
@@ -271,7 +279,7 @@ fn every_epoch_resumes_mid_table_replication_and_migration() {
             _ => assert!(vm.table_migrations > 0, "numapte never migrated: {vm:?}"),
         }
         let n = full.epochs.len() as u32;
-        for epoch in 0..=n {
+        for epoch in 0..n {
             assert_resume_identical(&machine, &spec, &config, || kind.make(), None, epoch, &full);
         }
         // A mid-stream snapshot must also resume identically with the memo
@@ -284,12 +292,16 @@ fn every_epoch_resumes_mid_table_replication_and_migration() {
     }
 }
 
-/// Keeps every checkpoint the engine offers a hook.
+/// Captures at every boundary the engine offers.
 #[derive(Default)]
 struct CaptureAll(Vec<Checkpoint>);
 
 impl RunHook for CaptureAll {
-    fn want_checkpoint(&mut self, _epoch: u32) -> bool {
+    fn may_capture(&mut self, _epoch: u32) -> bool {
+        true
+    }
+
+    fn on_decision(&mut self, _d: &EpochDecision<'_>) -> bool {
         true
     }
 
@@ -298,11 +310,11 @@ impl RunHook for CaptureAll {
     }
 }
 
-/// One capture point: a checkpoint a hook takes mid-run is byte-identical
-/// to the one `checkpoint_at` stops at, for the first, middle and last
-/// boundary offered, on a table-placement policy and on Carrefour-LP. The
-/// hook is offered exactly the boundaries the run closes that another
-/// epoch follows (1..n), and attaching it leaves the result unchanged.
+/// One capture point: a checkpoint a hook takes mid-run, after the policy
+/// decided, is byte-identical to the one `checkpoint_at` stops at before
+/// it decides, for the first, second, middle and last boundary, on a
+/// table-placement policy and on Carrefour-LP. The hook is offered every
+/// boundary (0..n), and attaching it leaves the result unchanged.
 #[test]
 fn hook_checkpoints_match_checkpoint_at_bytes() {
     let machine = MachineSpec::test_machine();
@@ -324,13 +336,13 @@ fn hook_checkpoints_match_checkpoint_at_bytes() {
         );
         let n = full.epochs.len() as u32;
         let offered: Vec<u32> = hook.0.iter().map(Checkpoint::epoch).collect();
-        assert_eq!(offered, (1..n).collect::<Vec<_>>(), "{kind:?}");
-        for epoch in [1, n / 2, n - 1] {
+        assert_eq!(offered, (0..n).collect::<Vec<_>>(), "{kind:?}");
+        for epoch in [0, 1, n / 2, n - 1] {
             let stopped =
                 Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), epoch)
                     .expect("the run reaches every boundary it closes");
             assert!(
-                hook.0[epoch as usize - 1].to_bytes() == stopped.to_bytes(),
+                hook.0[epoch as usize].to_bytes() == stopped.to_bytes(),
                 "hook and checkpoint_at bytes differ at epoch {epoch} ({kind:?})"
             );
         }
@@ -366,8 +378,8 @@ proptest! {
 
         let full = run_from(&machine, &spec, &config, kind.make().as_mut(), setup);
         let n = full.epochs.len() as u32;
-        // frac < 1.0 scaled over n+1 boundaries covers 0..=n inclusive.
-        let epoch = (((f64::from(n) + 1.0) * epoch_frac) as u32).min(n);
+        // frac < 1.0 scaled over the n boundaries covers 0..n.
+        let epoch = ((f64::from(n) * epoch_frac) as u32).min(n - 1);
         let ckpt = checkpoint_from(&machine, &spec, &config, kind.make().as_mut(), setup, epoch);
         let resumed = Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         prop_assert_eq!(&resumed, &full, "fast-path resume diverged at epoch {}", epoch);

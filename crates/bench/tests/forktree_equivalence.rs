@@ -162,8 +162,9 @@ fn full_match_reuses_every_epoch() {
 
 /// A family whose siblings fork at two distinct epochs ≥ 1 (plus one
 /// full match): both resume from the snapshot the probe took at the
-/// start of their divergent epoch, so the family keeps exactly those two,
-/// and every result and digest still equals its from-scratch run.
+/// decision point of their divergent boundary, the probe captures only
+/// those two, and every result and digest still equals its from-scratch
+/// run.
 #[test]
 fn forks_at_two_epochs_keep_two_snapshots_and_match_scratch() {
     test_env();
@@ -197,10 +198,11 @@ fn forks_at_two_epochs_keep_two_snapshots_and_match_scratch() {
     assert_eq!(stats.snapshots_kept, 2);
     assert!(stats.peak_kept_bytes > 0);
     let epochs = cells[0].result.epochs.len() as u64;
-    assert_eq!(stats.epochs_reused, 10 + epochs + 18);
-    // The full match keeps every boundary's snapshot wanted; only the
-    // two claimed ones outlive their epoch.
-    assert_eq!(stats.snapshots_captured, epochs - 1);
+    // A fork at boundary `e` reuses epochs `0..=e`.
+    assert_eq!(stats.epochs_reused, 11 + epochs + 19);
+    // Captured where a class splits off, and only there: the full match
+    // costs no snapshot.
+    assert_eq!(stats.snapshots_captured, 2);
     assert_matches_scratch(&cells, &specs);
 }
 
@@ -269,21 +271,50 @@ fn classes_split_at_one_epoch_and_nest() {
     let epochs = cells[0].result.epochs.len() as u64;
     assert_eq!((stats.forks, stats.nested_forks), (4, 2));
     assert_eq!((stats.full_matches, stats.scratch), (1, 0));
-    // The probe; the 5 % and 0.01 heads from epoch 2; the 20 % and 0.02
-    // heads from epoch 4.
+    // The probe; the 5 % and 0.01 heads from boundary 2; the 20 % and
+    // 0.02 heads from boundary 4.
     assert_eq!(
         stats.epochs_simulated,
-        epochs + 2 * (epochs - 2) + 2 * (epochs - 4)
+        epochs + 2 * (epochs - 3) + 2 * (epochs - 5)
     );
-    assert_eq!(stats.epochs_reused, 2 * 2 + 2 * 4 + epochs);
+    assert_eq!(stats.epochs_reused, 2 * 3 + 2 * 5 + epochs);
     // Both epoch-2 classes share one snapshot; each nested class claims
     // its head's epoch-4 snapshot.
     assert_eq!(stats.snapshots_kept, 3);
     assert!(stats.peak_kept_bytes > 0);
-    // Captures while a member still matches: the probe at 1..=2, the 5 %
-    // head at 3..epochs (10 % matches it to the end), the 0.01 head at
-    // 3..=4.
-    assert_eq!(stats.snapshots_captured, 2 + (epochs - 3) + 2);
+    // Captured only where a class splits off: the probe at 2, the 5 % and
+    // the 0.01 heads at 4 (10 % matches the 5 % head to the end).
+    assert_eq!(stats.snapshots_captured, 3);
+    assert_matches_scratch(&cells, &specs);
+}
+
+/// A forked head's trace digest continues its parent's: the parent's sink,
+/// cloned at the snapshot, already holds epochs `0..e` and the rounds of
+/// epoch `e`, and the fork's own boundary `e` completes it. The result is
+/// the scratch run's digest, with no splicing.
+#[test]
+fn forked_digest_continues_the_parents_sink() {
+    test_env();
+    let walk = |p: &mut LpParams| p.thresholds.walk_miss_enable = 0.075;
+    let specs = vec![
+        tuned_cell(workloads::Benchmark::EpC, None),
+        tuned_cell(workloads::Benchmark::EpC, Some(&walk)),
+    ];
+    let (cells, stats) = forktree::run_family(&specs, true);
+    assert_eq!((stats.forks, stats.scratch), (1, 0));
+    assert_eq!(stats.snapshots_captured, 1);
+    let digest = |i: usize| {
+        cells[i]
+            .digest
+            .as_ref()
+            .expect("traced family returns digests")
+    };
+    let (probe, fork) = (digest(0), digest(1));
+    // On the test machine's EpC this threshold parts from the default at
+    // boundary 2: the prefix is shared, the split epoch is the fork's own.
+    let e = 2;
+    assert_eq!(probe.epochs[..e], fork.epochs[..e]);
+    assert_ne!(probe.epochs[e], fork.epochs[e]);
     assert_matches_scratch(&cells, &specs);
 }
 

@@ -107,7 +107,7 @@ impl RunHook for Recorded {
         true
     }
 
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+    fn on_boundary(&mut self, b: &EpochBoundary) {
         self.rec.on_boundary(b);
     }
 }

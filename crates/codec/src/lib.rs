@@ -2,7 +2,7 @@
 //! the workspace's one JSON writer-helper set and reader.
 //!
 //! The vendored `serde` is a no-op marker (the build is offline), so the
-//! `ckpt-v2` snapshot format and the runner's cell journal serialize by
+//! `ckpt-v3` snapshot format and the runner's cell journal serialize by
 //! hand through this crate: a little-endian, length-prefixed byte stream
 //! with no self-description. Every struct that participates writes its
 //! fields in a fixed order via [`Enc`] and reads them back in the same
@@ -26,7 +26,7 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a, 64-bit, as a streaming state: a small, dependency-free rolling
 /// hash. Not cryptographic — it only needs to make accidental collisions
-/// unlikely. Trace digests, ckpt-v2 and journal checksums all hash
+/// unlikely. Trace digests, ckpt-v3 and journal checksums all hash
 /// through it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fnv64(u64);

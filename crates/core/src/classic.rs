@@ -214,10 +214,8 @@ impl Carrefour {
         &self.cfg
     }
 
-    /// Serializes the cross-epoch placement state for a `ckpt-v2`
-    /// snapshot. `cfg` is constructor-provided and not serialized. A zero
-    /// word holds the slot of the retired replicated-page set (an empty
-    /// sequence), so the layout is unchanged (DESIGN.md §12).
+    /// Serializes the cross-epoch placement state for a `ckpt-v3`
+    /// snapshot. `cfg` is constructor-provided and not serialized.
     pub(crate) fn save_into(&self, e: &mut codec::Enc) {
         for w in self.rng.state() {
             e.u64(w);
@@ -228,7 +226,6 @@ impl Carrefour {
             e.u64(p);
             e.u16(n);
         });
-        e.retired(1);
     }
 
     /// Restores state captured by [`Carrefour::save_into`] onto a
@@ -239,7 +236,6 @@ impl Carrefour {
         self.interleaved = d.seq(|d| d.u64()).into_iter().collect();
         self.placed_once = d.seq(|d| d.u64()).into_iter().collect();
         self.node_seen = d.seq(|d| (d.u64(), d.u16())).into_iter().collect();
-        d.retired(1);
     }
 }
 

@@ -1,10 +1,11 @@
-//! Crash-resilient snapshots: the `ckpt-v2` binary checkpoint format.
+//! Crash-resilient snapshots: the `ckpt-v3` binary checkpoint format.
 //!
 //! A [`Checkpoint`] captures everything a mid-stream resume needs — vmem
 //! address space, caches, controllers, TLBs, sampler, RNG streams, policy
 //! state, and the engine's loop-carried accumulators — at an epoch
-//! boundary, such that [`crate::Simulation::resume`] continues the run
-//! **bit-identically** to one that was never interrupted.
+//! boundary's decision point (the epoch's rounds are done, nothing at the
+//! boundary has run), such that [`crate::Simulation::resume`] continues
+//! the run **bit-identically** to one that was never interrupted.
 //!
 //! # Envelope format
 //!
@@ -13,7 +14,7 @@
 //! version  u32 LE    1
 //! schema   u64 LE    FNV-1a of the payload-layout descriptor string
 //! config   u64 LE    FNV-1a fingerprint of (machine, spec, config)
-//! epoch    u32 LE    epoch index the snapshot was taken at
+//! epoch    u32 LE    the boundary whose decision point the snapshot holds
 //! len      u64 LE    payload length in bytes
 //! payload  len bytes
 //! checksum u64 LE    FNV-1a over the payload
@@ -46,10 +47,13 @@ pub const VERSION: u32 = 1;
 /// Descriptor of the payload layout. Any change to what the snapshot
 /// serializes (or its order) MUST extend this string so old checkpoints
 /// are rejected by schema hash instead of mis-decoded.
-const SCHEMA: &str = "ckpt-v2: gen space(+table_homing) walk_caches[per-thread] tlbs mem \
+const SCHEMA: &str = "ckpt-v3: gen space(+table_homing) walk_caches[per-thread] tlbs mem \
                       sampler(+walk_remote_steps) page_stats? fault_epoch fault_life \
-                      failed_migrations failed_splits wall total_ops overhead_total epochs \
-                      attrib(prelude core_totals epochs; 19 buckets)? policy_bytes";
+                      failed_migrations failed_splits wall epoch_wall epoch_ops \
+                      prev_tlb_totals(3) prev_walk_cache_totals(2) total_ops \
+                      overhead_total epochs \
+                      attrib(prelude core_totals epochs epoch_wall core_epoch; 18 buckets)? \
+                      policy_bytes(carrefour: no retired word); at the boundary's decision point";
 
 /// FNV-1a hash of the payload schema descriptor.
 pub fn schema_hash() -> u64 {
@@ -105,7 +109,7 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A validated `ckpt-v2` snapshot, ready to resume from.
+/// A validated `ckpt-v3` snapshot, ready to resume from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     epoch: u32,
@@ -122,7 +126,8 @@ impl Checkpoint {
         }
     }
 
-    /// The epoch index the snapshot was taken at.
+    /// The boundary the snapshot was taken at: epoch `epoch()`'s rounds
+    /// are done and its boundary has not run.
     pub fn epoch(&self) -> u32 {
         self.epoch
     }
@@ -157,7 +162,7 @@ impl Checkpoint {
         self.config_fp == config_fingerprint(machine, spec, config)
     }
 
-    /// Serializes the checkpoint into the `ckpt-v2` envelope.
+    /// Serializes the checkpoint into the `ckpt-v3` envelope.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + 48);
         out.extend_from_slice(MAGIC);
@@ -171,7 +176,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses and validates a `ckpt-v2` envelope. Every header field and
+    /// Parses and validates a `ckpt-v3` envelope. Every header field and
     /// the payload checksum are verified before this returns `Ok`, so the
     /// panicking payload decoder never sees torn or foreign bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
@@ -193,13 +198,19 @@ impl Checkpoint {
         }
         let config_fp = u64_at(20);
         let epoch = u32_at(28);
-        let len = u64_at(32) as usize;
-        if bytes.len() < HEADER + len + 8 {
+        // `len` is untrusted: a value past what the bytes can hold is a
+        // truncation, never an overflow.
+        let end = usize::try_from(u64_at(32))
+            .ok()
+            .and_then(|len| len.checked_add(HEADER + 8))
+            .ok_or(CheckpointError::Truncated)?;
+        if bytes.len() < end {
             return Err(CheckpointError::Truncated);
         }
-        if bytes.len() > HEADER + len + 8 {
+        if bytes.len() > end {
             return Err(CheckpointError::TrailingBytes);
         }
+        let len = end - HEADER - 8;
         let payload = &bytes[HEADER..HEADER + len];
         let checksum = u64_at(HEADER + len);
         if fnv1a(payload) != checksum {
@@ -219,7 +230,16 @@ impl Checkpoint {
 // and by the bench runner's cell journal, which persists whole SimResults
 // between suite runs.
 
-pub(crate) fn enc_breakdown(e: &mut Enc, b: &CycleBreakdown) {
+/// Which blob a [`CycleBreakdown`] is encoded into. The result blob keeps
+/// the retired data-page replica-collapse slot after `fault` (simbench
+/// pins those bytes); the ckpt-v3 payload writes the 18 live buckets only.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Blob {
+    Ckpt,
+    Result,
+}
+
+pub(crate) fn enc_breakdown(e: &mut Enc, b: &CycleBreakdown, blob: Blob) {
     e.u64(b.compute);
     e.u64(b.tlb_lookup);
     e.u64(b.cache_l1);
@@ -233,7 +253,9 @@ pub(crate) fn enc_breakdown(e: &mut Enc, b: &CycleBreakdown) {
     e.u64(b.walk_pwc_miss_local);
     e.u64(b.walk_pwc_miss_remote);
     e.u64(b.fault);
-    e.retired(1); // the data-page replica-collapse bucket
+    if blob == Blob::Result {
+        e.retired(1);
+    }
     e.u64(b.khugepaged);
     e.u64(b.ibs_sampling);
     e.u64(b.policy_migration);
@@ -241,9 +263,9 @@ pub(crate) fn enc_breakdown(e: &mut Enc, b: &CycleBreakdown) {
     e.u64(b.policy_replication);
 }
 
-/// Retired slots are read inside the next field's initialiser: struct
+/// The retired slot is read inside the next field's initialiser: struct
 /// literal fields evaluate in source order.
-pub(crate) fn dec_breakdown(d: &mut Dec<'_>) -> CycleBreakdown {
+pub(crate) fn dec_breakdown(d: &mut Dec<'_>, blob: Blob) -> CycleBreakdown {
     CycleBreakdown {
         compute: d.u64(),
         tlb_lookup: d.u64(),
@@ -259,7 +281,9 @@ pub(crate) fn dec_breakdown(d: &mut Dec<'_>) -> CycleBreakdown {
         walk_pwc_miss_remote: d.u64(),
         fault: d.u64(),
         khugepaged: {
-            d.retired(1);
+            if blob == Blob::Result {
+                d.retired(1);
+            }
             d.u64()
         },
         ibs_sampling: d.u64(),
@@ -395,31 +419,33 @@ fn dec_lifetime(d: &mut Dec<'_>) -> LifetimeStats {
     }
 }
 
-pub(crate) fn enc_epoch_attribution(e: &mut Enc, a: &EpochAttribution) {
-    enc_breakdown(e, &a.wall);
-    e.seq(a.cores.iter(), enc_breakdown);
+pub(crate) fn enc_epoch_attribution(e: &mut Enc, a: &EpochAttribution, blob: Blob) {
+    enc_breakdown(e, &a.wall, blob);
+    e.seq(a.cores.iter(), |e, b| enc_breakdown(e, b, blob));
 }
 
-pub(crate) fn dec_epoch_attribution(d: &mut Dec<'_>) -> EpochAttribution {
+pub(crate) fn dec_epoch_attribution(d: &mut Dec<'_>, blob: Blob) -> EpochAttribution {
     EpochAttribution {
-        wall: dec_breakdown(d),
-        cores: d.seq(dec_breakdown),
+        wall: dec_breakdown(d, blob),
+        cores: d.seq(|d| dec_breakdown(d, blob)),
     }
 }
 
 fn enc_ledger(e: &mut Enc, l: &AttributionLedger) {
-    enc_breakdown(e, &l.prelude);
-    e.seq(l.epochs.iter(), enc_epoch_attribution);
-    enc_breakdown(e, &l.total);
-    e.seq(l.core_totals.iter(), enc_breakdown);
+    let blob = Blob::Result;
+    enc_breakdown(e, &l.prelude, blob);
+    e.seq(l.epochs.iter(), |e, a| enc_epoch_attribution(e, a, blob));
+    enc_breakdown(e, &l.total, blob);
+    e.seq(l.core_totals.iter(), |e, b| enc_breakdown(e, b, blob));
 }
 
 fn dec_ledger(d: &mut Dec<'_>) -> AttributionLedger {
+    let blob = Blob::Result;
     AttributionLedger {
-        prelude: dec_breakdown(d),
-        epochs: d.seq(dec_epoch_attribution),
-        total: dec_breakdown(d),
-        core_totals: d.seq(dec_breakdown),
+        prelude: dec_breakdown(d, blob),
+        epochs: d.seq(|d| dec_epoch_attribution(d, blob)),
+        total: dec_breakdown(d, blob),
+        core_totals: d.seq(|d| dec_breakdown(d, blob)),
     }
 }
 
@@ -621,8 +647,44 @@ mod tests {
         assert!(Checkpoint::from_bytes(&good).is_ok());
     }
 
+    /// An untrusted payload length near `u64::MAX` is a truncation: the
+    /// envelope check must not overflow (a debug build would panic).
+    #[test]
+    fn envelope_refuses_huge_declared_lengths() {
+        let good = Checkpoint::new(1, 42, vec![9; 64]).to_bytes();
+        for len in [u64::MAX, u64::MAX - 40, u64::MAX / 2, 1 << 40] {
+            let mut bad = good.clone();
+            bad[32..40].copy_from_slice(&len.to_le_bytes());
+            assert_eq!(
+                Checkpoint::from_bytes(&bad),
+                Err(CheckpointError::Truncated),
+                "declared length {len:#x}"
+            );
+        }
+    }
+
     /// `schema_hash()` of the last ckpt-v1 build.
     const V1_SCHEMA_HASH: u64 = 0x3724_7654_0609_7f2c;
+
+    /// The last ckpt-v2 descriptor. Its snapshots were taken at the start
+    /// of an epoch, and its breakdowns kept the retired replica-collapse
+    /// word, which ckpt-v3 dropped.
+    const V2: &str = "ckpt-v2: gen space(+table_homing) walk_caches[per-thread] tlbs mem \
+                      sampler(+walk_remote_steps) page_stats? fault_epoch fault_life \
+                      failed_migrations failed_splits wall total_ops overhead_total epochs \
+                      attrib(prelude core_totals epochs; 19 buckets)? policy_bytes";
+
+    #[test]
+    fn ckpt_v2_blobs_are_refused_by_schema() {
+        let v2_hash = fnv1a(V2.as_bytes());
+        assert_ne!(schema_hash(), v2_hash);
+        let mut v2 = Checkpoint::new(3, 42, vec![7; 32]).to_bytes();
+        v2[12..20].copy_from_slice(&v2_hash.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&v2),
+            Err(CheckpointError::SchemaMismatch)
+        );
+    }
 
     #[test]
     fn ckpt_v1_blobs_are_refused_by_schema() {

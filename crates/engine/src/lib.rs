@@ -51,7 +51,7 @@ pub use result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
 };
-pub use sim::{EpochBoundary, RunHook, RunOptions, RunOutcome, Simulation, Start};
+pub use sim::{EpochBoundary, EpochDecision, RunHook, RunOptions, RunOutcome, Simulation, Start};
 pub use trace::{
     epoch_output_fingerprint, DigestSink, EpochDigest, EpochSnap, EventKind, PolicyDecision,
     TraceDigest, TraceEvent, VecSink,

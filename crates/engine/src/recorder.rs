@@ -230,7 +230,7 @@ impl RunHook for VecRecorder {
         true
     }
 
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>) {
+    fn on_boundary(&mut self, b: &EpochBoundary) {
         if let Some(sample) = &b.metrics {
             self.samples.push(sample.clone());
         }
@@ -335,16 +335,9 @@ mod tests {
     fn vec_recorder_keeps_rows_in_order() {
         let reqs = [1u64, 2];
         let mut rec = VecRecorder::new();
-        let counters = profiling::EpochCounters::default();
         for e in 0..4u32 {
             rec.on_boundary(&EpochBoundary {
                 epoch: e,
-                counters: &counters,
-                samples: &[],
-                thp: vmem::ThpControls::small_only(),
-                actions: &[],
-                decisions: &[],
-                fingerprint: 0,
                 metrics: Some(MetricsSample {
                     epoch: e,
                     ..sample(&reqs, None)

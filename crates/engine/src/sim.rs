@@ -1,6 +1,6 @@
 //! The simulation loop.
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::{self, Blob, Checkpoint};
 use crate::config::SimConfig;
 use crate::policy::{ActionError, EpochCtx, FailedAction, NumaPolicy, PolicyAction};
 use crate::recorder::{MetricsSample, PageSnapshot, RunInfo};
@@ -54,9 +54,10 @@ pub struct RunOptions<'a> {
     pub hook: Option<&'a mut dyn RunHook>,
     /// Fresh, or from a checkpoint.
     pub start: Start<'a>,
-    /// Stop at the boundary that begins this epoch and return its
-    /// snapshot ([`RunOutcome::Stopped`]). A run that ends first returns
-    /// its result as usual.
+    /// Stop at this epoch's boundary, at its decision point (the epoch's
+    /// rounds are done, the policy has not yet decided), and return the
+    /// snapshot there ([`RunOutcome::Stopped`]). A run that ends first
+    /// returns its result as usual.
     pub stop_at: Option<u32>,
     /// The three memo tricks of the access loop (uncached-store memo,
     /// stable-L1 run, IBS skip-ahead). On by default; results are
@@ -108,13 +109,14 @@ impl RunOutcome {
     }
 }
 
-/// Everything the policy saw and did at one epoch boundary, handed to a
-/// [`RunHook`] once the actions are applied. The inputs are exactly the
-/// values [`EpochCtx::new`] was built from; the outputs are everything
-/// the engine consumes from the policy, plus their canonical FNV-1a fingerprint
+/// Everything the policy saw and decided at one boundary's decision
+/// point, handed to [`RunHook::on_decision`] before anything is applied.
+/// The inputs are exactly the values [`EpochCtx::new`] was built from;
+/// the outputs are everything the engine consumes from the policy, plus
+/// their canonical FNV-1a fingerprint
 /// ([`crate::trace::epoch_output_fingerprint`]).
-pub struct EpochBoundary<'a> {
-    /// Index of the epoch that just closed.
+pub struct EpochDecision<'a> {
+    /// Index of the epoch the boundary closes.
     pub epoch: u32,
     /// Counters the policy read.
     pub counters: &'a EpochCounters,
@@ -129,6 +131,13 @@ pub struct EpochBoundary<'a> {
     pub decisions: &'a [PolicyDecision],
     /// `epoch_output_fingerprint(epoch, actions, decisions)`.
     pub fingerprint: u64,
+}
+
+/// One closed epoch boundary, handed to [`RunHook::on_boundary`] once the
+/// actions are applied.
+pub struct EpochBoundary {
+    /// Index of the epoch that just closed.
+    pub epoch: u32,
     /// The flight recorder's sample for this epoch (DESIGN.md §16) —
     /// `Some` exactly when the hook's [`RunHook::wants_metrics`] is true.
     pub metrics: Option<MetricsSample>,
@@ -164,21 +173,33 @@ pub trait RunHook {
         false
     }
 
-    /// Called at every epoch boundary, after the policy ran and its
-    /// actions were applied (so the sample's `epoch_cycles` includes the
-    /// boundary overhead), before the next epoch begins.
-    fn on_boundary(&mut self, _b: &EpochBoundary<'_>) {}
-
-    /// Whether to capture a checkpoint at the boundary beginning `epoch`.
-    /// Asked at every boundary the run closes that another epoch follows,
-    /// so `1 ≤ epoch < epochs` — except the one a run stops at
-    /// ([`RunOptions::stop_at`]), whose snapshot goes to the caller.
-    fn want_checkpoint(&mut self, _epoch: u32) -> bool {
+    /// Whether the hook may capture a checkpoint at boundary `epoch`'s
+    /// decision point. Asked at every boundary the run reaches, before the
+    /// policy runs there — except the one a run stops at
+    /// ([`RunOptions::stop_at`]), whose snapshot goes to the caller. A
+    /// `true` costs one policy-state save: the snapshot holds the policy
+    /// as it was before deciding.
+    fn may_capture(&mut self, _epoch: u32) -> bool {
         false
     }
 
-    /// Receives the checkpoint requested by [`RunHook::want_checkpoint`].
+    /// Called at every boundary's decision point: the epoch's rounds are
+    /// done and the policy has decided, but nothing at the boundary has
+    /// been applied. Returns whether to capture a checkpoint here; the
+    /// answer counts only where [`RunHook::may_capture`] said yes.
+    fn on_decision(&mut self, _d: &EpochDecision<'_>) -> bool {
+        false
+    }
+
+    /// Receives the checkpoint [`RunHook::on_decision`] asked for: a
+    /// snapshot that resumes at the same decision point, as one
+    /// [`RunOptions::stop_at`] returns.
     fn on_checkpoint(&mut self, _ckpt: Checkpoint) {}
+
+    /// Called at every epoch boundary, after the policy's actions were
+    /// applied (so the sample's `epoch_cycles` includes the boundary
+    /// overhead), before the next epoch begins.
+    fn on_boundary(&mut self, _b: &EpochBoundary) {}
 }
 
 /// splitmix64 finalizer: a stride-proof mixing function for deterministic
@@ -327,7 +348,8 @@ struct SimState<'m, 't> {
     /// Build a [`MetricsSample`] at every boundary ([`RunHook::wants_metrics`]).
     metrics_on: bool,
     /// TLB and walk-cache counters are lifetime-cumulative, so per-epoch
-    /// sample rates need the previous boundary's totals.
+    /// sample rates need the previous boundary's totals. Kept at every
+    /// boundary, hook or not, so that a snapshot carries them.
     rec_prev_tlb: (u64, u64, u64),
     rec_prev_walk: (u64, u64),
 }
@@ -1026,11 +1048,74 @@ impl<'m, 't> SimState<'m, 't> {
         }
     }
 
-    /// Closes the current epoch: kernel daemons, counters, the policy and
-    /// its actions, the hook, then opens the next epoch.
-    fn epoch_boundary(&mut self, policy: &mut dyn NumaPolicy) {
+    /// Runs boundary `self.epoch`, closing the epoch whose rounds just ran.
+    ///
+    /// It opens with the **decision point**: the policy reads the epoch's
+    /// counters and samples and decides, and the hook may capture a
+    /// checkpoint. Nothing the policy reads has changed yet, so a run
+    /// resumed from that snapshot decides again from the same inputs. A
+    /// `stop` snapshots there before the policy runs and returns the
+    /// snapshot. Then the boundary runs: kernel daemons, the decision's
+    /// actions, the epoch record and [`RunHook::on_boundary`]; the next
+    /// epoch opens.
+    fn epoch_boundary(&mut self, policy: &mut dyn NumaPolicy, stop: bool) -> Option<Checkpoint> {
+        if stop {
+            return Some(self.capture_checkpoint(&policy.save_state()));
+        }
         let machine = self.machine;
         let epoch = self.epoch;
+
+        // --- The decision point. ---
+        let samples = self.sampler.epoch_samples();
+        let mem_stats = *self.mem.epoch_stats();
+        let counters = EpochCounters {
+            epoch_cycles: self.epoch_wall,
+            l2_accesses: mem_stats.l2_accesses,
+            l2_misses: mem_stats.l2_misses,
+            l2_walk_misses: mem_stats.l2_walk_misses,
+            dram_local: mem_stats.dram_local,
+            dram_remote: mem_stats.dram_remote,
+            controller_requests: self.mem.controller_epoch_requests(),
+            fault_time: self
+                .fault_epoch
+                .iter()
+                .map(|&c| CoreFaultTime { fault_cycles: c })
+                .collect(),
+            mem_ops: self.epoch_ops,
+        };
+        let boundary_thp = self.space.thp();
+        let policy_before = self
+            .hook
+            .as_deref_mut()
+            .is_some_and(|h| h.may_capture(epoch))
+            .then(|| policy.save_state());
+        let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch);
+        if self.hook.is_some() {
+            ctx.enable_decision_log();
+        }
+        policy.on_epoch(&mut ctx);
+        let actions = ctx.take_actions();
+        let decisions = ctx.take_decisions();
+        if let Some(hook) = self.hook.as_deref_mut() {
+            let capture = hook.on_decision(&EpochDecision {
+                epoch,
+                counters: &counters,
+                samples: &samples,
+                thp: boundary_thp,
+                actions: &actions,
+                decisions: &decisions,
+                fingerprint: crate::trace::epoch_output_fingerprint(epoch, &actions, &decisions),
+            });
+            if let (true, Some(bytes)) = (capture, &policy_before) {
+                let ckpt = self.capture_checkpoint(bytes);
+                if let Some(hook) = self.hook.as_deref_mut() {
+                    hook.on_checkpoint(ckpt);
+                }
+            }
+        }
+
+        // --- The boundary. ---
+        let ibs_overhead = self.sampler.clear_epoch();
         let (collapsed, khuge_cost) = self.space.promotion_scan(self.config.khugepaged_scan_limit);
         if !collapsed.is_empty() {
             // Collapsed ranges got new frames: stale entries must go.
@@ -1047,33 +1132,6 @@ impl<'m, 't> SimState<'m, 't> {
             }
         }
 
-        let controller_requests = self.mem.controller_epoch_requests();
-        let (samples, ibs_overhead) = self.sampler.drain();
-        let mem_stats = *self.mem.epoch_stats();
-        let counters = EpochCounters {
-            epoch_cycles: self.epoch_wall,
-            l2_accesses: mem_stats.l2_accesses,
-            l2_misses: mem_stats.l2_misses,
-            l2_walk_misses: mem_stats.l2_walk_misses,
-            dram_local: mem_stats.dram_local,
-            dram_remote: mem_stats.dram_remote,
-            controller_requests,
-            fault_time: self
-                .fault_epoch
-                .iter()
-                .map(|&c| CoreFaultTime { fault_cycles: c })
-                .collect(),
-            mem_ops: self.epoch_ops,
-        };
-
-        let boundary_thp = self.space.thp();
-        let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch);
-        if self.hook.is_some() {
-            ctx.enable_decision_log();
-        }
-        policy.on_epoch(&mut ctx);
-        let actions = ctx.take_actions();
-        let decisions = ctx.take_decisions();
         for decision in &decisions {
             self.emit(|| TraceEvent::Decision {
                 epoch,
@@ -1174,12 +1232,10 @@ impl<'m, 't> SimState<'m, 't> {
             }
             self.epoch_wall_bd = CycleBreakdown::default();
         }
+        let (tlb, walk) = (self.tlb_totals(), self.walk_cache_totals());
         if self.hook.is_some() {
             let counters = &self.epochs.last().expect("boundary just pushed").counters;
-            let totals = self
-                .metrics_on
-                .then(|| (self.tlb_totals(), self.walk_cache_totals()));
-            let metrics = totals.map(|(tlb, walk)| MetricsSample {
+            let metrics = self.metrics_on.then(|| MetricsSample {
                 epoch,
                 epoch_cycles: self.epoch_wall,
                 mem_ops: counters.mem_ops,
@@ -1206,25 +1262,12 @@ impl<'m, 't> SimState<'m, 't> {
                 }),
                 attrib: self.attrib_epochs.last().map(|e| e.wall),
             });
-            if let Some((tlb, walk)) = totals {
-                self.rec_prev_tlb = tlb;
-                self.rec_prev_walk = walk;
-            }
             if let Some(hook) = self.hook.as_deref_mut() {
-                hook.on_boundary(&EpochBoundary {
-                    epoch,
-                    counters,
-                    samples: &samples,
-                    thp: boundary_thp,
-                    actions: &actions,
-                    decisions: &decisions,
-                    fingerprint: crate::trace::epoch_output_fingerprint(
-                        epoch, &actions, &decisions,
-                    ),
-                    metrics,
-                });
+                hook.on_boundary(&EpochBoundary { epoch, metrics });
             }
         }
+        self.rec_prev_tlb = tlb;
+        self.rec_prev_walk = walk;
         self.fault_epoch.iter_mut().for_each(|c| *c = 0);
         self.epoch_wall = 0;
         self.epoch_ops = 0;
@@ -1234,6 +1277,7 @@ impl<'m, 't> SimState<'m, 't> {
                 .validate()
                 .unwrap_or_else(|e| panic!("vmem invariant violated after epoch {epoch}: {e}"));
         }
+        None
     }
 
     /// Lifetime TLB `(L1 hits, L2 hits, misses)`, summed over threads.
@@ -1348,12 +1392,13 @@ impl<'m, 't> SimState<'m, 't> {
         }
     }
 
-    /// Serializes everything a mid-stream resume needs, in `ckpt-v2`
-    /// payload order: the snapshot of the boundary that begins
-    /// `self.epoch`. [`SimState::restore_checkpoint`] mirrors this
-    /// exactly; any change to either must extend the schema descriptor in
+    /// Serializes everything a mid-stream resume needs, in `ckpt-v3`
+    /// payload order: the snapshot of boundary `self.epoch`'s decision
+    /// point, with `policy_bytes` the policy's state before it decided
+    /// there. [`SimState::restore_checkpoint`] mirrors this exactly; any
+    /// change to either must extend the schema descriptor in
     /// [`crate::checkpoint`].
-    fn capture_checkpoint(&self, policy: &dyn NumaPolicy) -> Checkpoint {
+    fn capture_checkpoint(&self, policy_bytes: &[u8]) -> Checkpoint {
         let mut e = codec::Enc::new();
         self.gen.save_into(&mut e);
         self.space.save_into(&mut e);
@@ -1370,16 +1415,31 @@ impl<'m, 't> SimState<'m, 't> {
         e.u64(self.robust.failed_migrations);
         e.u64(self.robust.failed_splits);
         e.u64(self.wall);
+        e.u64(self.epoch_wall);
+        e.u64(self.epoch_ops);
+        let (t, w) = (self.rec_prev_tlb, self.rec_prev_walk);
+        for v in [t.0, t.1, t.2, w.0, w.1] {
+            e.u64(v);
+        }
         e.u64(self.total_ops);
         e.u64(self.overhead_total);
         e.seq(self.epochs.iter(), checkpoint::enc_epoch_record);
         e.bool(self.attrib_on);
         if self.attrib_on {
-            checkpoint::enc_breakdown(&mut e, &self.prelude_bd);
-            e.seq(self.core_totals.iter(), checkpoint::enc_breakdown);
-            e.seq(self.attrib_epochs.iter(), checkpoint::enc_epoch_attribution);
+            let blob = Blob::Ckpt;
+            checkpoint::enc_breakdown(&mut e, &self.prelude_bd, blob);
+            e.seq(self.core_totals.iter(), |e, b| {
+                checkpoint::enc_breakdown(e, b, blob)
+            });
+            e.seq(self.attrib_epochs.iter(), |e, a| {
+                checkpoint::enc_epoch_attribution(e, a, blob)
+            });
+            checkpoint::enc_breakdown(&mut e, &self.epoch_wall_bd, blob);
+            e.seq(self.core_bds.iter(), |e, b| {
+                checkpoint::enc_breakdown(e, b, blob)
+            });
         }
-        e.bytes(&policy.save_state());
+        e.bytes(policy_bytes);
         Checkpoint::new(
             self.epoch,
             checkpoint::config_fingerprint(self.machine, self.spec, self.config),
@@ -1387,7 +1447,7 @@ impl<'m, 't> SimState<'m, 't> {
         )
     }
 
-    /// Overwrites freshly-constructed run state from a `ckpt-v2` payload,
+    /// Overwrites freshly-constructed run state from a `ckpt-v3` payload,
     /// in the exact order [`SimState::capture_checkpoint`] wrote it.
     /// Constructor-fixed dimensions (thread counts, TLB count, attribution
     /// switch) are asserted, not restored — a fingerprint-matched
@@ -1447,6 +1507,10 @@ impl<'m, 't> SimState<'m, 't> {
             failed_splits: d.u64(),
         };
         self.wall = d.u64();
+        self.epoch_wall = d.u64();
+        self.epoch_ops = d.u64();
+        self.rec_prev_tlb = (d.u64(), d.u64(), d.u64());
+        self.rec_prev_walk = (d.u64(), d.u64());
         self.total_ops = d.u64();
         self.overhead_total = d.u64();
         self.epochs = d.seq(checkpoint::dec_epoch_record);
@@ -1456,15 +1520,20 @@ impl<'m, 't> SimState<'m, 't> {
             "checkpoint attribution switch does not match the config"
         );
         if self.attrib_on {
-            self.prelude_bd = checkpoint::dec_breakdown(&mut d);
-            let ct = d.seq(checkpoint::dec_breakdown);
+            let blob = Blob::Ckpt;
+            self.prelude_bd = checkpoint::dec_breakdown(&mut d, blob);
+            let ct = d.seq(|d| checkpoint::dec_breakdown(d, blob));
             assert_eq!(
                 ct.len(),
                 self.core_totals.len(),
                 "checkpoint core-total count"
             );
             self.core_totals = ct;
-            self.attrib_epochs = d.seq(checkpoint::dec_epoch_attribution);
+            self.attrib_epochs = d.seq(|d| checkpoint::dec_epoch_attribution(d, blob));
+            self.epoch_wall_bd = checkpoint::dec_breakdown(&mut d, blob);
+            let cb = d.seq(|d| checkpoint::dec_breakdown(d, blob));
+            assert_eq!(cb.len(), self.core_bds.len(), "checkpoint core count");
+            self.core_bds = cb;
         }
         let policy_bytes = d.bytes().to_vec();
         d.finish();
@@ -1495,11 +1564,12 @@ impl Simulation {
         Simulation::run_with(machine, spec, config, policy, RunOptions::default()).result()
     }
 
-    /// Runs like [`Simulation::run`] until the epoch boundary that begins
-    /// epoch `epoch`, then snapshots into a [`Checkpoint`] and stops —
-    /// [`Simulation::resume`] continues from it bit-identically. Returns
-    /// `None` when the run completes before reaching `epoch` (the run then
-    /// executed in full; no snapshot exists).
+    /// Runs like [`Simulation::run`] until the decision point of epoch
+    /// `epoch`'s boundary (its rounds done, its policy decision not yet
+    /// made), then snapshots into a [`Checkpoint`] and stops —
+    /// [`Simulation::resume`] continues from it bit-identically, starting
+    /// with that decision. Returns `None` when the run has no boundary
+    /// `epoch` (the run then executed in full; no snapshot exists).
     pub fn checkpoint_at(
         machine: &MachineSpec,
         spec: &WorkloadSpec,
@@ -1566,6 +1636,7 @@ impl Simulation {
         if !policy.consumes_samples() {
             st.sampler.set_store(false);
         }
+        let resumed = !matches!(start, Start::Fresh);
         match start {
             Start::Fresh => {
                 if let Some(h) = st.hook.as_deref_mut() {
@@ -1584,45 +1655,31 @@ impl Simulation {
         }
 
         // --- Rounds and boundaries, one epoch chunk at a time. ---
-        // A resume restarts at the restored epoch's first round. The `min`
-        // covers a checkpoint taken at the boundary after the final
-        // (possibly short) epoch: no rounds remain, only the finale runs.
+        // A resumed run starts at the decision point of boundary
+        // `st.epoch`: that epoch's rounds already ran.
         let total_rounds = st.gen.total_rounds();
         let rounds_per_epoch = config.rounds_per_epoch;
-        let mut round =
-            (u64::from(st.epoch) * u64::from(rounds_per_epoch)).min(u64::from(total_rounds)) as u32;
-        let mut closed_one = false;
+        let mut round = if resumed {
+            (u64::from(st.epoch + 1) * u64::from(rounds_per_epoch)).min(u64::from(total_rounds))
+                as u32
+        } else {
+            0
+        };
+        let mut rounds_done = resumed;
         loop {
-            // The capture point: the boundary that closed `st.epoch - 1`
-            // and began `st.epoch` (for epoch 0: prelude run, no rounds),
-            // where per-epoch accumulators are freshly reset. The hook is
-            // asked at every boundary this run closed that another epoch
-            // follows, except a stop — capturing a whole probe run in one
-            // pass. A stop at the boundary after the final epoch still
-            // snapshots there.
-            let stop = stop_at == Some(st.epoch);
-            let offered = !stop
-                && closed_one
-                && round < total_rounds
-                && st
-                    .hook
-                    .as_deref_mut()
-                    .is_some_and(|h| h.want_checkpoint(st.epoch));
-            if stop || offered {
-                let ckpt = st.capture_checkpoint(&*policy);
-                match st.hook.as_deref_mut() {
-                    Some(h) if offered => h.on_checkpoint(ckpt),
-                    _ => return RunOutcome::Stopped(ckpt),
+            if !rounds_done {
+                if round >= total_rounds {
+                    break;
                 }
+                let chunk_end =
+                    ((round / rounds_per_epoch + 1) * rounds_per_epoch).min(total_rounds);
+                st.run_rounds(round..chunk_end);
+                round = chunk_end;
             }
-            if round >= total_rounds {
-                break;
+            rounds_done = false;
+            if let Some(ckpt) = st.epoch_boundary(policy, stop_at == Some(st.epoch)) {
+                return RunOutcome::Stopped(ckpt);
             }
-            let chunk_end = ((round / rounds_per_epoch + 1) * rounds_per_epoch).min(total_rounds);
-            st.run_rounds(round..chunk_end);
-            round = chunk_end;
-            st.epoch_boundary(policy);
-            closed_one = true;
         }
 
         // --- Finale. ---
@@ -1830,7 +1887,12 @@ mod tests {
         let config = ckpt_config();
         let full = Simulation::run(&machine, &spec, &config, &mut NullPolicy);
         let n_epochs = full.epochs.len() as u32;
-        for epoch in 0..=n_epochs {
+        // Boundaries 0..n exist; past the final one there is none to stop at.
+        assert!(
+            Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, n_epochs)
+                .is_none()
+        );
+        for epoch in 0..n_epochs {
             let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, epoch)
                 .unwrap_or_else(|| panic!("run has {n_epochs} epochs, none at {epoch}"));
             assert_eq!(ckpt.epoch(), epoch);
@@ -1876,44 +1938,95 @@ mod tests {
         assert_eq!(spliced.diff(&whole), None, "spliced trace digest diverged");
     }
 
-    /// Counts the checkpoint offers a run makes, declining each, and the
-    /// events it receives without asking for them.
+    /// Records the capture offers and decision points a run shows its
+    /// hook, declining each, and the events it receives without asking
+    /// for them.
     #[derive(Default)]
-    struct CountOffers(Vec<u32>, usize);
+    struct CountOffers {
+        offers: Vec<u32>,
+        decisions: Vec<u32>,
+        events: usize,
+    }
 
     impl RunHook for CountOffers {
         fn on_event(&mut self, _event: &TraceEvent) {
-            self.1 += 1;
+            self.events += 1;
         }
 
-        fn want_checkpoint(&mut self, epoch: u32) -> bool {
-            self.0.push(epoch);
+        fn may_capture(&mut self, epoch: u32) -> bool {
+            self.offers.push(epoch);
             false
+        }
+
+        fn on_decision(&mut self, d: &EpochDecision<'_>) -> bool {
+            self.decisions.push(d.epoch);
+            true
+        }
+
+        fn on_checkpoint(&mut self, ckpt: Checkpoint) {
+            panic!("captured at {} without saying it may", ckpt.epoch());
         }
     }
 
     #[test]
-    fn hook_is_offered_every_boundary_but_the_final_one() {
+    fn hook_is_offered_every_boundary() {
         let machine = MachineSpec::test_machine();
         let spec = tiny_spec(AccessPattern::PrivateSlices, 4);
         let config = ckpt_config();
-        let mut offers = CountOffers::default();
+        let mut hook = CountOffers::default();
         let opts = RunOptions {
-            hook: Some(&mut offers),
+            hook: Some(&mut hook),
             ..RunOptions::default()
         };
         let full = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, opts).result();
         let n = full.epochs.len() as u32;
         assert!(n >= 2, "the run needs a boundary to offer");
-        // No epoch follows the final boundary, so no fork could use it.
-        assert_eq!(offers.0, (1..n).collect::<Vec<_>>());
-        assert_eq!(offers.1, 0, "events reach only a hook that wants them");
-        // A stop there still snapshots, and resumes to the same result.
-        let last = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, n)
-            .expect("a stop at the final boundary still snapshots");
-        assert_eq!(last.epoch(), n);
+        // Every boundary, the final one included: a fork there runs the
+        // final boundary with its own policy.
+        assert_eq!(hook.offers, (0..n).collect::<Vec<_>>());
+        assert_eq!(hook.decisions, hook.offers);
+        assert_eq!(hook.events, 0, "events reach only a hook that wants them");
+        // A stop at the final boundary snapshots, and resumes to the same
+        // result.
+        let last = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, n - 1)
+            .expect("a stop at the final boundary snapshots");
+        assert_eq!(last.epoch(), n - 1);
         let resumed = Simulation::resume(&machine, &spec, &config, &mut NullPolicy, &last);
         assert_eq!(resumed, full);
+    }
+
+    /// A resumed run's metrics samples continue the uninterrupted run's,
+    /// per-epoch TLB and walk-cache deltas included, even when the
+    /// snapshot came from a run that recorded no metrics.
+    #[test]
+    fn resumed_metrics_match_uninterrupted_samples() {
+        let machine = MachineSpec::test_machine();
+        let spec = tiny_spec(AccessPattern::PrivateSlices, 4);
+        let config = ckpt_config();
+        let mut whole = crate::VecRecorder::new();
+        let opts = RunOptions {
+            hook: Some(&mut whole),
+            ..RunOptions::default()
+        };
+        let full = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, opts).result();
+        for epoch in 0..full.epochs.len() as u32 {
+            let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, epoch)
+                .expect("every boundary snapshots");
+            let mut tail = crate::VecRecorder::new();
+            let opts = RunOptions {
+                hook: Some(&mut tail),
+                start: Start::Resume(&ckpt),
+                ..RunOptions::default()
+            };
+            Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, opts).result();
+            let json =
+                |s: &[MetricsSample]| s.iter().map(MetricsSample::to_json).collect::<Vec<_>>();
+            assert_eq!(
+                json(&tail.samples),
+                json(&whole.samples[epoch as usize..]),
+                "metrics resumed at {epoch}"
+            );
+        }
     }
 
     #[test]

@@ -415,7 +415,7 @@ mod tests {
 
     /// The `u64`-line cache that [`SetAssocCache`] replaced, kept as the
     /// oracle of the 4-byte-tag layout: full lines in zero-initialised
-    /// slots, the same occupancy and stale-slot behaviour, and the ckpt-v2
+    /// slots, the same occupancy and stale-slot behaviour, and the ckpt-v3
     /// encoding that the compact layout must reproduce byte for byte.
     struct OracleCache {
         tags: Vec<u64>,

@@ -41,7 +41,7 @@ impl LinkTraffic {
     /// Records one request traversing `route`; returns the congestion delay
     /// (cycles) of the bottleneck link on the route.
     #[inline]
-    pub fn traverse(&mut self, route: &Route) -> u32 {
+    pub fn traverse(&mut self, route: Route<'_>) -> u32 {
         let mut worst = 0;
         for &l in route.links() {
             let i = l.index();
@@ -58,7 +58,7 @@ impl LinkTraffic {
     /// at [`LinkTraffic::end_epoch`], so every request of an intra-epoch
     /// batch sees the same bottleneck.
     #[inline]
-    pub fn traverse_n(&mut self, route: &Route, n: u64) -> u32 {
+    pub fn traverse_n(&mut self, route: Route<'_>, n: u64) -> u32 {
         let mut worst = 0;
         for &l in route.links() {
             let i = l.index();
@@ -72,7 +72,7 @@ impl LinkTraffic {
     /// The bottleneck congestion delay of `route` without recording any
     /// traffic (read-only companion of [`LinkTraffic::traverse`]).
     #[inline]
-    pub fn peek(&self, route: &Route) -> u32 {
+    pub fn peek(&self, route: Route<'_>) -> u32 {
         route
             .links()
             .iter()
@@ -147,10 +147,10 @@ mod tests {
     fn traffic_counts_per_link() {
         let ic = Interconnect::new(3, &[(0, 1), (1, 2)]);
         let mut lt = LinkTraffic::new(&ic, 6, 60.0, 400);
-        let route = ic.route(n(0), n(2)).clone();
+        let route = ic.route(n(0), n(2));
         assert_eq!(route.hops(), 2);
-        lt.traverse(&route);
-        lt.traverse(&route);
+        lt.traverse(route);
+        lt.traverse(route);
         for &l in route.links() {
             assert_eq!(lt.total_requests(l), 2);
         }
@@ -160,18 +160,18 @@ mod tests {
     fn congestion_builds_on_hot_link() {
         let ic = Interconnect::new(3, &[(0, 1), (1, 2)]);
         let mut lt = LinkTraffic::new(&ic, 6, 60.0, 400);
-        let hot = ic.route(n(0), n(1)).clone();
+        let hot = ic.route(n(0), n(1));
         // Sustained load (smoothing needs a few epochs to converge).
         for _ in 0..6 {
             for _ in 0..100_000 {
-                lt.traverse(&hot);
+                lt.traverse(hot);
             }
             lt.end_epoch(1_000_000); // rho = 0.6 on the hot link
         }
-        assert!(lt.traverse(&hot) > 50);
+        assert!(lt.traverse(hot) > 50);
         // The unrelated link 1 -> 2 stays uncongested.
-        let cold = ic.route(n(1), n(2)).clone();
-        assert_eq!(lt.traverse(&cold), 0);
+        let cold = ic.route(n(1), n(2));
+        assert_eq!(lt.traverse(cold), 0);
     }
 
     #[test]
@@ -179,16 +179,16 @@ mod tests {
         let ic = Interconnect::new(3, &[(0, 1), (1, 2)]);
         let mut lt = LinkTraffic::new(&ic, 6, 60.0, 400);
         // Load only the first hop.
-        let first = ic.route(n(0), n(1)).clone();
+        let first = ic.route(n(0), n(1));
         for _ in 0..6 {
             for _ in 0..100_000 {
-                lt.traverse(&first);
+                lt.traverse(first);
             }
             lt.end_epoch(1_000_000);
         }
-        let through = ic.route(n(0), n(2)).clone();
-        let d_through = lt.traverse(&through);
-        let d_first = lt.traverse(&first);
+        let through = ic.route(n(0), n(2));
+        let d_through = lt.traverse(through);
+        let d_first = lt.traverse(first);
         assert_eq!(d_through, d_first, "two-hop delay equals bottleneck delay");
     }
 
@@ -196,7 +196,7 @@ mod tests {
     fn empty_route_has_no_delay() {
         let ic = Interconnect::full_mesh(2);
         let mut lt = LinkTraffic::new(&ic, 6, 60.0, 400);
-        let local = ic.route(n(0), n(0)).clone();
-        assert_eq!(lt.traverse(&local), 0);
+        let local = ic.route(n(0), n(0));
+        assert_eq!(lt.traverse(local), 0);
     }
 }

@@ -377,7 +377,7 @@ impl MemorySystem {
             .collect()
     }
 
-    /// Serializes the full memory-system state for the `ckpt-v2` snapshot:
+    /// Serializes the full memory-system state for the `ckpt-v3` snapshot:
     /// cache tags, controller counters/delays, link traffic, and the
     /// epoch/lifetime counter pairs. The config, topology, and core→node
     /// map are constructor-derived and rebuilt by the caller.

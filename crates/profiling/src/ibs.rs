@@ -190,17 +190,32 @@ impl IbsSampler {
     /// Returns the samples and the cycles of sampling overhead accumulated
     /// since the last drain.
     pub fn drain(&mut self) -> (Vec<IbsSample>, u64) {
+        let all = self.epoch_samples();
+        (all, self.clear_epoch())
+    }
+
+    /// The samples [`IbsSampler::drain`] would return, leaving the sampler
+    /// untouched — so a snapshot taken after the policy read them still
+    /// holds them. [`IbsSampler::clear_epoch`] completes the drain.
+    pub fn epoch_samples(&self) -> Vec<IbsSample> {
         let mut all = Vec::with_capacity(self.stores.iter().map(Vec::len).sum());
-        for store in &mut self.stores {
-            all.append(store);
+        for store in &self.stores {
+            all.extend_from_slice(store);
         }
-        let overhead = self.overhead_cycles;
-        self.overhead_cycles = 0;
-        (all, overhead)
+        all
+    }
+
+    /// Empties every store and returns the sampling overhead accumulated
+    /// since the last drain, resetting it.
+    pub fn clear_epoch(&mut self) -> u64 {
+        for store in &mut self.stores {
+            store.clear();
+        }
+        std::mem::take(&mut self.overhead_cycles)
     }
 
     /// Serializes the sampler's mutable state — countdown, per-node stores,
-    /// lifetime/overhead counters, and the storage flag — for the `ckpt-v2`
+    /// lifetime/overhead counters, and the storage flag — for the `ckpt-v3`
     /// snapshot (the config is constructor-fixed).
     pub fn save_into(&self, e: &mut codec::Enc) {
         e.u64(self.countdown);

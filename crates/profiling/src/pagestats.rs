@@ -142,7 +142,7 @@ impl PageAccessStats {
     }
 
     /// Serializes the touched cells in ascending page order, then the
-    /// total, for the `ckpt-v2` snapshot.
+    /// total, for the `ckpt-v3` snapshot.
     pub fn save_into(&self, e: &mut codec::Enc) {
         e.usize(self.pages);
         for (base, cell) in self.touched() {
@@ -294,7 +294,7 @@ mod tests {
     }
 
     /// The per-page hash map that the dense chunks replaced, kept as their
-    /// oracle: same aggregation, and the ckpt-v2 encoding the dense layout
+    /// oracle: same aggregation, and the ckpt-v3 encoding the dense layout
     /// must reproduce byte for byte.
     #[derive(Default)]
     struct OracleStats {

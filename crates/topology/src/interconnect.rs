@@ -22,15 +22,16 @@ impl LinkId {
     }
 }
 
-/// A route between two nodes: the ordered list of directed links traversed.
+/// A route between two nodes: the ordered list of directed links traversed,
+/// borrowed from the interconnect's flat route table.
 ///
 /// A route between a node and itself is empty.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct Route {
-    links: Vec<LinkId>,
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Route<'a> {
+    links: &'a [LinkId],
 }
 
-impl Route {
+impl<'a> Route<'a> {
     /// Number of interconnect hops on this route.
     #[inline]
     pub fn hops(&self) -> u32 {
@@ -39,8 +40,8 @@ impl Route {
 
     /// The directed links traversed, in order.
     #[inline]
-    pub fn links(&self) -> &[LinkId] {
-        &self.links
+    pub fn links(&self) -> &'a [LinkId] {
+        self.links
     }
 }
 
@@ -50,8 +51,12 @@ pub struct Interconnect {
     num_nodes: usize,
     /// `endpoints[l]` = (source node, destination node) of directed link `l`.
     endpoints: Vec<(NodeId, NodeId)>,
-    /// `routes[src * num_nodes + dst]`.
-    routes: Vec<Route>,
+    /// Every route's links, back to back, in `(src, dst)` order: one
+    /// allocation however many node pairs there are.
+    route_links: Vec<LinkId>,
+    /// `route_links[route_start[i]..route_start[i + 1]]` is the route of
+    /// pair `i = src * num_nodes + dst`.
+    route_start: Vec<u32>,
 }
 
 impl Interconnect {
@@ -88,7 +93,9 @@ impl Interconnect {
             list.sort_by_key(|&(n, _)| n);
         }
 
-        let mut routes = vec![Route::default(); num_nodes * num_nodes];
+        let mut route_links = Vec::new();
+        let mut route_start = Vec::with_capacity(num_nodes * num_nodes + 1);
+        route_start.push(0);
         for src in 0..num_nodes {
             // BFS from `src`, recording the (parent, link) tree.
             let mut parent: Vec<Option<(usize, LinkId)>> = vec![None; num_nodes];
@@ -105,30 +112,28 @@ impl Interconnect {
                     }
                 }
             }
-            for dst in 0..num_nodes {
-                if dst == src {
-                    continue;
-                }
+            for (dst, &reached) in visited.iter().enumerate() {
                 assert!(
-                    visited[dst],
+                    reached,
                     "interconnect graph is disconnected: {dst} unreachable from {src}"
                 );
-                let mut links = Vec::new();
+                let first = route_links.len();
                 let mut cur = dst;
                 while cur != src {
                     let (prev, link) = parent[cur].expect("BFS parent missing");
-                    links.push(link);
+                    route_links.push(link);
                     cur = prev;
                 }
-                links.reverse();
-                routes[src * num_nodes + dst] = Route { links };
+                route_links[first..].reverse();
+                route_start.push(route_links.len() as u32);
             }
         }
 
         Interconnect {
             num_nodes,
             endpoints,
-            routes,
+            route_links,
+            route_start,
         }
     }
 
@@ -163,8 +168,12 @@ impl Interconnect {
 
     /// The precomputed shortest route from `src` to `dst`.
     #[inline]
-    pub fn route(&self, src: NodeId, dst: NodeId) -> &Route {
-        &self.routes[src.index() * self.num_nodes + dst.index()]
+    pub fn route(&self, src: NodeId, dst: NodeId) -> Route<'_> {
+        let i = src.index() * self.num_nodes + dst.index();
+        let (start, end) = (self.route_start[i], self.route_start[i + 1]);
+        Route {
+            links: &self.route_links[start as usize..end as usize],
+        }
     }
 
     /// Number of hops between two nodes (0 if they are the same node).
@@ -175,7 +184,11 @@ impl Interconnect {
 
     /// The largest hop count between any node pair (the network diameter).
     pub fn diameter(&self) -> u32 {
-        self.routes.iter().map(Route::hops).max().unwrap_or(0)
+        self.route_start
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 }
 

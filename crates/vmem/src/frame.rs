@@ -225,7 +225,7 @@ impl FrameAllocator {
     }
 
     /// Serializes the mutable allocator state (free lists and byte
-    /// counters) for the `ckpt-v2` snapshot. The node layout (`stride`,
+    /// counters) for the `ckpt-v3` snapshot. The node layout (`stride`,
     /// per-node totals) is rebuilt from the machine spec by the caller.
     pub fn save_into(&self, e: &mut codec::Enc) {
         e.seq(self.nodes.iter(), |e, n| {

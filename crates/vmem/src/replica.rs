@@ -123,7 +123,7 @@ impl TableReplicas {
         }
     }
 
-    /// Serializes for the `ckpt-v2` snapshot (canonical BTreeMap order).
+    /// Serializes for the `ckpt-v3` snapshot (canonical BTreeMap order).
     pub fn save_into(&self, e: &mut codec::Enc) {
         e.seq(self.tables.iter(), |e, (&base, set)| {
             e.u64(base);

@@ -715,7 +715,7 @@ impl AddressSpace {
         self.frames.free(frame, size);
     }
 
-    /// Serializes the full address-space state for the `ckpt-v2` snapshot:
+    /// Serializes the full address-space state for the `ckpt-v3` snapshot:
     /// frame allocator free lists, the page-table arena, registered
     /// regions, the (runtime-mutable) THP switches, lifetime stats, the
     /// khugepaged cursor and inhibitions, and the page-table replicas.

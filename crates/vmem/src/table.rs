@@ -287,7 +287,7 @@ impl NodeEntries {
     }
 
     /// Writes the `(slot, entry)` pairs in ascending slot order (the
-    /// `ckpt-v2` page-table node encoding).
+    /// `ckpt-v3` page-table node encoding).
     fn save_into(&self, e: &mut codec::Enc) {
         e.seq(self.iter(), |e, (idx, entry)| {
             e.u16(idx);
@@ -458,7 +458,7 @@ impl WalkCache {
         self.entries.is_empty()
     }
 
-    /// Serializes the cache for the `ckpt-v2` snapshot. Entries are written
+    /// Serializes the cache for the `ckpt-v3` snapshot. Entries are written
     /// in sorted key order: the backing map's iteration order is not
     /// canonical, and checkpoint bytes must be deterministic.
     pub fn save_into(&self, e: &mut codec::Enc) {

@@ -388,7 +388,7 @@ impl Tlb {
     }
 
     /// Serializes the full TLB state (entries in recency order plus
-    /// lifetime stats) for the `ckpt-v2` snapshot.
+    /// lifetime stats) for the `ckpt-v3` snapshot.
     pub fn save_into(&self, e: &mut codec::Enc) {
         self.l1_4k.save_into(e);
         self.l1_2m.save_into(e);

@@ -301,7 +301,7 @@ impl WorkloadGen {
     }
 
     /// Serializes the per-thread mutable state — RNG streams, allocation
-    /// cursors, stream cursors, and issued-op counters — for the `ckpt-v2`
+    /// cursors, stream cursors, and issued-op counters — for the `ckpt-v3`
     /// snapshot. Everything else (allocation lists, prelude, share tables)
     /// is deterministic in `(spec, seed)` and rebuilt by
     /// [`WorkloadGen::new`].

@@ -1,4 +1,4 @@
-//! Pins the `ckpt-v2` checkpoint byte format. The payload encodes the
+//! Pins the `ckpt-v3` checkpoint byte format. The payload encodes the
 //! TLBs and page tables in a canonical order (TLB sets MRU-first, table
 //! entries by ascending slot index), so a change to how those structures
 //! are *stored* must leave these bytes alone. Re-pinning is an intended
@@ -10,8 +10,8 @@ use engine::Simulation;
 use numa_topology::MachineSpec;
 use workloads::Benchmark;
 
-/// FNV-1a 64 and length of the checkpoint bytes at the boundary that
-/// begins `epoch`, for a cell under its default `CellSpec` config.
+/// FNV-1a 64 and length of the checkpoint bytes at boundary `epoch`'s
+/// decision point, for a cell under its default `CellSpec` config.
 fn checkpoint_digest(
     machine: MachineSpec,
     bench: Benchmark,
@@ -40,7 +40,7 @@ fn machine_a_ua_b_linux_4k_checkpoint_bytes_are_pinned() {
     );
     assert_eq!(
         (digest, len),
-        (0xc780_7eac_5643_1640, 2_331_873),
+        (0xc8a9_3429_f8fa_03ad, 2_331_929),
         "got {digest:016x} ({len} bytes)"
     );
 }
@@ -55,7 +55,7 @@ fn machine_b_cg_d_carrefour_lp_checkpoint_bytes_are_pinned() {
     );
     assert_eq!(
         (digest, len),
-        (0x5c1e_c46f_1397_51a0, 3_826_329),
+        (0xdedb_d8c9_43a3_70c2, 3_858_723),
         "got {digest:016x} ({len} bytes)"
     );
 }
