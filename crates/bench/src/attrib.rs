@@ -157,14 +157,14 @@ pub fn narrative(base: &Cell, cand: &Cell) -> String {
 
     let mut out = String::new();
     let verdict = if delta > 0 {
-        format!("{:.1}% slower", (rc as f64 / rb as f64 - 1.0) * 100.0)
+        format!("{:.1}% slower than", (rc as f64 / rb as f64 - 1.0) * 100.0)
     } else if delta < 0 {
-        format!("{:.1}% faster", (rb as f64 / rc as f64 - 1.0) * 100.0)
+        format!("{:.1}% faster than", (rb as f64 / rc as f64 - 1.0) * 100.0)
     } else {
-        "exactly as fast".to_string()
+        "exactly as fast as".to_string()
     };
     out.push_str(&format!(
-        "{} on {}: {} is {} than {} ({} vs {} cycles, {} wall).\n",
+        "{} on {}: {} is {} {} ({} vs {} cycles, {} wall).\n",
         base.benchmark,
         base.machine,
         cand.policy,
@@ -445,6 +445,14 @@ mod tests {
             n2.contains("dominant cause: TLB lookup + local page walk reduction"),
             "{n2}"
         );
+    }
+
+    #[test]
+    fn narrative_of_equal_runtimes_says_as_fast_as() {
+        let base = cell("Linux", 11_000, breakdown(4_000, 1_000, 5_000));
+        let cand = cell("THP", 11_000, breakdown(3_000, 2_000, 5_000));
+        let n = narrative(&base, &cand);
+        assert!(n.contains("THP is exactly as fast as Linux ("), "{n}");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! explain UA.B Linux THP --machine b
 //! explain --golden                 # attributed golden cells
 //! #                                #   -> results/BENCH_attrib_baseline.json
-//! explain --what-if CG.D THP       # causal intervention (below)
-//! explain --what-if CG.D THP --epoch 7
+//! explain --what-if                # causal intervention (below):
+//! #                                #   CG.D / Carrefour-LP at the midpoint
+//! explain --what-if CG.D Carrefour-LP --epoch 7
 //! ```
 //!
 //! `--what-if` turns the post-hoc diagnosis into a causal intervention:
@@ -180,6 +181,30 @@ impl NumaPolicy for WhatIfPolicy {
     }
 }
 
+/// Wraps a policy to remember the last boundary at which it queued an
+/// action.
+struct LastAction {
+    inner: Box<dyn NumaPolicy>,
+    epoch: Option<u32>,
+}
+
+impl NumaPolicy for LastAction {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
+        self.inner.on_epoch(ctx);
+        if !ctx.queued().is_empty() {
+            self.epoch = Some(ctx.epoch_index);
+        }
+    }
+
+    fn consumes_samples(&self) -> bool {
+        self.inner.consumes_samples()
+    }
+}
+
 /// The `--what-if` mode: checkpoint `bench`/`kind` at `fork_epoch`
 /// (default the midpoint), resume the tail twice from the same snapshot —
 /// factual and with the first post-fork decision vetoed — and attribute
@@ -215,9 +240,19 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
     };
     let mut counter = Simulation::resume(machine, &spec, &config, &mut wrapped, &ckpt);
     let Some(vetoed) = wrapped.vetoed else {
+        // Suggest an earlier fork only where there is a decision to veto.
+        let mut probe = LastAction {
+            inner: kind.make(),
+            epoch: None,
+        };
+        Simulation::checkpoint_at(machine, &spec, &config, &mut probe, fork);
+        let hint = match probe.epoch {
+            Some(0) => " (it acted only at epoch 0, which no fork can veto)".to_string(),
+            Some(e) => format!(" (it last acted at epoch {e}: try --epoch {e})"),
+            None => " (it queued none before it either)".to_string(),
+        };
         die(&format!(
-            "{}/{} queued no actions after epoch {fork}; nothing to veto \
-             (try an earlier --epoch)",
+            "{}/{} queued no policy action after epoch {fork}; nothing to veto{hint}",
             bench.name(),
             kind.label()
         ));

@@ -516,6 +516,10 @@ fn print_share_report(stats: &FamilyStats) {
         stats.snapshots_kept,
         stats.peak_kept_bytes as f64 / (1024.0 * 1024.0)
     );
+    println!(
+        "replays: {} member on_epoch calls on recorded boundaries",
+        stats.replays
+    );
 }
 
 // ---------------------------------------------------------------- smoke
@@ -688,6 +692,7 @@ fn write_json(
     // result cloning, and scratch fallbacks (DESIGN.md §16).
     out.push_str(&format!("  \"probe_secs\": {:.3},\n", stats.probe_secs));
     out.push_str(&format!("  \"replay_secs\": {:.3},\n", stats.replay_secs));
+    out.push_str(&format!("  \"replays\": {},\n", stats.replays));
     out.push_str(&format!("  \"resume_secs\": {:.3},\n", stats.resume_secs));
     out.push_str(&format!("  \"clone_secs\": {:.3},\n", stats.clone_secs));
     out.push_str(&format!("  \"scratch_secs\": {:.3},\n", stats.scratch_secs));

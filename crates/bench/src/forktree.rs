@@ -14,7 +14,10 @@
 //! member's simulation would have evolved bit-identically, so the
 //! recorded inputs *are* the inputs the member would have seen. A member
 //! that matches to the end is a **full match** and clones the head's
-//! result.
+//! result. A member skips the replay where it provably decides as the
+//! head did: its state is the head's, and its parameters reproduce every
+//! threshold comparison the head's policy recorded there
+//! ([`engine::NumaPolicy::decides_alike`]).
 //!
 //! Members that first differ at the same boundary `e` with the same
 //! output fingerprint split off as one new class. Their simulations are
@@ -80,10 +83,48 @@ impl BoundaryRecord {
 }
 
 /// A class cell other than the head, with its policy replayed through
-/// every boundary its class has matched so far.
+/// every boundary its class has matched so far — or, while `stale`, left
+/// behind at a boundary it skipped.
 struct Member {
     idx: usize,
     policy: Box<dyn NumaPolicy>,
+    /// Whether the member's state is the head's as the current boundary
+    /// opens. Skipping a boundary keeps it; replaying one clears it until
+    /// the member's saved state equals the head's again.
+    in_sync: bool,
+    /// Whether `policy` missed a boundary this member skipped. Only an
+    /// in-sync member skips, so a stale one is restored from the head's
+    /// pre-decision bytes before it replays.
+    stale: bool,
+}
+
+impl Member {
+    fn new(idx: usize, policy: Box<dyn NumaPolicy>) -> Self {
+        Member {
+            idx,
+            policy,
+            in_sync: false,
+            stale: false,
+        }
+    }
+
+    /// Whether the member makes the head's decision at `d` without
+    /// replaying it: its parameters reproduce every comparison the head
+    /// recorded ([`NumaPolicy::decides_alike`]), and its state is the
+    /// head's. A member that replayed an earlier boundary holds its own
+    /// state and rejoins the head's when the two save to the same bytes.
+    fn skips(&mut self, d: &EpochDecision<'_>) -> bool {
+        if !self.policy.decides_alike(d.comparisons) {
+            return false;
+        }
+        if !self.in_sync {
+            self.in_sync = d
+                .policy_before
+                .is_some_and(|b| self.policy.save_state() == b);
+        }
+        self.stale |= self.in_sync;
+        self.in_sync
+    }
 }
 
 /// Cells that share one simulated run.
@@ -99,6 +140,9 @@ struct Class {
     fingerprint: u64,
     /// The snapshot the head forks from; `None` runs it from scratch.
     ckpt: Option<Rc<Checkpoint>>,
+    /// The head's policy state at the fork point, when it was the parent
+    /// head's there; otherwise the head replays the prefix to rebuild it.
+    state: Option<Vec<u8>>,
     /// A traced family's digest of the parent head's run up to the
     /// snapshot, which the forked head's events continue.
     digest: Option<DigestSink>,
@@ -112,6 +156,7 @@ impl Class {
             first_live: 0,
             fingerprint: 0,
             ckpt: None,
+            state: None,
             digest: None,
         }
     }
@@ -126,18 +171,21 @@ struct Claims {
     kept: u64,
 }
 
-/// A head run's hook: records each boundary's decision, replays every
-/// matching member over it, and splits diverging members into new
-/// classes, capturing the snapshot their heads will fork from. A traced
-/// family's head also forwards its events to `digest`.
+/// A head run's hook: records each boundary's decision, checks every
+/// matching member against it — skipping the members that provably
+/// decide alike, replaying the others — and splits diverging members into
+/// new classes, capturing the snapshot their heads will fork from. A
+/// traced family's head also forwards its events to `digest`.
 struct Lockstep<'a> {
     machine: &'a MachineSpec,
+    specs: &'a [CellSpec],
     claims: &'a mut Claims,
     first_live: u32,
     records: Vec<BoundaryRecord>,
     matching: Vec<Member>,
     split: Vec<Class>,
     replay_secs: f64,
+    replays: u64,
     digest: Option<DigestSink>,
 }
 
@@ -153,7 +201,9 @@ impl RunHook for Lockstep<'_> {
     }
 
     /// A split at epoch 0 runs from scratch, and a class's split boundary
-    /// is one its members already replayed.
+    /// is one its members already replayed. A `true` also hands
+    /// `on_decision` the head's pre-decision policy bytes, which stale
+    /// members restore from.
     fn may_capture(&mut self, epoch: u32) -> bool {
         epoch > 0 && epoch >= self.first_live && !self.matching.is_empty()
     }
@@ -171,7 +221,22 @@ impl RunHook for Lockstep<'_> {
         if rec.epoch >= self.first_live {
             let t = Instant::now();
             for mut m in std::mem::take(&mut self.matching) {
+                if m.skips(d) {
+                    self.matching.push(m);
+                    continue;
+                }
+                let in_sync = m.in_sync;
+                if m.stale {
+                    let bytes = d
+                        .policy_before
+                        .expect("a stale member skipped an earlier boundary, so the head saved its state here");
+                    m.policy = self.specs[m.idx].make_policy();
+                    m.policy.restore_state(bytes);
+                    m.stale = false;
+                }
                 let fp = replay_boundary(self.machine, &rec, m.policy.as_mut());
+                self.replays += 1;
+                m.in_sync = false;
                 if fp == rec.fingerprint {
                     self.matching.push(m);
                     continue;
@@ -191,6 +256,9 @@ impl RunHook for Lockstep<'_> {
                             first_live,
                             fingerprint: fp,
                             ckpt: None,
+                            // An in-sync head's state at the fork point is
+                            // the parent head's.
+                            state: d.policy_before.filter(|_| in_sync).map(<[u8]>::to_vec),
                             digest: None,
                         });
                     }
@@ -274,10 +342,15 @@ pub struct FamilyStats {
     pub peak_kept_bytes: u64,
     /// Host seconds of the probe's own run, lockstep replays excluded.
     pub probe_secs: f64,
-    /// Host seconds spent replaying recorded boundaries (the lockstep
-    /// divergence search plus forked-policy prefix rebuilds) — the price
-    /// of asking "can this cell share?".
+    /// Host seconds spent checking members against recorded boundaries
+    /// (the lockstep divergence search, skips and replays, plus
+    /// forked-policy prefix rebuilds) — the price of asking "can this cell
+    /// share?".
     pub replay_secs: f64,
+    /// Member `on_epoch` calls actually made on recorded boundaries:
+    /// lockstep replays plus forked-policy prefix rebuilds. A member that
+    /// provably decides alike skips its replay and is not counted.
+    pub replays: u64,
     /// Host seconds simulating forked heads' tails, replays excluded.
     pub resume_secs: f64,
     /// Host seconds cloning full-match results off their heads.
@@ -301,6 +374,7 @@ impl FamilyStats {
         self.peak_kept_bytes = self.peak_kept_bytes.max(other.peak_kept_bytes);
         self.probe_secs += other.probe_secs;
         self.replay_secs += other.replay_secs;
+        self.replays += other.replays;
         self.resume_secs += other.resume_secs;
         self.clone_secs += other.clone_secs;
         self.scratch_secs += other.scratch_secs;
@@ -384,7 +458,7 @@ pub fn run_family_within(
         let policy = spec.make_policy();
         let key = (policy.name().to_string(), policy.consumes_samples());
         match roots.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, class)) => class.members.push(Member { idx, policy }),
+            Some((_, class)) => class.members.push(Member::new(idx, policy)),
             None => roots.push((key, Class::root(idx))),
         }
     }
@@ -416,9 +490,10 @@ pub fn run_family_within(
 fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], depth: u32) {
     let Class {
         head,
-        members,
+        mut members,
         first_live,
         ckpt,
+        state,
         digest,
         ..
     } = class;
@@ -428,13 +503,28 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
     let fork_epoch = ckpt.as_ref().map_or(0, |c| c.epoch());
     let reused = ckpt.as_ref().map_or(0, |c| c.epoch() + 1);
 
-    // Rebuild the head's policy state at the fork point: a fresh instance
-    // replayed over the already-verified prefix. (Its lockstep instance
-    // processed the split boundary, so its state is past the fork point.)
+    // Rebuild the head's policy state at the fork point. (Its lockstep
+    // instance processed the split boundary, so its state is past the fork
+    // point.) A head that was in sync with its parent takes the parent's
+    // state there; any other replays a fresh instance over the
+    // already-verified prefix.
     let rebuild_t = Instant::now();
     let mut policy = spec.make_policy();
-    for rec in &prefix[..fork_epoch as usize] {
-        replay_boundary(fam.machine, rec, policy.as_mut());
+    match state {
+        Some(bytes) if fork_epoch > 0 => policy.restore_state(&bytes),
+        _ => {
+            for rec in &prefix[..fork_epoch as usize] {
+                replay_boundary(fam.machine, rec, policy.as_mut());
+                fam.stats.replays += 1;
+            }
+        }
+    }
+    // A root class's members start where its head does.
+    if first_live == 0 && !members.is_empty() {
+        let fresh = policy.save_state();
+        for m in &mut members {
+            m.in_sync = m.policy.save_state() == fresh;
+        }
     }
     fam.stats.replay_secs += rebuild_t.elapsed().as_secs_f64();
 
@@ -460,12 +550,14 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
     let mut sink = fam.traced.then(|| digest.unwrap_or_default());
     let mut lockstep = (!members.is_empty()).then(|| Lockstep {
         machine: fam.machine,
+        specs: fam.specs,
         claims: &mut fam.claims,
         first_live,
         records: Vec::new(),
         matching: members,
         split: Vec::new(),
         replay_secs: 0.0,
+        replays: 0,
         digest: sink.take(),
     });
     let run_t = Instant::now();
@@ -484,6 +576,7 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
     let (records, full, split, in_run_replay) = match lockstep {
         Some(l) => {
             sink = l.digest;
+            fam.stats.replays += l.replays;
             (l.records, l.matching, l.split, l.replay_secs)
         }
         None => (Vec::new(), Vec::new(), Vec::new(), 0.0),
@@ -674,6 +767,103 @@ mod tests {
             cells[1].result.runtime_cycles
         );
         assert_eq!(stats.epochs_reused, cells[0].result.epochs.len() as u64);
+    }
+
+    /// Each boundary's recorded comparisons from a run of `spec` alone.
+    fn recorded_comparisons(spec: &CellSpec) -> Vec<Vec<engine::Comparison>> {
+        #[derive(Default)]
+        struct Recorder(Vec<Vec<engine::Comparison>>);
+        impl RunHook for Recorder {
+            fn on_decision(&mut self, d: &EpochDecision<'_>) -> bool {
+                self.0.push(d.comparisons.to_vec());
+                false
+            }
+        }
+        let mut recorder = Recorder::default();
+        let wspec = spec.workload.spec(&spec.machine);
+        let opts = RunOptions {
+            hook: Some(&mut recorder),
+            ..RunOptions::default()
+        };
+        let mut policy = spec.make_policy();
+        Simulation::run_with(
+            &spec.machine,
+            &wspec,
+            &spec.sim_config(),
+            policy.as_mut(),
+            opts,
+        );
+        recorder.0
+    }
+
+    /// The boundaries at which a cell with `params` does not provably
+    /// decide as the recorded run did.
+    fn straddled(recorded: &[Vec<engine::Comparison>], params: carrefour::LpParams) -> Vec<usize> {
+        let member = carrefour::CarrefourLp::with_params(params);
+        (0..recorded.len())
+            .filter(|&e| !member.decides_alike(&recorded[e]))
+            .collect()
+    }
+
+    /// `spec` run alone, from scratch: the result the fork tree must give.
+    fn scratch(spec: &CellSpec) -> SimResult {
+        run_family(std::slice::from_ref(spec), false)
+            .0
+            .remove(0)
+            .result
+    }
+
+    fn tuned(f: impl Fn(&mut carrefour::LpParams)) -> carrefour::LpParams {
+        let mut p = carrefour::LpParams::default();
+        f(&mut p);
+        p
+    }
+
+    #[test]
+    fn members_inside_every_recorded_comparison_replay_nothing() {
+        let probe = family_spec(None);
+        let recorded = recorded_comparisons(&probe);
+        // On the test machine's EpC, none of these crosses a value the
+        // probe compared its own against.
+        let inside = [
+            tuned(|p| p.thresholds.split_gain_pp = 1.0),
+            tuned(|p| p.thresholds.split_gain_pp = 12.0),
+            tuned(|p| p.thresholds.carrefour_gain_pp = 2.0),
+            tuned(|p| p.thresholds.hot_page_fraction = 0.02),
+            tuned(|p| p.carrefour.imbalance_enable_above = 40.0),
+        ];
+        for &p in &inside {
+            assert_eq!(straddled(&recorded, p), Vec::<usize>::new(), "{p:?}");
+        }
+        let specs: Vec<CellSpec> = std::iter::once(probe)
+            .chain(inside.iter().map(|&p| family_spec(Some(p))))
+            .collect();
+        let (cells, stats) = run_family(&specs, false);
+        assert_eq!(stats.replays, 0);
+        assert_eq!(stats.full_matches, inside.len() as u64);
+        for (cell, spec) in cells.iter().zip(&specs) {
+            assert_eq!(cell.result, scratch(spec));
+        }
+    }
+
+    #[test]
+    fn a_member_straddling_one_recorded_value_replays_only_there() {
+        let probe = family_spec(None);
+        let recorded = recorded_comparisons(&probe);
+        // A 10 % walk-miss trigger stays off at boundary 2, where the
+        // probe's 5 % one saw 5.04 % and re-enabled THP, and agrees with the
+        // probe everywhere else.
+        let straddling = tuned(|p| p.thresholds.walk_miss_enable = 0.1);
+        assert_eq!(straddled(&recorded, straddling), vec![2]);
+        let specs = vec![probe, family_spec(Some(straddling))];
+        let (cells, stats) = run_family(&specs, false);
+        // Replayed at boundary 2, where it parts from the probe; its fork
+        // takes the probe's state there instead of rebuilding it.
+        assert_eq!(stats.replays, 1);
+        assert_eq!((stats.forks, stats.full_matches), (1, 0));
+        for (cell, spec) in cells.iter().zip(&specs) {
+            assert_eq!(cell.result, scratch(spec));
+        }
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! The baseline Carrefour placement algorithm (Section 3.1).
 
 use crate::config::CarrefourConfig;
+use crate::dram::{latest, single_node, Dram, DramSamples};
+use crate::knob::{self, Knob};
 use crate::pageset::PageSet;
 use engine::{EpochCtx, NumaPolicy};
 use numa_topology::NodeId;
-use profiling::{EpochCounters, IbsSample};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-page view assembled from one epoch's DRAM samples.
-#[derive(Clone, Debug, Default)]
-struct PageInfo {
-    /// Samples per accessing node.
-    nodes: BTreeMap<u16, u32>,
+/// One page's evidence from one epoch's DRAM samples.
+#[derive(Clone, Copy, Debug)]
+struct PageGroup {
+    /// The page: its base at mapped size, or a 4 KiB sub-page.
+    page: u64,
+    /// The accessing node when every sample came from one node.
+    node: Option<u16>,
     /// Home node seen in the most recent sample.
     home: u16,
     /// Total samples.
@@ -31,27 +34,32 @@ struct PageInfo {
 /// evidence; if khugepaged later re-collapses such a range, its samples
 /// report 2 MiB again and are treated as a normal huge page.
 fn group_pages(
-    samples: &[IbsSample],
+    dram: &DramSamples,
     split_pending: &BTreeSet<u64>,
     split_history: &BTreeSet<u64>,
-) -> BTreeMap<u64, PageInfo> {
-    let mut pages: BTreeMap<u64, PageInfo> = BTreeMap::new();
-    for s in samples {
-        if !s.from_dram {
-            continue;
+) -> Vec<PageGroup> {
+    let mut pages = Vec::new();
+    let key = |r: &Dram| {
+        if split_pending.contains(&r.base) {
+            r.sub
+        } else {
+            r.base
         }
-        let pending = split_pending.contains(&s.page_base());
-        let key = if pending { s.page_4k() } else { s.page_base() };
-        let from_split = pending
-            || (s.page_size == vmem::PageSize::Size4K
-                && split_history.contains(&(s.page_4k() & !((2u64 << 20) - 1))));
-        let info = pages.entry(key).or_default();
-        *info.nodes.entry(s.accessing_node.0).or_insert(0) += 1;
-        info.home = s.home_node.0;
-        info.total += 1;
-        info.huge = !pending && s.page_size != vmem::PageSize::Size4K;
-        info.from_split = from_split;
-    }
+    };
+    dram.for_each_group(key, |page, group| {
+        let last = latest(group);
+        let pending = split_pending.contains(&last.base);
+        pages.push(PageGroup {
+            page,
+            node: single_node(group).then_some(group[0].node),
+            home: last.home,
+            total: group.len() as u32,
+            huge: !pending && last.size != vmem::PageSize::Size4K,
+            from_split: pending
+                || (last.size == vmem::PageSize::Size4K
+                    && split_history.contains(&(last.sub & !((2u64 << 20) - 1)))),
+        });
+    });
     pages
 }
 
@@ -99,12 +107,58 @@ impl Carrefour {
         }
     }
 
-    /// Whether the enable heuristics fire: a memory-intensive epoch with a
-    /// visible NUMA problem (low LAR or controller imbalance).
-    pub fn engaged(&self, counters: &EpochCounters) -> bool {
-        counters.dram_per_op() >= self.cfg.intensity_min_dram_per_op
-            && (counters.lar() < self.cfg.lar_enable_below
-                || counters.imbalance() > self.cfg.imbalance_enable_above)
+    /// Whether the enable heuristics fire on the epoch's counters: a
+    /// memory-intensive epoch with a visible NUMA problem (low LAR or
+    /// controller imbalance). Each test is recorded on `ctx`.
+    pub fn engaged(&self, ctx: &mut EpochCtx<'_>) -> bool {
+        let (cfg, counters) = (&self.cfg, ctx.counters);
+        knob::test(
+            ctx,
+            Knob::IntensityMinDramPerOp,
+            cfg.intensity_min_dram_per_op,
+            counters.dram_per_op(),
+        ) && (knob::test(
+            ctx,
+            Knob::LarEnableBelow,
+            cfg.lar_enable_below,
+            counters.lar(),
+        ) || knob::test(
+            ctx,
+            Knob::ImbalanceEnableAbove,
+            cfg.imbalance_enable_above,
+            counters.imbalance(),
+        ))
+    }
+
+    /// Pins the tunables that act other than through one recorded test:
+    /// the per-page sample floor and the migration budget (for
+    /// Carrefour-LP's recording; see [`crate::knob`]).
+    pub(crate) fn pin_config(&self, ctx: &mut EpochCtx<'_>) {
+        knob::pin(
+            ctx,
+            Knob::MinSamplesPerPage,
+            knob::pinned(self.cfg.min_samples_per_page),
+        );
+        knob::pin(
+            ctx,
+            Knob::MaxMigrationsPerEpoch,
+            knob::pinned(self.cfg.max_migrations_per_epoch),
+        );
+    }
+
+    /// This configuration's value of a Carrefour knob, for Carrefour-LP's
+    /// `decides_alike`; `None` for the policy kind and for Carrefour-LP's
+    /// thresholds.
+    pub(crate) fn knob(&self, k: Knob) -> Option<f64> {
+        let cfg = &self.cfg;
+        Some(match k {
+            Knob::MinSamplesPerPage => knob::pinned(cfg.min_samples_per_page),
+            Knob::MaxMigrationsPerEpoch => knob::pinned(cfg.max_migrations_per_epoch),
+            Knob::LarEnableBelow => cfg.lar_enable_below,
+            Knob::ImbalanceEnableAbove => cfg.imbalance_enable_above,
+            Knob::IntensityMinDramPerOp => cfg.intensity_min_dram_per_op,
+            _ => return None,
+        })
     }
 
     /// One placement pass: migrate single-node pages to their accessor,
@@ -113,21 +167,22 @@ impl Carrefour {
     /// `split_pending` holds large pages queued for splitting this epoch —
     /// their samples are treated at 4 KiB granularity. `exclude` holds
     /// pages another component already placed (hot-page interleaving).
-    pub fn placement_pass(
+    pub(crate) fn placement_pass(
         &mut self,
         ctx: &mut EpochCtx<'_>,
+        dram: &DramSamples,
         split_pending: &BTreeSet<u64>,
         split_history: &BTreeSet<u64>,
         exclude: &BTreeSet<u64>,
     ) {
-        let pages = group_pages(ctx.samples, split_pending, split_history);
+        let pages = group_pages(dram, split_pending, split_history);
         // Hottest pages first: the migration budget should go where the
         // traffic is.
         // Larger pages are costlier to move and more likely to be shared, so
         // they need proportionally more evidence before we act on them.
-        let mut order: Vec<(&u64, &PageInfo)> = pages
+        let mut order: Vec<&PageGroup> = pages
             .iter()
-            .filter(|(page, info)| {
+            .filter(|info| {
                 // Sub-pages of a deliberately split huge page are placed on
                 // any evidence: splitting only pays if they move, and one
                 // sample identifies a private sub-page's owner.
@@ -138,14 +193,15 @@ impl Carrefour {
                 } else {
                     self.cfg.min_samples_per_page
                 };
-                info.total as usize >= min && !exclude.contains(page)
+                info.total as usize >= min && !exclude.contains(&info.page)
             })
             .collect();
-        order.sort_by(|a, b| b.1.total.cmp(&a.1.total).then(a.0.cmp(b.0)));
+        order.sort_by(|a, b| b.total.cmp(&a.total).then(a.page.cmp(&b.page)));
 
         let num_nodes = ctx.machine.num_nodes();
         let mut budget = self.cfg.max_migrations_per_epoch;
-        for (&page, info) in order {
+        for info in order {
+            let page = info.page;
             if budget == 0 {
                 break;
             }
@@ -155,8 +211,7 @@ impl Carrefour {
             if weak && self.placed_once.contains(&page) {
                 continue;
             }
-            if info.nodes.len() == 1 {
-                let node = *info.nodes.keys().next().expect("non-empty");
+            if let Some(node) = info.node {
                 match self.node_seen.get(&page) {
                     // Conflicting single-node verdicts across epochs: the
                     // page is really shared; interleave it once.
@@ -251,9 +306,10 @@ impl NumaPolicy for Carrefour {
     }
 
     fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
-        if self.engaged(ctx.counters) {
+        if self.engaged(ctx) {
             let empty = BTreeSet::new();
-            self.placement_pass(ctx, &empty, &empty, &empty);
+            let dram = DramSamples::new(ctx.samples);
+            self.placement_pass(ctx, &dram, &empty, &empty, &empty);
         }
     }
 
@@ -275,6 +331,7 @@ mod tests {
     use super::*;
     use engine::PolicyAction;
     use numa_topology::MachineSpec;
+    use profiling::{EpochCounters, IbsSample};
     use vmem::{PageSize, ThpControls, VirtAddr};
 
     fn sample(vaddr: u64, accessing: u16, home: u16) -> IbsSample {
@@ -310,10 +367,16 @@ mod tests {
         ctx.take_actions()
     }
 
+    fn engaged(c: &Carrefour, counters: &EpochCounters) -> bool {
+        let machine = MachineSpec::machine_a();
+        let mut ctx = EpochCtx::new(&machine, counters, &[], ThpControls::thp(), 0);
+        c.engaged(&mut ctx)
+    }
+
     #[test]
     fn engages_on_low_lar_and_high_imbalance_only() {
         let c = Carrefour::new();
-        assert!(c.engaged(&needy_counters()));
+        assert!(engaged(&c, &needy_counters()));
 
         let healthy = EpochCounters {
             epoch_cycles: 1_000_000,
@@ -323,7 +386,7 @@ mod tests {
             mem_ops: 10_000,
             ..EpochCounters::default()
         };
-        assert!(!c.engaged(&healthy));
+        assert!(!engaged(&c, &healthy));
 
         let idle = EpochCounters {
             epoch_cycles: 1_000_000,
@@ -332,7 +395,7 @@ mod tests {
             mem_ops: 1_000_000, // not memory-intensive
             ..EpochCounters::default()
         };
-        assert!(!c.engaged(&idle));
+        assert!(!engaged(&c, &idle));
     }
 
     #[test]
@@ -422,6 +485,81 @@ mod tests {
         assert!(run_pass(&thin).is_empty());
     }
 
+    /// One page's evidence as the map-based predecessor of
+    /// [`group_pages`] built it: the oracle.
+    #[derive(Default)]
+    struct MapInfo {
+        nodes: BTreeMap<u16, u32>,
+        home: u16,
+        total: u32,
+        huge: bool,
+        from_split: bool,
+    }
+
+    fn group_pages_by_maps(
+        samples: &[IbsSample],
+        split_pending: &BTreeSet<u64>,
+        split_history: &BTreeSet<u64>,
+    ) -> BTreeMap<u64, MapInfo> {
+        let mut pages: BTreeMap<u64, MapInfo> = BTreeMap::new();
+        for s in samples.iter().filter(|s| s.from_dram) {
+            let pending = split_pending.contains(&s.page_base());
+            let key = if pending { s.page_4k() } else { s.page_base() };
+            let from_split = pending
+                || (s.page_size == PageSize::Size4K
+                    && split_history.contains(&(s.page_4k() & !((2u64 << 20) - 1))));
+            let info = pages.entry(key).or_default();
+            *info.nodes.entry(s.accessing_node.0).or_insert(0) += 1;
+            info.home = s.home_node.0;
+            info.total += 1;
+            info.huge = !pending && s.page_size != PageSize::Size4K;
+            info.from_split = from_split;
+        }
+        pages
+    }
+
+    proptest::proptest! {
+        /// The sorted grouping equals the map-based one for random queued
+        /// splits and split histories: same pages in the same order, same
+        /// counts, single-node verdicts, latest home, size and split flags.
+        #[test]
+        fn sorted_groups_equal_the_map_oracle(
+            seed in 0u64..=u64::MAX,
+            n in 0usize..400,
+            mixed in [false, true].as_slice(),
+            pending_mask in 0u64..=u64::MAX,
+            history_mask in 0u64..=u64::MAX,
+        ) {
+            let samples = crate::dram::tests::random_samples(seed, n, 4, mixed);
+            // The 2 MiB and 1 GiB bases the samples can fall in, half of
+            // them (by mask bit) queued or split before.
+            let bases: Vec<u64> = (0..4u64)
+                .flat_map(|r| (0..8u64).map(move |p| (r << 30) + (p << 21)))
+                .collect();
+            let pick = |mask: u64| -> BTreeSet<u64> {
+                bases
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| mask >> (i % 64) & 1 == 1)
+                    .map(|(_, &b)| b)
+                    .collect()
+            };
+            let (pending, history) = (pick(pending_mask), pick(history_mask));
+            let got = group_pages(&DramSamples::new(&samples), &pending, &history);
+            let want = group_pages_by_maps(&samples, &pending, &history);
+            proptest::prop_assert_eq!(got.len(), want.len());
+            for (g, (&page, m)) in got.iter().zip(&want) {
+                proptest::prop_assert_eq!(g.page, page);
+                proptest::prop_assert_eq!(g.total, m.total);
+                let single = (m.nodes.len() == 1).then(|| *m.nodes.keys().next().unwrap());
+                proptest::prop_assert_eq!(g.node, single);
+                proptest::prop_assert_eq!(g.home, m.home);
+                proptest::prop_assert_eq!(g.huge, m.huge);
+                proptest::prop_assert_eq!(g.from_split, m.from_split);
+            }
+        }
+    }
+
     #[test]
     fn split_pending_forces_4k_granularity() {
         let mk = |off: u64, node: u16| IbsSample {
@@ -442,7 +580,14 @@ mod tests {
         let mut ctx = EpochCtx::new(&machine, &counters, &samples, ThpControls::thp(), 0);
         let mut c = Carrefour::new();
         let pending: BTreeSet<u64> = [0x20_0000u64].into();
-        c.placement_pass(&mut ctx, &pending, &BTreeSet::new(), &BTreeSet::new());
+        let dram = DramSamples::new(&samples);
+        c.placement_pass(
+            &mut ctx,
+            &dram,
+            &pending,
+            &BTreeSet::new(),
+            &BTreeSet::new(),
+        );
         let actions = ctx.take_actions();
         assert_eq!(
             actions,

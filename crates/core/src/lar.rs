@@ -11,8 +11,8 @@
 //! The estimator only trusts DRAM-serviced samples (cached pages do not
 //! matter for placement) — also per the paper.
 
+use crate::dram::{single_node, Dram, DramSamples};
 use profiling::IbsSample;
-use std::collections::HashMap;
 
 /// The three LAR predictions, each in `[0, 1]`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,49 +40,21 @@ impl LarEstimate {
     }
 }
 
-/// Predicted post-Carrefour local fraction for one page's samples:
-/// `counts` holds per-accessing-node sample counts.
-fn page_local_fraction(counts: &HashMap<u16, u32>, num_nodes: usize) -> (f64, u32) {
-    let total: u32 = counts.values().sum();
-    if counts.len() <= 1 {
-        // Single-node page: migrated to its accessor, everything local.
-        (1.0, total)
-    } else {
-        // Shared page: interleaved to a random node.
-        (1.0 / num_nodes as f64, total)
-    }
-}
-
 /// Computes the three-way LAR estimate from one epoch's samples.
 pub fn estimate(samples: &[IbsSample], num_nodes: usize) -> LarEstimate {
-    let mut local = 0usize;
-    let mut dram = 0usize;
-    // page (current granularity) -> accessing-node counts
-    let mut pages: HashMap<u64, HashMap<u16, u32>> = HashMap::new();
-    // 4 KiB grouping for the split scenario
-    let mut subpages: HashMap<u64, HashMap<u16, u32>> = HashMap::new();
+    estimate_sorted(&DramSamples::new(samples), num_nodes)
+}
 
-    for s in samples {
-        if !s.from_dram {
-            continue;
-        }
-        dram += 1;
-        if s.local() {
-            local += 1;
-        }
-        *pages
-            .entry(s.page_base())
-            .or_default()
-            .entry(s.accessing_node.0)
-            .or_insert(0) += 1;
-        *subpages
-            .entry(s.page_4k())
-            .or_default()
-            .entry(s.accessing_node.0)
-            .or_insert(0) += 1;
-    }
-
-    if dram == 0 {
+/// [`estimate`] over samples already sorted by address.
+///
+/// A page whose samples all came from one node is migrated to its
+/// accessor: all of them count as local. A page shared by several nodes is
+/// interleaved, so `1/num_nodes` of them land locally in expectation. The
+/// two sums are kept as integers, so the estimate does not depend on the
+/// order the pages are visited in.
+pub(crate) fn estimate_sorted(dram: &DramSamples, num_nodes: usize) -> LarEstimate {
+    let samples = dram.len();
+    if samples == 0 {
         return LarEstimate {
             current: 1.0,
             with_carrefour: 1.0,
@@ -90,21 +62,31 @@ pub fn estimate(samples: &[IbsSample], num_nodes: usize) -> LarEstimate {
             dram_samples: 0,
         };
     }
-
-    let weighted = |groups: &HashMap<u64, HashMap<u16, u32>>| -> f64 {
-        let mut acc = 0.0;
-        for counts in groups.values() {
-            let (frac, n) = page_local_fraction(counts, num_nodes);
-            acc += frac * f64::from(n);
+    let local = dram.all().iter().filter(|r| r.node == r.home).count();
+    // (samples on single-node pages, samples on shared pages)
+    let mut by_page = (0usize, 0usize);
+    let mut by_subpage = (0usize, 0usize);
+    let add = |sums: &mut (usize, usize), group: &[Dram]| {
+        if single_node(group) {
+            sums.0 += group.len();
+        } else {
+            sums.1 += group.len();
         }
-        acc / dram as f64
+    };
+    for group in dram.pages() {
+        add(&mut by_page, group);
+    }
+    dram.for_each_group(|r| r.sub, |_, group| add(&mut by_subpage, group));
+    let weighted = |(private, shared): (usize, usize)| {
+        (private as f64 + shared as f64 * (1.0 / num_nodes as f64)) / samples as f64
     };
 
     LarEstimate {
-        current: local as f64 / dram as f64,
-        with_carrefour: weighted(&pages),
-        with_split: weighted(&subpages),
-        dram_samples: dram,
+        current: local as f64 / samples as f64,
+        with_carrefour: weighted(by_page),
+        // Splitting changes only the grouping: 4 KiB pages.
+        with_split: weighted(by_subpage),
+        dram_samples: samples,
     }
 }
 
@@ -209,6 +191,90 @@ mod tests {
         let e = estimate(&s, 4);
         assert!((e.with_split - 1.0).abs() < 1e-9, "optimistic by design");
         assert!((e.with_carrefour - 0.25).abs() < 1e-9);
+    }
+
+    /// The map-based estimator this module used before the one sort: the
+    /// oracle the sorted one must equal.
+    fn estimate_by_maps(samples: &[IbsSample], num_nodes: usize) -> LarEstimate {
+        use std::collections::HashMap;
+        let mut local = 0usize;
+        let mut dram = 0usize;
+        let mut pages: HashMap<u64, HashMap<u16, u32>> = HashMap::new();
+        let mut subpages: HashMap<u64, HashMap<u16, u32>> = HashMap::new();
+        for s in samples.iter().filter(|s| s.from_dram) {
+            dram += 1;
+            local += usize::from(s.local());
+            *pages
+                .entry(s.page_base())
+                .or_default()
+                .entry(s.accessing_node.0)
+                .or_insert(0) += 1;
+            *subpages
+                .entry(s.page_4k())
+                .or_default()
+                .entry(s.accessing_node.0)
+                .or_insert(0) += 1;
+        }
+        if dram == 0 {
+            return estimate(&[], num_nodes);
+        }
+        let weighted = |groups: &HashMap<u64, HashMap<u16, u32>>| {
+            let mut acc = 0.0;
+            for counts in groups.values() {
+                let total: u32 = counts.values().sum();
+                let frac = if counts.len() <= 1 {
+                    1.0
+                } else {
+                    1.0 / num_nodes as f64
+                };
+                acc += frac * f64::from(total);
+            }
+            acc / dram as f64
+        };
+        LarEstimate {
+            current: local as f64 / dram as f64,
+            with_carrefour: weighted(&pages),
+            with_split: weighted(&subpages),
+            dram_samples: dram,
+        }
+    }
+
+    proptest::proptest! {
+        /// The sorted estimate equals the map-based one bit for bit, on
+        /// consistent and mixed page sizes. The oracle sums its pages in
+        /// the std `HashMap`'s per-process random order; that is exact,
+        /// and so comparable, because every term is a multiple of
+        /// `1/num_nodes` for a power-of-two node count.
+        #[test]
+        fn sorted_estimate_equals_the_map_oracle(
+            seed in 0u64..=u64::MAX,
+            n in 0usize..400,
+            nodes in [1u16, 2, 4, 8].as_slice(),
+            mixed in [false, true].as_slice(),
+        ) {
+            let samples = crate::dram::tests::random_samples(seed, n, nodes, mixed);
+            let got = estimate(&samples, usize::from(nodes));
+            proptest::prop_assert_eq!(got, estimate_by_maps(&samples, usize::from(nodes)));
+        }
+
+        /// Samples of one 2 MiB page, shuffled: the estimate does not
+        /// depend on the order the samples arrive in.
+        #[test]
+        fn one_page_in_shuffled_order_estimates_alike(seed in 0u64..=u64::MAX) {
+            let mut samples: Vec<IbsSample> = crate::dram::tests::random_samples(seed, 200, 8, false)
+                .into_iter()
+                .map(|mut s| {
+                    s.vaddr = VirtAddr(0x20_0000 + (s.vaddr.0 & 0x1f_ffff));
+                    s.page_size = PageSize::Size2M;
+                    s
+                })
+                .collect();
+            let want = estimate_by_maps(&samples, 8);
+            for round in 0..4 {
+                crate::dram::tests::shuffle(&mut samples, seed ^ round);
+                proptest::prop_assert_eq!(estimate(&samples, 8), want);
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,8 @@
 
 mod classic;
 mod config;
+mod dram;
+mod knob;
 pub mod lar;
 mod lp;
 mod pageset;

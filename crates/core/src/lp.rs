@@ -2,10 +2,11 @@
 
 use crate::classic::Carrefour;
 use crate::config::{CarrefourConfig, LpParams, LpThresholds};
+use crate::dram::{distinct_nodes, earliest, single_node, Dram, DramSamples};
+use crate::knob::{self, Knob};
 use crate::lar;
-use engine::{EpochCtx, NumaPolicy, PolicyAction, PolicyDecision};
-use profiling::IbsSample;
-use std::collections::{BTreeMap, BTreeSet};
+use engine::{Comparison, EpochCtx, NumaPolicy, PolicyAction, PolicyDecision};
+use std::collections::BTreeSet;
 use vmem::PageSize;
 
 /// Which Algorithm 1 components are active (Figure 4's ablation axes).
@@ -129,6 +130,11 @@ impl CarrefourLp {
         self.split_pages
     }
 
+    /// The [`Knob::Policy`] pin: which components run.
+    fn kind(&self) -> usize {
+        1 + usize::from(self.components.conservative) + 2 * usize::from(self.components.reactive)
+    }
+
     /// The effective 2 MiB-allocation switch after this epoch's queued
     /// toggles are applied on top of the current state.
     fn effective_alloc_2m(ctx: &EpochCtx<'_>) -> bool {
@@ -148,33 +154,27 @@ impl Default for CarrefourLp {
     }
 }
 
-/// Groups one epoch's DRAM samples by page at current mapped granularity.
-/// Returns `(page, size, accessing-node set size, sample count, sampled 4 KiB
-/// sub-pages)` keyed by page base.
-struct LargePageView {
+/// One page at its current mapped granularity, from one epoch's DRAM
+/// samples.
+struct LargePageView<'d> {
+    base: u64,
     size: PageSize,
-    nodes: BTreeSet<u16>,
     count: u32,
-    subpages: BTreeSet<u64>,
+    /// The page's samples, in 4 KiB-page order.
+    samples: &'d [Dram],
 }
 
-fn group_large_pages(samples: &[IbsSample]) -> BTreeMap<u64, LargePageView> {
-    let mut pages: BTreeMap<u64, LargePageView> = BTreeMap::new();
-    for s in samples {
-        if !s.from_dram {
-            continue;
-        }
-        let entry = pages.entry(s.page_base()).or_insert_with(|| LargePageView {
-            size: s.page_size,
-            nodes: BTreeSet::new(),
-            count: 0,
-            subpages: BTreeSet::new(),
-        });
-        entry.nodes.insert(s.accessing_node.0);
-        entry.count += 1;
-        entry.subpages.insert(s.page_4k());
-    }
-    pages
+/// Groups one epoch's DRAM samples by page at current mapped granularity,
+/// in ascending base order.
+fn group_large_pages(dram: &DramSamples) -> Vec<LargePageView<'_>> {
+    dram.pages()
+        .map(|samples| LargePageView {
+            base: samples[0].base,
+            size: earliest(samples).size,
+            count: samples.len() as u32,
+            samples,
+        })
+        .collect()
 }
 
 impl NumaPolicy for CarrefourLp {
@@ -184,12 +184,21 @@ impl NumaPolicy for CarrefourLp {
 
     fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
         let t = self.thresholds;
+        knob::pin(ctx, Knob::Policy, knob::pinned(self.kind()));
+        self.carrefour.pin_config(ctx);
+        let samples = ctx.samples;
+        let mut dram: Option<DramSamples> = None;
 
         // --- Conservative component (Algorithm 1, lines 4–9). ---
         if self.components.conservative {
             let walk_miss_fraction = ctx.counters.walk_miss_fraction();
             let max_fault_fraction = ctx.counters.max_fault_fraction();
-            if walk_miss_fraction > t.walk_miss_enable {
+            if knob::test(
+                ctx,
+                Knob::WalkMissEnable,
+                t.walk_miss_enable,
+                walk_miss_fraction,
+            ) {
                 ctx.set_thp_alloc(true);
                 ctx.set_thp_promote(true);
                 ctx.note(|| PolicyDecision::EnableThp {
@@ -197,7 +206,12 @@ impl NumaPolicy for CarrefourLp {
                     max_fault_fraction,
                     promote: true,
                 });
-            } else if max_fault_fraction > t.fault_time_enable {
+            } else if knob::test(
+                ctx,
+                Knob::FaultTimeEnable,
+                t.fault_time_enable,
+                max_fault_fraction,
+            ) {
                 // Allocation only: pages that already faulted cheaply have
                 // nothing to gain from promotion.
                 ctx.set_thp_alloc(true);
@@ -214,12 +228,18 @@ impl NumaPolicy for CarrefourLp {
 
         // --- Reactive component (lines 10–18). ---
         if self.components.reactive {
-            let est = lar::estimate(ctx.samples, ctx.machine.num_nodes());
+            let dram = dram.insert(DramSamples::new(samples));
+            let est = lar::estimate_sorted(dram, ctx.machine.num_nodes());
             if est.dram_samples > 0 {
                 let was = self.split_pages;
-                if est.carrefour_gain_pp() > t.carrefour_gain_pp {
+                if knob::test(
+                    ctx,
+                    Knob::CarrefourGainPp,
+                    t.carrefour_gain_pp,
+                    est.carrefour_gain_pp(),
+                ) {
                     self.split_pages = false;
-                } else if est.split_gain_pp() > t.split_gain_pp {
+                } else if knob::test(ctx, Knob::SplitGainPp, t.split_gain_pp, est.split_gain_pp()) {
                     self.split_pages = true;
                 }
                 if self.split_pages != was {
@@ -232,22 +252,23 @@ impl NumaPolicy for CarrefourLp {
                 }
             }
 
-            let pages = group_large_pages(ctx.samples);
-            let total: u32 = pages.values().map(|p| p.count).sum();
+            let pages = group_large_pages(dram);
+            let total: u32 = pages.iter().map(|p| p.count).sum();
 
             if self.split_pages || !Self::effective_alloc_2m(ctx) {
                 // Line 16: split all *shared* large pages (each at most
                 // once — see `split_history`).
-                for (&base, view) in &pages {
+                for view in &pages {
+                    let base = view.base;
                     if view.size != PageSize::Size4K
-                        && view.nodes.len() >= 2
+                        && !single_node(view.samples)
                         && !self.split_history.contains(&base)
                     {
                         split_pending.insert(base);
                         self.split_history.insert(base);
                         self.carrefour.forget(base);
                         self.split_and_scatter(ctx, base);
-                        let sharers = view.nodes.len();
+                        let sharers = distinct_nodes(view.samples);
                         ctx.note(|| PolicyDecision::SplitShared { base, sharers });
                     }
                 }
@@ -262,15 +283,30 @@ impl NumaPolicy for CarrefourLp {
             // controllers actually are imbalanced — otherwise a workload
             // with few sampled pages would see every page as "hot" and
             // needlessly lose its large pages.
-            let imbalanced =
-                ctx.counters.imbalance() > self.carrefour.config().imbalance_enable_above;
-            let min_hot_samples = (self.carrefour.config().min_samples_per_page * 4) as u32;
-            for (&base, view) in &pages {
-                if imbalanced
-                    && view.size != PageSize::Size4K
-                    && view.count >= min_hot_samples
-                    && f64::from(view.count) > t.hot_page_fraction * f64::from(total)
-                {
+            let cfg = *self.carrefour.config();
+            let imbalanced = knob::test(
+                ctx,
+                Knob::ImbalanceEnableAbove,
+                cfg.imbalance_enable_above,
+                ctx.counters.imbalance(),
+            );
+            let min_hot_samples = (cfg.min_samples_per_page * 4) as u32;
+            // The hot test is monotone in a page's count, so the coldest
+            // hot page and the hottest cold one record all of its outcomes.
+            let (mut coldest_hot, mut hottest_cold) = (None::<u32>, None::<u32>);
+            for view in &pages {
+                if imbalanced && view.size != PageSize::Size4K && view.count >= min_hot_samples {
+                    let hot = Knob::HotPageFraction.holds(
+                        t.hot_page_fraction,
+                        f64::from(view.count),
+                        f64::from(total),
+                    );
+                    if !hot {
+                        hottest_cold = hottest_cold.max(Some(view.count));
+                        continue;
+                    }
+                    coldest_hot = Some(coldest_hot.map_or(view.count, |c| c.min(view.count)));
+                    let base = view.base;
                     if !split_pending.contains(&base) && !self.split_history.contains(&base) {
                         split_pending.insert(base);
                         self.split_history.insert(base);
@@ -284,20 +320,45 @@ impl NumaPolicy for CarrefourLp {
                             imbalance,
                         });
                     }
-                    for &sub in &view.subpages {
-                        hot_excluded.insert(sub);
+                    for r in view.samples {
+                        hot_excluded.insert(r.sub);
                     }
                     // The huge page itself must not be re-placed wholesale.
                     hot_excluded.insert(base);
                 }
             }
+            for (count, outcome) in [(coldest_hot, true), (hottest_cold, false)] {
+                if let Some(count) = count {
+                    let (count, total) = (f64::from(count), f64::from(total));
+                    knob::record(ctx, Knob::HotPageFraction, count, total, outcome);
+                }
+            }
         }
 
         // --- Line 20: interleave and migrate with Carrefour. ---
-        if self.carrefour.engaged(ctx.counters) {
-            self.carrefour
-                .placement_pass(ctx, &split_pending, &self.split_history, &hot_excluded);
+        if self.carrefour.engaged(ctx) {
+            let dram = dram.get_or_insert_with(|| DramSamples::new(samples));
+            self.carrefour.placement_pass(
+                ctx,
+                dram,
+                &split_pending,
+                &self.split_history,
+                &hot_excluded,
+            );
         }
+    }
+
+    fn decides_alike(&self, compared: &[Comparison]) -> bool {
+        let t = &self.thresholds;
+        knob::reproduces(compared, |k| match k {
+            Knob::Policy => Some(knob::pinned(self.kind())),
+            Knob::WalkMissEnable => Some(t.walk_miss_enable),
+            Knob::FaultTimeEnable => Some(t.fault_time_enable),
+            Knob::CarrefourGainPp => Some(t.carrefour_gain_pp),
+            Knob::SplitGainPp => Some(t.split_gain_pp),
+            Knob::HotPageFraction => Some(t.hot_page_fraction),
+            _ => self.carrefour.knob(k),
+        })
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -321,7 +382,7 @@ impl NumaPolicy for CarrefourLp {
 mod tests {
     use super::*;
     use numa_topology::{MachineSpec, NodeId};
-    use profiling::{CoreFaultTime, EpochCounters};
+    use profiling::{CoreFaultTime, EpochCounters, IbsSample};
     use vmem::{ThpControls, VirtAddr};
 
     fn sample(vaddr: u64, accessing: u16, home: u16, size: PageSize) -> IbsSample {
@@ -520,6 +581,59 @@ mod tests {
         assert!(!lp.split_flag());
         // No splitting got queued: alloc was re-enabled this very epoch.
         assert!(!actions.iter().any(|a| matches!(a, PolicyAction::Split(_))));
+    }
+
+    /// The per-page view as the map-based predecessor of
+    /// [`group_large_pages`] built it: the oracle.
+    struct MapView {
+        size: PageSize,
+        nodes: BTreeSet<u16>,
+        count: u32,
+        subpages: BTreeSet<u64>,
+    }
+
+    fn group_large_pages_by_maps(
+        samples: &[IbsSample],
+    ) -> std::collections::BTreeMap<u64, MapView> {
+        let mut pages = std::collections::BTreeMap::new();
+        for s in samples.iter().filter(|s| s.from_dram) {
+            let entry = pages.entry(s.page_base()).or_insert_with(|| MapView {
+                size: s.page_size,
+                nodes: BTreeSet::new(),
+                count: 0,
+                subpages: BTreeSet::new(),
+            });
+            entry.nodes.insert(s.accessing_node.0);
+            entry.count += 1;
+            entry.subpages.insert(s.page_4k());
+        }
+        pages
+    }
+
+    proptest::proptest! {
+        /// The sorted large-page view equals the map-based one: same pages
+        /// in the same order, sizes, counts, sharers and sub-pages.
+        #[test]
+        fn sorted_large_pages_equal_the_map_oracle(
+            seed in 0u64..=u64::MAX,
+            n in 0usize..400,
+            mixed in [false, true].as_slice(),
+        ) {
+            let samples = crate::dram::tests::random_samples(seed, n, 4, mixed);
+            let dram = DramSamples::new(&samples);
+            let got = group_large_pages(&dram);
+            let want = group_large_pages_by_maps(&samples);
+            proptest::prop_assert_eq!(got.len(), want.len());
+            for (view, (&base, m)) in got.iter().zip(&want) {
+                proptest::prop_assert_eq!(view.base, base);
+                proptest::prop_assert_eq!(view.size, m.size);
+                proptest::prop_assert_eq!(view.count, m.count);
+                proptest::prop_assert_eq!(distinct_nodes(view.samples), m.nodes.len());
+                proptest::prop_assert_eq!(!single_node(view.samples), m.nodes.len() >= 2);
+                let subs: BTreeSet<u64> = view.samples.iter().map(|r| r.sub).collect();
+                proptest::prop_assert_eq!(&subs, &m.subpages);
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub mod trace;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::SimConfig;
 pub use policy::{
-    ActionError, EpochCtx, FailedAction, NullPolicy, NumaPolicy, PolicyAction, PolicyIntrospection,
+    ActionError, Comparison, EpochCtx, FailedAction, NullPolicy, NumaPolicy, PolicyAction,
+    PolicyIntrospection,
 };
 pub use recorder::{MetricsSample, PageSnapshot, RunInfo, VecRecorder};
 pub use result::{

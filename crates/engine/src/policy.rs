@@ -73,6 +73,7 @@ pub struct EpochCtx<'a> {
     /// runs).
     record_decisions: bool,
     decisions: Vec<PolicyDecision>,
+    comparisons: Vec<Comparison>,
 }
 
 impl<'a> EpochCtx<'a> {
@@ -94,6 +95,7 @@ impl<'a> EpochCtx<'a> {
             actions: Vec::new(),
             record_decisions: false,
             decisions: Vec::new(),
+            comparisons: Vec::new(),
         }
     }
 
@@ -118,6 +120,21 @@ impl<'a> EpochCtx<'a> {
     /// the hook; exposed for policy unit tests).
     pub fn take_decisions(&mut self) -> Vec<PolicyDecision> {
         std::mem::take(&mut self.decisions)
+    }
+
+    /// Records one parameter test the policy evaluated, when the decision
+    /// log is on; plain runs record nothing. Never fingerprinted: it
+    /// describes why the policy decided, not what it decided.
+    pub fn compared(&mut self, c: Comparison) {
+        if self.record_decisions {
+            self.comparisons.push(c);
+        }
+    }
+
+    /// Drains the comparisons recorded this epoch (the engine hands them to
+    /// the hook; exposed for policy unit tests).
+    pub fn take_comparisons(&mut self) -> Vec<Comparison> {
+        std::mem::take(&mut self.comparisons)
     }
 
     /// Requests migration of the page covering `vaddr` to `node`.
@@ -170,6 +187,25 @@ impl<'a> EpochCtx<'a> {
     }
 }
 
+/// One parameter test a policy evaluated at a boundary
+/// ([`EpochCtx::compared`]): which parameter, the operands it was tested
+/// against, and the outcome. What the test is belongs to the policy; a
+/// holder of another parameterisation of the same policy asks it, through
+/// [`NumaPolicy::decides_alike`], whether its own values give the same
+/// outcomes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Comparison {
+    /// The parameter, in the policy's own numbering.
+    pub param: u16,
+    /// The observed value the parameter was tested against.
+    pub observed: f64,
+    /// A second operand for tests that scale the parameter (1.0 when the
+    /// test has none).
+    pub scale: f64,
+    /// The test's result.
+    pub outcome: bool,
+}
+
 /// A policy's self-report at one epoch boundary, returned by
 /// [`NumaPolicy::introspect`]. No policy in this workspace reports one and
 /// nothing reads it: the hook stays so that wrappers which forward every
@@ -206,6 +242,18 @@ pub trait NumaPolicy {
     /// freshly-constructed instance of the same policy. The default
     /// ignores the bytes (stateless policies).
     fn restore_state(&mut self, _bytes: &[u8]) {}
+
+    /// Whether this policy, put in the state of the policy that recorded
+    /// `compared` at one boundary, would make that policy's decision there,
+    /// without running it. `true` promises that every parameter that can
+    /// change the decision either entered it only through a recorded
+    /// comparison whose outcome this policy's value reproduces, or equals
+    /// the recorder's. Callers skip the replay on `true` (DESIGN.md §15),
+    /// so a policy must answer `false` whenever it cannot tell. The
+    /// default always answers `false`.
+    fn decides_alike(&self, _compared: &[Comparison]) -> bool {
+        false
+    }
 
     /// The policy's self-report at the boundary closing `epoch` (see
     /// [`PolicyIntrospection`]). Must be a pure observation. Every policy

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{self, Blob, Checkpoint};
 use crate::config::SimConfig;
-use crate::policy::{ActionError, EpochCtx, FailedAction, NumaPolicy, PolicyAction};
+use crate::policy::{ActionError, Comparison, EpochCtx, FailedAction, NumaPolicy, PolicyAction};
 use crate::recorder::{MetricsSample, PageSnapshot, RunInfo};
 use crate::result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
@@ -131,6 +131,14 @@ pub struct EpochDecision<'a> {
     pub decisions: &'a [PolicyDecision],
     /// `epoch_output_fingerprint(epoch, actions, decisions)`.
     pub fingerprint: u64,
+    /// The parameter tests the policy recorded while deciding
+    /// ([`crate::EpochCtx::compared`]), in evaluation order. Not part of
+    /// the fingerprint.
+    pub comparisons: &'a [Comparison],
+    /// The policy's state bytes as the boundary opened, before it decided
+    /// (`save_state`): present exactly where [`RunHook::may_capture`] said
+    /// yes.
+    pub policy_before: Option<&'a [u8]>,
 }
 
 /// One closed epoch boundary, handed to [`RunHook::on_boundary`] once the
@@ -1097,6 +1105,7 @@ impl<'m, 't> SimState<'m, 't> {
         let actions = ctx.take_actions();
         let decisions = ctx.take_decisions();
         if let Some(hook) = self.hook.as_deref_mut() {
+            let comparisons = ctx.take_comparisons();
             let capture = hook.on_decision(&EpochDecision {
                 epoch,
                 counters: &counters,
@@ -1105,6 +1114,8 @@ impl<'m, 't> SimState<'m, 't> {
                 actions: &actions,
                 decisions: &decisions,
                 fingerprint: crate::trace::epoch_output_fingerprint(epoch, &actions, &decisions),
+                comparisons: &comparisons,
+                policy_before: policy_before.as_deref(),
             });
             if let (true, Some(bytes)) = (capture, &policy_before) {
                 let ckpt = self.capture_checkpoint(bytes);
