@@ -203,6 +203,14 @@ impl NumaPolicy for LastAction {
     fn consumes_samples(&self) -> bool {
         self.inner.consumes_samples()
     }
+
+    fn save_state(&self) -> Vec<u8> {
+        self.inner.save_state()
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) {
+        self.inner.restore_state(bytes);
+    }
 }
 
 /// The `--what-if` mode: checkpoint `bench`/`kind` at `fork_epoch`
@@ -226,8 +234,13 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
         ));
     }
 
-    // Fork: one ckpt-v3 snapshot, two resumed tails.
-    let ckpt = Simulation::checkpoint_at(machine, &spec, &config, kind.make().as_mut(), fork)
+    // Fork: one ckpt-v3 snapshot, two resumed tails. The prefix run also
+    // notes where the policy last acted, for the no-action error below.
+    let mut prefix = LastAction {
+        inner: kind.make(),
+        epoch: None,
+    };
+    let ckpt = Simulation::checkpoint_at(machine, &spec, &config, &mut prefix, fork)
         .unwrap_or_else(|| {
             die(&format!(
                 "checkpoint at epoch {fork} failed (run too short)"
@@ -241,12 +254,7 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
     let mut counter = Simulation::resume(machine, &spec, &config, &mut wrapped, &ckpt);
     let Some(vetoed) = wrapped.vetoed else {
         // Suggest an earlier fork only where there is a decision to veto.
-        let mut probe = LastAction {
-            inner: kind.make(),
-            epoch: None,
-        };
-        Simulation::checkpoint_at(machine, &spec, &config, &mut probe, fork);
-        let hint = match probe.epoch {
+        let hint = match prefix.epoch {
             Some(0) => " (it acted only at epoch 0, which no fork can veto)".to_string(),
             Some(e) => format!(" (it last acted at epoch {e}: try --epoch {e})"),
             None => " (it queued none before it either)".to_string(),

@@ -4,7 +4,7 @@
 //!
 //! Cells run in **classes**. A class's first cell is its **head**, the
 //! only one simulated; the others are **members**. The head runs under a
-//! [`engine::RunHook`] (`Lockstep`) that records, at every epoch
+//! [`engine::RunHook`] (`Lockstep`) that sees, at every epoch
 //! boundary, the policy's inputs (counters, samples, THP switches) and a
 //! fingerprint of its *outputs* (action queue and decision log —
 //! [`engine::epoch_output_fingerprint`]), and replays each member's own
@@ -12,7 +12,7 @@
 //! comparing fingerprints in lockstep. The induction that makes this
 //! sound: while every earlier boundary's outputs matched the head's, the
 //! member's simulation would have evolved bit-identically, so the
-//! recorded inputs *are* the inputs the member would have seen. A member
+//! head's inputs *are* the inputs the member would have seen. A member
 //! that matches to the end is a **full match** and clones the head's
 //! result. A member skips the replay where it provably decides as the
 //! head did: its state is the head's, and its parameters reproduce every
@@ -25,10 +25,10 @@
 //! are equal to each other's, so the induction restarts with the new
 //! class's first cell as a **sub-probe**: it forks from the snapshot the
 //! head's run takes at boundary `e`'s decision point (a [`Start::Fork`]
-//! run, with its policy rebuilt by replaying a fresh instance over
-//! boundaries `0..e`) and runs boundary `e` with its own decision, and the
-//! other members, already replayed through `e`, continue in lockstep
-//! against it from boundary `e + 1`. Classes recurse depth-first through
+//! run, with its policy restored from its own state bytes as boundary `e`
+//! opened) and runs boundary `e` with its own decision, and the other
+//! members, already replayed through `e`, continue in lockstep against it
+//! from boundary `e + 1`. Classes recurse depth-first through
 //! one routine, `run_class`, so each distinct trajectory is simulated
 //! once. The family's first cell heads the first root class (the
 //! **probe**); cells whose policy name or sample appetite differs from it
@@ -48,39 +48,15 @@ use engine::{
     SimResult, Simulation, Start, TraceDigest, TraceEvent,
 };
 use numa_topology::MachineSpec;
-use profiling::{EpochCounters, IbsSample};
 use std::borrow::Cow;
 use std::rc::Rc;
 use std::time::Instant;
-use vmem::ThpControls;
 use workloads::WorkloadSpec;
 
 /// The most claimed snapshot bytes one family keeps alive at once. A
 /// claim that would exceed it is refused and its class head runs from
 /// scratch.
 pub const CLAIM_BUDGET_BYTES: usize = 256 << 20;
-
-/// Everything the policy saw and produced at one epoch boundary of a
-/// head's run — the replay substrate for its members and nested forks.
-struct BoundaryRecord {
-    epoch: u32,
-    counters: EpochCounters,
-    samples: Vec<IbsSample>,
-    thp: ThpControls,
-    fingerprint: u64,
-}
-
-impl BoundaryRecord {
-    fn new(b: &EpochDecision<'_>) -> Self {
-        BoundaryRecord {
-            epoch: b.epoch,
-            counters: b.counters.clone(),
-            samples: b.samples.to_vec(),
-            thp: b.thp,
-            fingerprint: b.fingerprint,
-        }
-    }
-}
 
 /// A class cell other than the head, with its policy replayed through
 /// every boundary its class has matched so far — or, while `stale`, left
@@ -140,8 +116,8 @@ struct Class {
     fingerprint: u64,
     /// The snapshot the head forks from; `None` runs it from scratch.
     ckpt: Option<Rc<Checkpoint>>,
-    /// The head's policy state at the fork point, when it was the parent
-    /// head's there; otherwise the head replays the prefix to rebuild it.
+    /// The head's policy state as its split boundary opened, which a
+    /// forked head restores (unused for a root class).
     state: Option<Vec<u8>>,
     /// A traced family's digest of the parent head's run up to the
     /// snapshot, which the forked head's events continue.
@@ -171,7 +147,7 @@ struct Claims {
     kept: u64,
 }
 
-/// A head run's hook: records each boundary's decision, checks every
+/// A head run's hook: takes each boundary's decision and checks every
 /// matching member against it — skipping the members that provably
 /// decide alike, replaying the others — and splits diverging members into
 /// new classes, capturing the snapshot their heads will fork from. A
@@ -181,7 +157,6 @@ struct Lockstep<'a> {
     specs: &'a [CellSpec],
     claims: &'a mut Claims,
     first_live: u32,
-    records: Vec<BoundaryRecord>,
     matching: Vec<Member>,
     split: Vec<Class>,
     replay_secs: f64,
@@ -203,7 +178,8 @@ impl RunHook for Lockstep<'_> {
     /// A split at epoch 0 runs from scratch, and a class's split boundary
     /// is one its members already replayed. A `true` also hands
     /// `on_decision` the head's pre-decision policy bytes, which stale
-    /// members restore from.
+    /// members restore from and an in-sync member that splits off hands
+    /// its class.
     fn may_capture(&mut self, epoch: u32) -> bool {
         epoch > 0 && epoch >= self.first_live && !self.matching.is_empty()
     }
@@ -211,62 +187,59 @@ impl RunHook for Lockstep<'_> {
     /// Asks for a snapshot exactly when a new class splits off. The engine
     /// takes it only where `may_capture` said yes, so never at epoch 0.
     fn on_decision(&mut self, d: &EpochDecision<'_>) -> bool {
-        if self.matching.is_empty() {
-            return false;
-        }
-        let rec = BoundaryRecord::new(d);
-        let mut new_class = false;
         // A split class's members already replayed its split boundary,
         // which the head's run decides again.
-        if rec.epoch >= self.first_live {
-            let t = Instant::now();
-            for mut m in std::mem::take(&mut self.matching) {
-                if m.skips(d) {
-                    self.matching.push(m);
-                    continue;
-                }
-                let in_sync = m.in_sync;
-                if m.stale {
-                    let bytes = d
-                        .policy_before
-                        .expect("a stale member skipped an earlier boundary, so the head saved its state here");
-                    m.policy = self.specs[m.idx].make_policy();
-                    m.policy.restore_state(bytes);
-                    m.stale = false;
-                }
-                let fp = replay_boundary(self.machine, &rec, m.policy.as_mut());
-                self.replays += 1;
-                m.in_sync = false;
-                if fp == rec.fingerprint {
-                    self.matching.push(m);
-                    continue;
-                }
-                let first_live = rec.epoch + 1;
-                match self
-                    .split
-                    .iter_mut()
-                    .find(|c| c.first_live == first_live && c.fingerprint == fp)
-                {
-                    Some(class) => class.members.push(m),
-                    None => {
-                        new_class = true;
-                        self.split.push(Class {
-                            head: m.idx,
-                            members: Vec::new(),
-                            first_live,
-                            fingerprint: fp,
-                            ckpt: None,
-                            // An in-sync head's state at the fork point is
-                            // the parent head's.
-                            state: d.policy_before.filter(|_| in_sync).map(<[u8]>::to_vec),
-                            digest: None,
-                        });
-                    }
+        if self.matching.is_empty() || d.epoch < self.first_live {
+            return false;
+        }
+        let t = Instant::now();
+        let mut new_class = false;
+        for mut m in std::mem::take(&mut self.matching) {
+            if m.skips(d) {
+                self.matching.push(m);
+                continue;
+            }
+            if m.stale {
+                let bytes = d.policy_before.expect(
+                    "a stale member skipped an earlier boundary, so the head saved its state here",
+                );
+                m.policy = self.specs[m.idx].make_policy();
+                m.policy.restore_state(bytes);
+                m.stale = false;
+            }
+            // The member's state as the boundary opens, which a head split
+            // off here forks with: the head's bytes while in sync, else its
+            // own. No fork follows a boundary without the head's bytes.
+            let own = (!m.in_sync && d.policy_before.is_some()).then(|| m.policy.save_state());
+            let fp = replay_boundary(self.machine, d, m.policy.as_mut());
+            self.replays += 1;
+            m.in_sync = false;
+            if fp == d.fingerprint {
+                self.matching.push(m);
+                continue;
+            }
+            let first_live = d.epoch + 1;
+            match self
+                .split
+                .iter_mut()
+                .find(|c| c.first_live == first_live && c.fingerprint == fp)
+            {
+                Some(class) => class.members.push(m),
+                None => {
+                    new_class = true;
+                    self.split.push(Class {
+                        head: m.idx,
+                        members: Vec::new(),
+                        first_live,
+                        fingerprint: fp,
+                        ckpt: None,
+                        state: own.or_else(|| d.policy_before.map(<[u8]>::to_vec)),
+                        digest: None,
+                    });
                 }
             }
-            self.replay_secs += t.elapsed().as_secs_f64();
         }
-        self.records.push(rec);
+        self.replay_secs += t.elapsed().as_secs_f64();
         new_class
     }
 
@@ -291,20 +264,20 @@ impl RunHook for Lockstep<'_> {
     }
 }
 
-/// Feeds one recorded boundary to `policy` and returns its output
-/// fingerprint. The decision log is enabled to mirror a head run with
-/// members (which always has a hook attached).
+/// Feeds the head's inputs at one boundary to `policy` and returns its
+/// output fingerprint. The decision log is enabled to mirror a head run
+/// with members (which always has a hook attached).
 fn replay_boundary(
     machine: &MachineSpec,
-    rec: &BoundaryRecord,
+    d: &EpochDecision<'_>,
     policy: &mut dyn NumaPolicy,
 ) -> u64 {
-    let mut ctx = EpochCtx::new(machine, &rec.counters, &rec.samples, rec.thp, rec.epoch);
+    let mut ctx = EpochCtx::new(machine, d.counters, d.samples, d.thp, d.epoch);
     ctx.enable_decision_log();
     policy.on_epoch(&mut ctx);
     let actions = ctx.take_actions();
     let decisions = ctx.take_decisions();
-    engine::epoch_output_fingerprint(rec.epoch, &actions, &decisions)
+    engine::epoch_output_fingerprint(d.epoch, &actions, &decisions)
 }
 
 /// Per-family execution counters, persisted into `SWEEP_lp.json`
@@ -342,14 +315,14 @@ pub struct FamilyStats {
     pub peak_kept_bytes: u64,
     /// Host seconds of the probe's own run, lockstep replays excluded.
     pub probe_secs: f64,
-    /// Host seconds spent checking members against recorded boundaries
-    /// (the lockstep divergence search, skips and replays, plus
-    /// forked-policy prefix rebuilds) — the price of asking "can this cell
+    /// Host seconds spent checking members against their heads'
+    /// boundaries (the lockstep divergence search, skips and replays, plus
+    /// forked heads' policy restores) — the price of asking "can this cell
     /// share?".
     pub replay_secs: f64,
-    /// Member `on_epoch` calls actually made on recorded boundaries:
-    /// lockstep replays plus forked-policy prefix rebuilds. A member that
-    /// provably decides alike skips its replay and is not counted.
+    /// Member `on_epoch` calls actually made on their heads' boundaries. A
+    /// member that provably decides alike skips its replay and is not
+    /// counted.
     pub replays: u64,
     /// Host seconds simulating forked heads' tails, replays excluded.
     pub resume_secs: f64,
@@ -463,7 +436,7 @@ pub fn run_family_within(
         }
     }
     for (_, class) in roots {
-        run_class(&mut fam, class, &[], 0);
+        run_class(&mut fam, class, 0);
     }
 
     let Family {
@@ -484,10 +457,9 @@ pub fn run_family_within(
 
 /// Runs one class: simulates its head (fresh, or forked from the claimed
 /// snapshot), clones the result for every member that matched to the end,
-/// then recurses into the classes that split off. `prefix` holds the
-/// boundaries `0..e` before the head's fork boundary `e`; `depth` is 0
-/// for a root class.
-fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], depth: u32) {
+/// then recurses into the classes that split off. `depth` is 0 for a root
+/// class.
+fn run_class(fam: &mut Family<'_>, class: Class, depth: u32) {
     let Class {
         head,
         mut members,
@@ -500,24 +472,16 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
     let spec = &fam.specs[head];
     // A fork starts at boundary `e`'s decision point: epochs `0..=e` ran
     // their rounds in the parent head's run.
-    let fork_epoch = ckpt.as_ref().map_or(0, |c| c.epoch());
     let reused = ckpt.as_ref().map_or(0, |c| c.epoch() + 1);
 
-    // Rebuild the head's policy state at the fork point. (Its lockstep
-    // instance processed the split boundary, so its state is past the fork
-    // point.) A head that was in sync with its parent takes the parent's
-    // state there; any other replays a fresh instance over the
-    // already-verified prefix.
-    let rebuild_t = Instant::now();
+    // A forked head takes its policy state as boundary `e` opened. (Its
+    // lockstep instance processed the split boundary, so its state is past
+    // the fork point.)
+    let restore_t = Instant::now();
     let mut policy = spec.make_policy();
-    match state {
-        Some(bytes) if fork_epoch > 0 => policy.restore_state(&bytes),
-        _ => {
-            for rec in &prefix[..fork_epoch as usize] {
-                replay_boundary(fam.machine, rec, policy.as_mut());
-                fam.stats.replays += 1;
-            }
-        }
+    if ckpt.is_some() {
+        let bytes = state.expect("a class that forks kept its head's state at the split");
+        policy.restore_state(&bytes);
     }
     // A root class's members start where its head does.
     if first_live == 0 && !members.is_empty() {
@@ -526,7 +490,7 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
             m.in_sync = m.policy.save_state() == fresh;
         }
     }
-    fam.stats.replay_secs += rebuild_t.elapsed().as_secs_f64();
+    fam.stats.replay_secs += restore_t.elapsed().as_secs_f64();
 
     // The last head forking from a snapshot takes it over, and the engine
     // frees it once restored; earlier heads borrow it.
@@ -545,7 +509,7 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
 
     // A class without members has nobody to share with: its hook is the
     // digest alone when traced, and a plain run has none (a lockstep hook
-    // would record boundaries for nothing). A forked head's digest goes on
+    // would turn on the decision log for nothing). A forked head's digest goes on
     // from its parent's at the snapshot.
     let mut sink = fam.traced.then(|| digest.unwrap_or_default());
     let mut lockstep = (!members.is_empty()).then(|| Lockstep {
@@ -553,7 +517,6 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
         specs: fam.specs,
         claims: &mut fam.claims,
         first_live,
-        records: Vec::new(),
         matching: members,
         split: Vec::new(),
         replay_secs: 0.0,
@@ -573,13 +536,13 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
     };
     let mut result =
         Simulation::run_with(fam.machine, &fam.wspec, &fam.config, policy.as_mut(), opts).result();
-    let (records, full, split, in_run_replay) = match lockstep {
+    let (full, split, in_run_replay) = match lockstep {
         Some(l) => {
             sink = l.digest;
             fam.stats.replays += l.replays;
-            (l.records, l.matching, l.split, l.replay_secs)
+            (l.matching, l.split, l.replay_secs)
         }
-        None => (Vec::new(), Vec::new(), Vec::new(), 0.0),
+        None => (Vec::new(), Vec::new(), 0.0),
     };
     let run_secs = run_t.elapsed().as_secs_f64() - in_run_replay;
     let digest = sink.map(|s| {
@@ -622,18 +585,9 @@ fn run_class(fam: &mut Family<'_>, class: Class, prefix: &[&BoundaryRecord], dep
         digest: digest.clone(),
     });
 
-    // Depth-first into the split classes: a nested head rebuilds its
-    // policy over the parent prefix up to this head's fork epoch, then
-    // this head's own records.
-    if !split.is_empty() {
-        let records: Vec<&BoundaryRecord> = prefix[..fork_epoch as usize]
-            .iter()
-            .copied()
-            .chain(&records)
-            .collect();
-        for class in split {
-            run_class(fam, class, &records, depth + 1);
-        }
+    // Depth-first into the split classes.
+    for class in split {
+        run_class(fam, class, depth + 1);
     }
 }
 
@@ -858,7 +812,7 @@ mod tests {
         let specs = vec![probe, family_spec(Some(straddling))];
         let (cells, stats) = run_family(&specs, false);
         // Replayed at boundary 2, where it parts from the probe; its fork
-        // takes the probe's state there instead of rebuilding it.
+        // restores the probe's state there.
         assert_eq!(stats.replays, 1);
         assert_eq!((stats.forks, stats.full_matches), (1, 0));
         for (cell, spec) in cells.iter().zip(&specs) {
