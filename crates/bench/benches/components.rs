@@ -120,9 +120,6 @@ fn bench_walk_replay_4k(c: &mut Criterion) {
             let v = pages[rng.random_range(0..pages.len())];
             let walk = space.walk_cached(v, &mut caches[core]);
             let core = CoreId::from(core);
-            for s in walk.steps() {
-                mem.prefetch_access(core, s.pte_addr.0);
-            }
             let mut cycles = 0u64;
             for s in walk.steps() {
                 let out = mem.access(core, s.pte_addr.0, s.node, AccessKind::PageWalk);

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 const SUITE: &str = "all";
 
 fn main() {
+    carrefour_bench::logx::exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().collect();
     let resume = args.iter().any(|a| a == "--resume");
     // `--only a,b,c` runs a subset of the experiments (the CI

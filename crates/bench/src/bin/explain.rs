@@ -321,6 +321,7 @@ fn parse_policy(label: &str) -> PolicyKind {
 }
 
 fn main() {
+    carrefour_bench::logx::exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--golden") {
         golden_baseline();

@@ -37,6 +37,7 @@ fn fragment(space: &mut AddressSpace, machine: &MachineSpec, fraction: f64) {
 }
 
 fn main() {
+    carrefour_bench::logx::exit_quietly_on_broken_pipe();
     // A memory-constrained variant of machine B: fragmenting 512 GiB of
     // simulated DRAM frame-by-frame is pointless (and slow) when the
     // workload touches half a gigabyte; 1 GiB per node gives fragmentation

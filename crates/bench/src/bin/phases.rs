@@ -72,6 +72,7 @@ fn run(machine: &MachineSpec, thp: ThpControls, policy: &mut dyn NumaPolicy) -> 
 }
 
 fn main() {
+    carrefour_bench::logx::exit_quietly_on_broken_pipe();
     let machine = MachineSpec::machine_b();
     let base = run(&machine, ThpControls::small_only(), &mut NullPolicy);
     let thp = run(&machine, ThpControls::thp(), &mut NullPolicy);

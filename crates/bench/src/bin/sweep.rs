@@ -69,6 +69,7 @@ struct Score {
 }
 
 fn main() {
+    carrefour_bench::logx::exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let share = !args.iter().any(|a| a == "--no-share");

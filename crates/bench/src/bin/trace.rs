@@ -24,6 +24,7 @@ use numa_topology::MachineSpec;
 use std::fmt::Write as _;
 
 fn main() {
+    carrefour_bench::logx::exit_quietly_on_broken_pipe();
     let bless = std::env::args().any(|a| a == "--bless");
     if bless {
         let dir = golden::golden_dir();

@@ -6,6 +6,8 @@
 //! also written as JSON under `results/` so EXPERIMENTS.md can be
 //! regenerated mechanically.
 
+#![forbid(unsafe_code)]
+
 use carrefour::{Carrefour, CarrefourLp, LpParams, Mitosis, NumaPte};
 use engine::{NullPolicy, NumaPolicy, SimResult};
 use numa_topology::MachineSpec;

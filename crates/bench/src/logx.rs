@@ -1,4 +1,5 @@
-//! The bench crate's single stderr choke point.
+//! The bench crate's single stderr choke point, plus the stdout
+//! broken-pipe exit every streaming binary installs.
 //!
 //! Every ad-hoc `eprintln!` warning in this crate used to pick its own
 //! prefix and its own quiet-ness; now there are exactly two shapes:
@@ -32,6 +33,22 @@ pub fn info(msg: &str) {
     if !quiet() {
         eprintln!("{msg}");
     }
+}
+
+/// Makes a binary that streams its tables to stdout exit 0, silently,
+/// once stdout's reader has gone away (`explain --what-if | head -4`).
+/// Rust ignores `SIGPIPE`, so `println!` panics on the broken pipe; this
+/// panic hook turns exactly that panic into a clean exit and hands every
+/// other panic to the default hook. Call it first thing in `main`.
+pub fn exit_quietly_on_broken_pipe() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
 }
 
 #[cfg(test)]

@@ -13,16 +13,12 @@
 //!   the run, so the failing epochs cannot be missed (a snapshot holds a
 //!   boundary's decision point, so boundary `e`'s failures happen after
 //!   the resume);
-//! * random shapes/seeds/epochs, with and without a full node, with the
-//!   access loop's **memo tricks on and off** (`RunOptions::memo`),
-//!   including resuming a memo-on snapshot with them off — the snapshot
-//!   boundary state must be identical whichever loop produced or
-//!   consumes it.
+//! * random shapes/seeds/epochs and policies, with and without a full
+//!   node.
 
 use carrefour_bench::{golden, PolicyKind};
 use engine::{
     Checkpoint, EpochDecision, NumaPolicy, RunHook, RunOptions, SimConfig, SimResult, Simulation,
-    Start,
 };
 use numa_topology::{MachineSpec, NodeId};
 use proptest::prelude::*;
@@ -78,25 +74,8 @@ fn checkpoint_from(
         .unwrap_or_else(|| panic!("the run ends before epoch {epoch}"))
 }
 
-/// Resumes from `ckpt` with the access loop's memo tricks off
-/// (`RunOptions::memo`).
-fn resume_without_memo(
-    machine: &MachineSpec,
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    policy: &mut dyn NumaPolicy,
-    ckpt: &Checkpoint,
-) -> SimResult {
-    let opts = RunOptions {
-        start: Start::Resume(ckpt),
-        memo: false,
-        ..RunOptions::default()
-    };
-    Simulation::run_with(machine, spec, config, policy, opts).result()
-}
-
-/// A small multi-threaded workload, the same shape as the fast-path and
-/// runner equivalence suites use.
+/// A small multi-threaded workload, the same shape as the runner
+/// equivalence suite uses.
 fn small_spec(name: &str, mib: u64, pattern: AccessPattern) -> WorkloadSpec {
     let machine = MachineSpec::test_machine();
     WorkloadSpec {
@@ -254,7 +233,7 @@ fn every_epoch_resumes_with_failed_migrations_onto_a_full_node() {
 /// replica sweep is still finding new tables, numaPTE while table pages
 /// are actively migrating. Snapshots at *every* epoch boundary — i.e.
 /// including mid-replication and mid-migration states — must resume
-/// bit-identical, and the per-op path must accept the same snapshots.
+/// bit-identical.
 /// The engagement assertions keep the test honest: if the workload stops
 /// provoking table actions, the test fails rather than hollowing out.
 #[test]
@@ -282,13 +261,6 @@ fn every_epoch_resumes_mid_table_replication_and_migration() {
         for epoch in 0..n {
             assert_resume_identical(&machine, &spec, &config, || kind.make(), None, epoch, &full);
         }
-        // A mid-stream snapshot must also resume identically with the memo
-        // tricks off (which must itself agree with the memo-on loop).
-        let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), n / 2)
-            .expect("mid-run snapshot");
-        let resumed_slow =
-            resume_without_memo(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
-        assert_eq!(&resumed_slow, &full, "per-op resume diverged ({:?})", kind);
     }
 }
 
@@ -352,12 +324,9 @@ fn hook_checkpoints_match_checkpoint_at_bytes() {
 proptest! {
     /// Random workload shapes, seeds, policies, an optionally full node 0,
     /// and a random snapshot epoch: the resumed run equals the
-    /// uninterrupted one
-    /// with the memo tricks on, AND the *same memo-on snapshot* resumed
-    /// with them off equals the memo-off uninterrupted run — the boundary
-    /// state is loop-independent in both directions.
+    /// uninterrupted one.
     #[test]
-    fn resume_is_bit_identical_on_both_paths(
+    fn resume_is_bit_identical(
         mib in 2u64..5,
         seed in 0u64..=u64::MAX,
         full_node in [false, true].as_slice(),
@@ -382,25 +351,6 @@ proptest! {
         let epoch = ((f64::from(n) * epoch_frac) as u32).min(n - 1);
         let ckpt = checkpoint_from(&machine, &spec, &config, kind.make().as_mut(), setup, epoch);
         let resumed = Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
-        prop_assert_eq!(&resumed, &full, "fast-path resume diverged at epoch {}", epoch);
-
-        // The memo-off loop must agree with the memo-on loop (the existing
-        // equivalence claim) and accept the memo-on snapshot verbatim.
-        let opts = RunOptions {
-            setup,
-            memo: false,
-            ..RunOptions::default()
-        };
-        let full_slow =
-            Simulation::run_with(&machine, &spec, &config, kind.make().as_mut(), opts).result();
-        let resumed_slow =
-            resume_without_memo(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
-        prop_assert_eq!(&full_slow, &full, "fast/per-op paths diverged");
-        prop_assert_eq!(
-            &resumed_slow,
-            &full,
-            "per-op resume of a fast-path snapshot diverged at epoch {}",
-            epoch
-        );
+        prop_assert_eq!(&resumed, &full, "resume diverged at epoch {}", epoch);
     }
 }

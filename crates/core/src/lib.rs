@@ -40,6 +40,8 @@
 //! # let _ = Carrefour::new();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod classic;
 mod config;
 mod dram;

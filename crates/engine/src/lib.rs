@@ -33,6 +33,8 @@
 //! # let _ = &mut config;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 mod config;
 mod policy;

@@ -59,11 +59,6 @@ pub struct RunOptions<'a> {
     /// snapshot there ([`RunOutcome::Stopped`]). A run that ends first
     /// returns its result as usual.
     pub stop_at: Option<u32>,
-    /// The three memo tricks of the access loop (uncached-store memo,
-    /// stable-L1 run, IBS skip-ahead). On by default; results are
-    /// bit-identical either way, so `false` exists only for differential
-    /// tests of the memos themselves (DESIGN.md §10).
-    pub memo: bool,
 }
 
 impl Default for RunOptions<'_> {
@@ -73,7 +68,6 @@ impl Default for RunOptions<'_> {
             hook: None,
             start: Start::Fresh,
             stop_at: None,
-            memo: true,
         }
     }
 }
@@ -316,23 +310,6 @@ struct SimState<'m, 't> {
     events_on: bool,
     /// Index of the epoch currently accumulating (for event attribution).
     epoch: u32,
-    /// The access loop's memo tricks are on ([`RunOptions::memo`]).
-    memo: bool,
-    /// Epoch-scoped memo of uncached-access outcomes per
-    /// `(from_node, home_node)` pair. Within an epoch the outcome is a pure
-    /// function of the pair (controller and link delays only change at
-    /// epoch end), so it is computed once and repeats are bulk-charged.
-    /// Cleared at every epoch boundary and on any TLB shootdown.
-    fast_uncached: Vec<Option<AccessOutcome>>,
-    /// Per-home-node pending uncached accesses of the block in flight,
-    /// flushed via [`MemorySystem::charge_uncached_n`] at block end.
-    fast_pending: Vec<u64>,
-    /// Node count (stride of the `fast_uncached` matrix).
-    fast_nodes: usize,
-    /// log2 of the L1 line size, for same-line detection.
-    l1_line_shift: u32,
-    /// L1 hit latency in cycles (the outcome of a stable hit).
-    l1_latency: u32,
 
     // Loop-carried run totals; a resume overwrites all of them from the
     // snapshot.
@@ -424,19 +401,6 @@ impl<'m, 't> SimState<'m, 't> {
                 step
             };
         }
-        // Every step address is known before any is charged: prefetch all
-        // their cache sets (host-side only, no simulated effect) so the
-        // random, usually host-cold set loads overlap instead of
-        // serializing through the replay loop below. The caller's data
-        // access follows right after the walk, and its physical address is
-        // already determined by the walked mapping — warm its sets too,
-        // with the whole step replay as the overlap window.
-        for s in steps.iter() {
-            self.mem.prefetch_access(core, s.pte_addr.0);
-        }
-        if let Some(m) = walk.mapping {
-            self.mem.prefetch_access(core, m.translate(vaddr).0);
-        }
         let mut remote_steps: u8 = 0;
         for s in steps.iter() {
             let local = s.node == node;
@@ -492,58 +456,14 @@ impl<'m, 't> SimState<'m, 't> {
         for t in &mut self.tlbs {
             t.invalidate(vbase, size);
         }
-        // A shootdown accompanies every remap (split, migration), either
-        // of which can change a page's home node. The memo
-        // itself only depends on epoch-constant delays, but dropping it
-        // here keeps the invalidation rule simple: any remap, any epoch
-        // boundary.
-        self.fast_uncached.fill(None);
     }
 
-    /// Executes a batch of operations for `thread`; returns their total
-    /// cycle cost. When `bd` is supplied, every cycle of the return value
-    /// is also booked into exactly one of its buckets (the conservation
-    /// invariant); `None` — the default — skips all attribution work.
-    /// The memo switch is read once per block, never per op.
-    fn run_block(
-        &mut self,
-        thread: usize,
-        ops: &[workloads::Op],
-        faulting_threads: usize,
-        bd: Option<&mut CycleBreakdown>,
-    ) -> u64 {
-        if self.memo {
-            self.run_ops::<true>(thread, ops, faulting_threads, bd)
-        } else {
-            self.run_ops::<false>(thread, ops, faulting_threads, bd)
-        }
-    }
-
-    /// The one per-access loop. With `MEMO`, three memo tricks batch the
-    /// work that is idempotent to replay — bit-identical by construction
-    /// (see DESIGN.md §10); without it, every op takes the plain path:
-    ///
-    /// * **Uncached stores** — within an epoch, controller queueing and
-    ///   link congestion delays are constant, so the outcome of an
-    ///   uncached access is a pure function of `(from_node, home_node)`.
-    ///   The first one is computed via [`MemorySystem::peek_uncached`] and
-    ///   memoized; repeats are counted and bulk-charged at block end with
-    ///   [`MemorySystem::charge_uncached_n`] (counters are sums, so order
-    ///   does not matter within the epoch).
-    /// * **Stable L1 hits** — after any data access, the accessed line is
-    ///   the MRU way of this core's L1 (hits rotate to front, misses fill
-    ///   at front). A consecutive access to the same line by the same
-    ///   core with no intervening hierarchy activity is therefore an L1
-    ///   hit that changes nothing but the hit counter; such repeats are
-    ///   charged `l1_latency` directly and the counter is bulk-added at
-    ///   block end. A page walk runs hierarchy accesses on this core, so
-    ///   it ends the run.
-    /// * **IBS skip-ahead** — the sampler countdown is mirrored in a
-    ///   local; unsampled ops are batched into one
-    ///   [`IbsSampler::advance_unsampled`] and the sample fires via
-    ///   [`IbsSampler::take_sample`] at exactly the op index where
-    ///   [`IbsSampler::observe`] would have fired it.
-    fn run_ops<const MEMO: bool>(
+    /// The one per-access loop: executes a batch of operations for
+    /// `thread` one op at a time and returns their total cycle cost. When
+    /// `bd` is supplied, every cycle of the return value is also booked
+    /// into exactly one of its buckets (the conservation invariant);
+    /// `None` — the default — skips all attribution work.
+    fn run_ops(
         &mut self,
         thread: usize,
         ops: &[workloads::Op],
@@ -552,16 +472,7 @@ impl<'m, 't> SimState<'m, 't> {
     ) -> u64 {
         let core = CoreId::from(thread);
         let node = self.machine.node_of_core(core);
-        let nodes = self.fast_nodes;
-        let line_shift = self.l1_line_shift;
         let mut cycles_total: u64 = 0;
-        // IBS skip-ahead locals, synced at sample points and at block end.
-        let mut until = self.sampler.until_next();
-        let period = self.sampler.period();
-        let mut unsampled: u64 = 0;
-        // The line currently at the MRU way of this core's L1, if known.
-        let mut stable_line: Option<u64> = None;
-        let mut pending_l1: u64 = 0;
 
         for &op in ops {
             let vaddr = VirtAddr(op.vaddr);
@@ -593,9 +504,6 @@ impl<'m, 't> SimState<'m, 't> {
                     );
                     walk_remote = remote;
                     self.tlbs[thread].insert(m);
-                    // The walk probed the hierarchy on this core: the L1's
-                    // MRU way may have changed.
-                    stable_line = None;
                     m
                 }
             };
@@ -604,41 +512,11 @@ impl<'m, 't> SimState<'m, 't> {
             // line-shared data bypass the caches: coherence pushes them to
             // the home node.
             let out = if op.coherent_store {
-                if MEMO {
-                    let key = node.index() * nodes + mapping.node.index();
-                    let out = match self.fast_uncached[key] {
-                        Some(o) => o,
-                        None => {
-                            let o = self.mem.peek_uncached(core, mapping.node);
-                            self.fast_uncached[key] = Some(o);
-                            o
-                        }
-                    };
-                    self.fast_pending[mapping.node.index()] += 1;
-                    out
-                } else {
-                    self.mem.access_uncached(core, mapping.node)
-                }
+                self.mem.access_uncached(core, mapping.node)
             } else {
                 let paddr = mapping.translate(vaddr);
-                let line = paddr.0 >> line_shift;
-                if MEMO && stable_line == Some(line) {
-                    pending_l1 += 1;
-                    AccessOutcome {
-                        cycles: self.l1_latency,
-                        level: ServiceLevel::L1,
-                        from_node: node,
-                        home_node: mapping.node,
-                        queue: 0,
-                        inter: 0,
-                    }
-                } else {
-                    let out = self
-                        .mem
-                        .access(core, paddr.0, mapping.node, AccessKind::Data);
-                    stable_line = Some(line);
-                    out
-                }
+                self.mem
+                    .access(core, paddr.0, mapping.node, AccessKind::Data)
             };
             if out.dram() {
                 // Prefetchers hide sequential latency; independent misses
@@ -657,7 +535,7 @@ impl<'m, 't> SimState<'m, 't> {
             }
 
             // 3. Observation channels.
-            let sample = || IbsSample {
+            self.sampler.observe(|| IbsSample {
                 vaddr,
                 accessing_node: node,
                 thread: thread as u16,
@@ -666,37 +544,11 @@ impl<'m, 't> SimState<'m, 't> {
                 is_store: op.is_write,
                 page_size: mapping.size,
                 walk_remote_steps: walk_remote,
-            };
-            if !MEMO {
-                self.sampler.observe(sample);
-            } else if until == 1 {
-                self.sampler.advance_unsampled(unsampled);
-                unsampled = 0;
-                self.sampler.take_sample(sample);
-                until = period;
-            } else {
-                until -= 1;
-                unsampled += 1;
-            }
+            });
             if let Some(stats) = self.page_stats.as_mut() {
                 stats.record(vaddr, thread as u16);
             }
             cycles_total += cycles;
-        }
-
-        // Flush the block's bulk charges.
-        if MEMO {
-            self.sampler.advance_unsampled(unsampled);
-            if pending_l1 > 0 {
-                self.mem.charge_l1_hits_n(core, pending_l1);
-            }
-            for home in 0..nodes {
-                let n = self.fast_pending[home];
-                if n > 0 {
-                    self.fast_pending[home] = 0;
-                    self.mem.charge_uncached_n(core, NodeId::from(home), n);
-                }
-            }
         }
         cycles_total
     }
@@ -899,7 +751,6 @@ impl<'m, 't> SimState<'m, 't> {
         config: &'m SimConfig,
         setup: Option<&dyn Fn(&mut AddressSpace)>,
         hook: Option<&'t mut dyn RunHook>,
-        memo: bool,
     ) -> Self {
         assert!(
             spec.threads <= machine.total_cores(),
@@ -945,12 +796,6 @@ impl<'m, 't> SimState<'m, 't> {
             metrics_on: hook.as_ref().is_some_and(|h| h.wants_metrics()),
             hook,
             epoch: 0,
-            memo,
-            fast_uncached: vec![None; nodes * nodes],
-            fast_pending: vec![0; nodes],
-            fast_nodes: nodes,
-            l1_line_shift: config.memsys.l1.line_bytes.trailing_zeros(),
-            l1_latency: config.memsys.l1_latency,
             wall: 0,
             epoch_wall: 0,
             epoch_ops: 0,
@@ -992,7 +837,7 @@ impl<'m, 't> SimState<'m, 't> {
             .collect();
         let think = u64::from(spec.think_cycles_per_op) * ops.len() as u64;
         let mut bd = CycleBreakdown::default();
-        let cycles = self.run_block(0, &ops, 1, self.attrib_on.then_some(&mut bd));
+        let cycles = self.run_ops(0, &ops, 1, self.attrib_on.then_some(&mut bd));
         if self.attrib_on {
             bd.compute += think;
             self.prelude_bd = bd;
@@ -1026,7 +871,7 @@ impl<'m, 't> SimState<'m, 't> {
                     let t = (k + cycle_idx) % spec.threads;
                     self.gen.next_block(t, n as usize, &mut block);
                     let bd = round_bds.get_mut(t);
-                    t_cycles[t] += self.run_block(t, &block, faulting, bd) + think * n;
+                    t_cycles[t] += self.run_ops(t, &block, faulting, bd) + think * n;
                     if self.attrib_on {
                         round_bds[t].compute += think * n;
                     }
@@ -1219,9 +1064,6 @@ impl<'m, 't> SimState<'m, 't> {
             self.emit(|| TraceEvent::EpochEnd { epoch, snap });
         }
         self.mem.end_epoch(self.epoch_wall);
-        // Controller and link delays just changed: the uncached memo
-        // (a function of those delays) is stale.
-        self.fast_uncached.fill(None);
         self.epochs.push(EpochRecord {
             counters,
             migrations,
@@ -1616,9 +1458,9 @@ impl Simulation {
 
     /// The one run entry point: `opts` selects the address-space setup,
     /// the run's observer hook, where the run starts (fresh or
-    /// from a snapshot), whether it stops early at a snapshot boundary,
-    /// and the access loop's memo switch. Every combination produces the
-    /// same simulated results as a plain [`Simulation::run`].
+    /// from a snapshot), and whether it stops early at a snapshot
+    /// boundary. Every combination produces the same simulated results as
+    /// a plain [`Simulation::run`].
     ///
     /// # Panics
     ///
@@ -1636,11 +1478,10 @@ impl Simulation {
             hook,
             start,
             stop_at,
-            memo,
         } = opts;
 
         // --- Setup. ---
-        let mut st = SimState::new(machine, spec, config, setup, hook, memo);
+        let mut st = SimState::new(machine, spec, config, setup, hook);
         // A policy that never reads samples makes sample storage dead
         // work: elide it. The NMI count and its overhead are unchanged, so
         // results are bit-identical.
@@ -1811,32 +1652,6 @@ mod tests {
         let b = run_tiny(ThpControls::thp());
         assert_eq!(a.runtime_cycles, b.runtime_cycles);
         assert_eq!(a.lifetime.ibs_samples, b.lifetime.ibs_samples);
-    }
-
-    #[test]
-    fn fast_path_matches_per_op_path() {
-        // The access loop with its memo tricks (the default) and without
-        // them must agree bit-for-bit. Exercise coherent stores (uncached
-        // memo), a prefetched stream, and huge pages.
-        let machine = MachineSpec::test_machine();
-        for pattern in [
-            AccessPattern::SharedUniform,
-            AccessPattern::Stream { stride: 64 },
-            AccessPattern::PrivateSlices,
-        ] {
-            let mut spec = tiny_spec(pattern, 4);
-            spec.regions[0].rw_shared = true;
-            spec.write_fraction = 0.5;
-            let mut config = SimConfig::fast_test();
-            config.vmem.thp = ThpControls::thp();
-            let fast = Simulation::run(&machine, &spec, &config, &mut NullPolicy);
-            let opts = RunOptions {
-                memo: false,
-                ..RunOptions::default()
-            };
-            let slow = Simulation::run_with(&machine, &spec, &config, &mut NullPolicy, opts);
-            assert_eq!(fast, slow.result());
-        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! simulated wall cycle is charged to exactly one architectural bucket:
 //! `total.total() == runtime_cycles`, exactly, as integers — no float
 //! accumulation, no "other" bucket, no slack. These tests enforce that
-//! claim across workload patterns, THP settings, the access loop with and
-//! without its memo tricks, and — via proptest — with a full node, where
-//! failed migrations book no policy cost mid-run.
+//! claim across workload patterns, THP settings, an action-heavy policy,
+//! and — via proptest — with a full node, where failed migrations book no
+//! policy cost mid-run.
 
 use engine::{EpochCtx, NullPolicy, NumaPolicy, RunOptions, SimConfig, SimResult, Simulation};
 use numa_topology::{MachineSpec, NodeId};
@@ -61,23 +61,17 @@ impl NumaPolicy for Churn {
     }
 }
 
-/// An attributed run; `memo: false` turns the access loop's memo tricks
-/// off ([`RunOptions::memo`]).
+/// An attributed run.
 fn run_attributed(
     thp: ThpControls,
     pattern: AccessPattern,
     policy: &mut dyn NumaPolicy,
-    memo: bool,
 ) -> SimResult {
     let machine = MachineSpec::test_machine();
     let spec = small_spec(&machine, 4, pattern);
     let mut config = SimConfig::for_machine(&machine, thp);
     config.attribution = true;
-    let opts = RunOptions {
-        memo,
-        ..RunOptions::default()
-    };
-    Simulation::run_with(&machine, &spec, &config, policy, opts).result()
+    Simulation::run(&machine, &spec, &config, policy)
 }
 
 /// Asserts every conservation property the ledger promises, at every
@@ -151,27 +145,16 @@ fn conservation_holds_across_patterns_and_thp() {
             AccessPattern::SharedUniform,
             AccessPattern::Stream { stride: 64 },
         ] {
-            let r = run_attributed(thp, pattern, &mut NullPolicy, true);
+            let r = run_attributed(thp, pattern, &mut NullPolicy);
             assert_conserved(&r, threads);
         }
     }
 }
 
 #[test]
-fn conservation_holds_on_both_execution_paths() {
-    let [fast, slow] = [true, false].map(|memo| {
-        run_attributed(
-            ThpControls::thp(),
-            AccessPattern::SharedUniform,
-            &mut Churn,
-            memo,
-        )
-    });
-    let threads = MachineSpec::test_machine().total_cores();
-    assert_conserved(&fast, threads);
-    assert_conserved(&slow, threads);
-    // The memo tricks are bit-identical to the plain loop — ledger included.
-    assert_eq!(fast, slow);
+fn conservation_holds_under_policy_actions() {
+    let r = run_attributed(ThpControls::thp(), AccessPattern::SharedUniform, &mut Churn);
+    assert_conserved(&r, MachineSpec::test_machine().total_cores());
 }
 
 #[test]
@@ -181,7 +164,6 @@ fn buckets_reflect_architectural_activity() {
         ThpControls::small_only(),
         AccessPattern::SharedUniform,
         &mut Churn,
-        true,
     );
     assert_conserved(&r, threads);
     let t = &r.attribution.as_ref().unwrap().total;

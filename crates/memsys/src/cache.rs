@@ -153,34 +153,6 @@ impl SetAssocCache {
         self.hits += n;
     }
 
-    /// Hints the host CPU to pull this address's set into its cache.
-    ///
-    /// Purely a host-side prefetch: no simulated state or statistics are
-    /// touched. The hierarchy issues these for the L2/L3 sets before the
-    /// serial L1→L2→L3 probe chain, so the (random, usually host-cold)
-    /// set loads overlap instead of serializing.
-    #[inline]
-    pub fn prefetch_probe(&self, paddr: u64) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: both pointers are the first and last slot of one set,
-        // which lie within `tags` (set_index < num_sets), and prefetch has
-        // no architectural effect regardless.
-        unsafe {
-            let line = paddr >> self.line_shift;
-            let base = self.set_index(line) * self.ways;
-            let first = self.tags.as_ptr().add(base);
-            let last = first.add(self.ways - 1);
-            std::arch::x86_64::_mm_prefetch(first.cast(), std::arch::x86_64::_MM_HINT_T0);
-            // A set that crosses a host line boundary (a 16-way set of
-            // 4-byte tags usually does) needs its second line too.
-            if first as usize / 64 != last as usize / 64 {
-                std::arch::x86_64::_mm_prefetch(last.cast(), std::arch::x86_64::_MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = paddr;
-    }
-
     /// Checks for presence without updating LRU state or statistics.
     #[inline]
     pub fn probe(&self, paddr: u64) -> bool {

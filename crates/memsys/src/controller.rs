@@ -46,18 +46,6 @@ impl MemoryController {
         self.current_delay
     }
 
-    /// Records `n` serviced requests at once and returns the queueing delay
-    /// charged to each. Exactly equivalent to `n` calls to
-    /// [`MemoryController::request`]: the delay is constant within an epoch
-    /// (it is only recomputed by [`MemoryController::end_epoch`]), so a
-    /// batch of steady-state requests can be counted in bulk.
-    #[inline]
-    pub fn request_n(&mut self, n: u64) -> u32 {
-        self.epoch_requests += n;
-        self.total_requests += n;
-        self.current_delay
-    }
-
     /// Closes the epoch: computes utilization from the epoch length in
     /// cycles and derives the queueing delay for the next epoch.
     pub fn end_epoch(&mut self, epoch_cycles: u64) {

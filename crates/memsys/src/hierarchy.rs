@@ -68,19 +68,6 @@ impl CacheHierarchy {
         self.l1[core.index()].add_hits(n);
     }
 
-    /// Host-side prefetch of the three sets an access by `core` (on
-    /// `node`) to `paddr` would probe. Touches no simulated state: the
-    /// engine calls this before a page walk's replay loop, for every walk
-    /// step and for the data access the walk translates, so the
-    /// independent (and usually host-cold) set loads overlap instead of
-    /// serializing through the L1→L2→L3 probe chain.
-    #[inline]
-    pub fn prefetch_access(&self, core: CoreId, node: NodeId, paddr: u64) {
-        self.l1[core.index()].prefetch_probe(paddr);
-        self.l2[core.index()].prefetch_probe(paddr);
-        self.l3[node.index()].prefetch_probe(paddr);
-    }
-
     /// Invalidates a line everywhere (models the coherence shootdown after a
     /// page migration rewrites its physical frame).
     pub fn invalidate_everywhere(&mut self, paddr: u64) {
@@ -122,16 +109,6 @@ impl CacheHierarchy {
                 c.load_from(d);
             }
         }
-    }
-
-    /// The L1 cache of one core (for inspection in tests and benches).
-    pub fn l1_of(&self, core: CoreId) -> &SetAssocCache {
-        &self.l1[core.index()]
-    }
-
-    /// The L3 cache of one node (for inspection in tests and benches).
-    pub fn l3_of(&self, node: NodeId) -> &SetAssocCache {
-        &self.l3[node.index()]
     }
 }
 

@@ -36,6 +36,8 @@
 //! assert!(out2.cycles < out.cycles);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod config;
 mod controller;

@@ -52,35 +52,6 @@ impl LinkTraffic {
         worst
     }
 
-    /// Records `n` requests traversing `route` at once; returns the
-    /// bottleneck congestion delay charged to each. Exactly equivalent to
-    /// `n` calls to [`LinkTraffic::traverse`]: per-link delays only change
-    /// at [`LinkTraffic::end_epoch`], so every request of an intra-epoch
-    /// batch sees the same bottleneck.
-    #[inline]
-    pub fn traverse_n(&mut self, route: Route<'_>, n: u64) -> u32 {
-        let mut worst = 0;
-        for &l in route.links() {
-            let i = l.index();
-            self.epoch_requests[i] += n;
-            self.total_requests[i] += n;
-            worst = worst.max(self.current_delay[i]);
-        }
-        worst
-    }
-
-    /// The bottleneck congestion delay of `route` without recording any
-    /// traffic (read-only companion of [`LinkTraffic::traverse`]).
-    #[inline]
-    pub fn peek(&self, route: Route<'_>) -> u32 {
-        route
-            .links()
-            .iter()
-            .map(|l| self.current_delay[l.index()])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Closes the epoch: derives each link's congestion delay for the next
     /// epoch from its utilization during this one.
     pub fn end_epoch(&mut self, epoch_cycles: u64) {

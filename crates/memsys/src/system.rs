@@ -87,18 +87,6 @@ impl MemEpochStats {
         self.dram_local += other.dram_local;
         self.dram_remote += other.dram_remote;
     }
-
-    /// Adds `n` copies of a per-access counter `delta` in one step — the
-    /// bulk-charge primitive of the epoch-scoped access fast path. Exactly
-    /// equivalent to merging `delta` `n` times (counters are sums).
-    #[inline]
-    pub fn add_n(&mut self, delta: &MemEpochStats, n: u64) {
-        self.l2_accesses += delta.l2_accesses * n;
-        self.l2_misses += delta.l2_misses * n;
-        self.l2_walk_misses += delta.l2_walk_misses * n;
-        self.dram_local += delta.dram_local * n;
-        self.dram_remote += delta.dram_remote * n;
-    }
 }
 
 /// One controller's view at an epoch boundary, for observability.
@@ -240,77 +228,15 @@ impl MemorySystem {
         }
     }
 
-    /// Computes the outcome an uncached access would have, without charging
-    /// it: the read-only companion of [`MemorySystem::access_uncached`].
-    ///
-    /// Within an epoch the result is a pure function of `(core, home)` —
-    /// controller queueing and link congestion delays only change at
-    /// [`MemorySystem::end_epoch`] — so the engine's fast path computes it
-    /// once per `(node, home)` pair per epoch and charges repeats with
-    /// [`MemorySystem::charge_uncached_n`].
-    pub fn peek_uncached(&self, core: CoreId, home: NodeId) -> AccessOutcome {
-        let from = self.core_node[core.index()];
-        let queue = self.controllers[home.index()].current_delay();
-        let route = self.topology.route(from, home);
-        let hops = route.hops();
-        let link_delay = self.links.peek(route);
-        let inter = hops * self.config.hop_latency + link_delay;
-        let cycles = self.config.l3_latency + self.config.dram_base_latency + queue + inter;
-        AccessOutcome {
-            cycles,
-            level: ServiceLevel::Dram,
-            from_node: from,
-            home_node: home,
-            queue,
-            inter,
-        }
-    }
-
-    /// Charges `n` uncached accesses from `core` to `home` in bulk: counter
-    /// effects are exactly those of `n` [`MemorySystem::access_uncached`]
-    /// calls (whose per-access outcome [`MemorySystem::peek_uncached`]
-    /// reported). Only valid within one epoch — the caller must flush its
-    /// batch before [`MemorySystem::end_epoch`].
-    pub fn charge_uncached_n(&mut self, core: CoreId, home: NodeId, n: u64) {
-        let from = self.core_node[core.index()];
-        let delta = MemEpochStats {
-            l2_accesses: 1,
-            l2_misses: 1,
-            l2_walk_misses: 0,
-            dram_local: u64::from(from == home),
-            dram_remote: u64::from(from != home),
-        };
-        self.epoch.add_n(&delta, n);
-        self.controllers[home.index()].request_n(n);
-        let route = self.topology.route(from, home);
-        self.links.traverse_n(route, n);
-    }
-
     /// Charges `n` stable L1 hits for `core` in bulk: the only state a
     /// stable hit changes is the L1 hit counter (the line is already MRU,
     /// and L1 hits touch no epoch counters), so `n` replays collapse to one
-    /// counter addition.
+    /// counter addition. The engine charges every access one by one; this
+    /// serves replays that count repeats of the L1's MRU line, such as
+    /// simbench's per-layer replay.
     #[inline]
     pub fn charge_l1_hits_n(&mut self, core: CoreId, n: u64) {
         self.hierarchy.add_l1_hits(core, n);
-    }
-
-    /// The cache line size (bytes) of the first-level cache, for fast-path
-    /// same-line detection.
-    #[inline]
-    pub fn l1_line_bytes(&self) -> u64 {
-        self.config.l1.line_bytes as u64
-    }
-
-    /// Host-side prefetch of the cache sets an access by `core` to `paddr`
-    /// would probe. Touches no simulated state — the engine calls it for
-    /// addresses it is *about* to access (e.g. every step of a page walk
-    /// before replaying them), so the independent set loads overlap
-    /// instead of serializing through the probe chain.
-    #[inline]
-    pub fn prefetch_access(&self, core: CoreId, paddr: u64) {
-        let from = self.core_node[core.index()];
-        self.hierarchy.prefetch_access(core, from, paddr);
     }
 
     /// Closes the current epoch: rolls epoch counters into lifetime totals
@@ -515,8 +441,8 @@ mod tests {
     #[test]
     fn outcome_components_are_attributed() {
         let mut m = system();
-        // Cold: DRAM. Components must be consistent with the total and the
-        // uncached/peek paths must agree with the access path's shape.
+        // Cold: DRAM. Components must be consistent with the total, on the
+        // uncached path as on the access path.
         let dram = m.access(CoreId(0), 0x50_0000, NodeId(1), AccessKind::Data);
         assert!(dram.dram());
         assert!(dram.inter > 0, "remote access crosses the interconnect");
@@ -525,9 +451,8 @@ mod tests {
         let hit = m.access(CoreId(0), 0x50_0000, NodeId(1), AccessKind::Data);
         assert_eq!(hit.level, ServiceLevel::L1);
         assert_eq!((hit.queue, hit.inter), (0, 0));
-        let peek = m.peek_uncached(CoreId(0), NodeId(1));
         let charged = m.access_uncached(CoreId(0), NodeId(1));
-        assert_eq!(peek.inter, charged.inter);
+        assert_eq!(charged.inter, dram.inter);
         assert!(u64::from(charged.queue) + u64::from(charged.inter) <= u64::from(charged.cycles));
     }
 

@@ -128,62 +128,6 @@ impl IbsSampler {
         true
     }
 
-    /// Ops until the next sampled op, counting that op: `1` means the very
-    /// next observed op is sampled. The skip-ahead primitive — a caller
-    /// processing a batch can run `until_next() - 1` ops with zero sampler
-    /// work, then materialise the sample for the op that lands on the
-    /// countdown.
-    #[inline]
-    pub fn until_next(&self) -> u64 {
-        self.countdown
-    }
-
-    /// How many of the next `n_ops` observed ops would be sampled.
-    ///
-    /// Pure arithmetic over the countdown and period; `observe`-ing `n_ops`
-    /// ops one by one takes exactly this many samples.
-    #[inline]
-    pub fn samples_in(&self, n_ops: u64) -> u64 {
-        if n_ops >= self.countdown {
-            1 + (n_ops - self.countdown) / self.config.period
-        } else {
-            0
-        }
-    }
-
-    /// Advances past `n` *unsampled* ops in one step. Exactly equivalent to
-    /// `n` [`IbsSampler::observe`] calls that all return `false`.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if `n >= until_next()` — the caller skipped over an op
-    /// that should have been sampled.
-    #[inline]
-    pub fn advance_unsampled(&mut self, n: u64) {
-        debug_assert!(
-            n < self.countdown,
-            "skip-ahead of {n} ops would jump a sample due in {}",
-            self.countdown
-        );
-        self.countdown -= n;
-    }
-
-    /// Observes the op the countdown lands on (`until_next()` must be 1) and
-    /// takes its sample: together with [`IbsSampler::advance_unsampled`]
-    /// this is the batched equivalent of per-op [`IbsSampler::observe`]
-    /// calls, with samples materialised at exactly the same op indices.
-    #[inline]
-    pub fn take_sample(&mut self, make_sample: impl FnOnce() -> IbsSample) {
-        debug_assert_eq!(self.countdown, 1, "take_sample off the sample op");
-        self.countdown = self.config.period;
-        self.taken += 1;
-        self.overhead_cycles += self.config.sample_overhead_cycles;
-        if self.store {
-            let s = make_sample();
-            self.stores[s.accessing_node.index()].push(s);
-        }
-    }
-
     /// Drains every per-node store into one vector (the policy's periodic
     /// collection pass) and resets the per-epoch overhead accumulator.
     ///
@@ -272,12 +216,6 @@ impl IbsSampler {
     #[inline]
     pub fn total_taken(&self) -> u64 {
         self.taken
-    }
-
-    /// The configured sampling period.
-    #[inline]
-    pub fn period(&self) -> u64 {
-        self.config.period
     }
 }
 

@@ -36,6 +36,8 @@
 //! assert!(metrics::imbalance(&[400, 0, 0, 0]) > 150.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod breakdown;
 mod counters;
 mod ibs;

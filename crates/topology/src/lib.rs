@@ -30,6 +30,8 @@
 //! assert!(hops >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ids;
 mod interconnect;
 mod machine;

@@ -30,6 +30,8 @@
 //! assert_eq!(fault.mapping.node, NodeId(0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod addr;
 mod error;
 mod frame;

@@ -272,18 +272,6 @@ impl TlbStats {
             self.misses as f64 / total as f64
         }
     }
-
-    /// Total lookups (hits at either level plus full misses).
-    pub fn total_lookups(&self) -> u64 {
-        self.l1_hits + self.l2_hits + self.misses
-    }
-
-    /// Lookups that probed the L2 (L2 hits plus full misses) — exactly the
-    /// lookups that pay the L2-probe latency the attribution ledger books
-    /// under `tlb_lookup`.
-    pub fn l2_probes(&self) -> u64 {
-        self.l2_hits + self.misses
-    }
 }
 
 /// A per-core two-level TLB.

@@ -34,6 +34,8 @@
 //!     && op.vaddr < r.base + r.bytes));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod gen;
 mod spec;
 mod suite;

@@ -19,6 +19,8 @@
 //! assert!(result.runtime_cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use carrefour;
 pub use engine;
 pub use memsys;
